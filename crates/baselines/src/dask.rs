@@ -7,12 +7,9 @@
 //! throughput of all systems (2617 tasks/s — "optimized for short duration
 //! jobs on small clusters") but connection failures at 8192 workers.
 
-use crate::ipp::deliver_results_loop;
 use nexus::{Addr, Endpoint, Fabric};
-use parking_lot::Mutex;
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskSpec};
-use parsl_core::registry::AppRegistry;
-use parsl_executors::kernel;
+use parsl_executors::client::Client;
 use parsl_executors::proto::{encode, ToClient, ToInterchange, ToManager, WireTask};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -40,139 +37,72 @@ impl Default for DaskConfig {
     }
 }
 
-struct Shared {
-    cfg: DaskConfig,
-    fabric: Fabric,
-    sched_addr: Addr,
-    client_addr: Addr,
-    outstanding: AtomicUsize,
-    connected: AtomicUsize,
-    stop: AtomicBool,
-}
-
 /// Dask-distributed-style executor. See module docs.
 pub struct DaskLikeExecutor {
-    shared: Arc<Shared>,
-    client_ep: Mutex<Option<Arc<Endpoint>>>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    cfg: DaskConfig,
+    fabric: Fabric,
+    client: Client,
+    connected: Arc<AtomicUsize>,
 }
 
 impl DaskLikeExecutor {
     /// Build over a private fabric.
     pub fn new(cfg: DaskConfig) -> Self {
-        let sched_addr = Addr::new(format!("{}:scheduler", cfg.label));
-        let client_addr = Addr::new(format!("{}:client", cfg.label));
         DaskLikeExecutor {
-            shared: Arc::new(Shared {
-                cfg,
-                fabric: Fabric::new(),
-                sched_addr,
-                client_addr,
-                outstanding: AtomicUsize::new(0),
-                connected: AtomicUsize::new(0),
-                stop: AtomicBool::new(false),
-            }),
-            client_ep: Mutex::new(None),
-            threads: Mutex::new(Vec::new()),
+            client: Client::new(&cfg.label, "scheduler"),
+            cfg,
+            fabric: Fabric::new(),
+            connected: Arc::new(AtomicUsize::new(0)),
         }
     }
 }
 
 impl Executor for DaskLikeExecutor {
     fn label(&self) -> &str {
-        &self.shared.cfg.label
+        &self.cfg.label
     }
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        let sched_ep = self
-            .shared
-            .fabric
-            .bind(self.shared.sched_addr.clone())
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        let client_ep = Arc::new(
-            self.shared
-                .fabric
-                .bind(self.shared.client_addr.clone())
-                .map_err(|e| ExecutorError::Comm(e.to_string()))?,
-        );
-        *self.client_ep.lock() = Some(Arc::clone(&client_ep));
+        let registry = Arc::clone(&ctx.registry);
+        let sched_ep = self.client.start_on_fabric(&self.fabric, ctx, "worker")?;
 
-        let shared = Arc::clone(&self.shared);
-        let sched = std::thread::Builder::new()
-            .name(format!("{}-scheduler", shared.cfg.label))
-            .spawn(move || scheduler_loop(shared, sched_ep))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
+        let stop = self.client.stop_flag();
+        let client_addr = self.client.client_addr().clone();
+        let connected = Arc::clone(&self.connected);
+        let max_connections = self.cfg.max_connections;
+        self.client
+            .spawn(format!("{}-scheduler", self.cfg.label), move || {
+                scheduler_loop(sched_ep, &stop, &client_addr, &connected, max_connections)
+            })?;
 
-        let shared = Arc::clone(&self.shared);
-        let ctx2 = ctx.clone();
-        let client = std::thread::Builder::new()
-            .name(format!("{}-client", self.shared.cfg.label))
-            .spawn(move || deliver_results_loop(&shared.stop, &shared.outstanding, client_ep, ctx2))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        self.threads.lock().extend([sched, client]);
-
-        for i in 0..self.shared.cfg.workers {
-            let shared = Arc::clone(&self.shared);
-            let registry = Arc::clone(&ctx.registry);
-            let handle = std::thread::Builder::new()
-                .name(format!("{}-worker-{i}", self.shared.cfg.label))
-                .spawn(move || worker_loop(shared, registry, i))
-                .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-            self.threads.lock().push(handle);
+        for i in 0..self.cfg.workers {
+            let fabric = self.fabric.clone();
+            let sched_addr = self.client.ix_addr().clone();
+            let addr = Addr::new(format!("{}:worker-{i}", self.cfg.label));
+            let registry = Arc::clone(&registry);
+            let stop = self.client.stop_flag();
+            self.client
+                .spawn(format!("{}-worker-{i}", self.cfg.label), move || {
+                    crate::direct_worker_loop(fabric, sched_addr, registry, addr, &stop)
+                })?;
         }
         Ok(())
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        let ep = self
-            .client_ep
-            .lock()
-            .clone()
-            .ok_or(ExecutorError::NotRunning)?;
-        let wire_task = WireTask {
-            id: task.id.0,
-            attempt: task.attempt,
-            app_id: task.app.id.0,
-            tenant: task.tenant.0,
-            items: task.items,
-            args: task.args.to_vec(),
-        };
-        self.shared.outstanding.fetch_add(1, Ordering::Relaxed);
-        ep.send(
-            &self.shared.sched_addr,
-            encode(&ToInterchange::Submit(wire_task)),
-        )
-        .map_err(|e| {
-            self.shared.outstanding.fetch_sub(1, Ordering::Relaxed);
-            ExecutorError::Comm(e.to_string())
-        })
+        self.client.submit(&task)
     }
 
     fn outstanding(&self) -> usize {
-        self.shared.outstanding.load(Ordering::Relaxed)
+        self.client.outstanding()
     }
 
     fn connected_workers(&self) -> usize {
-        self.shared.connected.load(Ordering::Relaxed)
+        self.connected.load(Ordering::Relaxed)
     }
 
     fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        if let Some(ep) = self.client_ep.lock().take() {
-            let _ = ep.send(&self.shared.sched_addr, encode(&ToInterchange::Shutdown));
-        }
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for DaskLikeExecutor {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.client.shutdown();
     }
 }
 
@@ -182,11 +112,17 @@ impl Drop for DaskLikeExecutor {
 /// this scheduler maintains occupancy for every worker and decides task by
 /// task — the architectural behaviour that is fast at small scale and
 /// limits Dask at large scale.
-fn scheduler_loop(shared: Arc<Shared>, ep: Endpoint) {
+fn scheduler_loop(
+    ep: Endpoint,
+    stop: &AtomicBool,
+    client_addr: &Addr,
+    connected: &AtomicUsize,
+    max_connections: usize,
+) {
     let mut workers: HashMap<Addr, usize> = HashMap::new(); // addr -> queued depth
     let mut queued: VecDeque<WireTask> = VecDeque::new();
     loop {
-        if shared.stop.load(Ordering::Acquire) {
+        if stop.load(Ordering::Acquire) {
             break;
         }
         let Ok(env) = ep.recv_timeout(Duration::from_millis(50)) else {
@@ -195,11 +131,11 @@ fn scheduler_loop(shared: Arc<Shared>, ep: Endpoint) {
         match parsl_executors::proto::decode::<ToInterchange>(&env.payload) {
             Ok(ToInterchange::Submit(t)) => queued.push_back(t),
             Ok(ToInterchange::Register { .. }) => {
-                if workers.len() >= shared.cfg.max_connections {
+                if workers.len() >= max_connections {
                     // Connection refused (paper: observed at 8192 workers).
                     let _ = ep.send(&env.from, encode(&ToManager::Shutdown));
                 } else {
-                    shared.connected.fetch_add(1, Ordering::Relaxed);
+                    connected.fetch_add(1, Ordering::Relaxed);
                     workers.insert(env.from, 0);
                 }
             }
@@ -207,7 +143,7 @@ fn scheduler_loop(shared: Arc<Shared>, ep: Endpoint) {
                 if let Some(depth) = workers.get_mut(&env.from) {
                     *depth = depth.saturating_sub(results.len());
                 }
-                let _ = ep.send(&shared.client_addr, encode(&ToClient::Results(results)));
+                let _ = ep.send(client_addr, encode(&ToClient::Results(results)));
             }
             Ok(ToInterchange::Shutdown) => break,
             _ => {}
@@ -225,7 +161,7 @@ fn scheduler_loop(shared: Arc<Shared>, ep: Endpoint) {
             let t = queued.pop_front().expect("non-empty");
             if ep.send(&addr, encode(&ToManager::Tasks(vec![t]))).is_err() {
                 workers.remove(&addr);
-                shared.connected.fetch_sub(1, Ordering::Relaxed);
+                connected.fetch_sub(1, Ordering::Relaxed);
             } else {
                 *workers.get_mut(&addr).expect("present") += 1;
             }
@@ -233,39 +169,5 @@ fn scheduler_loop(shared: Arc<Shared>, ep: Endpoint) {
     }
     for w in workers.keys() {
         let _ = ep.send(w, encode(&ToManager::Shutdown));
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, registry: Arc<AppRegistry>, index: usize) {
-    let addr = Addr::new(format!("{}:worker-{index}", shared.cfg.label));
-    let Ok(ep) = shared.fabric.bind(addr.clone()) else {
-        return;
-    };
-    let _ = ep.send(
-        &shared.sched_addr,
-        encode(&ToInterchange::Register {
-            name: addr.to_string(),
-            capacity: 1,
-            held: vec![],
-        }),
-    );
-    loop {
-        let Ok(env) = ep.recv() else { return };
-        match parsl_executors::proto::decode::<ToManager>(&env.payload) {
-            Ok(ToManager::Tasks(tasks)) => {
-                let results: Vec<_> = tasks
-                    .iter()
-                    .map(|t| kernel::execute(&registry, t, addr.as_str()))
-                    .collect();
-                if ep
-                    .send(&shared.sched_addr, encode(&ToInterchange::Results(results)))
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(ToManager::Shutdown) => return,
-            _ => {}
-        }
     }
 }

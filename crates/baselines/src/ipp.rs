@@ -6,10 +6,8 @@
 //! hub and failures past 2048 engines.
 
 use nexus::{Addr, Endpoint, Fabric};
-use parking_lot::Mutex;
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskSpec};
-use parsl_core::registry::AppRegistry;
-use parsl_executors::kernel;
+use parsl_executors::client::Client;
 use parsl_executors::proto::{encode, ToClient, ToInterchange, ToManager, WireTask};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,147 +36,88 @@ impl Default for IppConfig {
     }
 }
 
-struct Shared {
-    cfg: IppConfig,
-    fabric: Fabric,
-    hub_addr: Addr,
-    client_addr: Addr,
-    outstanding: AtomicUsize,
-    connected: AtomicUsize,
-    stop: AtomicBool,
-}
-
 /// IPyParallel-style executor. See module docs.
 pub struct IppExecutor {
-    shared: Arc<Shared>,
-    client_ep: Mutex<Option<Arc<Endpoint>>>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    cfg: IppConfig,
+    fabric: Fabric,
+    client: Client,
+    connected: Arc<AtomicUsize>,
 }
 
 impl IppExecutor {
     /// Build over a private fabric.
     pub fn new(cfg: IppConfig) -> Self {
-        let hub_addr = Addr::new(format!("{}:hub", cfg.label));
-        let client_addr = Addr::new(format!("{}:client", cfg.label));
         IppExecutor {
-            shared: Arc::new(Shared {
-                cfg,
-                fabric: Fabric::new(),
-                hub_addr,
-                client_addr,
-                outstanding: AtomicUsize::new(0),
-                connected: AtomicUsize::new(0),
-                stop: AtomicBool::new(false),
-            }),
-            client_ep: Mutex::new(None),
-            threads: Mutex::new(Vec::new()),
+            client: Client::new(&cfg.label, "hub"),
+            cfg,
+            fabric: Fabric::new(),
+            connected: Arc::new(AtomicUsize::new(0)),
         }
     }
 }
 
 impl Executor for IppExecutor {
     fn label(&self) -> &str {
-        &self.shared.cfg.label
+        &self.cfg.label
     }
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        let hub_ep = self
-            .shared
-            .fabric
-            .bind(self.shared.hub_addr.clone())
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        let client_ep = Arc::new(
-            self.shared
-                .fabric
-                .bind(self.shared.client_addr.clone())
-                .map_err(|e| ExecutorError::Comm(e.to_string()))?,
-        );
-        *self.client_ep.lock() = Some(Arc::clone(&client_ep));
+        let registry = Arc::clone(&ctx.registry);
+        // Frames here are usually single-task (the hub brokers tasks
+        // individually), but the completion channel carries batches.
+        let hub_ep = self.client.start_on_fabric(&self.fabric, ctx, "engine")?;
 
-        let shared = Arc::clone(&self.shared);
-        let hub = std::thread::Builder::new()
-            .name(format!("{}-hub", shared.cfg.label))
-            .spawn(move || hub_loop(shared, hub_ep))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
+        let stop = self.client.stop_flag();
+        let client_addr = self.client.client_addr().clone();
+        let connected = Arc::clone(&self.connected);
+        let max_connections = self.cfg.max_connections;
+        self.client
+            .spawn(format!("{}-hub", self.cfg.label), move || {
+                hub_loop(hub_ep, &stop, &client_addr, &connected, max_connections)
+            })?;
 
-        let shared = Arc::clone(&self.shared);
-        let ctx2 = ctx.clone();
-        let client = std::thread::Builder::new()
-            .name(format!("{}-client", self.shared.cfg.label))
-            .spawn(move || client_loop(shared, client_ep, ctx2))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        self.threads.lock().extend([hub, client]);
-
-        for i in 0..self.shared.cfg.engines {
-            let shared = Arc::clone(&self.shared);
-            let registry = Arc::clone(&ctx.registry);
-            let handle = std::thread::Builder::new()
-                .name(format!("{}-engine-{i}", self.shared.cfg.label))
-                .spawn(move || engine_loop(shared, registry, i))
-                .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-            self.threads.lock().push(handle);
+        for i in 0..self.cfg.engines {
+            let fabric = self.fabric.clone();
+            let hub_addr = self.client.ix_addr().clone();
+            let addr = Addr::new(format!("{}:engine-{i}", self.cfg.label));
+            let registry = Arc::clone(&registry);
+            let stop = self.client.stop_flag();
+            self.client
+                .spawn(format!("{}-engine-{i}", self.cfg.label), move || {
+                    crate::direct_worker_loop(fabric, hub_addr, registry, addr, &stop)
+                })?;
         }
         Ok(())
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        let ep = self
-            .client_ep
-            .lock()
-            .clone()
-            .ok_or(ExecutorError::NotRunning)?;
-        let wire_task = WireTask {
-            id: task.id.0,
-            attempt: task.attempt,
-            app_id: task.app.id.0,
-            tenant: task.tenant.0,
-            items: task.items,
-            args: task.args.to_vec(),
-        };
-        self.shared.outstanding.fetch_add(1, Ordering::Relaxed);
-        ep.send(
-            &self.shared.hub_addr,
-            encode(&ToInterchange::Submit(wire_task)),
-        )
-        .map_err(|e| {
-            self.shared.outstanding.fetch_sub(1, Ordering::Relaxed);
-            ExecutorError::Comm(e.to_string())
-        })
+        self.client.submit(&task)
     }
 
     fn outstanding(&self) -> usize {
-        self.shared.outstanding.load(Ordering::Relaxed)
+        self.client.outstanding()
     }
 
     fn connected_workers(&self) -> usize {
-        self.shared.connected.load(Ordering::Relaxed)
+        self.connected.load(Ordering::Relaxed)
     }
 
     fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        if let Some(ep) = self.client_ep.lock().take() {
-            let _ = ep.send(&self.shared.hub_addr, encode(&ToInterchange::Shutdown));
-        }
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.client.shutdown();
     }
 }
 
-impl Drop for IppExecutor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn hub_loop(shared: Arc<Shared>, ep: Endpoint) {
+fn hub_loop(
+    ep: Endpoint,
+    stop: &AtomicBool,
+    client_addr: &Addr,
+    connected: &AtomicUsize,
+    max_connections: usize,
+) {
     let mut idle: VecDeque<Addr> = VecDeque::new();
     let mut queued: VecDeque<WireTask> = VecDeque::new();
     loop {
-        if shared.stop.load(Ordering::Acquire) {
+        if stop.load(Ordering::Acquire) {
             break;
         }
         let Ok(env) = ep.recv_timeout(Duration::from_millis(50)) else {
@@ -187,18 +126,18 @@ fn hub_loop(shared: Arc<Shared>, ep: Endpoint) {
         match parsl_executors::proto::decode::<ToInterchange>(&env.payload) {
             Ok(ToInterchange::Submit(t)) => queued.push_back(t),
             Ok(ToInterchange::Register { .. }) => {
-                if shared.connected.load(Ordering::Relaxed) >= shared.cfg.max_connections {
+                if connected.load(Ordering::Relaxed) >= max_connections {
                     // Connection refused: the engine gets no reply and its
                     // thread exits (paper: failures past 2048 engines).
                     let _ = ep.send(&env.from, encode(&ToManager::Shutdown));
                 } else {
-                    shared.connected.fetch_add(1, Ordering::Relaxed);
+                    connected.fetch_add(1, Ordering::Relaxed);
                     idle.push_back(env.from);
                 }
             }
             Ok(ToInterchange::Results(results)) => {
                 idle.push_back(env.from);
-                let _ = ep.send(&shared.client_addr, encode(&ToClient::Results(results)));
+                let _ = ep.send(client_addr, encode(&ToClient::Results(results)));
             }
             Ok(ToInterchange::Shutdown) => break,
             _ => {}
@@ -208,77 +147,11 @@ fn hub_loop(shared: Arc<Shared>, ep: Endpoint) {
             let w = idle.pop_front().expect("non-empty");
             let t = queued.pop_front().expect("non-empty");
             if ep.send(&w, encode(&ToManager::Tasks(vec![t]))).is_err() {
-                shared.connected.fetch_sub(1, Ordering::Relaxed);
+                connected.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
     while let Some(w) = idle.pop_front() {
         let _ = ep.send(&w, encode(&ToManager::Shutdown));
-    }
-}
-
-fn engine_loop(shared: Arc<Shared>, registry: Arc<AppRegistry>, index: usize) {
-    let addr = Addr::new(format!("{}:engine-{index}", shared.cfg.label));
-    let Ok(ep) = shared.fabric.bind(addr.clone()) else {
-        return;
-    };
-    let _ = ep.send(
-        &shared.hub_addr,
-        encode(&ToInterchange::Register {
-            name: addr.to_string(),
-            capacity: 1,
-            held: vec![],
-        }),
-    );
-    loop {
-        let Ok(env) = ep.recv() else { return };
-        match parsl_executors::proto::decode::<ToManager>(&env.payload) {
-            Ok(ToManager::Tasks(tasks)) => {
-                let results: Vec<_> = tasks
-                    .iter()
-                    .map(|t| kernel::execute(&registry, t, addr.as_str()))
-                    .collect();
-                if ep
-                    .send(&shared.hub_addr, encode(&ToInterchange::Results(results)))
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(ToManager::Shutdown) => return,
-            _ => {}
-        }
-    }
-}
-
-fn client_loop(shared: Arc<Shared>, ep: Arc<Endpoint>, ctx: ExecutorContext) {
-    deliver_results_loop(&shared.stop, &shared.outstanding, ep, ctx);
-}
-
-/// Shared client-side delivery loop used by the baseline executors.
-pub(crate) fn deliver_results_loop(
-    stop: &AtomicBool,
-    outstanding: &AtomicUsize,
-    ep: Arc<Endpoint>,
-    ctx: ExecutorContext,
-) {
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let Ok(env) = ep.recv_timeout(Duration::from_millis(50)) else {
-            continue;
-        };
-        if let Ok(ToClient::Results(results)) =
-            parsl_executors::proto::decode::<ToClient>(&env.payload)
-        {
-            // Frames here are usually single-task (the hub brokers tasks
-            // individually), but the completion channel carries batches.
-            outstanding.fetch_sub(results.len(), Ordering::Relaxed);
-            let outcomes = parsl_executors::proto::outcomes_from_results(results);
-            if !outcomes.is_empty() && ctx.completions.send(outcomes).is_err() {
-                return;
-            }
-        }
     }
 }

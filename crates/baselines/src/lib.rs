@@ -30,6 +30,63 @@ pub use dask::{DaskConfig, DaskLikeExecutor};
 pub use fireworks::{FireworksConfig, FireworksExecutor};
 pub use ipp::{IppConfig, IppExecutor};
 
+use nexus::{Addr, Fabric, RecvError};
+use parsl_core::registry::AppRegistry;
+use parsl_executors::kernel;
+use parsl_executors::proto::{decode, encode, ToInterchange, ToManager};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// A worker (Dask) or engine (IPP) connected straight to its broker: bind
+/// `addr`, register one slot, then run each task batch handed over and
+/// send its results back, until a shutdown frame or `stop`.
+fn direct_worker_loop(
+    fabric: Fabric,
+    broker_addr: Addr,
+    registry: Arc<AppRegistry>,
+    addr: Addr,
+    stop: &AtomicBool,
+) {
+    let Ok(ep) = fabric.bind(addr.clone()) else {
+        return;
+    };
+    let _ = ep.send(
+        &broker_addr,
+        encode(&ToInterchange::Register {
+            name: addr.to_string(),
+            capacity: 1,
+            held: vec![],
+        }),
+    );
+    loop {
+        // Poll the stop flag: a worker that registers after the broker
+        // has already exited would otherwise wait for a shutdown frame
+        // that never comes and hang the executor's join.
+        let env = match ep.recv_timeout(Duration::from_millis(50)) {
+            Ok(env) => env,
+            Err(RecvError::Timeout) if !stop.load(Ordering::Acquire) => continue,
+            Err(_) => return,
+        };
+        match decode::<ToManager>(&env.payload) {
+            Ok(ToManager::Tasks(tasks)) => {
+                let results: Vec<_> = tasks
+                    .iter()
+                    .map(|t| kernel::execute(&registry, t, addr.as_str()))
+                    .collect();
+                if ep
+                    .send(&broker_addr, encode(&ToInterchange::Results(results)))
+                    .is_err()
+                {
+                    return;
+                }
+            }
+            Ok(ToManager::Shutdown) => return,
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

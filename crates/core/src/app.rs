@@ -265,9 +265,7 @@ impl<A: AppArgs, R: TaskValue> App<A, R> {
 
     /// Start building an invocation: chain per-call options, then
     /// [`Invocation::call`] with the arguments. This is *the* invocation
-    /// API — `call` is sugar for the no-option build, and the old
-    /// `call_as`/`call_hinted`/`call_hinted_as` spellings are thin shims
-    /// over it.
+    /// API — `call` is sugar for the no-option build.
     ///
     /// ```
     /// use parsl_core::prelude::*;
@@ -286,40 +284,6 @@ impl<A: AppArgs, R: TaskValue> App<A, R> {
             app: self,
             opts: SubmitOptions::default(),
         }
-    }
-
-    /// Invoke the app on behalf of a specific tenant.
-    ///
-    /// Deprecated spelling of `app.invoke().tenant(t).call(deps)`; kept
-    /// as a delegating shim. Prefer [`DataFlowKernel::tenant`] when
-    /// submitting many calls as one tenant.
-    ///
-    /// [`DataFlowKernel::tenant`]: crate::dfk::DataFlowKernel::tenant
-    pub fn call_as(&self, tenant: crate::types::TenantId, deps: A::Deps) -> AppFuture<R> {
-        self.invoke().tenant(tenant).call(deps)
-    }
-
-    /// Invoke the app with declared data inputs/outputs.
-    ///
-    /// Deprecated spelling of `app.invoke().hints(h).call(deps)`; kept as
-    /// a delegating shim. The hints feed the kernel's
-    /// `DataMap`/`DataAware` routing (see [`crate::datamap`]).
-    pub fn call_hinted(&self, deps: A::Deps, hints: crate::datamap::DataHints) -> AppFuture<R> {
-        self.invoke().hints(hints).call(deps)
-    }
-
-    /// Invoke the app with a tenant and data hints.
-    ///
-    /// Deprecated spelling of
-    /// `app.invoke().tenant(t).hints(h).call(deps)`; kept as a delegating
-    /// shim.
-    pub fn call_hinted_as(
-        &self,
-        tenant: crate::types::TenantId,
-        deps: A::Deps,
-        hints: crate::datamap::DataHints,
-    ) -> AppFuture<R> {
-        self.invoke().tenant(tenant).hints(hints).call(deps)
     }
 
     /// The underlying registration (id, options, hash).

@@ -77,10 +77,6 @@ pub struct Config {
     /// behaviour, kept as a measurable/testable baseline
     /// (`fig_completion`, `proptest_batching`).
     pub completion_batching: bool,
-    /// Most outcomes the collector folds into one completion-plane pass
-    /// (default [`crate::dfk::COLLECT_BATCH_CAP`] = 4096). See
-    /// [`ConfigBuilder::collect_batch_cap`] for the tradeoff.
-    pub collect_batch_cap: usize,
 }
 
 impl Config {
@@ -127,7 +123,6 @@ pub struct ConfigBuilder {
     tenants: Vec<(TenantId, TenantConfig)>,
     completion_batching: Option<bool>,
     transfer_model: Option<TransferModel>,
-    collect_batch_cap: Option<usize>,
 }
 
 impl ConfigBuilder {
@@ -224,33 +219,11 @@ impl ConfigBuilder {
         self
     }
 
-    /// Cap on how many outcomes the collector folds into one
-    /// completion-plane pass (default 4096,
-    /// [`crate::dfk::COLLECT_BATCH_CAP`]). This is a latency/throughput
-    /// knob: a **larger** cap amortizes the completion cycle (one shard
-    /// lock per shard, one checkpoint append, one monitor batch) over
-    /// more outcomes under a sustained storm, at the cost of more
-    /// per-pass memory and a longer stretch before the first future in
-    /// the batch fires; a **smaller** cap bounds that latency and the
-    /// per-pass allocation but pays the fixed completion-plane cost more
-    /// often. Must be at least 1.
-    pub fn collect_batch_cap(mut self, cap: usize) -> Self {
-        self.collect_batch_cap = Some(cap);
-        self
-    }
-
     /// Validate and produce the [`Config`].
     pub fn build(self) -> Result<Config, crate::error::ParslError> {
         if self.executors.is_empty() {
             return Err(crate::error::ParslError::Config(
                 "at least one executor is required".into(),
-            ));
-        }
-        if self.collect_batch_cap == Some(0) {
-            return Err(crate::error::ParslError::Config(
-                "collect_batch_cap must be at least 1 \
-                 (a cap of 0 could never fold any outcome)"
-                    .into(),
             ));
         }
         if self.max_inflight_per_executor == Some(0) {
@@ -302,9 +275,6 @@ impl ConfigBuilder {
             tenants: self.tenants,
             completion_batching: self.completion_batching.unwrap_or(true),
             transfer_model: self.transfer_model.unwrap_or_default(),
-            collect_batch_cap: self
-                .collect_batch_cap
-                .unwrap_or(crate::dfk::COLLECT_BATCH_CAP),
         })
     }
 }
@@ -341,27 +311,6 @@ mod tests {
         assert!(matches!(c.scheduler, SchedulerPolicy::RandomHash));
         assert!(c.max_inflight_per_executor.is_none());
         assert!(c.completion_batching, "batched collection is the default");
-    }
-
-    #[test]
-    fn collect_batch_cap_validated_and_flows_through() {
-        // Zero could never fold an outcome; build() must refuse.
-        assert!(Config::builder()
-            .executor(ImmediateExecutor::new())
-            .collect_batch_cap(0)
-            .build()
-            .is_err());
-        let c = Config::builder()
-            .executor(ImmediateExecutor::new())
-            .collect_batch_cap(128)
-            .build()
-            .unwrap();
-        assert_eq!(c.collect_batch_cap, 128);
-        let d = Config::builder()
-            .executor(ImmediateExecutor::new())
-            .build()
-            .unwrap();
-        assert_eq!(d.collect_batch_cap, crate::dfk::COLLECT_BATCH_CAP);
     }
 
     #[test]

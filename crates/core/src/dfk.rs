@@ -59,8 +59,8 @@
 //!
 //! One kernel can serve many logical workflows (tenants) over one
 //! executor pool. Every task carries a [`TenantId`] (stamped by
-//! [`DataFlowKernel::tenant`] / `App::call_as`; plain `call` uses
-//! [`TenantId::DEFAULT`]), and the kernel keeps per-tenant in-flight
+//! [`DataFlowKernel::tenant`] / `app.invoke().tenant(t)`; plain `call`
+//! uses [`TenantId::DEFAULT`]), and the kernel keeps per-tenant in-flight
 //! counts — total and per executor — next to the per-executor ones.
 //! Tenants may be given a `max_inflight` quota and a fairness weight
 //! ([`crate::config::TenantConfig`]): an over-quota tenant's ready tasks
@@ -99,12 +99,10 @@ use std::time::{Duration, Instant};
 /// past the thread counts a single client drives.
 pub const TABLE_SHARDS: usize = 16;
 
-/// Default for the most outcomes the collector folds into one
-/// completion-plane pass (see [`ConfigBuilder::collect_batch_cap`] for
-/// the tunable). Bounds the per-pass allocation (futures, monitor
-/// events, checkpoint frames) under a sustained completion storm; the
-/// channel is drained again immediately, so the cap costs at most an
-/// extra pass.
+/// Most outcomes the collector folds into one completion-plane pass.
+/// Bounds the per-pass allocation (futures, monitor events, checkpoint
+/// frames) under a sustained completion storm; the channel is drained
+/// again immediately, so the cap costs at most an extra pass.
 pub const COLLECT_BATCH_CAP: usize = 4096;
 
 /// One task's bookkeeping in the dynamic task graph.
@@ -400,9 +398,6 @@ pub struct DataFlowKernel {
     /// Batched result collection (see module docs); `false` re-enables
     /// the per-task baseline.
     completion_batching: bool,
-    /// Most outcomes one collector pass folds together
-    /// ([`ConfigBuilder::collect_batch_cap`]).
-    collect_batch_cap: usize,
     strategy_cfg: StrategyConfig,
     /// Arrival-rate and service-time observations feeding the predictive
     /// strategy's [`LoadSignal`] and the hedge watcher's p99 threshold.
@@ -530,13 +525,6 @@ impl DfkBuilder {
         self
     }
 
-    /// Cap on outcomes folded into one collector pass (see
-    /// [`ConfigBuilder::collect_batch_cap`]).
-    pub fn collect_batch_cap(mut self, cap: usize) -> Self {
-        self.inner = self.inner.collect_batch_cap(cap);
-        self
-    }
-
     /// Validate, start executors and service threads, and return the
     /// running kernel.
     pub fn build(self) -> Result<Arc<DataFlowKernel>, ParslError> {
@@ -614,7 +602,6 @@ impl DataFlowKernel {
             deadline_cv: Arc::new(Condvar::new()),
             walltime_wakeups: AtomicU64::new(0),
             completion_batching: config.completion_batching,
-            collect_batch_cap: config.collect_batch_cap,
             strategy_cfg: config.strategy,
             stats: ServiceStats::new(),
             invalid_app,
@@ -643,7 +630,7 @@ impl DataFlowKernel {
                         Ok(mut outcomes) => {
                             let Some(dfk) = weak.upgrade() else { return };
                             if dfk.completion_batching {
-                                while outcomes.len() < dfk.collect_batch_cap {
+                                while outcomes.len() < COLLECT_BATCH_CAP {
                                     match rx.try_recv() {
                                         Ok(mut more) => outcomes.append(&mut more),
                                         Err(_) => break,
@@ -1115,62 +1102,6 @@ impl DataFlowKernel {
     // Submission and the dependency machinery
     // ------------------------------------------------------------------
 
-    /// Submit a task from pre-built argument slots under the default
-    /// tenant.
-    ///
-    /// Deprecated spelling of [`DataFlowKernel::submit`] with
-    /// [`SubmitOptions::default`]; kept as a delegating shim. Typed
-    /// callers should use [`App::call`] / [`App::invoke`].
-    pub fn submit_slots(
-        self: &Arc<Self>,
-        app: Arc<RegisteredApp>,
-        slots: Vec<ArgSlot>,
-    ) -> Arc<FutureState> {
-        self.submit(app, slots, SubmitOptions::default())
-    }
-
-    /// Submit a task from pre-built argument slots on behalf of a tenant.
-    ///
-    /// Deprecated spelling of [`DataFlowKernel::submit`] with
-    /// `SubmitOptions { tenant, .. }`; kept as a delegating shim.
-    pub fn submit_slots_as(
-        self: &Arc<Self>,
-        app: Arc<RegisteredApp>,
-        slots: Vec<ArgSlot>,
-        tenant: TenantId,
-    ) -> Arc<FutureState> {
-        self.submit(
-            app,
-            slots,
-            SubmitOptions {
-                tenant,
-                ..SubmitOptions::default()
-            },
-        )
-    }
-
-    /// Submit a task with an explicit tenant and data hints.
-    ///
-    /// Deprecated spelling of [`DataFlowKernel::submit`]; kept as a
-    /// delegating shim.
-    pub fn submit_slots_hinted(
-        self: &Arc<Self>,
-        app: Arc<RegisteredApp>,
-        slots: Vec<ArgSlot>,
-        tenant: TenantId,
-        hints: DataHints,
-    ) -> Arc<FutureState> {
-        self.submit(
-            app,
-            slots,
-            SubmitOptions {
-                tenant,
-                hints,
-                ..SubmitOptions::default()
-            },
-        )
-    }
-
     /// Submit a task from pre-built argument slots — the one untyped
     /// entry point behind every app invocation. Per-call variation
     /// (tenant, data hints) rides in [`SubmitOptions`]; the typed
@@ -1292,7 +1223,7 @@ impl DataFlowKernel {
     pub fn failed_submission(self: &Arc<Self>, error: AppError) -> Arc<FutureState> {
         let id = self.table.alloc_id();
         let future = FutureState::new(id);
-        // As in submit_slots: live first, then visible.
+        // As in `submit`: live first, then visible.
         self.live.fetch_add(1, Ordering::AcqRel);
         self.table.shard(id).lock().insert(
             id,

@@ -27,10 +27,10 @@ impl fmt::Display for TaskId {
 ///
 /// One DataFlowKernel can serve many concurrent workflows sharing one
 /// executor pool; the tenant id is stamped on every task at submission
-/// (via [`crate::dfk::DataFlowKernel::tenant`] or `App::call_as`) and
-/// travels with it through routing, parking, retries, executor wire
-/// frames, and monitor events. Plain `App::call` submissions run under
-/// [`TenantId::DEFAULT`].
+/// (via [`crate::dfk::DataFlowKernel::tenant`] or
+/// `app.invoke().tenant(t)`) and travels with it through routing,
+/// parking, retries, executor wire frames, and monitor events. Plain
+/// `App::call` submissions run under [`TenantId::DEFAULT`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TenantId(pub u32);
 

@@ -13,17 +13,17 @@
 //! single scheduler job". Pool loss is detected by the same heartbeat
 //! mechanism as HTEX.
 
+use crate::client::Client;
+use crate::interchange::{interchange_loop, IxParams};
 use crate::kernel;
-use crate::proto::{encode, ToClient, ToInterchange, ToManager, WireResult, WireTask};
+use crate::proto::{encode, ToInterchange, ToManager, WireResult, WireTask};
 use minimpi::{Rank, Tag, World, ANY_SOURCE};
-use nexus::{Addr, Endpoint, Fabric};
+use nexus::{Addr, Fabric};
 use parking_lot::Mutex;
 use parsl_core::executor::{BlockScaling, Executor, ExecutorContext, ExecutorError, TaskSpec};
 use parsl_core::registry::AppRegistry;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,30 +71,15 @@ impl Default for ExexConfig {
     }
 }
 
-struct PoolHandle {
-    addr: Addr,
-    /// Abort handle: firing this simulates a rank crash killing the pool.
-    world_abort: Arc<dyn Fn() + Send + Sync>,
-}
-
-struct Shared {
-    cfg: ExexConfig,
-    fabric: Fabric,
-    ix_addr: Addr,
-    client_addr: Addr,
-    outstanding: AtomicUsize,
-    connected_workers: AtomicUsize,
-    next_pool: AtomicU64,
-    stop: AtomicBool,
-    pools: Mutex<Vec<PoolHandle>>,
-}
-
 /// The Extreme Scale Executor. See module docs.
 pub struct ExexExecutor {
-    shared: Arc<Shared>,
-    client_ep: Mutex<Option<Arc<Endpoint>>>,
-    ctx: Mutex<Option<ExecutorContext>>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    cfg: ExexConfig,
+    fabric: Fabric,
+    client: Client,
+    connected_workers: Arc<AtomicUsize>,
+    next_pool: AtomicU64,
+    /// Live pool manager addresses, newest last.
+    pools: Mutex<Vec<Addr>>,
 }
 
 impl ExexExecutor {
@@ -109,226 +94,139 @@ impl ExexExecutor {
             cfg.ranks_per_pool >= 2,
             "a pool needs rank 0 plus at least one worker"
         );
-        let ix_addr = Addr::new(format!("{}:ix", cfg.label));
-        let client_addr = Addr::new(format!("{}:client", cfg.label));
         ExexExecutor {
-            shared: Arc::new(Shared {
-                cfg,
-                fabric,
-                ix_addr,
-                client_addr,
-                outstanding: AtomicUsize::new(0),
-                connected_workers: AtomicUsize::new(0),
-                next_pool: AtomicU64::new(0),
-                stop: AtomicBool::new(false),
-                pools: Mutex::new(Vec::new()),
-            }),
-            client_ep: Mutex::new(None),
-            ctx: Mutex::new(None),
-            threads: Mutex::new(Vec::new()),
+            client: Client::new(&cfg.label, "ix"),
+            cfg,
+            fabric,
+            connected_workers: Arc::new(AtomicUsize::new(0)),
+            next_pool: AtomicU64::new(0),
+            pools: Mutex::new(Vec::new()),
         }
     }
 
     /// The fabric (for fault injection).
     pub fn fabric(&self) -> &Fabric {
-        &self.shared.fabric
+        &self.fabric
     }
 
     /// Deploy one more MPI pool. Returns the pool manager's address.
     pub fn add_pool(&self) -> Addr {
-        let registry = self
-            .ctx
-            .lock()
-            .as_ref()
-            .map(|c| Arc::clone(&c.registry))
-            .expect("add_pool before start");
-        let shared = Arc::clone(&self.shared);
-        let n = shared.next_pool.fetch_add(1, Ordering::Relaxed);
-        let addr = Addr::new(format!("{}:pool-{n}", shared.cfg.label));
+        let registry = self.client.registry().expect("add_pool before start");
+        let n = self.next_pool.fetch_add(1, Ordering::Relaxed);
+        let addr = Addr::new(format!("{}:pool-{n}", self.cfg.label));
 
-        let ranks = World::create(shared.cfg.ranks_per_pool);
-        let mut iter = ranks.into_iter();
-        let manager_rank = iter.next().expect("rank 0");
-        // Grab an abort hook from rank 0's world before moving it.
-        let abort_rank = {
-            // minimpi aborts are world-wide; any rank handle can fire one.
-            // We keep a closure over a dedicated tiny channel: killing the
-            // pool sends a poisoned task that makes a worker abort.
-            // Simpler and honest: clone nothing — build the closure from
-            // the manager address and fabric: killing the fabric endpoint
-            // also collapses the pool (rank 0 exits, drops handles, world
-            // aborts).
-            let fabric = shared.fabric.clone();
-            let a = addr.clone();
-            Arc::new(move || fabric.kill(&a)) as Arc<dyn Fn() + Send + Sync>
-        };
+        let mut ranks = World::create(self.cfg.ranks_per_pool).into_iter();
+        let manager_rank = ranks.next().expect("rank 0");
 
         // Worker ranks.
-        for rank in iter {
+        for rank in ranks {
             let registry = Arc::clone(&registry);
-            let handle = std::thread::Builder::new()
-                .name(format!("{addr}:rank{}", rank.rank()))
-                .spawn(move || worker_rank_loop(rank, registry))
+            self.client
+                .spawn(format!("{addr}:rank{}", rank.rank()), move || {
+                    worker_rank_loop(rank, registry)
+                })
                 .expect("spawn exex worker rank");
-            self.threads.lock().push(handle);
         }
 
         // Rank 0: the pool manager bridging fabric and MPI.
-        {
-            let shared2 = Arc::clone(&shared);
-            let maddr = addr.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("{addr}:rank0"))
-                .spawn(move || pool_manager_loop(shared2, manager_rank, maddr))
-                .expect("spawn exex pool manager");
-            self.threads.lock().push(handle);
-        }
+        let fabric = self.fabric.clone();
+        let ix_addr = self.client.ix_addr().clone();
+        let heartbeat_period = self.cfg.heartbeat_period;
+        let maddr = addr.clone();
+        self.client
+            .spawn(format!("{addr}:rank0"), move || {
+                pool_manager_loop(fabric, ix_addr, heartbeat_period, manager_rank, maddr)
+            })
+            .expect("spawn exex pool manager");
 
-        self.shared.pools.lock().push(PoolHandle {
-            addr: addr.clone(),
-            world_abort: abort_rank,
-        });
+        self.pools.lock().push(addr.clone());
         addr
     }
 
     /// Gracefully retire the most recently added pool. Routed through the
     /// interchange so no batch crosses the shutdown on the wire.
     pub fn remove_pool(&self) -> bool {
-        let Some(pool) = self.shared.pools.lock().pop() else {
+        let Some(addr) = self.pools.lock().pop() else {
             return false;
         };
-        if let Some(ep) = self.client_ep.lock().as_ref() {
-            let _ = ep.send(
-                &self.shared.ix_addr,
-                encode(&ToInterchange::Retire {
-                    name: pool.addr.to_string(),
-                }),
-            );
-        }
+        let _ = self.client.send(&ToInterchange::Retire {
+            name: addr.to_string(),
+        });
         true
     }
 
-    /// Fault injection: crash a pool (MPI fate-sharing — every rank dies).
+    /// Fault injection: crash a pool. Killing rank 0's fabric endpoint
+    /// makes it abort the world, and MPI fate-sharing takes every other
+    /// rank down with it.
     pub fn kill_pool(&self, addr: &Addr) {
-        let mut pools = self.shared.pools.lock();
-        if let Some(i) = pools.iter().position(|p| &p.addr == addr) {
-            let pool = pools.remove(i);
-            (pool.world_abort)();
+        let mut pools = self.pools.lock();
+        if let Some(i) = pools.iter().position(|p| p == addr) {
+            pools.remove(i);
+            self.fabric.kill(addr);
         }
     }
 
     /// Addresses of live pools.
     pub fn pools(&self) -> Vec<Addr> {
-        self.shared
-            .pools
-            .lock()
-            .iter()
-            .map(|p| p.addr.clone())
-            .collect()
+        self.pools.lock().clone()
     }
 }
 
 impl Executor for ExexExecutor {
     fn label(&self) -> &str {
-        &self.shared.cfg.label
+        &self.cfg.label
     }
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        {
-            let mut slot = self.ctx.lock();
-            if slot.is_some() {
-                return Err(ExecutorError::Rejected("already started".into()));
-            }
-            *slot = Some(ctx.clone());
-        }
-        let ix_ep = self
-            .shared
-            .fabric
-            .bind(self.shared.ix_addr.clone())
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        let client_ep = Arc::new(
-            self.shared
-                .fabric
-                .bind(self.shared.client_addr.clone())
-                .map_err(|e| ExecutorError::Comm(e.to_string()))?,
-        );
-        *self.client_ep.lock() = Some(Arc::clone(&client_ep));
+        let registry = Arc::clone(&ctx.registry);
+        let ix_ep = self.client.start_on_fabric(&self.fabric, ctx, "MPI pool")?;
 
-        let shared = Arc::clone(&self.shared);
-        let ix = std::thread::Builder::new()
-            .name(format!("{}-ix", shared.cfg.label))
-            .spawn(move || interchange_loop(shared, ix_ep))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
+        // Identical broker role to HTEX, but the counterparties are pool
+        // managers ("EXEX uses a hierarchical task distribution model,
+        // where the managers communicate with the interchange on behalf
+        // of workers"), which advertise exactly their worker ranks.
+        let params = IxParams {
+            client_addr: self.client.client_addr().clone(),
+            prefetch: 0,
+            batch_size: self.cfg.batch_size,
+            heartbeat_period: self.cfg.heartbeat_period,
+            heartbeat_threshold: self.cfg.heartbeat_threshold,
+            seed: self.cfg.seed,
+            connected_workers: Arc::clone(&self.connected_workers),
+            // EXEX exposes no drain probe, so nothing reads this gauge.
+            draining_nodes: Arc::default(),
+            stop: self.client.stop_flag(),
+        };
+        self.client
+            .spawn(format!("{}-ix", self.cfg.label), move || {
+                interchange_loop(Box::new(ix_ep), registry, params)
+            })?;
 
-        let shared = Arc::clone(&self.shared);
-        let client = std::thread::Builder::new()
-            .name(format!("{}-client", self.shared.cfg.label))
-            .spawn(move || client_loop(shared, client_ep, ctx))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        self.threads.lock().extend([ix, client]);
-
-        for _ in 0..self.shared.cfg.init_pools {
+        for _ in 0..self.cfg.init_pools {
             self.add_pool();
         }
         Ok(())
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        let ep = self
-            .client_ep
-            .lock()
-            .clone()
-            .ok_or(ExecutorError::NotRunning)?;
-        let wire_task = WireTask::from_spec(&task);
-        self.shared.outstanding.fetch_add(1, Ordering::Relaxed);
-        ep.send(
-            &self.shared.ix_addr,
-            encode(&ToInterchange::Submit(wire_task)),
-        )
-        .map_err(|e| {
-            self.shared.outstanding.fetch_sub(1, Ordering::Relaxed);
-            ExecutorError::Comm(e.to_string())
-        })
+        self.client.submit(&task)
     }
 
-    /// Native batching, identical on the wire to HTEX: `SubmitBatch`
-    /// frames chunked at the fabric's frame budget, fanned out to pool
-    /// managers by the interchange.
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        let ep = self
-            .client_ep
-            .lock()
-            .clone()
-            .ok_or(ExecutorError::NotRunning)?;
-        crate::proto::send_task_batch(
-            ep.as_ref(),
-            &self.shared.ix_addr,
-            &self.shared.outstanding,
-            self.shared.fabric.max_frame_bytes(),
-            &tasks,
-        )
+        self.client
+            .submit_batch(&tasks, self.fabric.max_frame_bytes())
     }
 
     fn outstanding(&self) -> usize {
-        self.shared.outstanding.load(Ordering::Relaxed)
+        self.client.outstanding()
     }
 
     fn connected_workers(&self) -> usize {
-        self.shared.connected_workers.load(Ordering::Relaxed)
+        self.connected_workers.load(Ordering::Relaxed)
     }
 
     fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        if let Some(ep) = self.client_ep.lock().take() {
-            let _ = ep.send(&self.shared.ix_addr, encode(&ToInterchange::Shutdown));
-        }
-        self.ctx.lock().take();
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.client.shutdown();
     }
 
     fn scaling(&self) -> Option<&dyn BlockScaling> {
@@ -338,17 +236,17 @@ impl Executor for ExexExecutor {
 
 impl BlockScaling for ExexExecutor {
     fn block_count(&self) -> usize {
-        self.shared.pools.lock().len()
+        self.pools.lock().len()
     }
 
     fn workers_per_block(&self) -> usize {
-        self.shared.cfg.ranks_per_pool - 1
+        self.cfg.ranks_per_pool - 1
     }
 
     fn scale_out(&self, n: usize) -> usize {
         let mut added = 0;
         for _ in 0..n {
-            if self.block_count() >= self.shared.cfg.max_pools {
+            if self.block_count() >= self.cfg.max_pools {
                 break;
             }
             self.add_pool();
@@ -360,7 +258,7 @@ impl BlockScaling for ExexExecutor {
     fn scale_in(&self, n: usize) -> usize {
         let mut removed = 0;
         for _ in 0..n {
-            if self.block_count() <= self.shared.cfg.min_pools {
+            if self.block_count() <= self.cfg.min_pools {
                 break;
             }
             if !self.remove_pool() {
@@ -372,164 +270,11 @@ impl BlockScaling for ExexExecutor {
     }
 
     fn min_blocks(&self) -> usize {
-        self.shared.cfg.min_pools
+        self.cfg.min_pools
     }
 
     fn max_blocks(&self) -> usize {
-        self.shared.cfg.max_pools
-    }
-}
-
-impl Drop for ExexExecutor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Interchange: identical broker role to HTEX, but counterparties are pool
-// managers ("EXEX uses a hierarchical task distribution model, where the
-// managers communicate with the interchange on behalf of workers").
-// ---------------------------------------------------------------------------
-
-struct PoolInfo {
-    free: usize,
-    workers: usize,
-    last_seen: Instant,
-    outstanding: HashMap<(u64, u32), ()>,
-}
-
-fn interchange_loop(shared: Arc<Shared>, ep: Endpoint) {
-    let cfg = &shared.cfg;
-    let mut pending: VecDeque<WireTask> = VecDeque::new();
-    let mut pools: HashMap<Addr, PoolInfo> = HashMap::new();
-    let mut draining: std::collections::HashSet<Addr> = std::collections::HashSet::new();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut last_hb_out = Instant::now();
-
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let msg = ep.recv_timeout(cfg.heartbeat_period / 2);
-        let now = Instant::now();
-        if let Ok(env) = msg {
-            match crate::proto::decode::<ToInterchange>(&env.payload) {
-                Ok(ToInterchange::Submit(task)) => pending.push_back(task),
-                Ok(ToInterchange::SubmitBatch(tasks)) => pending.extend(tasks),
-                Ok(ToInterchange::Register { capacity, .. }) => {
-                    shared
-                        .connected_workers
-                        .fetch_add(capacity, Ordering::Relaxed);
-                    pools.insert(
-                        env.from.clone(),
-                        PoolInfo {
-                            free: capacity,
-                            workers: capacity,
-                            last_seen: now,
-                            outstanding: HashMap::new(),
-                        },
-                    );
-                }
-                Ok(ToInterchange::Results(results)) => {
-                    if let Some(p) = pools.get_mut(&env.from) {
-                        for r in &results {
-                            p.outstanding.remove(&(r.id, r.attempt));
-                        }
-                        p.free += results.len();
-                        p.last_seen = now;
-                    }
-                    let _ = ep.send(&shared.client_addr, encode(&ToClient::Results(results)));
-                }
-                Ok(ToInterchange::Heartbeat { name: _ }) => {
-                    if let Some(p) = pools.get_mut(&env.from) {
-                        p.last_seen = now;
-                    }
-                }
-                Ok(ToInterchange::Retire { name }) => {
-                    let addr = Addr::new(&name);
-                    if pools.contains_key(&addr) {
-                        draining.insert(addr.clone());
-                        let _ = ep.send(&addr, encode(&ToManager::Shutdown));
-                    }
-                }
-                Ok(ToInterchange::Deregister { name: _ }) => {
-                    draining.remove(&env.from);
-                    if let Some(p) = pools.remove(&env.from) {
-                        shared
-                            .connected_workers
-                            .fetch_sub(p.workers, Ordering::Relaxed);
-                    }
-                }
-                Ok(ToInterchange::Shutdown) => break,
-                _ => {}
-            }
-        }
-
-        if now.duration_since(last_hb_out) >= cfg.heartbeat_period {
-            last_hb_out = now;
-            for addr in pools.keys() {
-                let _ = ep.send(addr, encode(&ToManager::Heartbeat));
-            }
-        }
-
-        // Pool loss (MPI job died): report outstanding tasks.
-        let lost: Vec<Addr> = pools
-            .iter()
-            .filter(|(_, p)| now.duration_since(p.last_seen) > cfg.heartbeat_threshold)
-            .map(|(a, _)| a.clone())
-            .collect();
-        for addr in lost {
-            let p = pools.remove(&addr).expect("present");
-            draining.remove(&addr);
-            shared
-                .connected_workers
-                .fetch_sub(p.workers, Ordering::Relaxed);
-            let tasks: Vec<(u64, u32)> = p.outstanding.keys().copied().collect();
-            let _ = ep.send(
-                &shared.client_addr,
-                encode(&ToClient::ManagerLost {
-                    name: addr.to_string(),
-                    tasks,
-                }),
-            );
-        }
-
-        while !pending.is_empty() {
-            let candidates: Vec<Addr> = pools
-                .iter()
-                .filter(|(a, p)| p.free > 0 && !draining.contains(a))
-                .map(|(a, _)| a.clone())
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let pick = &candidates[rng.random_range(0..candidates.len())];
-            let p = pools.get_mut(pick).expect("candidate");
-            let n = cfg.batch_size.min(p.free).min(pending.len());
-            let batch: Vec<WireTask> = pending.drain(..n).collect();
-            for t in &batch {
-                p.outstanding.insert((t.id, t.attempt), ());
-            }
-            p.free -= n;
-            if ep
-                .send(pick, encode(&ToManager::Tasks(batch.clone())))
-                .is_err()
-            {
-                let p = pools.get_mut(pick).expect("candidate");
-                for t in &batch {
-                    p.outstanding.remove(&(t.id, t.attempt));
-                }
-                for t in batch {
-                    pending.push_front(t);
-                }
-                break;
-            }
-        }
-    }
-
-    for addr in pools.keys() {
-        let _ = ep.send(addr, encode(&ToManager::Shutdown));
+        self.cfg.max_pools
     }
 }
 
@@ -537,15 +282,20 @@ fn interchange_loop(shared: Arc<Shared>, ep: Endpoint) {
 // Pool: rank 0 bridges fabric <-> MPI; other ranks execute.
 // ---------------------------------------------------------------------------
 
-fn pool_manager_loop(shared: Arc<Shared>, rank: Rank, addr: Addr) {
-    let cfg = &shared.cfg;
-    let Ok(ep) = shared.fabric.bind(addr.clone()) else {
+fn pool_manager_loop(
+    fabric: Fabric,
+    ix_addr: Addr,
+    heartbeat_period: Duration,
+    rank: Rank,
+    addr: Addr,
+) {
+    let Ok(ep) = fabric.bind(addr.clone()) else {
         rank.abort();
         return;
     };
     let n_workers = rank.size() - 1;
     let _ = ep.send(
-        &shared.ix_addr,
+        &ix_addr,
         encode(&ToInterchange::Register {
             name: addr.to_string(),
             capacity: n_workers,
@@ -601,10 +351,7 @@ fn pool_manager_loop(shared: Arc<Shared>, rank: Rank, addr: Addr) {
                     in_flight -= 1;
                     if let Ok(result) = wire::from_bytes::<WireResult>(&msg.payload) {
                         if ep
-                            .send(
-                                &shared.ix_addr,
-                                encode(&ToInterchange::Results(vec![result])),
-                            )
+                            .send(&ix_addr, encode(&ToInterchange::Results(vec![result])))
                             .is_err()
                         {
                             // Interchange gone; nothing left to live for.
@@ -618,10 +365,10 @@ fn pool_manager_loop(shared: Arc<Shared>, rank: Rank, addr: Addr) {
             }
         }
 
-        if last_hb.elapsed() >= cfg.heartbeat_period {
+        if last_hb.elapsed() >= heartbeat_period {
             last_hb = Instant::now();
             let _ = ep.send(
-                &shared.ix_addr,
+                &ix_addr,
                 encode(&ToInterchange::Heartbeat {
                     name: addr.to_string(),
                 }),
@@ -630,7 +377,7 @@ fn pool_manager_loop(shared: Arc<Shared>, rank: Rank, addr: Addr) {
 
         if draining && backlog.is_empty() && in_flight == 0 {
             let _ = ep.send(
-                &shared.ix_addr,
+                &ix_addr,
                 encode(&ToInterchange::Deregister {
                     name: addr.to_string(),
                 }),
@@ -669,15 +416,4 @@ fn worker_rank_loop(rank: Rank, registry: Arc<AppRegistry>) {
             _ => {}
         }
     }
-}
-
-fn client_loop(shared: Arc<Shared>, ep: Arc<Endpoint>, ctx: ExecutorContext) {
-    crate::proto::client_recv_loop(
-        ep.as_ref(),
-        &shared.stop,
-        &shared.outstanding,
-        &ctx,
-        "MPI pool",
-        None,
-    );
 }

@@ -2,15 +2,20 @@
 //!
 //! Three components, mirroring Figure 2a:
 //!
-//! - the **executor client** (this struct) submits tasks and receives
-//!   results on behalf of the DataFlowKernel;
-//! - the **interchange** brokers between client and managers: it queues
-//!   tasks, matches them to managers with advertised capacity using
-//!   randomized selection for fairness, relays result batches, answers a
-//!   synchronous command channel, and watches heartbeats;
-//! - **managers** (pilot agents, one per node) register capacity
-//!   (`workers_per_node + prefetch`), receive task batches, feed a pool of
-//!   worker threads, and batch results back.
+//! - the **executor client** ([`crate::client::Client`], shared with the
+//!   other wire executors) submits tasks and receives results on behalf
+//!   of the DataFlowKernel;
+//! - the **interchange** ([`crate::interchange`], shared with EXEX)
+//!   brokers between client and managers: it queues tasks, matches them
+//!   to managers with advertised capacity using randomized selection for
+//!   fairness, relays result batches, answers a synchronous command
+//!   channel, and watches heartbeats;
+//! - **managers** (pilot agents, one per node, [`crate::worker`])
+//!   register capacity (`workers_per_node + prefetch`), receive task
+//!   batches, feed a pool of worker threads, and batch results back.
+//!
+//! What this file adds is the topology (in-proc fabric or TCP), the node
+//! lifecycle (add, retire, kill) and block scaling.
 //!
 //! Fault tolerance follows the paper: managers and the interchange
 //! exchange periodic heartbeats. A manager that loses the interchange
@@ -24,24 +29,18 @@
 //! `parsl-worker` *processes* spawned through the `providers` launcher
 //! path and connected back via [`nexus::TcpSpoke`].
 
-use crate::proto::{
-    encode, Command, CommandReply, ToClient, ToInterchange, ToManager, WireApp, WireResult,
-    WireTask,
-};
+use crate::client::Client;
+use crate::interchange::{interchange_loop, IxParams};
+use crate::proto::{Command, CommandReply, ToInterchange};
 use crate::worker::{manager_loop, ManagerCfg};
-use crossbeam::channel::{bounded, Sender};
 use nexus::{Addr, Fabric, Port, SpokeConfig, TcpHub, TcpSpoke, Transport};
 use parking_lot::Mutex;
-use parsl_core::error::AppError;
 use parsl_core::executor::{BlockScaling, Executor, ExecutorContext, ExecutorError, TaskSpec};
-use parsl_core::registry::{AppId, AppRegistry};
 use parsl_core::types::TaskId;
 use parsl_providers::{Channel, Launcher, LocalChannel, SingleLauncher};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::process::Child;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -90,16 +89,6 @@ impl Default for HtexConfig {
             seed: 0,
         }
     }
-}
-
-struct ManagerInfo {
-    free: usize,
-    workers: usize,
-    last_seen: Instant,
-    outstanding: HashMap<(u64, u32), ()>,
-    /// App ids already advertised to this manager (remote workers bind
-    /// builtins by name on first sight; in-proc managers ignore these).
-    advertised: HashSet<u64>,
 }
 
 /// How an [`HtexExecutor::tcp`] deployment spawns and reaches workers.
@@ -173,17 +162,13 @@ enum Topology {
     Tcp(TcpTopology),
 }
 
-struct Shared {
+/// The High Throughput Executor. See module docs.
+pub struct HtexExecutor {
     cfg: HtexConfig,
     topo: Topology,
-    ix_addr: Addr,
-    client_addr: Addr,
-    outstanding: AtomicUsize,
-    connected_workers: AtomicUsize,
+    client: Client,
+    connected_workers: Arc<AtomicUsize>,
     next_node: AtomicU64,
-    stop: AtomicBool,
-    /// Reply slot for the synchronous command channel.
-    command_reply: Mutex<Option<Sender<CommandReply>>>,
     /// Live node addresses, newest last (graceful scale-in pops the back).
     nodes: Mutex<Vec<Addr>>,
     blocks: AtomicUsize,
@@ -191,24 +176,7 @@ struct Shared {
     /// is sent, decremented by the interchange when the manager leaves its
     /// draining set (graceful deregister or heartbeat loss). Drives
     /// [`BlockScaling::draining_blocks`] and the providers' drain probes.
-    draining_nodes: AtomicUsize,
-}
-
-impl Shared {
-    fn max_frame_bytes(&self) -> usize {
-        match &self.topo {
-            Topology::InProc(f) => f.max_frame_bytes(),
-            Topology::Tcp(t) => t.hub.max_frame_bytes(),
-        }
-    }
-}
-
-/// The High Throughput Executor. See module docs.
-pub struct HtexExecutor {
-    shared: Arc<Shared>,
-    client_ep: Mutex<Option<Arc<dyn Port>>>,
-    ctx: Mutex<Option<ExecutorContext>>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    draining_nodes: Arc<AtomicUsize>,
 }
 
 impl HtexExecutor {
@@ -239,26 +207,15 @@ impl HtexExecutor {
     }
 
     fn with_topology(cfg: HtexConfig, topo: Topology) -> Self {
-        let ix_addr = Addr::new(format!("{}:ix", cfg.label));
-        let client_addr = Addr::new(format!("{}:client", cfg.label));
         HtexExecutor {
-            shared: Arc::new(Shared {
-                cfg,
-                topo,
-                ix_addr,
-                client_addr,
-                outstanding: AtomicUsize::new(0),
-                connected_workers: AtomicUsize::new(0),
-                next_node: AtomicU64::new(0),
-                stop: AtomicBool::new(false),
-                command_reply: Mutex::new(None),
-                nodes: Mutex::new(Vec::new()),
-                blocks: AtomicUsize::new(0),
-                draining_nodes: AtomicUsize::new(0),
-            }),
-            client_ep: Mutex::new(None),
-            ctx: Mutex::new(None),
-            threads: Mutex::new(Vec::new()),
+            client: Client::new(&cfg.label, "ix"),
+            cfg,
+            topo,
+            connected_workers: Arc::new(AtomicUsize::new(0)),
+            next_node: AtomicU64::new(0),
+            nodes: Mutex::new(Vec::new()),
+            blocks: AtomicUsize::new(0),
+            draining_nodes: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -267,7 +224,7 @@ impl HtexExecutor {
     /// [`HtexExecutor::drop_node_conn`] / [`HtexExecutor::kill_node`]
     /// there instead.
     pub fn fabric(&self) -> &Fabric {
-        match &self.shared.topo {
+        match &self.topo {
             Topology::InProc(f) => f,
             Topology::Tcp(_) => panic!("fabric() on a TCP-transport HTEX"),
         }
@@ -276,40 +233,35 @@ impl HtexExecutor {
     /// Bring up one more node (manager + workers): a thread in-proc, a
     /// spawned `parsl-worker` process over TCP. Returns its address.
     pub fn add_node(&self) -> Addr {
-        let shared = Arc::clone(&self.shared);
-        let n = shared.next_node.fetch_add(1, Ordering::Relaxed);
-        let addr = Addr::new(format!("{}:mgr-{n}", shared.cfg.label));
-        match &self.shared.topo {
+        let cfg = &self.cfg;
+        let n = self.next_node.fetch_add(1, Ordering::Relaxed);
+        let addr = Addr::new(format!("{}:mgr-{n}", cfg.label));
+        match &self.topo {
             Topology::InProc(fabric) => {
-                let registry = self
-                    .ctx
-                    .lock()
-                    .as_ref()
-                    .map(|c| Arc::clone(&c.registry))
-                    .expect("add_node before start");
+                let registry = self.client.registry().expect("add_node before start");
                 let ep = fabric.bind(addr.clone()).expect("manager address free");
                 let mgr_cfg = ManagerCfg {
-                    workers: shared.cfg.workers_per_node,
-                    prefetch: shared.cfg.prefetch,
-                    batch_size: shared.cfg.batch_size,
-                    heartbeat_period: shared.cfg.heartbeat_period,
-                    heartbeat_threshold: shared.cfg.heartbeat_threshold,
+                    workers: cfg.workers_per_node,
+                    prefetch: cfg.prefetch,
+                    batch_size: cfg.batch_size,
+                    heartbeat_period: cfg.heartbeat_period,
+                    heartbeat_threshold: cfg.heartbeat_threshold,
                     reconnect: false,
                 };
-                let ix_addr = shared.ix_addr.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("{}-mgr-{n}", shared.cfg.label))
-                    .spawn(move || manager_loop(Box::new(ep), registry, ix_addr, mgr_cfg))
+                let ix_addr = self.client.ix_addr().clone();
+                self.client
+                    .spawn(format!("{}-mgr-{n}", cfg.label), move || {
+                        manager_loop(Box::new(ep), registry, ix_addr, mgr_cfg)
+                    })
                     .expect("spawn manager");
-                self.threads.lock().push(handle);
             }
             Topology::Tcp(t) => {
-                let child = spawn_worker_process(&self.shared, t, &addr)
+                let child = spawn_worker_process(cfg, self.client.ix_addr(), t, &addr)
                     .expect("spawn parsl-worker process");
                 t.children.lock().insert(addr.clone(), child);
             }
         }
-        self.shared.nodes.lock().push(addr.clone());
+        self.nodes.lock().push(addr.clone());
         addr
     }
 
@@ -317,20 +269,14 @@ impl HtexExecutor {
     /// routed through the interchange so no task batch can cross the
     /// shutdown on the wire.
     pub fn remove_node(&self) -> bool {
-        let Some(addr) = self.shared.nodes.lock().pop() else {
+        let Some(addr) = self.nodes.lock().pop() else {
             return false;
         };
-        let sent = self.client_ep.lock().as_ref().is_some_and(|ep| {
-            ep.send(
-                &self.shared.ix_addr,
-                encode(&ToInterchange::Retire {
-                    name: addr.to_string(),
-                }),
-            )
-            .is_ok()
-        });
-        if sent {
-            self.shared.draining_nodes.fetch_add(1, Ordering::Relaxed);
+        let retire = ToInterchange::Retire {
+            name: addr.to_string(),
+        };
+        if self.client.send(&retire).is_ok() {
+            self.draining_nodes.fetch_add(1, Ordering::Relaxed);
         }
         true
     }
@@ -339,7 +285,7 @@ impl HtexExecutor {
     /// A provider pool's drain probe reads this to decide when a drained
     /// block's job can actually be released.
     pub fn draining_nodes(&self) -> usize {
-        self.shared.draining_nodes.load(Ordering::Relaxed)
+        self.draining_nodes.load(Ordering::Relaxed)
     }
 
     /// Fault injection: abruptly kill a node's manager (no deregistration,
@@ -347,7 +293,7 @@ impl HtexExecutor {
     /// worker *process* receives SIGKILL. The interchange notices via
     /// missed heartbeats either way.
     pub fn kill_node(&self, addr: &Addr) {
-        match &self.shared.topo {
+        match &self.topo {
             Topology::InProc(fabric) => fabric.kill(addr),
             Topology::Tcp(t) => {
                 if let Some(mut child) = t.children.lock().remove(addr) {
@@ -356,7 +302,7 @@ impl HtexExecutor {
                 }
             }
         }
-        self.shared.nodes.lock().retain(|a| a != addr);
+        self.nodes.lock().retain(|a| a != addr);
     }
 
     /// Fault injection (TCP only): sever a worker's connection without
@@ -364,7 +310,7 @@ impl HtexExecutor {
     /// re-registers; no tasks should be lost. Returns false in-proc or if
     /// no such connection exists.
     pub fn drop_node_conn(&self, addr: &Addr) -> bool {
-        match &self.shared.topo {
+        match &self.topo {
             Topology::InProc(_) => false,
             Topology::Tcp(t) => t.hub.drop_conn(addr),
         }
@@ -372,139 +318,79 @@ impl HtexExecutor {
 
     /// Addresses of live nodes.
     pub fn nodes(&self) -> Vec<Addr> {
-        self.shared.nodes.lock().clone()
+        self.nodes.lock().clone()
     }
 
     /// Synchronous administrative command (§4.3.1). Times out after `wait`.
     pub fn command(&self, cmd: Command, wait: Duration) -> Result<CommandReply, ExecutorError> {
-        let ep = self
-            .client_ep
-            .lock()
-            .clone()
-            .ok_or(ExecutorError::NotRunning)?;
-        let (tx, rx) = bounded(1);
-        {
-            let mut slot = self.shared.command_reply.lock();
-            if slot.is_some() {
-                return Err(ExecutorError::Rejected("command already in flight".into()));
-            }
-            *slot = Some(tx);
-        }
-        ep.send(&self.shared.ix_addr, encode(&ToInterchange::Command(cmd)))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        let reply = rx
-            .recv_timeout(wait)
-            .map_err(|_| ExecutorError::Comm("command timed out".into()));
-        *self.shared.command_reply.lock() = None;
-        reply
+        self.client.command(cmd, wait)
     }
 }
 
 impl Executor for HtexExecutor {
     fn label(&self) -> &str {
-        &self.shared.cfg.label
+        &self.cfg.label
     }
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        {
-            let mut slot = self.ctx.lock();
-            if slot.is_some() {
-                return Err(ExecutorError::Rejected("already started".into()));
-            }
-            *slot = Some(ctx.clone());
-        }
+        let comm = |e: &dyn std::fmt::Display| ExecutorError::Comm(e.to_string());
         // Attach the interchange to the plane; over TCP the client also
         // crosses a real socket (a spoke into the hub), so the submit
         // path pays genuine per-frame transport costs.
-        let (ix_ep, client_ep): (Box<dyn Port>, Arc<dyn Port>) = match &self.shared.topo {
+        let ix_addr = self.client.ix_addr().clone();
+        let client_addr = self.client.client_addr().clone();
+        let (ix_ep, client_ep): (Box<dyn Port>, Arc<dyn Port>) = match &self.topo {
             Topology::InProc(fabric) => (
-                Box::new(
-                    fabric
-                        .bind(self.shared.ix_addr.clone())
-                        .map_err(|e| ExecutorError::Comm(e.to_string()))?,
-                ),
-                Arc::new(
-                    fabric
-                        .bind(self.shared.client_addr.clone())
-                        .map_err(|e| ExecutorError::Comm(e.to_string()))?,
-                ),
+                Box::new(fabric.bind(ix_addr).map_err(|e| comm(&e))?),
+                Arc::new(fabric.bind(client_addr).map_err(|e| comm(&e))?),
             ),
             Topology::Tcp(t) => (
-                t.hub
-                    .attach(self.shared.ix_addr.clone())
-                    .map_err(|e| ExecutorError::Comm(e.to_string()))?,
+                t.hub.attach(ix_addr).map_err(|e| comm(&e))?,
                 Arc::new(
-                    TcpSpoke::connect(
-                        t.hub.local_addr(),
-                        self.shared.client_addr.clone(),
-                        SpokeConfig::default(),
-                    )
-                    .map_err(|e| ExecutorError::Comm(e.to_string()))?,
+                    TcpSpoke::connect(t.hub.local_addr(), client_addr, SpokeConfig::default())
+                        .map_err(|e| comm(&e))?,
                 ),
             ),
         };
-        *self.client_ep.lock() = Some(Arc::clone(&client_ep));
-
-        let shared = Arc::clone(&self.shared);
         let registry = Arc::clone(&ctx.registry);
-        let ix_handle = std::thread::Builder::new()
-            .name(format!("{}-ix", shared.cfg.label))
-            .spawn(move || interchange_loop(shared, ix_ep, registry))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
+        self.client.start(client_ep, ctx, "manager")?;
 
-        let shared = Arc::clone(&self.shared);
-        let client_handle = std::thread::Builder::new()
-            .name(format!("{}-client", self.shared.cfg.label))
-            .spawn(move || client_loop(shared, client_ep, ctx))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
+        let params = IxParams {
+            client_addr: self.client.client_addr().clone(),
+            prefetch: self.cfg.prefetch,
+            batch_size: self.cfg.batch_size,
+            heartbeat_period: self.cfg.heartbeat_period,
+            heartbeat_threshold: self.cfg.heartbeat_threshold,
+            seed: self.cfg.seed,
+            connected_workers: Arc::clone(&self.connected_workers),
+            draining_nodes: Arc::clone(&self.draining_nodes),
+            stop: self.client.stop_flag(),
+        };
+        self.client
+            .spawn(format!("{}-ix", self.cfg.label), move || {
+                interchange_loop(ix_ep, registry, params)
+            })?;
 
-        self.threads.lock().extend([ix_handle, client_handle]);
-
-        for _ in 0..self.shared.cfg.init_blocks {
+        for _ in 0..self.cfg.init_blocks {
             self.scale_out(1);
         }
         Ok(())
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        let ep = self
-            .client_ep
-            .lock()
-            .clone()
-            .ok_or(ExecutorError::NotRunning)?;
-        let wire_task = WireTask::from_spec(&task);
-        self.shared.outstanding.fetch_add(1, Ordering::Relaxed);
-        ep.send(
-            &self.shared.ix_addr,
-            encode(&ToInterchange::Submit(wire_task)),
-        )
-        .map_err(|e| {
-            self.shared.outstanding.fetch_sub(1, Ordering::Relaxed);
-            ExecutorError::Comm(e.to_string())
-        })
+        self.client.submit(&task)
     }
 
-    /// Native batching: the whole batch crosses the fabric as
-    /// `SubmitBatch` frames — one message per `max_frame_bytes` of tasks
-    /// instead of one per task (§4.3.1 "configurable batching ... to
-    /// minimize communication overheads").
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        let ep = self
-            .client_ep
-            .lock()
-            .clone()
-            .ok_or(ExecutorError::NotRunning)?;
-        crate::proto::send_task_batch(
-            ep.as_ref(),
-            &self.shared.ix_addr,
-            &self.shared.outstanding,
-            self.shared.max_frame_bytes(),
-            &tasks,
-        )
+        let max_frame_bytes = match &self.topo {
+            Topology::InProc(f) => f.max_frame_bytes(),
+            Topology::Tcp(t) => t.hub.max_frame_bytes(),
+        };
+        self.client.submit_batch(&tasks, max_frame_bytes)
     }
 
     fn outstanding(&self) -> usize {
-        self.shared.outstanding.load(Ordering::Relaxed)
+        self.client.outstanding()
     }
 
     /// Best-effort: drop the attempt from the interchange's queue, or
@@ -512,34 +398,21 @@ impl Executor for HtexExecutor {
     /// (possibly synthesized) result flows back, so the outstanding gauge
     /// and manager accounting settle normally.
     fn cancel(&self, id: TaskId, attempt: u32) {
-        if let Some(ep) = self.client_ep.lock().as_ref() {
-            let _ = ep.send(
-                &self.shared.ix_addr,
-                encode(&ToInterchange::Cancel { id: id.0, attempt }),
-            );
-        }
+        let _ = self
+            .client
+            .send(&ToInterchange::Cancel { id: id.0, attempt });
     }
 
     fn connected_workers(&self) -> usize {
-        self.shared.connected_workers.load(Ordering::Relaxed)
+        self.connected_workers.load(Ordering::Relaxed)
     }
 
     fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        if let Some(ep) = self.client_ep.lock().take() {
-            let _ = ep.send(&self.shared.ix_addr, encode(&ToInterchange::Shutdown));
-        }
-        self.ctx.lock().take();
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.client.shutdown();
         // Reap spawned worker processes: the interchange's Shutdown fan-out
         // makes them drain and exit; anything still alive after a grace
         // period is killed so no orphans outlive the executor.
-        if let Topology::Tcp(t) = &self.shared.topo {
+        if let Topology::Tcp(t) = &self.topo {
             let mut children: Vec<(Addr, Child)> = t.children.lock().drain().collect();
             let deadline = Instant::now() + Duration::from_secs(5);
             for (_, child) in &mut children {
@@ -568,23 +441,23 @@ impl Executor for HtexExecutor {
 
 impl BlockScaling for HtexExecutor {
     fn block_count(&self) -> usize {
-        self.shared.blocks.load(Ordering::Relaxed)
+        self.blocks.load(Ordering::Relaxed)
     }
 
     fn workers_per_block(&self) -> usize {
-        self.shared.cfg.nodes_per_block * self.shared.cfg.workers_per_node
+        self.cfg.nodes_per_block * self.cfg.workers_per_node
     }
 
     fn scale_out(&self, n: usize) -> usize {
         let mut added = 0;
         for _ in 0..n {
-            if self.block_count() >= self.shared.cfg.max_blocks {
+            if self.block_count() >= self.cfg.max_blocks {
                 break;
             }
-            for _ in 0..self.shared.cfg.nodes_per_block {
+            for _ in 0..self.cfg.nodes_per_block {
                 self.add_node();
             }
-            self.shared.blocks.fetch_add(1, Ordering::Relaxed);
+            self.blocks.fetch_add(1, Ordering::Relaxed);
             added += 1;
         }
         added
@@ -593,24 +466,24 @@ impl BlockScaling for HtexExecutor {
     fn scale_in(&self, n: usize) -> usize {
         let mut removed = 0;
         for _ in 0..n {
-            if self.block_count() <= self.shared.cfg.min_blocks {
+            if self.block_count() <= self.cfg.min_blocks {
                 break;
             }
-            for _ in 0..self.shared.cfg.nodes_per_block {
+            for _ in 0..self.cfg.nodes_per_block {
                 self.remove_node();
             }
-            self.shared.blocks.fetch_sub(1, Ordering::Relaxed);
+            self.blocks.fetch_sub(1, Ordering::Relaxed);
             removed += 1;
         }
         removed
     }
 
     fn min_blocks(&self) -> usize {
-        self.shared.cfg.min_blocks
+        self.cfg.min_blocks
     }
 
     fn max_blocks(&self) -> usize {
-        self.shared.cfg.max_blocks
+        self.cfg.max_blocks
     }
 
     /// HTEX retirement is already graceful (`Retire` → manager finishes
@@ -621,324 +494,15 @@ impl BlockScaling for HtexExecutor {
     }
 
     fn draining_blocks(&self) -> usize {
-        self.shared
-            .draining_nodes
+        self.draining_nodes
             .load(Ordering::Relaxed)
-            .div_ceil(self.shared.cfg.nodes_per_block.max(1))
+            .div_ceil(self.cfg.nodes_per_block.max(1))
     }
 }
 
 impl Drop for HtexExecutor {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Interchange
-// ---------------------------------------------------------------------------
-
-/// One retiring node finished draining (deregistered, was lost, or never
-/// existed); saturating so a stray decrement can't wrap the gauge.
-fn node_drained(shared: &Shared) {
-    let _ = shared
-        .draining_nodes
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-}
-
-fn interchange_loop(shared: Arc<Shared>, ep: Box<dyn Port>, registry: Arc<AppRegistry>) {
-    let cfg = &shared.cfg;
-    let mut pending: VecDeque<WireTask> = VecDeque::new();
-    let mut managers: HashMap<Addr, ManagerInfo> = HashMap::new();
-    let mut blacklist: HashSet<Addr> = HashSet::new();
-    let mut draining: HashSet<Addr> = HashSet::new();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut last_hb_out = Instant::now();
-
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let msg = ep.recv_timeout(cfg.heartbeat_period / 2);
-        let now = Instant::now();
-
-        if let Ok(env) = msg {
-            match crate::proto::decode::<ToInterchange>(&env.payload) {
-                Ok(ToInterchange::Submit(task)) => {
-                    pending.push_back(task);
-                }
-                Ok(ToInterchange::SubmitBatch(tasks)) => {
-                    pending.extend(tasks);
-                }
-                Ok(ToInterchange::Register {
-                    name: _,
-                    capacity,
-                    held,
-                }) => {
-                    if let Some(m) = managers.get_mut(&env.from) {
-                        // Re-register after a link drop: keep the
-                        // accounting, reconcile against what the manager
-                        // actually still holds, and report anything that
-                        // died in the gap as lost so the DFK retries it.
-                        let held: HashSet<(u64, u32)> = held.into_iter().collect();
-                        let vanished: Vec<(u64, u32)> = m
-                            .outstanding
-                            .keys()
-                            .filter(|k| !held.contains(k))
-                            .copied()
-                            .collect();
-                        for k in &vanished {
-                            m.outstanding.remove(k);
-                        }
-                        m.free = capacity.saturating_sub(m.outstanding.len());
-                        m.last_seen = now;
-                        if !vanished.is_empty() {
-                            let _ = ep.send(
-                                &shared.client_addr,
-                                encode(&ToClient::ManagerLost {
-                                    name: env.from.to_string(),
-                                    tasks: vanished,
-                                }),
-                            );
-                        }
-                    } else {
-                        let workers = capacity.saturating_sub(cfg.prefetch);
-                        shared
-                            .connected_workers
-                            .fetch_add(workers, Ordering::Relaxed);
-                        managers.insert(
-                            env.from.clone(),
-                            ManagerInfo {
-                                free: capacity,
-                                workers,
-                                last_seen: now,
-                                outstanding: HashMap::new(),
-                                advertised: HashSet::new(),
-                            },
-                        );
-                    }
-                }
-                Ok(ToInterchange::Capacity { name: _, free }) => {
-                    if let Some(m) = managers.get_mut(&env.from) {
-                        m.free = free;
-                        m.last_seen = now;
-                    }
-                }
-                Ok(ToInterchange::Results(results)) => {
-                    // Forward only results this interchange still accounts
-                    // for. A manager declared lost (its tasks already
-                    // reported and retried) may reconnect and flush stale
-                    // results; forwarding those would double-finalize
-                    // attempts and corrupt the client's outstanding gauge.
-                    if let Some(m) = managers.get_mut(&env.from) {
-                        let known: Vec<_> = results
-                            .into_iter()
-                            .filter(|r| m.outstanding.remove(&(r.id, r.attempt)).is_some())
-                            .collect();
-                        m.free += known.len();
-                        m.last_seen = now;
-                        if !known.is_empty() {
-                            let _ = ep.send(&shared.client_addr, encode(&ToClient::Results(known)));
-                        }
-                    }
-                }
-                Ok(ToInterchange::Heartbeat { name: _ }) => {
-                    if let Some(m) = managers.get_mut(&env.from) {
-                        m.last_seen = now;
-                    }
-                }
-                Ok(ToInterchange::Retire { name }) => {
-                    let addr = Addr::new(&name);
-                    if managers.contains_key(&addr) {
-                        // Stop dispatching first, then tell the manager to
-                        // drain; same-pair FIFO means any batch sent before
-                        // this instant arrives before the shutdown.
-                        draining.insert(addr.clone());
-                        let _ = ep.send(&addr, encode(&ToManager::Shutdown));
-                    } else {
-                        // Manager already gone (or never registered): the
-                        // drain is trivially complete.
-                        node_drained(&shared);
-                    }
-                }
-                Ok(ToInterchange::Cancel { id, attempt }) => {
-                    if let Some(pos) = pending
-                        .iter()
-                        .position(|t| t.id == id && t.attempt == attempt)
-                    {
-                        // Never dispatched: drop it here and synthesize a
-                        // failed result so the client's outstanding gauge
-                        // settles (the DFK's attempt filter discards it).
-                        pending.remove(pos);
-                        let _ = ep.send(
-                            &shared.client_addr,
-                            encode(&ToClient::Results(vec![WireResult {
-                                id,
-                                attempt,
-                                outcome: Err(AppError::msg("cancelled before dispatch")),
-                                worker: String::new(),
-                            }])),
-                        );
-                    } else if let Some(addr) = managers
-                        .iter()
-                        .find(|(_, m)| m.outstanding.contains_key(&(id, attempt)))
-                        .map(|(a, _)| a.clone())
-                    {
-                        let _ = ep.send(&addr, encode(&ToManager::Cancel { id, attempt }));
-                    }
-                }
-                Ok(ToInterchange::Deregister { name: _ }) => {
-                    if draining.remove(&env.from) {
-                        node_drained(&shared);
-                    }
-                    if let Some(m) = managers.remove(&env.from) {
-                        shared
-                            .connected_workers
-                            .fetch_sub(m.workers, Ordering::Relaxed);
-                        // A graceful manager has already flushed results;
-                        // anything still marked outstanding is reported.
-                        if !m.outstanding.is_empty() {
-                            let tasks: Vec<(u64, u32)> = m.outstanding.keys().copied().collect();
-                            let _ = ep.send(
-                                &shared.client_addr,
-                                encode(&ToClient::ManagerLost {
-                                    name: env.from.to_string(),
-                                    tasks,
-                                }),
-                            );
-                        }
-                    }
-                }
-                Ok(ToInterchange::Command(cmd)) => {
-                    let reply = match cmd {
-                        Command::OutstandingInfo => {
-                            let queued = pending.len();
-                            let running: usize =
-                                managers.values().map(|m| m.outstanding.len()).sum();
-                            CommandReply::Outstanding(queued + running)
-                        }
-                        Command::ConnectedWorkers => {
-                            CommandReply::Workers(shared.connected_workers.load(Ordering::Relaxed))
-                        }
-                        Command::Blacklist(name) => {
-                            blacklist.insert(Addr::new(name));
-                            CommandReply::Ack
-                        }
-                        Command::ShutdownExecutor => {
-                            let _ = ep.send(
-                                &env.from,
-                                encode(&ToClient::CommandReply(CommandReply::Ack)),
-                            );
-                            break;
-                        }
-                    };
-                    let _ = ep.send(&env.from, encode(&ToClient::CommandReply(reply)));
-                }
-                Ok(ToInterchange::Shutdown) => break,
-                Err(_) => { /* corrupt frame; drop, like a real broker */ }
-            }
-        }
-
-        // Heartbeats out to managers.
-        if now.duration_since(last_hb_out) >= cfg.heartbeat_period {
-            last_hb_out = now;
-            for addr in managers.keys() {
-                let _ = ep.send(addr, encode(&ToManager::Heartbeat));
-            }
-        }
-
-        // Detect lost managers (§4.3.1) and surface their tasks.
-        let lost: Vec<Addr> = managers
-            .iter()
-            .filter(|(_, m)| now.duration_since(m.last_seen) > cfg.heartbeat_threshold)
-            .map(|(a, _)| a.clone())
-            .collect();
-        for addr in lost {
-            let m = managers.remove(&addr).expect("present");
-            if draining.remove(&addr) {
-                node_drained(&shared);
-            }
-            shared
-                .connected_workers
-                .fetch_sub(m.workers, Ordering::Relaxed);
-            let tasks: Vec<(u64, u32)> = m.outstanding.keys().copied().collect();
-            let _ = ep.send(
-                &shared.client_addr,
-                encode(&ToClient::ManagerLost {
-                    name: addr.to_string(),
-                    tasks,
-                }),
-            );
-        }
-
-        // Dispatch: match queued tasks to managers with capacity, picking
-        // managers at random for fairness.
-        while !pending.is_empty() {
-            let candidates: Vec<Addr> = managers
-                .iter()
-                .filter(|(a, m)| m.free > 0 && !blacklist.contains(a) && !draining.contains(a))
-                .map(|(a, _)| a.clone())
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let pick = &candidates[rng.random_range(0..candidates.len())];
-            let m = managers.get_mut(pick).expect("candidate exists");
-            let n = cfg.batch_size.min(m.free).min(pending.len());
-            let batch: Vec<WireTask> = pending.drain(..n).collect();
-
-            // Advertise apps this manager hasn't seen before their tasks:
-            // same-pair FIFO guarantees the worker binds the ids first.
-            let mut new_app_ids: Vec<u64> = batch
-                .iter()
-                .map(|t| t.app_id)
-                .filter(|id| !m.advertised.contains(id))
-                .collect();
-            new_app_ids.sort_unstable();
-            new_app_ids.dedup();
-            let new_apps: Vec<WireApp> = new_app_ids
-                .iter()
-                .filter_map(|id| registry.get(AppId(*id)))
-                .map(|app| WireApp {
-                    id: app.id.0,
-                    name: app.name.to_string(),
-                    signature: app.signature.to_string(),
-                })
-                .collect();
-            if !new_apps.is_empty() && ep.send(pick, encode(&ToManager::Apps(new_apps))).is_err() {
-                for t in batch.into_iter().rev() {
-                    pending.push_front(t);
-                }
-                break;
-            }
-            let m = managers.get_mut(pick).expect("candidate exists");
-            m.advertised.extend(new_app_ids);
-
-            for t in &batch {
-                m.outstanding.insert((t.id, t.attempt), ());
-            }
-            m.free -= n;
-            if ep
-                .send(pick, encode(&ToManager::Tasks(batch.clone())))
-                .is_err()
-            {
-                // Manager's endpoint died between heartbeat checks; requeue
-                // and let the loss path clean up.
-                let m = managers.get_mut(pick).expect("candidate exists");
-                for t in &batch {
-                    m.outstanding.remove(&(t.id, t.attempt));
-                }
-                for t in batch {
-                    pending.push_front(t);
-                }
-                break;
-            }
-        }
-    }
-
-    // Shutdown: stop every manager.
-    for addr in managers.keys() {
-        let _ = ep.send(addr, encode(&ToManager::Shutdown));
     }
 }
 
@@ -952,23 +516,19 @@ fn interchange_loop(shared: Arc<Shared>, ep: Box<dyn Port>, registry: Arc<AppReg
 /// for clusters), then executed under `sh -c "exec ..."` so signals sent
 /// to the child hit the worker itself.
 fn spawn_worker_process(
-    shared: &Shared,
+    cfg: &HtexConfig,
+    ix_addr: &Addr,
     topo: &TcpTopology,
     addr: &Addr,
 ) -> std::io::Result<Child> {
-    let cfg = &shared.cfg;
-    let connect = match &shared.topo {
-        Topology::Tcp(t) => t.hub.local_addr(),
-        Topology::InProc(_) => unreachable!("spawn_worker_process on in-proc topology"),
-    };
     let mut argv: Vec<String> = topo.opts.worker_cmd.clone();
     argv.extend([
         "--connect".into(),
-        connect.to_string(),
+        topo.hub.local_addr().to_string(),
         "--name".into(),
         addr.to_string(),
         "--ix".into(),
-        shared.ix_addr.to_string(),
+        ix_addr.to_string(),
         "--workers".into(),
         cfg.workers_per_node.to_string(),
         "--prefetch".into(),
@@ -1007,26 +567,11 @@ fn shell_quote(s: &str) -> String {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Client-side receive loop
-// ---------------------------------------------------------------------------
-
-fn client_loop(shared: Arc<Shared>, ep: Arc<dyn Port>, ctx: ExecutorContext) {
-    crate::proto::client_recv_loop(
-        ep.as_ref(),
-        &shared.stop,
-        &shared.outstanding,
-        &ctx,
-        "manager",
-        Some(&shared.command_reply),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use parsl_core::registry::AppOptions;
+    use parsl_core::registry::{AppOptions, AppRegistry};
     use parsl_core::types::{AppKind, ResourceSpec, TaskId};
 
     /// A batch submitted through one `submit_batch` call comes back

@@ -8,16 +8,23 @@
 //! | Executor | Paper target | This crate |
 //! |---|---|---|
 //! | [`ThreadPoolExecutor`] | single node | worker threads in-process |
-//! | [`HtexExecutor`] | ≤2000 nodes, high throughput | interchange + per-node managers + workers over the `nexus` fabric, batching, prefetch, heartbeats, command channel |
-//! | [`ExexExecutor`] | >1000 nodes | `minimpi` pools: rank 0 manages, other ranks work; fate-sharing faults |
+//! | [`HtexExecutor`] | ≤2000 nodes, high throughput | [`interchange`] + per-node managers ([`worker`]) + workers over the `nexus` fabric or TCP; batching, prefetch, heartbeats, command channel |
+//! | [`ExexExecutor`] | >1000 nodes | the same [`interchange`] in front of `minimpi` pools: rank 0 manages, other ranks work; fate-sharing faults |
 //! | [`LlexExecutor`] | latency-sensitive | stateless relay, direct worker connections, no tracking |
+//!
+//! The three wire executors (and the `baselines` crate's Dask/IPP
+//! models) share one client half, [`client::Client`]: the port, the
+//! outstanding gauge, the receive thread and teardown. What each adds is
+//! what sits behind the broker address.
 //!
 //! The [`model`] module holds the discrete-event versions of these
 //! architectures used to regenerate the paper-scale experiments.
 
 pub mod builtin;
+pub mod client;
 pub mod exex;
 pub mod htex;
+pub mod interchange;
 pub mod kernel;
 pub mod llex;
 pub mod model;

@@ -17,10 +17,10 @@
 //!   exactly that);
 //! - the worker pool is fixed: no provisioning, no elasticity.
 
+use crate::client::Client;
 use crate::kernel;
 use crate::proto::{encode, ToClient, ToInterchange, ToManager, WireResult, WireTask};
 use nexus::{Addr, Endpoint, Fabric};
-use parking_lot::Mutex;
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskSpec};
 use parsl_core::registry::AppRegistry;
 use std::collections::VecDeque;
@@ -46,23 +46,13 @@ impl Default for LlexConfig {
     }
 }
 
-struct Shared {
-    cfg: LlexConfig,
-    fabric: Fabric,
-    ix_addr: Addr,
-    client_addr: Addr,
-    outstanding: AtomicUsize,
-    connected: AtomicUsize,
-    stop: AtomicBool,
-    next_worker: AtomicU64,
-}
-
 /// The Low Latency Executor. See module docs.
 pub struct LlexExecutor {
-    shared: Arc<Shared>,
-    client_ep: Mutex<Option<Arc<Endpoint>>>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    ctx: Mutex<Option<ExecutorContext>>,
+    cfg: LlexConfig,
+    fabric: Fabric,
+    client: Client,
+    connected: Arc<AtomicUsize>,
+    next_worker: AtomicU64,
 }
 
 impl LlexExecutor {
@@ -73,48 +63,34 @@ impl LlexExecutor {
 
     /// Build over an external fabric (latency/fault injection).
     pub fn on_fabric(cfg: LlexConfig, fabric: Fabric) -> Self {
-        let ix_addr = Addr::new(format!("{}:ix", cfg.label));
-        let client_addr = Addr::new(format!("{}:client", cfg.label));
         LlexExecutor {
-            shared: Arc::new(Shared {
-                cfg,
-                fabric,
-                ix_addr,
-                client_addr,
-                outstanding: AtomicUsize::new(0),
-                connected: AtomicUsize::new(0),
-                stop: AtomicBool::new(false),
-                next_worker: AtomicU64::new(0),
-            }),
-            client_ep: Mutex::new(None),
-            threads: Mutex::new(Vec::new()),
-            ctx: Mutex::new(None),
+            client: Client::new(&cfg.label, "ix"),
+            cfg,
+            fabric,
+            connected: Arc::new(AtomicUsize::new(0)),
+            next_worker: AtomicU64::new(0),
         }
     }
 
     /// The fabric (for fault injection in tests).
     pub fn fabric(&self) -> &Fabric {
-        &self.shared.fabric
+        &self.fabric
     }
 
     /// Connect one more worker directly to the interchange.
     pub fn add_worker(&self) -> Addr {
-        let registry = self
-            .ctx
-            .lock()
-            .as_ref()
-            .map(|c| Arc::clone(&c.registry))
-            .expect("add_worker before start");
-        let shared = Arc::clone(&self.shared);
-        let n = shared.next_worker.fetch_add(1, Ordering::Relaxed);
-        let addr = Addr::new(format!("{}:w-{n}", shared.cfg.label));
+        let registry = self.client.registry().expect("add_worker before start");
+        let n = self.next_worker.fetch_add(1, Ordering::Relaxed);
+        let addr = Addr::new(format!("{}:w-{n}", self.cfg.label));
+        let fabric = self.fabric.clone();
+        let ix_addr = self.client.ix_addr().clone();
         let waddr = addr.clone();
         // Worker threads are detached: LLEX trades reliability for
         // latency, so shutdown never waits on a wedged worker (a worker
         // stuck in app code would otherwise stall teardown forever).
         std::thread::Builder::new()
-            .name(format!("{}-w{n}", shared.cfg.label))
-            .spawn(move || worker_loop(shared, registry, waddr))
+            .name(format!("{}-w{n}", self.cfg.label))
+            .spawn(move || worker_loop(fabric, ix_addr, registry, waddr))
             .expect("spawn llex worker");
         addr
     }
@@ -122,71 +98,37 @@ impl LlexExecutor {
     /// Fault injection: kill a worker outright. LLEX cannot detect this;
     /// any task on that worker is silently lost.
     pub fn kill_worker(&self, addr: &Addr) {
-        self.shared.fabric.kill(addr);
+        self.fabric.kill(addr);
     }
 }
 
 impl Executor for LlexExecutor {
     fn label(&self) -> &str {
-        &self.shared.cfg.label
+        &self.cfg.label
     }
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        {
-            let mut slot = self.ctx.lock();
-            if slot.is_some() {
-                return Err(ExecutorError::Rejected("already started".into()));
-            }
-            *slot = Some(ctx.clone());
-        }
-        let ix_ep = self
-            .shared
-            .fabric
-            .bind(self.shared.ix_addr.clone())
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        let client_ep = Arc::new(
-            self.shared
-                .fabric
-                .bind(self.shared.client_addr.clone())
-                .map_err(|e| ExecutorError::Comm(e.to_string()))?,
-        );
-        *self.client_ep.lock() = Some(Arc::clone(&client_ep));
+        // Even single-task LLEX frames ride the batch channel; a burst of
+        // frames is coalesced by the collector's greedy drain. The relay
+        // never emits ManagerLost or CommandReply.
+        let ix_ep = self.client.start_on_fabric(&self.fabric, ctx, "worker")?;
 
-        let shared = Arc::clone(&self.shared);
-        let ix = std::thread::Builder::new()
-            .name(format!("{}-ix", shared.cfg.label))
-            .spawn(move || relay_loop(shared, ix_ep))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
+        let stop = self.client.stop_flag();
+        let client_addr = self.client.client_addr().clone();
+        let connected = Arc::clone(&self.connected);
+        self.client
+            .spawn(format!("{}-ix", self.cfg.label), move || {
+                relay_loop(ix_ep, &stop, &client_addr, &connected)
+            })?;
 
-        let shared = Arc::clone(&self.shared);
-        let client = std::thread::Builder::new()
-            .name(format!("{}-client", self.shared.cfg.label))
-            .spawn(move || client_loop(shared, client_ep, ctx))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        self.threads.lock().extend([ix, client]);
-
-        for _ in 0..self.shared.cfg.workers {
+        for _ in 0..self.cfg.workers {
             self.add_worker();
         }
         Ok(())
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        let ep = self
-            .client_ep
-            .lock()
-            .clone()
-            .ok_or(ExecutorError::NotRunning)?;
-        let wire_task = WireTask::from_spec(&task);
-        self.shared.outstanding.fetch_add(1, Ordering::Relaxed);
-        ep.send(
-            &self.shared.ix_addr,
-            encode(&ToInterchange::Submit(wire_task)),
-        )
-        .map_err(|e| {
-            self.shared.outstanding.fetch_sub(1, Ordering::Relaxed);
-            ExecutorError::Comm(e.to_string())
-        })
+        self.client.submit(&task)
     }
 
     /// Native batching on the client→relay hop only: the relay still hands
@@ -194,63 +136,37 @@ impl Executor for LlexExecutor {
     /// dispatch side), but a wide submission crosses the fabric as a
     /// handful of `SubmitBatch` frames instead of one frame per task.
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        let ep = self
-            .client_ep
-            .lock()
-            .clone()
-            .ok_or(ExecutorError::NotRunning)?;
-        crate::proto::send_task_batch(
-            ep.as_ref(),
-            &self.shared.ix_addr,
-            &self.shared.outstanding,
-            self.shared.fabric.max_frame_bytes(),
-            &tasks,
-        )
+        self.client
+            .submit_batch(&tasks, self.fabric.max_frame_bytes())
     }
 
     fn outstanding(&self) -> usize {
-        self.shared.outstanding.load(Ordering::Relaxed)
+        self.client.outstanding()
     }
 
     /// Configured worker count — LLEX workers are fixed at start, so this
     /// is the slot ceiling even while connections are still ramping.
     fn capacity(&self) -> usize {
-        self.shared.cfg.workers
+        self.cfg.workers
     }
 
     fn connected_workers(&self) -> usize {
-        self.shared.connected.load(Ordering::Relaxed)
+        self.connected.load(Ordering::Relaxed)
     }
 
     fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        if let Some(ep) = self.client_ep.lock().take() {
-            let _ = ep.send(&self.shared.ix_addr, encode(&ToInterchange::Shutdown));
-        }
-        self.ctx.lock().take();
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for LlexExecutor {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.client.shutdown();
     }
 }
 
 /// The stateless relay: pair tasks with idle workers, forward results.
 /// No tracking tables, no heartbeats — "the routing logic is completely
 /// stateless and opaque to the interchange".
-fn relay_loop(shared: Arc<Shared>, ep: Endpoint) {
+fn relay_loop(ep: Endpoint, stop: &AtomicBool, client_addr: &Addr, connected: &AtomicUsize) {
     let mut idle: VecDeque<Addr> = VecDeque::new();
     let mut queued: VecDeque<WireTask> = VecDeque::new();
     loop {
-        if shared.stop.load(Ordering::Acquire) {
+        if stop.load(Ordering::Acquire) {
             break;
         }
         let Ok(env) = ep.recv_timeout(Duration::from_millis(50)) else {
@@ -260,16 +176,16 @@ fn relay_loop(shared: Arc<Shared>, ep: Endpoint) {
             Ok(ToInterchange::Submit(task)) => queued.push_back(task),
             Ok(ToInterchange::SubmitBatch(tasks)) => queued.extend(tasks),
             Ok(ToInterchange::Register { .. }) => {
-                shared.connected.fetch_add(1, Ordering::Relaxed);
+                connected.fetch_add(1, Ordering::Relaxed);
                 idle.push_back(env.from);
             }
             Ok(ToInterchange::Results(results)) => {
                 // Worker is free again; forward its result unexamined.
                 idle.push_back(env.from);
-                let _ = ep.send(&shared.client_addr, encode(&ToClient::Results(results)));
+                let _ = ep.send(client_addr, encode(&ToClient::Results(results)));
             }
             Ok(ToInterchange::Deregister { .. }) => {
-                shared.connected.fetch_sub(1, Ordering::Relaxed);
+                connected.fetch_sub(1, Ordering::Relaxed);
                 idle.retain(|a| a != &env.from);
             }
             Ok(ToInterchange::Shutdown) => break,
@@ -281,7 +197,7 @@ fn relay_loop(shared: Arc<Shared>, ep: Endpoint) {
             let w = idle.pop_front().expect("non-empty");
             let t = queued.pop_front().expect("non-empty");
             if ep.send(&w, encode(&ToManager::Tasks(vec![t]))).is_err() {
-                shared.connected.fetch_sub(1, Ordering::Relaxed);
+                connected.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
@@ -291,12 +207,12 @@ fn relay_loop(shared: Arc<Shared>, ep: Endpoint) {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, registry: Arc<AppRegistry>, addr: Addr) {
-    let Ok(ep) = shared.fabric.bind(addr.clone()) else {
+fn worker_loop(fabric: Fabric, ix_addr: Addr, registry: Arc<AppRegistry>, addr: Addr) {
+    let Ok(ep) = fabric.bind(addr.clone()) else {
         return;
     };
     let _ = ep.send(
-        &shared.ix_addr,
+        &ix_addr,
         encode(&ToInterchange::Register {
             name: addr.to_string(),
             capacity: 1,
@@ -312,7 +228,7 @@ fn worker_loop(shared: Arc<Shared>, registry: Arc<AppRegistry>, addr: Addr) {
                     results.push(kernel::execute(&registry, t, addr.as_str()));
                 }
                 if ep
-                    .send(&shared.ix_addr, encode(&ToInterchange::Results(results)))
+                    .send(&ix_addr, encode(&ToInterchange::Results(results)))
                     .is_err()
                 {
                     return;
@@ -322,18 +238,4 @@ fn worker_loop(shared: Arc<Shared>, registry: Arc<AppRegistry>, addr: Addr) {
             _ => {}
         }
     }
-}
-
-fn client_loop(shared: Arc<Shared>, ep: Arc<Endpoint>, ctx: ExecutorContext) {
-    // Even single-task LLEX frames ride the batch channel; a burst of
-    // frames is coalesced by the collector's greedy drain. LLEX never
-    // emits ManagerLost or CommandReply, so those arms are inert.
-    crate::proto::client_recv_loop(
-        ep.as_ref(),
-        &shared.stop,
-        &shared.outstanding,
-        &ctx,
-        "worker",
-        None,
-    );
 }

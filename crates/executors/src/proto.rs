@@ -49,11 +49,12 @@ impl WireTask {
     }
 }
 
-/// Shared client-side batch sender for the wire executors (HTEX, EXEX,
-/// LLEX): convert the specs, chunk them at the transport's frame budget,
-/// bump the executor's outstanding gauge per chunk, and ship `SubmitBatch`
-/// frames to the interchange — rolling the gauge back for a chunk the
-/// transport refuses.
+/// Batch sender behind
+/// [`Client::submit_batch`](crate::client::Client::submit_batch): convert
+/// the specs, chunk them at the transport's frame budget, bump the
+/// executor's outstanding gauge per chunk, and ship `SubmitBatch` frames
+/// to the interchange — rolling the gauge back for a chunk the transport
+/// refuses.
 pub fn send_task_batch(
     ep: &dyn nexus::Port,
     ix: &nexus::Addr,
@@ -98,10 +99,9 @@ pub fn chunk_by_frame_budget(tasks: Vec<WireTask>, max_frame_bytes: usize) -> Ve
 }
 
 /// Convert one `Results` frame into the completion batch the DFK's
-/// collector consumes, stamped with a shared finish time. Shared by the
-/// wire executors' client loops (HTEX, EXEX, LLEX and the baselines): the
-/// frame that crossed the fabric as one message stays one message on the
-/// completion channel instead of exploding into per-task sends.
+/// collector consumes, stamped with a shared finish time: the frame that
+/// crossed the fabric as one message stays one message on the completion
+/// channel instead of exploding into per-task sends.
 pub fn outcomes_from_results(results: Vec<WireResult>) -> Vec<parsl_core::executor::TaskOutcome> {
     let finished = std::time::Instant::now();
     results
@@ -303,60 +303,6 @@ pub enum CommandReply {
     Workers(usize),
     /// Generic acknowledgement.
     Ack,
-}
-
-/// Shared client-side receive loop for the wire executors (HTEX, EXEX,
-/// LLEX), generalized over the transport: forward each `Results` frame as
-/// one completion batch, convert lost-manager reports into `ExecutorLost`
-/// retries, and resolve synchronous command replies. Returns when `stop`
-/// is set or the completion channel closes.
-pub(crate) fn client_recv_loop(
-    ep: &dyn nexus::Port,
-    stop: &std::sync::atomic::AtomicBool,
-    outstanding: &std::sync::atomic::AtomicUsize,
-    ctx: &parsl_core::executor::ExecutorContext,
-    lost_noun: &str,
-    command_reply: Option<&parking_lot::Mutex<Option<crossbeam::channel::Sender<CommandReply>>>>,
-) {
-    use std::sync::atomic::Ordering;
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let Ok(env) = ep.recv_timeout(std::time::Duration::from_millis(50)) else {
-            continue;
-        };
-        match decode::<ToClient>(&env.payload) {
-            Ok(ToClient::Results(results)) => {
-                // Forward the whole frame as one completion batch — the
-                // batching the interchange/manager did on the wire is
-                // preserved through the DFK's collector.
-                outstanding.fetch_sub(results.len(), Ordering::Relaxed);
-                let outcomes = outcomes_from_results(results);
-                if !outcomes.is_empty() && ctx.completions.send(outcomes).is_err() {
-                    return;
-                }
-            }
-            Ok(ToClient::ManagerLost { name, tasks }) => {
-                outstanding.fetch_sub(tasks.len(), Ordering::Relaxed);
-                let outcomes = outcomes_from_lost(
-                    tasks,
-                    &format!("{lost_noun} {name} lost (heartbeat expired)"),
-                );
-                if !outcomes.is_empty() && ctx.completions.send(outcomes).is_err() {
-                    return;
-                }
-            }
-            Ok(ToClient::CommandReply(reply)) => {
-                if let Some(slot) = command_reply {
-                    if let Some(tx) = slot.lock().take() {
-                        let _ = tx.send(reply);
-                    }
-                }
-            }
-            Err(_) => {}
-        }
-    }
 }
 
 /// Encode any protocol message as fabric payload.

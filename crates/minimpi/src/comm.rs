@@ -1,4 +1,4 @@
-//! Rank handles, point-to-point matching, and collectives.
+//! Rank handles and point-to-point matching.
 
 use crate::error::MpiError;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -27,19 +27,11 @@ pub struct Message {
     pub payload: Vec<u8>,
 }
 
-/// Items travelling on rank inboxes: user messages, collective-protocol
-/// control messages, and the abort broadcast.
+/// Items travelling on rank inboxes: user messages and the abort
+/// broadcast.
 enum Item {
     Msg(Message),
-    Ctl(Ctl),
     Abort,
-}
-
-enum Ctl {
-    BarrierEnter,
-    BarrierRelease,
-    Bcast { from: usize, data: Vec<u8> },
-    Gather { from: usize, data: Vec<u8> },
 }
 
 struct Shared {
@@ -84,7 +76,6 @@ impl World {
                 rx,
                 shared: Arc::clone(&shared),
                 pending_msgs: RefCell::new(Vec::new()),
-                pending_ctl: RefCell::new(Vec::new()),
                 finalized: Cell::new(false),
             })
             .collect()
@@ -103,8 +94,6 @@ pub struct Rank {
     shared: Arc<Shared>,
     /// User messages received while waiting for something else.
     pending_msgs: RefCell<Vec<Message>>,
-    /// Control messages received while waiting for user messages.
-    pending_ctl: RefCell<Vec<Ctl>>,
     finalized: Cell<bool>,
 }
 
@@ -195,132 +184,9 @@ impl Rank {
                     self.shared.aborted.store(true, Ordering::SeqCst);
                     return Err(MpiError::Aborted);
                 }
-                Item::Ctl(c) => self.pending_ctl.borrow_mut().push(c),
                 Item::Msg(m) if matches(&m) => return Ok(m),
                 Item::Msg(m) => self.pending_msgs.borrow_mut().push(m),
             }
-        }
-    }
-
-    /// Pull the next control message matching `pred`, buffering everything
-    /// else, used by the collectives below.
-    fn recv_ctl(&self, pred: impl Fn(&Ctl) -> bool) -> Result<Ctl, MpiError> {
-        self.check_alive()?;
-        {
-            let mut pending = self.pending_ctl.borrow_mut();
-            if let Some(i) = pending.iter().position(&pred) {
-                return Ok(pending.remove(i));
-            }
-        }
-        loop {
-            match self.rx.recv().map_err(|_| MpiError::Aborted)? {
-                Item::Abort => {
-                    self.shared.aborted.store(true, Ordering::SeqCst);
-                    return Err(MpiError::Aborted);
-                }
-                Item::Msg(m) => self.pending_msgs.borrow_mut().push(m),
-                Item::Ctl(c) if pred(&c) => return Ok(c),
-                Item::Ctl(c) => self.pending_ctl.borrow_mut().push(c),
-            }
-        }
-    }
-
-    fn send_ctl(&self, to: usize, ctl: Ctl) -> Result<(), MpiError> {
-        let tx = self.shared.txs.get(to).ok_or(MpiError::InvalidRank(to))?;
-        tx.send(Item::Ctl(ctl)).map_err(|_| MpiError::Aborted)
-    }
-
-    /// Synchronize all ranks: nobody returns until everyone has entered.
-    ///
-    /// Centralized protocol: rank 0 collects enter notices and broadcasts
-    /// the release, which is fine at EXEX pool sizes (ranks-per-pool is
-    /// deliberately kept modest, §4.3.2).
-    pub fn barrier(&self) -> Result<(), MpiError> {
-        if self.size == 1 {
-            return self.check_alive();
-        }
-        if self.rank == 0 {
-            let mut entered = 1; // self
-            while entered < self.size {
-                self.recv_ctl(|c| matches!(c, Ctl::BarrierEnter))?;
-                entered += 1;
-            }
-            for r in 1..self.size {
-                self.send_ctl(r, Ctl::BarrierRelease)?;
-            }
-            Ok(())
-        } else {
-            self.send_ctl(0, Ctl::BarrierEnter)?;
-            self.recv_ctl(|c| matches!(c, Ctl::BarrierRelease))?;
-            Ok(())
-        }
-    }
-
-    /// Broadcast `data` from `root` to every rank; all ranks return the
-    /// root's data (non-root callers pass anything, typically empty).
-    pub fn bcast(&self, root: usize, data: Vec<u8>) -> Result<Vec<u8>, MpiError> {
-        if root >= self.size {
-            return Err(MpiError::InvalidRank(root));
-        }
-        self.check_alive()?;
-        if self.rank == root {
-            for r in 0..self.size {
-                if r != root {
-                    self.send_ctl(
-                        r,
-                        Ctl::Bcast {
-                            from: root,
-                            data: data.clone(),
-                        },
-                    )?;
-                }
-            }
-            Ok(data)
-        } else {
-            match self.recv_ctl(|c| matches!(c, Ctl::Bcast { from, .. } if *from == root))? {
-                Ctl::Bcast { data, .. } => Ok(data),
-                _ => unreachable!("predicate admits only Bcast"),
-            }
-        }
-    }
-
-    /// Gather each rank's `data` at `root`, ordered by rank index.
-    ///
-    /// Returns `Some(all)` at the root, `None` elsewhere.
-    pub fn gather(&self, root: usize, data: Vec<u8>) -> Result<Option<Vec<Vec<u8>>>, MpiError> {
-        if root >= self.size {
-            return Err(MpiError::InvalidRank(root));
-        }
-        self.check_alive()?;
-        if self.rank == root {
-            let mut slots: Vec<Option<Vec<u8>>> = vec![None; self.size];
-            slots[root] = Some(data);
-            let mut remaining = self.size - 1;
-            while remaining > 0 {
-                match self.recv_ctl(|c| matches!(c, Ctl::Gather { .. }))? {
-                    Ctl::Gather { from, data } => {
-                        debug_assert!(slots[from].is_none(), "duplicate gather from {from}");
-                        slots[from] = Some(data);
-                        remaining -= 1;
-                    }
-                    _ => unreachable!("predicate admits only Gather"),
-                }
-            }
-            Ok(Some(
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("all ranks gathered"))
-                    .collect(),
-            ))
-        } else {
-            self.send_ctl(
-                root,
-                Ctl::Gather {
-                    from: self.rank,
-                    data,
-                },
-            )?;
-            Ok(None)
         }
     }
 
