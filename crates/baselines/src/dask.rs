@@ -90,7 +90,7 @@ impl Executor for DaskLikeExecutor {
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        self.client.submit(&task)
+        self.client.submit(&task, None)
     }
 
     fn outstanding(&self) -> usize {

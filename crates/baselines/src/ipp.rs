@@ -91,7 +91,7 @@ impl Executor for IppExecutor {
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        self.client.submit(&task)
+        self.client.submit(&task, None)
     }
 
     fn outstanding(&self) -> usize {

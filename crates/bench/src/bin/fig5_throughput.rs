@@ -8,9 +8,10 @@
 //!   per-message cost modelling a real transport's syscall/framing floor
 //!   (20 µs — conservative next to the 180 µs per-message share profiled
 //!   into [`simcluster::calib::SUBMIT_PER_MSG`]). N noop tasks are driven
-//!   end-to-end per-task ([`Executor::submit`]) and batched
-//!   ([`Executor::submit_batch`]), plus the full DFK wide-fan-out path
-//!   where the ready-queue drainer forms the batches itself;
+//!   end-to-end per-task ([`Executor::submit`], `batch_size: 1`) and
+//!   batched ([`Executor::submit_batch`], `batch_size: 64`), plus the full
+//!   DFK wide-fan-out path where the ready-queue drainer forms the
+//!   batches itself;
 //! - **model plane**: [`FrameworkModel::dispatch_rate`] at paper scale
 //!   (512 workers), batch 1 / 8 / 64;
 //! - **tcp plane**: the same HTEX over real loopback TCP, dispatching to
@@ -45,14 +46,19 @@ fn fabric() -> nexus::Fabric {
     })
 }
 
-fn htex_config(label: &str) -> HtexConfig {
+/// `batched` runs the full batching stack (`submit_batch`, dispatch and
+/// result frames of 64); per-task turns the paper's batching knob off end
+/// to end (`batch_size: 1`: `submit`, and every hop one frame per task —
+/// which also keeps the client from coalescing single submits under
+/// backlog, so the arm still measures one frame per task).
+fn htex_config(label: &str, batched: bool) -> HtexConfig {
     HtexConfig {
         label: label.into(),
         workers_per_node: 4,
         nodes_per_block: 2,
         init_blocks: 1,
         prefetch: 64,
-        batch_size: 64,
+        batch_size: if batched { 64 } else { 1 },
         ..Default::default()
     }
 }
@@ -89,7 +95,7 @@ fn specs(app: &Arc<RegisteredApp>, base: u64, n: usize) -> Vec<TaskSpec> {
 /// Drive `n` noop tasks through a fresh HTEX, per-task or batched.
 /// Returns end-to-end tasks/second.
 fn run_htex(n: usize, batched: bool) -> f64 {
-    let htex = HtexExecutor::on_fabric(htex_config("htex"), fabric());
+    let htex = HtexExecutor::on_fabric(htex_config("htex", batched), fabric());
     drive_htex(htex, n, batched)
 }
 
@@ -97,25 +103,17 @@ fn run_htex(n: usize, batched: bool) -> f64 {
 /// [`nexus::TcpHub`] and `parsl-worker` processes connect back (resolve
 /// the binary with `PARSL_WORKER_BIN` or as a sibling of this one).
 ///
-/// Unlike the in-proc plane, loopback sockets carry no modelled
-/// per-message cost, so toggling the submission call alone leaves both
-/// modes bottlenecked on the same internally-batched dispatch/result
-/// plane. The contrast measured here is the paper's batching knob end to
-/// end: `batched` runs the full batching stack (submit_batch + dispatch
-/// and result frames of 64), per-task turns it off (submit + every hop
-/// one frame per task).
+/// Loopback sockets carry no modelled per-message cost, so the contrast
+/// is the real per-frame cost of [`htex_config`]'s two settings.
 fn run_htex_tcp(n: usize, batched: bool) -> f64 {
     // One node keeps the thread count down: on small CI boxes the real
     // processes time-slice against the client, and scheduler noise
     // swamps the measurement. Median of three runs for the same reason.
     let mut rates: Vec<f64> = (0..3)
         .map(|_| {
-            let mut cfg = htex_config("htex-tcp");
+            let mut cfg = htex_config("htex-tcp", batched);
             cfg.nodes_per_block = 1;
             cfg.workers_per_node = 2;
-            if !batched {
-                cfg.batch_size = 1;
-            }
             let htex =
                 HtexExecutor::tcp(cfg, TcpHtexOptions::default()).expect("bind loopback hub");
             drive_htex(htex, n, batched)
@@ -167,7 +165,7 @@ fn drive_htex(htex: HtexExecutor, n: usize, batched: bool) -> f64 {
 /// completion cascade makes all children ready at once, so the DFK's
 /// ready-queue drainer ships them as `submit_batch` frames.
 fn run_dfk_fanout(n: usize) -> f64 {
-    let htex = HtexExecutor::on_fabric(htex_config("htex"), fabric());
+    let htex = HtexExecutor::on_fabric(htex_config("htex", true), fabric());
     let dfk = DataFlowKernel::builder()
         .executor_arc(Arc::new(htex))
         .build()

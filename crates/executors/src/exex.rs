@@ -209,7 +209,7 @@ impl Executor for ExexExecutor {
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        self.client.submit(&task)
+        self.client.submit(&task, None)
     }
 
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {

@@ -29,7 +29,7 @@
 //! `parsl-worker` *processes* spawned through the `providers` launcher
 //! path and connected back via [`nexus::TcpSpoke`].
 
-use crate::client::Client;
+use crate::client::{Client, Cover};
 use crate::interchange::{interchange_loop, IxParams};
 use crate::proto::{Command, CommandReply, ToInterchange};
 use crate::worker::{manager_loop, ManagerCfg};
@@ -55,7 +55,10 @@ pub struct HtexConfig {
     /// are prefetched while workers are busy ("configurable batching and
     /// prefetching of tasks to minimize communication overheads").
     pub prefetch: usize,
-    /// Largest task batch the interchange sends a manager at once.
+    /// Largest task batch the interchange sends a manager at once, and
+    /// the most single `submit`s the client coalesces into one frame
+    /// under backlog (1 = never coalesce). An explicit `submit_batch` is
+    /// split only at the transport's frame budget.
     pub batch_size: usize,
     /// Heartbeat period between managers and interchange.
     pub heartbeat_period: Duration,
@@ -321,6 +324,29 @@ impl HtexExecutor {
         self.nodes.lock().clone()
     }
 
+    /// The plane's frame budget.
+    fn max_frame_bytes(&self) -> usize {
+        match &self.topo {
+            Topology::InProc(f) => f.max_frame_bytes(),
+            Topology::Tcp(t) => t.hub.max_frame_bytes(),
+        }
+    }
+
+    /// The client's coalescing terms: Σ capacity of the registered
+    /// managers as the slots a backlog must cover, `batch_size` and the
+    /// plane's frame budget as the caps on a coalesced frame.
+    fn cover(&self) -> Cover {
+        // Every manager registers `workers_per_node` workers and
+        // `prefetch` slots beyond them.
+        let workers = self.connected_workers.load(Ordering::Relaxed);
+        let managers = workers / self.cfg.workers_per_node.max(1);
+        Cover {
+            slots: workers + self.cfg.prefetch * managers,
+            max_tasks: self.cfg.batch_size,
+            max_frame_bytes: self.max_frame_bytes(),
+        }
+    }
+
     /// Synchronous administrative command (§4.3.1). Times out after `wait`.
     pub fn command(&self, cmd: Command, wait: Duration) -> Result<CommandReply, ExecutorError> {
         self.client.command(cmd, wait)
@@ -377,16 +403,16 @@ impl Executor for HtexExecutor {
         Ok(())
     }
 
+    /// Under a backlog that already covers the managers' slots twice
+    /// over, single submits wait in the client's outbox and cross the
+    /// wire up to `batch_size` to a frame ([`crate::client`]).
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        self.client.submit(&task)
+        self.client.submit(&task, Some(self.cover()))
     }
 
+    /// An explicit batch leaves at once, behind any held single submits.
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        let max_frame_bytes = match &self.topo {
-            Topology::InProc(f) => f.max_frame_bytes(),
-            Topology::Tcp(t) => t.hub.max_frame_bytes(),
-        };
-        self.client.submit_batch(&tasks, max_frame_bytes)
+        self.client.submit_batch(&tasks, self.max_frame_bytes())
     }
 
     fn outstanding(&self) -> usize {
@@ -773,6 +799,98 @@ mod tests {
             queued_err.contains("cancelled before dispatch"),
             "queued-task cancel: {queued_err}"
         );
+        assert_eq!(htex.outstanding(), 0);
+        htex.shutdown();
+    }
+
+    /// One node of one worker plus one prefetch slot (2 slots, so the
+    /// client holds single submits once 4 are out), running an app that
+    /// blocks until the returned gate sender is dropped. Returns once the
+    /// manager has registered.
+    fn gated_htex() -> (
+        HtexExecutor,
+        crossbeam::channel::Receiver<Vec<parsl_core::executor::TaskOutcome>>,
+        Arc<parsl_core::registry::RegisteredApp>,
+        crossbeam::channel::Sender<()>,
+    ) {
+        let registry = AppRegistry::new();
+        let (gate_tx, gate_rx) = crossbeam::channel::bounded::<()>(0);
+        let app = registry.register(
+            "gated",
+            AppKind::Native,
+            "(u64,u64)->u64",
+            Arc::new(move |_| {
+                let _ = gate_rx.recv(); // returns once the gate sender drops
+                Ok(Vec::new())
+            }),
+            AppOptions::default(),
+        );
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let htex = HtexExecutor::new(HtexConfig {
+            workers_per_node: 1,
+            prefetch: 1,
+            ..Default::default()
+        });
+        htex.start(ExecutorContext {
+            completions: tx,
+            registry,
+        })
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while htex.connected_workers() < 1 {
+            assert!(Instant::now() < deadline, "manager never registered");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        (htex, rx, app, gate_tx)
+    }
+
+    /// Wait for `n` more outcomes, all `Ok`.
+    fn expect_ok(
+        rx: &crossbeam::channel::Receiver<Vec<parsl_core::executor::TaskOutcome>>,
+        n: usize,
+    ) {
+        let mut done = 0;
+        while done < n {
+            for o in rx.recv_timeout(Duration::from_secs(10)).expect("completes") {
+                assert!(o.result.is_ok(), "{:?}", o.result);
+                done += 1;
+            }
+        }
+    }
+
+    /// 2 × slots + 1 single submits against a closed gate: the last one
+    /// waits in the client's outbox, and a command flushes it ahead of
+    /// itself — the interchange counts every task submitted.
+    #[test]
+    fn command_sees_every_task_submitted_before_it() {
+        let (htex, rx, app, gate) = gated_htex();
+        for id in 0..5 {
+            htex.submit(spec(&app, id, 0)).unwrap();
+        }
+        let reply = htex.command(Command::OutstandingInfo, Duration::from_secs(10));
+        assert_eq!(reply.ok(), Some(CommandReply::Outstanding(5)));
+        drop(gate);
+        expect_ok(&rx, 5);
+        assert_eq!(htex.outstanding(), 0);
+        htex.shutdown();
+    }
+
+    /// Cancelling a task that is still in the client's outbox settles it
+    /// like any other undispatched task: the cancel travels behind it.
+    #[test]
+    fn cancel_settles_a_task_still_in_the_outbox() {
+        let (htex, rx, app, gate) = gated_htex();
+        for id in 0..5 {
+            htex.submit(spec(&app, id, 0)).unwrap();
+        }
+        htex.cancel(TaskId(4), 0);
+        let cancelled = rx.recv_timeout(Duration::from_secs(10)).expect("settles");
+        assert_eq!(cancelled.len(), 1);
+        assert_eq!(cancelled[0].id, TaskId(4));
+        let err = format!("{:?}", cancelled[0].result.as_ref().unwrap_err());
+        assert!(err.contains("cancelled before dispatch"), "{err}");
+        drop(gate);
+        expect_ok(&rx, 4);
         assert_eq!(htex.outstanding(), 0);
         htex.shutdown();
     }

@@ -336,17 +336,16 @@ pub fn interchange_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, p: IxPara
                 m.outstanding.insert((t.id, t.attempt), ());
             }
             m.free -= n;
-            if ep
-                .send(pick, encode(&ToManager::Tasks(batch.clone())))
-                .is_err()
-            {
+            let msg = ToManager::Tasks(batch);
+            if ep.send(pick, encode(&msg)).is_err() {
                 // Manager's endpoint died between heartbeat checks; requeue
                 // and let the loss path clean up.
+                let ToManager::Tasks(batch) = msg else {
+                    unreachable!("built as Tasks above")
+                };
                 let m = managers.get_mut(pick).expect("candidate exists");
-                for t in &batch {
+                for t in batch.into_iter().rev() {
                     m.outstanding.remove(&(t.id, t.attempt));
-                }
-                for t in batch {
                     pending.push_front(t);
                 }
                 break;

@@ -14,8 +14,16 @@
 //!
 //! The three wire executors (and the `baselines` crate's Dask/IPP
 //! models) share one client half, [`client::Client`]: the port, the
-//! outstanding gauge, the receive thread and teardown. What each adds is
-//! what sits behind the broker address.
+//! outstanding gauge, the outbox, the receive thread and teardown. What
+//! each adds is what sits behind the broker address.
+//!
+//! Single [`Executor::submit`](parsl_core::executor::Executor::submit)
+//! calls batch too, on HTEX: while the interchange's backlog already
+//! covers its managers' slots twice over, the client holds new tasks in
+//! its outbox and ships them as one `SubmitBatch` frame, capped by
+//! [`HtexConfig::batch_size`] and the transport's frame budget. With
+//! nothing outstanding a task leaves in the calling thread as one
+//! `Submit` frame, as it always did (see [`client`]).
 //!
 //! The [`model`] module holds the discrete-event versions of these
 //! architectures used to regenerate the paper-scale experiments.

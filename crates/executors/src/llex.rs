@@ -128,7 +128,7 @@ impl Executor for LlexExecutor {
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        self.client.submit(&task)
+        self.client.submit(&task, None)
     }
 
     /// Native batching on the client→relay hop only: the relay still hands

@@ -41,61 +41,13 @@ impl WireTask {
         }
     }
 
-    /// Conservative encoded-size estimate, used to chunk submit batches at
-    /// the fabric's frame budget without encoding twice. Header fields are
-    /// varints ≤ 10 bytes each plus the args length prefix.
+    /// Conservative encoded-size estimate, used by the client's outbox to
+    /// keep submit frames within the transport's frame budget without
+    /// encoding twice. Header fields are varints ≤ 10 bytes each plus the
+    /// args length prefix.
     pub fn encoded_size_hint(&self) -> usize {
         self.args.len() + 48
     }
-}
-
-/// Batch sender behind
-/// [`Client::submit_batch`](crate::client::Client::submit_batch): convert
-/// the specs, chunk them at the transport's frame budget, bump the
-/// executor's outstanding gauge per chunk, and ship `SubmitBatch` frames
-/// to the interchange — rolling the gauge back for a chunk the transport
-/// refuses.
-pub fn send_task_batch(
-    ep: &dyn nexus::Port,
-    ix: &nexus::Addr,
-    outstanding: &std::sync::atomic::AtomicUsize,
-    max_frame_bytes: usize,
-    tasks: &[parsl_core::executor::TaskSpec],
-) -> Result<(), parsl_core::executor::ExecutorError> {
-    use std::sync::atomic::Ordering;
-    let wire_tasks: Vec<WireTask> = tasks.iter().map(WireTask::from_spec).collect();
-    for chunk in chunk_by_frame_budget(wire_tasks, max_frame_bytes) {
-        let n = chunk.len();
-        outstanding.fetch_add(n, Ordering::Relaxed);
-        ep.send(ix, encode(&ToInterchange::SubmitBatch(chunk)))
-            .map_err(|e| {
-                outstanding.fetch_sub(n, Ordering::Relaxed);
-                parsl_core::executor::ExecutorError::Comm(e.to_string())
-            })?;
-    }
-    Ok(())
-}
-
-/// Split a submit batch into frame-sized chunks: each chunk's estimated
-/// payload stays within `max_frame_bytes` (a chunk always takes at least
-/// one task, so an oversized single task still ships).
-pub fn chunk_by_frame_budget(tasks: Vec<WireTask>, max_frame_bytes: usize) -> Vec<Vec<WireTask>> {
-    let mut chunks = Vec::new();
-    let mut chunk: Vec<WireTask> = Vec::new();
-    let mut chunk_bytes = 0usize;
-    for t in tasks {
-        let sz = t.encoded_size_hint();
-        if !chunk.is_empty() && chunk_bytes + sz > max_frame_bytes {
-            chunks.push(std::mem::take(&mut chunk));
-            chunk_bytes = 0;
-        }
-        chunk_bytes += sz;
-        chunk.push(t);
-    }
-    if !chunk.is_empty() {
-        chunks.push(chunk);
-    }
-    chunks
 }
 
 /// Convert one `Results` frame into the completion batch the DFK's
@@ -354,37 +306,6 @@ mod tests {
             ToInterchange::SubmitBatch(got) => assert_eq!(got, tasks),
             other => panic!("wrong variant {other:?}"),
         }
-    }
-
-    #[test]
-    fn chunking_respects_frame_budget_and_order() {
-        let tasks: Vec<WireTask> = (0..100)
-            .map(|i| WireTask {
-                id: i,
-                attempt: 0,
-                app_id: 1,
-                tenant: 0,
-                items: 1,
-                args: vec![0; 60],
-            })
-            .collect();
-        let per_task = tasks[0].encoded_size_hint();
-        let chunks = chunk_by_frame_budget(tasks, per_task * 10);
-        assert_eq!(chunks.len(), 10);
-        let flat: Vec<u64> = chunks.iter().flatten().map(|t| t.id).collect();
-        assert_eq!(flat, (0..100).collect::<Vec<u64>>());
-        // A single task larger than the budget still ships alone.
-        let huge = vec![WireTask {
-            id: 7,
-            attempt: 0,
-            app_id: 1,
-            tenant: 0,
-            items: 1,
-            args: vec![0; 4096],
-        }];
-        let chunks = chunk_by_frame_budget(huge, 64);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].len(), 1);
     }
 
     #[test]

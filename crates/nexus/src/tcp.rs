@@ -90,12 +90,40 @@ impl<'de> Deserialize<'de> for RawBytes {
     }
 }
 
-fn encode_tcp_frame(f: &TcpFrame) -> Vec<u8> {
-    let body = wire::to_bytes(f).expect("tcp control frames always encode");
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
+/// Variant index of [`TcpFrame::Data`] on the wire.
+const DATA_VARIANT: u64 = 1;
+
+/// A length-prefixed frame in one buffer: `body` writes behind four
+/// reserved bytes, which then take its length.
+fn encode_frame(body_hint: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + body_hint);
+    out.extend_from_slice(&[0; 4]);
+    body(&mut out);
+    let len = u32::try_from(out.len() - 4).expect("frame body fits its u32 length prefix");
+    out[..4].copy_from_slice(&len.to_le_bytes());
     out
+}
+
+fn encode_tcp_frame(f: &TcpFrame) -> Vec<u8> {
+    encode_frame(64, |out| {
+        wire::to_writer(f, out).expect("tcp control frames always encode")
+    })
+}
+
+/// The frame [`encode_tcp_frame`] makes of a [`TcpFrame::Data`], written
+/// from borrowed parts: the send paths copy the payload once, into the
+/// buffer the socket write reads, and allocate nothing else.
+fn encode_data_frame(from: &Addr, to: &Addr, payload: &[u8]) -> Vec<u8> {
+    let fields = [from.as_str().as_bytes(), to.as_str().as_bytes(), payload];
+    // Variant byte plus three length varints of at most five bytes each.
+    let hint = 16 + fields.iter().map(|f| f.len()).sum::<usize>();
+    encode_frame(hint, |out| {
+        wire::encode_varint(DATA_VARIANT, out);
+        for field in fields {
+            wire::encode_varint(field.len() as u64, out);
+            out.extend_from_slice(field);
+        }
+    })
 }
 
 /// One registered remote connection on the hub.
@@ -145,11 +173,7 @@ impl HubInner {
         let Some(conn) = self.conns.lock().get(to).cloned() else {
             return Err(SendError::PeerGone(to.clone()));
         };
-        let frame = encode_tcp_frame(&TcpFrame::Data {
-            from: from.to_string(),
-            to: to.to_string(),
-            payload: RawBytes(payload.to_vec()),
-        });
+        let frame = encode_data_frame(from, to, &payload);
         let failed = conn.writer.lock().write_all(&frame).is_err();
         if failed {
             self.drop_conn_if_current(to, conn.id);
@@ -222,7 +246,6 @@ impl HubInner {
 /// `Data` (a `Hello`, or garbage — the caller falls back to a full
 /// decode to tell which).
 fn peek_data_header(frame: &[u8]) -> Option<(&str, &str, std::ops::Range<usize>)> {
-    const DATA_VARIANT: u64 = 1;
     let (variant, mut off) = wire::decode_varint(frame).ok()?;
     if variant != DATA_VARIANT {
         return None;
@@ -696,11 +719,7 @@ impl Port for TcpSpoke {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(SendError::SelfClosed);
         }
-        let frame = encode_tcp_frame(&TcpFrame::Data {
-            from: self.inner.name.to_string(),
-            to: to.to_string(),
-            payload: RawBytes(payload.to_vec()),
-        });
+        let frame = encode_data_frame(&self.inner.name, to, &payload);
         let mut st = self.inner.state.lock();
         match st.writer.as_ref() {
             Some(w) => {
@@ -910,6 +929,29 @@ mod tests {
         let mut padded = frame.clone();
         padded.push(0);
         assert!(peek_data_header(&padded).is_none());
+    }
+
+    /// The hand-written `Data` encoder puts the same bytes on the wire as
+    /// the serde derive, at every varint width of the payload length, and
+    /// what it writes peeks back as what went in.
+    #[test]
+    fn data_frame_matches_serde_encoding() {
+        let (from, to) = (Addr::new("htex:client"), Addr::new("htex:ix"));
+        for len in [0usize, 1, 127, 128, 300, 20_000, 300_000] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let frame = encode_data_frame(&from, &to, &payload);
+            let derived = encode_tcp_frame(&TcpFrame::Data {
+                from: from.to_string(),
+                to: to.to_string(),
+                payload: RawBytes(payload.clone()),
+            });
+            assert_eq!(frame, derived, "payload of {len} bytes");
+            let body = &frame[4..];
+            assert_eq!(frame[..4], (body.len() as u32).to_le_bytes());
+            let (f, t, range) = peek_data_header(body).expect("peeks as Data");
+            assert_eq!((f, t), (from.as_str(), to.as_str()));
+            assert_eq!(&body[range], &payload[..]);
+        }
     }
 
     #[test]
