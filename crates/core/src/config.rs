@@ -3,10 +3,13 @@
 //! "Parsl separates program logic from execution configuration, with the
 //! latter described by a Python object so that developers can easily
 //! introspect permissible options, validate settings, and retrieve/edit
-//! configurations." The Rust rendering is a builder that validates at
-//! `build()`.
+//! configurations." The Rust rendering is one builder: `validate()` checks
+//! the settings and yields the [`Config`], `build()` goes on to start a
+//! [`DataFlowKernel`] from it.
 
 use crate::datamap::TransferModel;
+use crate::dfk::DataFlowKernel;
+use crate::error::ParslError;
 use crate::executor::Executor;
 use crate::monitor::MonitorSink;
 use crate::scheduler::SchedulerPolicy;
@@ -107,97 +110,103 @@ impl std::fmt::Debug for Config {
     }
 }
 
-/// Builder for [`Config`].
-#[derive(Default)]
-pub struct ConfigBuilder {
-    executors: Vec<Arc<dyn Executor>>,
-    retries: u32,
-    memoize: bool,
-    checkpoint_file: Option<PathBuf>,
-    load_checkpoints: Vec<PathBuf>,
-    strategy: Option<StrategyConfig>,
-    monitor: Option<Arc<dyn MonitorSink>>,
-    seed: u64,
-    scheduler: SchedulerPolicy,
-    max_inflight_per_executor: Option<usize>,
-    tenants: Vec<(TenantId, TenantConfig)>,
-    completion_batching: Option<bool>,
-    transfer_model: Option<TransferModel>,
+/// Builder for [`Config`] and, through [`ConfigBuilder::build`], for the
+/// kernel itself — what [`DataFlowKernel::builder`] returns. Holds the
+/// config under construction, starting from the defaults.
+pub struct ConfigBuilder(Config);
+
+impl Default for ConfigBuilder {
+    fn default() -> Self {
+        ConfigBuilder(Config {
+            executors: Vec::new(),
+            retries: 0,
+            memoize: false,
+            checkpoint_file: None,
+            load_checkpoints: Vec::new(),
+            strategy: StrategyConfig::default(),
+            monitor: None,
+            seed: 0,
+            scheduler: SchedulerPolicy::default(),
+            max_inflight_per_executor: None,
+            tenants: Vec::new(),
+            transfer_model: TransferModel::default(),
+            completion_batching: true,
+        })
+    }
 }
 
 impl ConfigBuilder {
     /// Add an executor.
-    pub fn executor(mut self, e: impl Executor + 'static) -> Self {
-        self.executors.push(Arc::new(e));
-        self
+    pub fn executor(self, e: impl Executor + 'static) -> Self {
+        self.executor_arc(Arc::new(e))
     }
 
     /// Add an already-shared executor.
     pub fn executor_arc(mut self, e: Arc<dyn Executor>) -> Self {
-        self.executors.push(e);
+        self.0.executors.push(e);
         self
     }
 
     /// Set the default retry budget.
     pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
+        self.0.retries = retries;
         self
     }
 
     /// Enable/disable memoization by default.
     pub fn memoize(mut self, on: bool) -> Self {
-        self.memoize = on;
+        self.0.memoize = on;
         self
     }
 
     /// Write successful results through to this checkpoint file.
     pub fn checkpoint_file(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_file = Some(path.into());
+        self.0.checkpoint_file = Some(path.into());
         self
     }
 
     /// Pre-load results from a previous run's checkpoint file.
     pub fn load_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.load_checkpoints.push(path.into());
+        self.0.load_checkpoints.push(path.into());
         self
     }
 
     /// Configure elasticity.
     pub fn strategy(mut self, s: StrategyConfig) -> Self {
-        self.strategy = Some(s);
+        self.0.strategy = s;
         self
     }
 
     /// Attach a monitoring sink.
     pub fn monitor(mut self, sink: Arc<dyn MonitorSink>) -> Self {
-        self.monitor = Some(sink);
+        self.0.monitor = Some(sink);
         self
     }
 
     /// Seed the hashing schedulers (placement is reproducible per seed).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.0.seed = seed;
         self
     }
 
     /// Select the task-routing policy (default:
     /// [`SchedulerPolicy::RandomHash`], the paper's behavior).
     pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
-        self.scheduler = policy;
+        self.0.scheduler = policy;
         self
     }
 
     /// Cap tasks in flight per executor; ready tasks beyond the cap park
     /// until completions free capacity.
     pub fn max_inflight_per_executor(mut self, cap: usize) -> Self {
-        self.max_inflight_per_executor = Some(cap);
+        self.0.max_inflight_per_executor = Some(cap);
         self
     }
 
     /// Configure one tenant's fairness settings (weight and/or quota).
     /// Unconfigured tenants run with [`TenantConfig::default`].
     pub fn tenant(mut self, id: TenantId, cfg: TenantConfig) -> Self {
-        self.tenants.push((id, cfg));
+        self.0.tenants.push((id, cfg));
         self
     }
 
@@ -206,7 +215,7 @@ impl ConfigBuilder {
     /// executor (default: 1 ms latency, 8 GB/s — the data manager's
     /// simulated WAN).
     pub fn transfer_model(mut self, model: TransferModel) -> Self {
-        self.transfer_model = Some(model);
+        self.0.transfer_model = model;
         self
     }
 
@@ -215,67 +224,60 @@ impl ConfigBuilder {
     /// the per-task baseline the batching benchmarks and equivalence
     /// proptests compare against.
     pub fn completion_batching(mut self, on: bool) -> Self {
-        self.completion_batching = Some(on);
+        self.0.completion_batching = on;
         self
     }
 
-    /// Validate and produce the [`Config`].
-    pub fn build(self) -> Result<Config, crate::error::ParslError> {
-        if self.executors.is_empty() {
-            return Err(crate::error::ParslError::Config(
+    /// Validate, start executors and service threads, and return the
+    /// running kernel.
+    pub fn build(self) -> Result<Arc<DataFlowKernel>, ParslError> {
+        DataFlowKernel::new(self.validate()?)
+    }
+
+    /// Validate and produce the [`Config`] without starting anything.
+    pub fn validate(self) -> Result<Config, ParslError> {
+        let config = self.0;
+        if config.executors.is_empty() {
+            return Err(ParslError::Config(
                 "at least one executor is required".into(),
             ));
         }
-        if self.max_inflight_per_executor == Some(0) {
-            return Err(crate::error::ParslError::Config(
+        if config.max_inflight_per_executor == Some(0) {
+            return Err(ParslError::Config(
                 "max_inflight_per_executor must be at least 1 \
                  (a cap of 0 could never dispatch anything)"
                     .into(),
             ));
         }
         let mut labels = std::collections::HashSet::new();
-        for e in &self.executors {
+        for e in &config.executors {
             if !labels.insert(e.label().to_string()) {
-                return Err(crate::error::ParslError::Config(format!(
+                return Err(ParslError::Config(format!(
                     "duplicate executor label {:?}",
                     e.label()
                 )));
             }
         }
         let mut tenant_ids = std::collections::HashSet::new();
-        for (id, cfg) in &self.tenants {
+        for (id, cfg) in &config.tenants {
             if !tenant_ids.insert(*id) {
-                return Err(crate::error::ParslError::Config(format!(
+                return Err(ParslError::Config(format!(
                     "duplicate tenant config for {id}"
                 )));
             }
             if cfg.weight == 0 {
-                return Err(crate::error::ParslError::Config(format!(
+                return Err(ParslError::Config(format!(
                     "{id}: weight must be at least 1"
                 )));
             }
             if cfg.max_inflight == Some(0) {
-                return Err(crate::error::ParslError::Config(format!(
+                return Err(ParslError::Config(format!(
                     "{id}: max_inflight must be at least 1 \
                      (a quota of 0 could never dispatch anything)"
                 )));
             }
         }
-        Ok(Config {
-            executors: self.executors,
-            retries: self.retries,
-            memoize: self.memoize,
-            checkpoint_file: self.checkpoint_file,
-            load_checkpoints: self.load_checkpoints,
-            strategy: self.strategy.unwrap_or_default(),
-            monitor: self.monitor,
-            seed: self.seed,
-            scheduler: self.scheduler,
-            max_inflight_per_executor: self.max_inflight_per_executor,
-            tenants: self.tenants,
-            completion_batching: self.completion_batching.unwrap_or(true),
-            transfer_model: self.transfer_model.unwrap_or_default(),
-        })
+        Ok(config)
     }
 }
 
@@ -286,7 +288,7 @@ mod tests {
 
     #[test]
     fn builder_requires_an_executor() {
-        assert!(Config::builder().build().is_err());
+        assert!(Config::builder().validate().is_err());
     }
 
     #[test]
@@ -294,7 +296,7 @@ mod tests {
         let r = Config::builder()
             .executor(ImmediateExecutor::with_label("x"))
             .executor(ImmediateExecutor::with_label("x"))
-            .build();
+            .validate();
         assert!(r.is_err());
     }
 
@@ -302,7 +304,7 @@ mod tests {
     fn defaults() {
         let c = Config::builder()
             .executor(ImmediateExecutor::new())
-            .build()
+            .validate()
             .unwrap();
         assert_eq!(c.retries, 0);
         assert!(!c.memoize);
@@ -318,7 +320,7 @@ mod tests {
         let c = Config::builder()
             .executor(ImmediateExecutor::new())
             .completion_batching(false)
-            .build()
+            .validate()
             .unwrap();
         assert!(!c.completion_batching);
     }
@@ -329,7 +331,7 @@ mod tests {
         let r = Config::builder()
             .executor(ImmediateExecutor::new())
             .max_inflight_per_executor(0)
-            .build();
+            .validate();
         assert!(r.is_err());
     }
 
@@ -345,7 +347,7 @@ mod tests {
                     max_inflight: None
                 }
             )
-            .build()
+            .validate()
             .is_err());
         assert!(base()
             .tenant(
@@ -355,13 +357,13 @@ mod tests {
                     max_inflight: Some(0)
                 }
             )
-            .build()
+            .validate()
             .is_err());
         // Duplicate tenant ids are a config error.
         assert!(base()
             .tenant(TenantId(1), TenantConfig::default())
             .tenant(TenantId(1), TenantConfig::default())
-            .build()
+            .validate()
             .is_err());
         // A valid config flows through.
         let c = base()
@@ -372,7 +374,7 @@ mod tests {
                     max_inflight: Some(8),
                 },
             )
-            .build()
+            .validate()
             .unwrap();
         assert_eq!(c.tenants.len(), 1);
         assert_eq!(c.tenants[0].0, TenantId(2));
@@ -385,7 +387,7 @@ mod tests {
             .executor(ImmediateExecutor::new())
             .scheduler(SchedulerPolicy::LeastOutstanding)
             .max_inflight_per_executor(3)
-            .build()
+            .validate()
             .unwrap();
         assert!(matches!(c.scheduler, SchedulerPolicy::LeastOutstanding));
         assert_eq!(c.max_inflight_per_executor, Some(3));
@@ -400,13 +402,13 @@ mod tests {
                 latency: std::time::Duration::from_millis(20),
                 bandwidth: 1_000_000,
             })
-            .build()
+            .validate()
             .unwrap();
         assert_eq!(c.transfer_model.bandwidth, 1_000_000);
         // Default mirrors the data manager's simulated WAN.
         let d = Config::builder()
             .executor(ImmediateExecutor::new())
-            .build()
+            .validate()
             .unwrap();
         assert_eq!(d.transfer_model.bandwidth, 8_000_000_000);
     }

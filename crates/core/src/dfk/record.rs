@@ -1,0 +1,188 @@
+//! The task record and the sharded table that holds them.
+
+use super::SubmitOptions;
+use crate::app::ArgSlot;
+use crate::datamap::DataHints;
+use crate::executor::TaskSpec;
+use crate::future::FutureState;
+use crate::registry::RegisteredApp;
+use crate::types::{ResourceSpec, TaskId, TaskState, TenantId};
+use bytes::Bytes;
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Number of lock shards in the task table. A power of two so the shard of
+/// a task is a mask of its id; 16 shards keep contention negligible well
+/// past the thread counts a single client drives.
+pub const TABLE_SHARDS: usize = 16;
+
+/// One task's bookkeeping in the dynamic task graph.
+pub(super) struct TaskRecord {
+    pub(super) app: Arc<RegisteredApp>,
+    /// Argument slots; `Pending` entries flip to `Ready` as parents finish.
+    pub(super) slots: Vec<ArgSlot>,
+    /// Count of still-pending argument slots.
+    pub(super) unresolved: usize,
+    /// Terminal values are assigned only by `commit::transition`.
+    pub(super) state: TaskState,
+    /// Concatenated argument buffer, built at first launch.
+    pub(super) args_bytes: Option<Bytes>,
+    /// The primary attempt's number.
+    pub(super) attempt: u32,
+    /// Highest attempt number issued for this task, primary or hedge.
+    last_attempt: u32,
+    pub(super) retries_left: u32,
+    /// Executor the task was last dispatched to (monitor labeling).
+    pub(super) executor_idx: Option<usize>,
+    /// Executor whose in-flight slot (and the tenant's) this task
+    /// currently holds; `Some` from routing until the charge is released
+    /// by `release_charges` — exactly once per dispatched attempt, on any
+    /// accepted outcome or terminal commit.
+    pub(super) charged: Option<usize>,
+    /// Attempt number of an in-flight speculative duplicate (straggler
+    /// hedge), if one was launched. Whichever of the primary and the
+    /// hedge finishes first wins; the other is cancelled and its late
+    /// outcome discarded by the attempt filter.
+    pub(super) hedge_attempt: Option<u32>,
+    /// Executor in-flight slot the hedge holds (executor counter only —
+    /// hedges are accounting-invisible to tenant quotas). Released
+    /// exactly once by `release_charges`.
+    pub(super) hedge_charged: Option<usize>,
+    /// When the current attempt was dispatched; feeds the hedge
+    /// watcher's age check and the service-time fallback when an
+    /// executor does not stamp `started`/`finished`.
+    pub(super) launched_at: Option<Instant>,
+    /// Logical workflow the task belongs to.
+    pub(super) tenant: TenantId,
+    /// Logical items fused into this task (1 normally; the chunk length
+    /// for `app.map` fused chunks). Scales walltime budgets and hedge
+    /// thresholds, divides service-time samples, and expands monitor
+    /// counts back to logical items.
+    pub(super) items: u32,
+    /// True exactly while an entry for this task sits in the kernel's
+    /// parked list, or is about to be dropped from it: set with the entry
+    /// under the shard lock (`park`), cleared when `launch_batch` picks
+    /// the task up again after `unpark_ready` removed the entry, or when
+    /// `transition` schedules the entry's removal.
+    pub(super) parked: bool,
+    /// Attempt number a walltime deadline is armed for; parking and
+    /// dispatch both arm, this dedups so one attempt arms at most once.
+    pub(super) deadline_attempt: Option<u32>,
+    pub(super) memo_key: Option<u64>,
+    /// Declared data inputs/output (`Invocation::hints`); inputs steer the
+    /// `DataAware` router toward executors already holding the bytes, the
+    /// output is recorded in the kernel's `DataMap` on completion.
+    pub(super) hints: DataHints,
+    pub(super) future: Arc<FutureState>,
+}
+
+impl TaskRecord {
+    /// A `Pending` record that has been neither routed nor launched.
+    pub(super) fn new(
+        app: Arc<RegisteredApp>,
+        slots: Vec<ArgSlot>,
+        retries_left: u32,
+        opts: SubmitOptions,
+        future: Arc<FutureState>,
+    ) -> Self {
+        TaskRecord {
+            app,
+            unresolved: slots
+                .iter()
+                .filter(|s| matches!(s, ArgSlot::Pending(_)))
+                .count(),
+            slots,
+            state: TaskState::Pending,
+            args_bytes: None,
+            attempt: 0,
+            last_attempt: 0,
+            retries_left,
+            executor_idx: None,
+            charged: None,
+            hedge_attempt: None,
+            hedge_charged: None,
+            launched_at: None,
+            tenant: opts.tenant,
+            items: opts.items.max(1),
+            parked: false,
+            deadline_attempt: None,
+            memo_key: None,
+            hints: opts.hints,
+            future,
+        }
+    }
+
+    pub(super) fn id(&self) -> TaskId {
+        self.future.task_id()
+    }
+
+    /// A fresh attempt number: past every one this task has used, so the
+    /// late outcome of any earlier attempt — a cancelled or failed hedge
+    /// included — can never pass for the new one.
+    pub(super) fn next_attempt(&mut self) -> u32 {
+        self.last_attempt += 1;
+        self.last_attempt
+    }
+
+    /// The walltime budget of one attempt. The app's walltime is per
+    /// item: a fused chunk's budget scales with its length so 1000 fused
+    /// items are not held to one item's deadline.
+    pub(super) fn walltime(&self) -> Option<Duration> {
+        self.app.options.walltime.map(|w| w * self.items)
+    }
+
+    /// The spec an executor receives for `attempt` of this task.
+    pub(super) fn spec(&self, attempt: u32) -> TaskSpec {
+        TaskSpec {
+            id: self.id(),
+            app: Arc::clone(&self.app),
+            args: self
+                .args_bytes
+                .clone()
+                .expect("launch assembles the arguments before any attempt is dispatched"),
+            resources: ResourceSpec {
+                walltime: self.walltime(),
+                ..ResourceSpec::default()
+            },
+            attempt,
+            tenant: self.tenant,
+            items: self.items,
+        }
+    }
+}
+
+/// The sharded task table. Ids are allocated from an atomic counter;
+/// records live in the shard their id hashes to, so two tasks contend only
+/// when they share a shard.
+pub(super) struct TaskTable {
+    pub(super) shards: Vec<Mutex<HashMap<TaskId, TaskRecord>>>,
+    next_id: AtomicU64,
+}
+
+impl TaskTable {
+    pub(super) fn new() -> Self {
+        TaskTable {
+            shards: (0..TABLE_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+            next_id: AtomicU64::new(0),
+        }
+    }
+
+    pub(super) fn alloc_id(&self) -> TaskId {
+        TaskId(self.next_id.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// The shard holding `id`'s record.
+    pub(super) fn shard(&self, id: TaskId) -> &Mutex<HashMap<TaskId, TaskRecord>> {
+        &self.shards[id.shard(TABLE_SHARDS)]
+    }
+
+    /// Tasks ever submitted (ids are never reused or removed).
+    pub(super) fn len(&self) -> usize {
+        self.next_id.load(Ordering::Relaxed) as usize
+    }
+}

@@ -62,7 +62,8 @@ pub enum TaskError {
     DependencyFailed {
         /// The dependency that failed.
         failed_task: TaskId,
-        /// Rendered description of the upstream failure.
+        /// Rendered description of the failure at the root of the
+        /// cascade, shared by every task it took down.
         reason: Arc<str>,
     },
     /// The executor lost the worker/manager running the task (heartbeat

@@ -63,7 +63,7 @@ pub use bash::BashOptions;
 pub use combinators::{barrier, join_all, map_app};
 pub use config::{Config, ConfigBuilder, TenantConfig};
 pub use datamap::{DataHints, DataMap, DataRef, TransferModel};
-pub use dfk::{DataFlowKernel, DfkBuilder, SubmitOptions, TenantHandle};
+pub use dfk::{DataFlowKernel, SubmitOptions, TenantHandle};
 pub use error::{AppError, ParslError, TaskError};
 pub use executor::{
     BlockScaling, Executor, ExecutorContext, ExecutorError, ImmediateExecutor, TaskOutcome,

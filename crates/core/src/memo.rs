@@ -35,7 +35,7 @@ pub fn memo_key(app: &RegisteredApp, args: &[u8]) -> u64 {
 
 /// Number of lock shards in the memo table — a power of two, masked by
 /// the low bits of the (already well-mixed FNV-1a) memo key. Matches the
-/// task-table design in `dfk.rs`: the lookup/record pair sits on the
+/// task-table design in `dfk/record.rs`: the lookup/record pair sits on the
 /// submit hot path, and one global mutex would serialize every batch.
 pub const MEMO_SHARDS: usize = 16;
 

@@ -33,7 +33,7 @@
 //!   [`ExecutorSnapshot::tenant_outstanding`]), falling back to total
 //!   queue depth on ties. Cross-tenant fairness — per-tenant
 //!   `max_inflight` quotas and the weighted-deficit unparking order —
-//!   lives in the kernel's admission plane (`dfk.rs`); this policy is
+//!   lives in the kernel's admission plane (`dfk/tenancy.rs`); this policy is
 //!   the placement half of the pair.
 //! - [`SchedulerPolicy::DataAware`] — locality-weighted placement for
 //!   data-heavy workflows: score each candidate as estimated transfer
@@ -46,7 +46,7 @@
 //! tasks per executor (`ConfigBuilder::max_inflight_per_executor`). The
 //! dispatcher only offers under-cap executors to the scheduler; when none
 //! qualifies the task parks and is re-queued as completions free capacity
-//! (see `crates/core/src/dfk.rs`, `launch_batch`). Per-tenant quotas park
+//! (see `crates/core/src/dfk/launch.rs`, `launch_batch`). Per-tenant quotas park
 //! the same way, without blocking other tenants.
 
 use std::sync::Arc;
