@@ -26,6 +26,7 @@ use crate::dfk::{DataFlowKernel, SubmitOptions};
 use crate::error::AppError;
 use crate::future::AppFuture;
 use crate::registry::RegisteredApp;
+use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::marker::PhantomData;
@@ -79,10 +80,21 @@ impl<T> From<&AppFuture<T>> for Dep<T> {
 /// An argument slot as the DataFlowKernel stores it: already-encoded bytes,
 /// or a reference to the future that will supply them.
 pub enum ArgSlot {
-    /// Wire-encoded value, ready to splice into the argument buffer.
-    Ready(Vec<u8>),
+    /// Wire-encoded value, ready to splice into the argument buffer —
+    /// shared, not copied, when it is a parent task's result.
+    Ready(Bytes),
     /// Waiting on the future of this task.
     Pending(Arc<crate::future::FutureState>),
+}
+
+impl ArgSlot {
+    /// The encoded value of a slot that is known to be resolved.
+    pub(crate) fn ready(&self) -> &Bytes {
+        match self {
+            ArgSlot::Ready(b) => b,
+            ArgSlot::Pending(st) => unreachable!("slot still waits on {}", st.task_id()),
+        }
+    }
 }
 
 impl std::fmt::Debug for ArgSlot {
@@ -94,8 +106,10 @@ impl std::fmt::Debug for ArgSlot {
     }
 }
 
-fn encode_arg<T: Serialize>(v: &T) -> Result<Vec<u8>, AppError> {
-    wire::to_bytes(v).map_err(|e| AppError::Serialization(e.to_string()))
+fn encode_arg<T: Serialize>(v: &T) -> Result<Bytes, AppError> {
+    wire::to_bytes(v)
+        .map(Bytes::from)
+        .map_err(|e| AppError::Serialization(e.to_string()))
 }
 
 /// Argument tuples accepted by apps: conversion from `Dep` tuples to arg

@@ -12,9 +12,14 @@
 //! in-flight charge; `apply` is the only code that assigns a task's
 //! future.
 //!
-//! State × event, for a non-terminal record (a terminal one absorbs every
-//! event unchanged; "release" returns the executor, tenant and hedge
-//! slots the task holds and drops its park entry):
+//! A record is resident in the task table exactly while its task is
+//! non-terminal: the pass that commits the terminal state takes the record
+//! out of its shard in the same critical section, and drops it once the
+//! futures have fired. An event for a task with no record — it ended, or
+//! never existed — is absorbed unchanged.
+//!
+//! State × event, for a resident record ("release" returns the executor,
+//! tenant and hedge slots the task holds and drops its park entry):
 //!
 //! | event | next state | effects |
 //! |---|---|---|
@@ -26,7 +31,7 @@
 //! | `Settle { state, result }` | `state` (`Memoized`, `DepFail` or `Failed`) | release, monitor event, fire |
 
 use super::record::{TaskRecord, TABLE_SHARDS};
-use super::DataFlowKernel;
+use super::{DataFlowKernel, COLLECT_BATCH_CAP};
 use crate::error::TaskError;
 use crate::executor::{TaskOutcome, TaskSpec};
 use crate::future::FutureState;
@@ -39,6 +44,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+#[cfg(test)]
+mod quiescence;
 #[cfg(test)]
 mod tests;
 
@@ -84,11 +91,32 @@ pub(super) struct Effects {
     /// Tasks that ended or retried while parked: their park entries go
     /// before any future fires, so nothing re-queues them.
     unparked: Vec<TaskId>,
+    /// Records of the tasks that ended, out of the table already; freed
+    /// after their futures fire.
+    retired: Vec<TaskRecord>,
+}
+
+/// What one pass works in: the events grouped by table shard, and the
+/// effects they ask for. A pass takes one from the kernel's spares (or
+/// makes one) and returns it, so a steady stream of passes reuses the
+/// same buffers, and so do the passes nested in or concurrent with them.
+/// A pass of more than [`COLLECT_BATCH_CAP`] events does not return its
+/// own, which bounds what the spares hold.
+#[derive(Default)]
+pub(super) struct PassScratch {
+    by_shard: [Vec<Event>; TABLE_SHARDS],
+    fx: Effects,
 }
 
 impl DataFlowKernel {
     /// Feed `events` through the commit plane, then whatever dependency
     /// failures they set off.
+    pub(super) fn settle(self: &Arc<Self>, events: impl IntoIterator<Item = Event>) {
+        self.settle_pass(events);
+        self.settle_deferred();
+    }
+
+    /// Commit the dependency failures waiting on `deferred`.
     ///
     /// A failed task's dependents fail without running, and theirs after
     /// them. The edge callback that learns of a failed parent
@@ -100,10 +128,7 @@ impl DataFlowKernel {
     /// leaves, because the holder re-checks the queue after releasing it.
     /// A cascade through a chain of any length therefore runs as a loop
     /// on one stack frame.
-    pub(super) fn settle(self: &Arc<Self>, events: Vec<Event>) {
-        if !events.is_empty() {
-            self.settle_pass(events);
-        }
+    pub(super) fn settle_deferred(self: &Arc<Self>) {
         loop {
             if self.deferred.lock().is_empty() {
                 return;
@@ -128,27 +153,43 @@ impl DataFlowKernel {
 
     /// One pass: group events by table shard, preserving arrival order
     /// within a shard so a stale duplicate behind an accepted outcome
-    /// still sees the terminal state it must be discarded against; take
-    /// each touched shard's lock exactly once; apply the collected
-    /// effects.
-    fn settle_pass(self: &Arc<Self>, events: Vec<Event>) {
-        let mut by_shard: [Vec<Event>; TABLE_SHARDS] = Default::default();
+    /// finds the record gone; take each touched shard's lock exactly once,
+    /// retiring every record whose transition ended its task; apply the
+    /// collected effects. No events, no pass.
+    fn settle_pass(self: &Arc<Self>, events: impl IntoIterator<Item = Event>) {
+        let mut events = events.into_iter().peekable();
+        if events.peek().is_none() {
+            return;
+        }
+        let mut scratch = self.pass_scratch.lock().pop().unwrap_or_default();
+        let PassScratch { by_shard, fx } = &mut *scratch;
+        let mut count = 0;
         for event in events {
+            count += 1;
             by_shard[event.task().shard(TABLE_SHARDS)].push(event);
         }
-        let mut fx = Effects::default();
         for (shard, group) in self.table.shards.iter().zip(by_shard) {
             if group.is_empty() {
                 continue;
             }
             let mut shard = shard.lock();
-            for event in group {
-                if let Some(rec) = shard.get_mut(&event.task()) {
-                    self.transition(rec, event, &mut fx);
+            for event in group.drain(..) {
+                let id = event.task();
+                let Some(rec) = shard.get_mut(&id) else {
+                    continue;
+                };
+                self.transition(rec, event, fx);
+                if rec.state.is_terminal() {
+                    fx.retired.push(self.table.retire(&mut shard, id));
                 }
             }
         }
         self.apply(fx);
+        // Buffers a burst grew past anything the collector hands over (one
+        // giant frame, the shutdown sweep) are let go, not kept.
+        if count <= COLLECT_BATCH_CAP {
+            self.pass_scratch.lock().push(scratch);
+        }
     }
 
     /// Advance one record by one event, under its shard lock. See the
@@ -283,12 +324,24 @@ impl DataFlowKernel {
         }
     }
 
-    /// Carry out one pass's effects, no shard lock held.
-    fn apply(self: &Arc<Self>, fx: Effects) {
+    /// Carry out one pass's effects, no shard lock held, leaving `fx`
+    /// empty with its capacity.
+    fn apply(self: &Arc<Self>, fx: &mut Effects) {
+        debug_assert!(
+            fx.retired.len() == fx.fire.len()
+                && fx
+                    .retired
+                    .iter()
+                    .zip(&fx.fire)
+                    .all(|(rec, (future, _))| rec.state.is_terminal()
+                        && Arc::ptr_eq(&rec.future, future)),
+            "a retired record was not terminal, or did not fire exactly once"
+        );
         if !fx.unparked.is_empty() {
             self.parked
                 .lock()
                 .retain(|(id, _, _)| !fx.unparked.contains(id));
+            fx.unparked.clear();
         }
         debug_assert!(
             {
@@ -304,19 +357,20 @@ impl DataFlowKernel {
         // Cancel the losing halves of settled hedge races. Advisory:
         // an executor that cannot cancel simply runs the loser to
         // completion and its outcome is discarded by the attempt filter.
-        for (idx, id, attempt) in fx.cancels {
+        for (idx, id, attempt) in fx.cancels.drain(..) {
             self.executors[idx].cancel(id, attempt);
         }
 
         // Observed service times feed hedging thresholds and the
         // predictive strategy's Little's-law estimate.
-        for (app, d) in fx.samples {
+        for (app, d) in fx.samples.drain(..) {
             self.stats.record(app, d);
         }
 
         // One writer-locked checkpoint append for the whole pass.
         if !fx.checkpoints.is_empty() {
             self.memo.record_batch(&fx.checkpoints);
+            fx.checkpoints.clear();
         }
 
         // One live-counter update; wake wait_for_all at zero.
@@ -336,16 +390,17 @@ impl DataFlowKernel {
         if let Some(m) = &self.monitor {
             if !fx.events.is_empty() {
                 m.on_batch(&fx.events);
+                fx.events.clear();
             }
         }
 
         // Re-submit retries per executor as one batch each.
         if !fx.retries.is_empty() {
             let mut per_exec: Vec<Vec<TaskSpec>> = vec![Vec::new(); self.executors.len()];
-            for (spec, idx) in fx.retries {
+            for (spec, idx) in fx.retries.drain(..) {
                 per_exec[idx].push(spec);
             }
-            for (idx, batch) in per_exec.into_iter().enumerate() {
+            for (idx, batch) in per_exec.iter_mut().enumerate() {
                 if !batch.is_empty() {
                     self.submit_group(idx, batch);
                 }
@@ -361,9 +416,12 @@ impl DataFlowKernel {
             .dispatching
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok();
-        for (future, result) in fx.fire {
+        for (future, result) in fx.fire.drain(..) {
             future.set(result);
         }
+        // Whoever waited on these tasks is running again: free their
+        // records now, off that path.
+        fx.retired.clear();
         // The pass may have freed capacity parked tasks were waiting on:
         // a released charge, freed tenant quota, or — the subtle case — a
         // parked task that was woken into a memo hit and so never

@@ -23,6 +23,7 @@ impl DataFlowKernel {
         };
         let now = Instant::now();
         // Pass 1: find candidates under each shard lock, no submission.
+        // Only unfinished tasks have records, so this walks what is live.
         let mut candidates: Vec<(TaskId, Duration)> = Vec::new();
         for shard in &self.table.shards {
             let shard = shard.lock();
@@ -51,8 +52,9 @@ impl DataFlowKernel {
                 }
             }
         }
-        // Pass 2: per candidate, stamp the hedge under the shard lock,
-        // then submit outside it.
+        // Pass 2: per candidate, stamp the hedge under the shard lock
+        // (the record is gone if the task ended since pass 1), then
+        // submit outside it.
         let mut launched = 0;
         for (id, age) in candidates {
             let stamped = {
@@ -80,7 +82,7 @@ impl DataFlowKernel {
                 Err(e) => {
                     let lost = TaskError::ExecutorLost(e.to_string().into());
                     let refused = TaskOutcome::new(id, attempt, Err(lost));
-                    self.settle(vec![Event::Outcome(refused)]);
+                    self.settle([Event::Outcome(refused)]);
                 }
             }
         }

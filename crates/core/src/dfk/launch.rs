@@ -3,16 +3,32 @@
 
 use super::commit::Event;
 use super::record::TaskRecord;
-use super::DataFlowKernel;
-use crate::app::ArgSlot;
+use super::{DataFlowKernel, COLLECT_BATCH_CAP};
 use crate::error::TaskError;
 use crate::executor::{TaskOutcome, TaskSpec};
 use crate::memo::memo_key;
+use crate::scheduler::ExecutorSnapshot;
 use crate::types::{TaskId, TaskState};
 use bytes::Bytes;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The drainer's working buffers: whoever holds the `dispatching` flag
+/// holds these too, and they keep their capacity — up to
+/// [`COLLECT_BATCH_CAP`] entries — from one drain to the next.
+#[derive(Default)]
+pub(super) struct LaunchScratch {
+    /// The ready ids being launched; swapped with the ready queue, so
+    /// depositors push into what the last drain left behind.
+    batch: Vec<TaskId>,
+    /// Specs to submit, per executor.
+    per_exec: Vec<Vec<TaskSpec>>,
+    /// The batch's load snapshot.
+    snapshots: Vec<ExecutorSnapshot>,
+    /// The batch's memo hits.
+    memoized: Vec<Event>,
+}
 
 impl DataFlowKernel {
     /// A task's dependencies are all met: deposit it on the ready queue and
@@ -46,61 +62,58 @@ impl DataFlowKernel {
 
     /// Drain with the dispatch flag held; releases the flag on exit.
     pub(super) fn drain_holding_flag(self: &Arc<Self>) {
-        loop {
-            let batch: Vec<TaskId> = std::mem::take(&mut *self.ready.lock());
-            if batch.is_empty() {
-                break;
+        {
+            let mut scratch = self.launch_scratch.lock();
+            loop {
+                std::mem::swap(&mut *self.ready.lock(), &mut scratch.batch);
+                if scratch.batch.is_empty() {
+                    break;
+                }
+                self.launch_batch(&mut scratch);
             }
-            self.launch_batch(batch);
         }
         self.dispatching.store(false, Ordering::SeqCst);
     }
 
-    /// Build specs for a batch of ready tasks, route them per the
+    /// Build specs for `scratch.batch`'s ready tasks, route them per the
     /// configured scheduler (parking over-cap tasks), group them per
     /// executor, and submit each group through one
     /// [`crate::executor::Executor::submit_batch`] call.
-    fn launch_batch(self: &Arc<Self>, ids: Vec<TaskId>) {
-        let mut memoized: Vec<Event> = Vec::new();
+    fn launch_batch(self: &Arc<Self>, scratch: &mut LaunchScratch) {
         let mut any_parked = false;
-        let mut per_exec: Vec<Vec<TaskSpec>> = vec![Vec::new(); self.executors.len()];
+        scratch.per_exec.resize_with(self.executors.len(), Vec::new);
         // One load snapshot per batch, updated as tasks are assigned, so
         // the scheduler sees the load its own picks create and a wide
         // batch is split rather than routed wholesale.
-        let mut snapshots = self.snapshot_executors();
+        scratch.snapshots.clear();
+        scratch.snapshots.extend(self.executor_snapshots());
 
-        for id in ids {
+        for id in scratch.batch.drain(..) {
             let launched = {
                 let mut shard = self.table.shard(id).lock();
+                // No record: the task ended while it sat on the queue (a
+                // walltime expiry while parked, the shutdown sweep).
                 let Some(rec) = shard.get_mut(&id) else {
                     continue;
                 };
-                if rec.state.is_terminal() {
-                    continue;
-                }
                 debug_assert_eq!(rec.unresolved, 0, "launch with unresolved deps");
                 // A task that parked before is here because `unpark_ready`
                 // took its entry off the list.
                 rec.parked = false;
 
                 if rec.args_bytes.is_none() {
-                    let total: usize = rec
-                        .slots
-                        .iter()
-                        .map(|s| match s {
-                            ArgSlot::Ready(b) => b.len(),
-                            ArgSlot::Pending(_) => 0,
-                        })
-                        .sum();
-                    let mut buf = Vec::with_capacity(total);
-                    for slot in &rec.slots {
-                        match slot {
-                            ArgSlot::Ready(b) => buf.extend_from_slice(b),
-                            ArgSlot::Pending(_) => unreachable!("unresolved slot at launch"),
+                    // Taken, so the per-argument buffers go when this does.
+                    let slots = std::mem::take(&mut rec.slots);
+                    rec.args_bytes = Some(match &slots[..] {
+                        // One argument: its buffer is the argument buffer.
+                        [only] => only.ready().clone(),
+                        many => {
+                            let total = many.iter().map(|s| s.ready().len()).sum();
+                            let mut buf = Vec::with_capacity(total);
+                            many.iter().for_each(|s| buf.extend_from_slice(s.ready()));
+                            Bytes::from(buf)
                         }
-                    }
-                    rec.args_bytes = Some(Bytes::from(buf));
-                    rec.slots = Vec::new(); // free per-arg buffers
+                    });
                 }
 
                 let hit = if self.memo.enabled_for(&rec.app) {
@@ -112,7 +125,7 @@ impl DataFlowKernel {
                 };
                 match hit {
                     Some(bytes) => {
-                        memoized.push(Event::Settle {
+                        scratch.memoized.push(Event::Settle {
                             id,
                             state: TaskState::Memoized,
                             result: Ok(bytes),
@@ -122,8 +135,8 @@ impl DataFlowKernel {
                     None => {
                         let pinned = self.pinned_index(&rec.app);
                         let tenant = self.tenant_state(rec.tenant);
-                        match self.route(&mut snapshots, pinned, &tenant, &rec.hints.inputs, false)
-                        {
+                        let snapshots = &mut scratch.snapshots;
+                        match self.route(snapshots, pinned, &tenant, &rec.hints.inputs, false) {
                             Some(idx) => {
                                 let spec = self.dispatch(rec, idx);
                                 Some((spec, idx, self.task_event(rec, TaskState::Launched)))
@@ -141,15 +154,15 @@ impl DataFlowKernel {
                 if let Some(event) = event {
                     self.emit(|| event);
                 }
-                per_exec[idx].push(spec);
+                scratch.per_exec[idx].push(spec);
             }
         }
 
         // Memo hits settle outside all shard locks, as one batch: firing
         // their futures resolves dependent edges, whose newly ready
         // children join the queue we are draining.
-        if !memoized.is_empty() {
-            self.settle(memoized);
+        if !scratch.memoized.is_empty() {
+            self.settle(scratch.memoized.drain(..));
         }
 
         if any_parked {
@@ -159,10 +172,18 @@ impl DataFlowKernel {
             self.unpark_ready();
         }
 
-        for (idx, batch) in per_exec.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.submit_group(idx, batch);
+        for (idx, group) in scratch.per_exec.iter_mut().enumerate() {
+            if !group.is_empty() {
+                self.submit_group(idx, group);
             }
+        }
+        // Both are empty now and keep their buffers — unless a burst grew
+        // one past anything a steady state needs.
+        if scratch.batch.capacity() > COLLECT_BATCH_CAP {
+            scratch.batch = Vec::new();
+        }
+        if scratch.memoized.capacity() > COLLECT_BATCH_CAP {
+            scratch.memoized = Vec::new();
         }
     }
 
@@ -178,30 +199,29 @@ impl DataFlowKernel {
         rec.spec(rec.attempt)
     }
 
-    /// Submit one per-executor group. A refused group comes back as
-    /// lost-task outcomes for every member, through the same `settle` as
-    /// an executor's own (a retry that is refused again recurses, bounded
-    /// by the retry budget).
-    pub(super) fn submit_group(self: &Arc<Self>, idx: usize, batch: Vec<TaskSpec>) {
+    /// Submit one per-executor group, leaving `group` empty. A refused
+    /// group comes back as lost-task outcomes for every member, through
+    /// the same `settle` as an executor's own (a retry that is refused
+    /// again recurses, bounded by the retry budget).
+    pub(super) fn submit_group(self: &Arc<Self>, idx: usize, group: &mut Vec<TaskSpec>) {
         let executor = &self.executors[idx];
-        let manifest: Vec<(TaskId, u32)> = batch.iter().map(|s| (s.id, s.attempt)).collect();
-        let outcome = if batch.len() == 1 {
-            let mut batch = batch;
-            executor.submit(batch.pop().expect("len checked"))
+        // Who was in the group, should it be refused: on the stack for a
+        // group of one, which then also keeps `group`'s buffer.
+        let (one, many);
+        let (outcome, manifest): (_, &[(TaskId, u32)]) = if group.len() == 1 {
+            let spec = group.pop().expect("len checked");
+            one = [(spec.id, spec.attempt)];
+            (executor.submit(spec), &one)
         } else {
-            executor.submit_batch(batch)
+            many = group.iter().map(|s| (s.id, s.attempt)).collect::<Vec<_>>();
+            (executor.submit_batch(std::mem::take(group)), &many)
         };
         if let Err(e) = outcome {
             let reason: Arc<str> = e.to_string().into();
-            self.settle(
-                manifest
-                    .into_iter()
-                    .map(|(id, attempt)| {
-                        let lost = TaskError::ExecutorLost(Arc::clone(&reason));
-                        Event::Outcome(TaskOutcome::new(id, attempt, Err(lost)))
-                    })
-                    .collect(),
-            );
+            self.settle(manifest.iter().map(|&(id, attempt)| {
+                let lost = TaskError::ExecutorLost(Arc::clone(&reason));
+                Event::Outcome(TaskOutcome::new(id, attempt, Err(lost)))
+            }));
         }
     }
 }

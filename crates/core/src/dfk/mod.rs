@@ -26,7 +26,7 @@
 //! | module | holds |
 //! |---|---|
 //! | this one | the struct, app registration, `submit` and the dependency edges, introspection |
-//! | `record` | `TaskRecord`, the sharded `TaskTable` |
+//! | `record` | `TaskRecord`, the sharded `TaskTable` of the tasks still going on, the counts of those that ended |
 //! | `launch` | the ready queue and its single drainer, `launch_batch`, `dispatch`, `submit_group` |
 //! | `routing` | load snapshots, `route` / `route_retry` |
 //! | `tenancy` | `TenantState`, `charge` / `release_charges`, the parked list and `unpark_ready`, [`TenantHandle`] |
@@ -116,8 +116,9 @@ use crate::scheduler::Scheduler;
 use crate::strategy::StrategyConfig;
 use crate::types::{AppKind, TaskId, TaskState, TenantId};
 use bytes::Bytes;
-use commit::Event;
+use commit::{Event, PassScratch};
 use crossbeam::channel::Sender;
+use launch::LaunchScratch;
 use parking_lot::{Condvar, Mutex, RwLock};
 use record::{TaskRecord, TaskTable};
 use service::DeadlineHeap;
@@ -186,10 +187,17 @@ pub struct DataFlowKernel {
     /// Single-drainer flag for the ready queue: whoever wins the CAS
     /// collects everything deposited (by any thread) into batches.
     dispatching: AtomicBool,
-    /// Dependency failures awaiting their commit (see `settle`).
+    /// The drainer's working buffers; locked only by the holder of
+    /// `dispatching`, for as long as it drains.
+    launch_scratch: Mutex<LaunchScratch>,
+    /// Dependency failures awaiting their commit (see `settle_deferred`).
     deferred: Mutex<Vec<Event>>,
     /// Single-drainer flag for `deferred`.
     settling: AtomicBool,
+    /// Spare working buffers of the commit plane's passes. Boxed: every
+    /// pass pops one and pushes it back, a pointer rather than ~600 bytes.
+    #[allow(clippy::vec_box)]
+    pass_scratch: Mutex<Vec<Box<PassScratch>>>,
     started_at: Instant,
     stop: AtomicBool,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -465,7 +473,7 @@ impl DataFlowKernel {
         self.admit(rec);
 
         if self.stop.load(Ordering::Acquire) {
-            self.settle(vec![Event::Settle {
+            self.settle([Event::Settle {
                 id,
                 state: TaskState::Failed,
                 result: Err(TaskError::Shutdown),
@@ -491,9 +499,10 @@ impl DataFlowKernel {
         future
     }
 
-    /// Make a new record visible in its shard. The task is counted live
-    /// *before* that: a concurrent shutdown sweep may settle (and
-    /// decrement for) the record the moment it is inserted.
+    /// Make a new record visible in its shard, where it stays until the
+    /// commit plane retires it. The task is counted live *before* that: a
+    /// concurrent shutdown sweep may settle (and decrement for) the record
+    /// the moment it is inserted.
     fn admit(&self, rec: TaskRecord) {
         let id = rec.id();
         self.live.fetch_add(1, Ordering::AcqRel);
@@ -512,7 +521,7 @@ impl DataFlowKernel {
             SubmitOptions::default(),
             Arc::clone(&future),
         ));
-        self.settle(vec![Event::Settle {
+        self.settle([Event::Settle {
             id,
             state: TaskState::Failed,
             result: Err(TaskError::App(error)),
@@ -531,16 +540,15 @@ impl DataFlowKernel {
     ) {
         let ready = {
             let mut shard = self.table.shard(child).lock();
+            // No record: the child already ended (another parent failed
+            // it, or the shutdown sweep did).
             let Some(rec) = shard.get_mut(&child) else {
                 return;
             };
-            if rec.state.is_terminal() {
-                return;
-            }
             match result {
                 Ok(bytes) => {
                     debug_assert!(matches!(rec.slots[slot_idx], ArgSlot::Pending(_)));
-                    rec.slots[slot_idx] = ArgSlot::Ready(bytes.to_vec());
+                    rec.slots[slot_idx] = ArgSlot::Ready(bytes.clone());
                     rec.unresolved -= 1;
                     rec.unresolved == 0
                 }
@@ -564,7 +572,7 @@ impl DataFlowKernel {
                             reason,
                         }),
                     });
-                    self.settle(Vec::new());
+                    self.settle_deferred();
                     return;
                 }
             }
@@ -595,14 +603,7 @@ impl DataFlowKernel {
 
     /// Histogram of task states (for monitoring and tests).
     pub fn state_counts(&self) -> HashMap<TaskState, usize> {
-        let mut counts = HashMap::new();
-        for shard in &self.table.shards {
-            let shard = shard.lock();
-            for rec in shard.values() {
-                *counts.entry(rec.state).or_insert(0) += 1;
-            }
-        }
-        counts
+        self.table.state_counts()
     }
 
     /// Labels of the configured executors, in configuration order.

@@ -10,7 +10,7 @@ use crate::types::{ResourceSpec, TaskId, TaskState, TenantId};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -154,12 +154,27 @@ impl TaskRecord {
     }
 }
 
+/// One lock shard of the table: the records of the tasks still going on.
+pub(super) type Shard = HashMap<TaskId, TaskRecord>;
+
+/// The terminal states, in the order of [`TaskTable`]'s counters.
+const TERMINAL: [TaskState; 4] = [
+    TaskState::Done,
+    TaskState::Failed,
+    TaskState::Memoized,
+    TaskState::DepFail,
+];
+
 /// The sharded task table. Ids are allocated from an atomic counter;
 /// records live in the shard their id hashes to, so two tasks contend only
-/// when they share a shard.
+/// when they share a shard. A record is resident exactly while its task is
+/// non-terminal: `admit` inserts it, the terminal commit retires it, and
+/// what remains of a finished task is one count in `terminal`.
 pub(super) struct TaskTable {
-    pub(super) shards: Vec<Mutex<HashMap<TaskId, TaskRecord>>>,
+    pub(super) shards: Vec<Mutex<Shard>>,
     next_id: AtomicU64,
+    /// Tasks retired in each [`TERMINAL`] state.
+    terminal: [AtomicUsize; 4],
 }
 
 impl TaskTable {
@@ -169,6 +184,7 @@ impl TaskTable {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             next_id: AtomicU64::new(0),
+            terminal: Default::default(),
         }
     }
 
@@ -177,12 +193,100 @@ impl TaskTable {
     }
 
     /// The shard holding `id`'s record.
-    pub(super) fn shard(&self, id: TaskId) -> &Mutex<HashMap<TaskId, TaskRecord>> {
+    pub(super) fn shard(&self, id: TaskId) -> &Mutex<Shard> {
         &self.shards[id.shard(TABLE_SHARDS)]
     }
 
-    /// Tasks ever submitted (ids are never reused or removed).
+    /// Tasks ever submitted (ids are never reused, so this outlives the
+    /// records themselves).
     pub(super) fn len(&self) -> usize {
         self.next_id.load(Ordering::Relaxed) as usize
+    }
+
+    /// Take the record of `id`, which just reached a terminal state, out
+    /// of its locked `shard` and count that state. The caller drops the
+    /// record once nothing waits on it. A shard left mostly empty gives
+    /// its bucket array back, so a burst of concurrently live tasks does
+    /// not pin its high-water mark for the life of the kernel.
+    pub(super) fn retire(&self, shard: &mut Shard, id: TaskId) -> TaskRecord {
+        let rec = shard.remove(&id).expect("a retired record is resident");
+        let slot = TERMINAL
+            .iter()
+            .position(|&s| s == rec.state)
+            .expect("only terminal records retire");
+        self.terminal[slot].fetch_add(1, Ordering::Relaxed);
+        if shard.capacity() > 1024 && shard.len() * 8 < shard.capacity() {
+            shard.shrink_to(shard.len() * 2);
+        }
+        rec
+    }
+
+    /// Histogram of task states: the resident records plus the retired
+    /// counts. States nobody is in are absent.
+    pub(super) fn state_counts(&self) -> HashMap<TaskState, usize> {
+        let retired = TERMINAL.iter().zip(&self.terminal);
+        let mut counts: HashMap<TaskState, usize> = retired
+            .map(|(&state, n)| (state, n.load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        for shard in &self.shards {
+            for rec in shard.lock().values() {
+                *counts.entry(rec.state).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::{AppOptions, AppRegistry};
+    use crate::types::AppKind;
+
+    /// A burst does not pin its high-water bucket array: a shard that
+    /// held 100,000 records at once is small again when they have ended,
+    /// and the histogram still knows all of them.
+    #[test]
+    fn an_emptied_shard_gives_its_buckets_back() {
+        let app = AppRegistry::new().register(
+            "t",
+            AppKind::Native,
+            "()",
+            Arc::new(|_: &[u8]| Ok(Vec::new())),
+            AppOptions::default(),
+        );
+        let table = TaskTable::new();
+        let ids: Vec<TaskId> = (0..100_000)
+            .map(|i| TaskId(i * TABLE_SHARDS as u64))
+            .collect();
+        let mut shard = table.shard(ids[0]).lock();
+        for &id in &ids {
+            let future = FutureState::new(id);
+            let rec = TaskRecord::new(
+                Arc::clone(&app),
+                Vec::new(),
+                0,
+                SubmitOptions::default(),
+                future,
+            );
+            shard.insert(id, rec);
+        }
+        assert!(shard.capacity() >= 100_000);
+        for (n, &id) in ids.iter().enumerate() {
+            shard.get_mut(&id).unwrap().state = if n % 4 == 0 {
+                TaskState::Failed
+            } else {
+                TaskState::Done
+            };
+            assert_eq!(table.retire(&mut shard, id).id(), id);
+        }
+        assert!(shard.is_empty());
+        assert!(shard.capacity() < 2_048, "capacity {}", shard.capacity());
+        drop(shard);
+        assert_eq!(
+            table.state_counts(),
+            [(TaskState::Done, 75_000), (TaskState::Failed, 25_000)].into()
+        );
     }
 }

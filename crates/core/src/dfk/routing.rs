@@ -22,7 +22,7 @@ impl DataFlowKernel {
     /// Current per-executor load and capacity, in configuration order.
     /// `tenant_outstanding` starts zeroed; tenant-aware callers fill it
     /// per task (`fill_tenant_outstanding`).
-    pub(super) fn snapshot_executors(&self) -> Vec<ExecutorSnapshot> {
+    pub(super) fn executor_snapshots(&self) -> impl Iterator<Item = ExecutorSnapshot> + '_ {
         self.executors
             .iter()
             .enumerate()
@@ -35,7 +35,11 @@ impl DataFlowKernel {
                 transfer_cost: 0.0,
                 draining: e.scaling().is_some_and(|s| s.draining_blocks() > 0),
             })
-            .collect()
+    }
+
+    /// [`Self::executor_snapshots`], collected.
+    pub(super) fn snapshot_executors(&self) -> Vec<ExecutorSnapshot> {
+        self.executor_snapshots().collect()
     }
 
     /// Stamp the routing task's tenant's per-executor in-flight counts

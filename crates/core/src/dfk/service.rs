@@ -81,8 +81,10 @@ impl DataFlowKernel {
             parked: Mutex::new(Vec::new()),
             ready: Mutex::new(Vec::new()),
             dispatching: AtomicBool::new(false),
+            launch_scratch: Mutex::default(),
             deferred: Mutex::new(Vec::new()),
             settling: AtomicBool::new(false),
+            pass_scratch: Mutex::default(),
             started_at: Instant::now(),
             stop: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
@@ -179,12 +181,12 @@ impl DataFlowKernel {
                                 Err(_) => break,
                             }
                         }
-                        dfk.settle(outcomes.into_iter().map(Event::Outcome).collect());
+                        dfk.settle(outcomes.into_iter().map(Event::Outcome));
                     } else {
                         // Per-task baseline: every outcome pays the
                         // full completion cycle on its own.
                         for outcome in outcomes {
-                            dfk.settle(vec![Event::Outcome(outcome)]);
+                            dfk.settle([Event::Outcome(outcome)]);
                         }
                     }
                 }
@@ -399,17 +401,15 @@ impl DataFlowKernel {
         // Parked tasks are among the unfinished swept below; drop their
         // park entries in one step so nothing re-queues them.
         self.parked.lock().clear();
-        // Fail whatever never finished, as one commit-plane batch.
+        // Fail whatever never finished — every record still resident — as
+        // one commit-plane batch.
         let mut unfinished: Vec<Event> = Vec::new();
         for shard in &self.table.shards {
-            let shard = shard.lock();
-            unfinished.extend(shard.iter().filter(|(_, r)| !r.state.is_terminal()).map(
-                |(&id, _)| Event::Settle {
-                    id,
-                    state: TaskState::Failed,
-                    result: Err(TaskError::Shutdown),
-                },
-            ));
+            unfinished.extend(shard.lock().keys().map(|&id| Event::Settle {
+                id,
+                state: TaskState::Failed,
+                result: Err(TaskError::Shutdown),
+            }));
         }
         self.settle(unfinished);
         let _ = self.memo.flush();

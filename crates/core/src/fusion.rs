@@ -262,9 +262,11 @@ impl<R> std::fmt::Debug for MapHandle<R> {
 
 /// Encode a chunk's argument frame: the selected per-item encodings as
 /// one `Vec<Vec<u8>>` in a single ready slot.
-fn encode_chunk(data: &[Vec<u8>], idxs: &[usize]) -> Result<Vec<u8>, AppError> {
+fn encode_chunk(data: &[Vec<u8>], idxs: &[usize]) -> Result<Bytes, AppError> {
     let slice: Vec<&Vec<u8>> = idxs.iter().map(|&i| &data[i]).collect();
-    wire::to_bytes(&slice).map_err(|e| AppError::Serialization(e.to_string()))
+    wire::to_bytes(&slice)
+        .map(Bytes::from)
+        .map_err(|e| AppError::Serialization(e.to_string()))
 }
 
 /// Submit one fused chunk for the logical items `idxs` and arrange for

@@ -5,6 +5,8 @@
 //! declare `fn|struct|enum|trait|const|type|mod <symbol>`. Line-number
 //! anchors into the kernel (`dfk.rs:<digits>`) went stale within a PR of
 //! being written and are refused outright.
+//! So are line numbers into any file of the kernel's crate
+//! (`crates/core/src/<file>.rs:<digits>`): forty-odd had rotted by PR 17.
 
 use std::path::Path;
 
@@ -34,6 +36,25 @@ fn anchors(text: &str) -> Vec<(&str, &str)> {
         };
         let symbol_len = symbol.find(|c| !is_ident(c)).unwrap_or(symbol.len());
         found.push((path, &symbol[..symbol_len]));
+    }
+    found
+}
+
+/// Offsets in `text` of each `crates/core/src/<path>.rs:<digits>`.
+fn core_line_anchors(text: &str) -> Vec<usize> {
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices("crates/core/src/") {
+        let rest = &text[at..];
+        let path_len = rest
+            .find(|c: char| !(is_ident(c) || matches!(c, '/' | '.' | '-')))
+            .unwrap_or(rest.len());
+        let (path, after) = rest.split_at(path_len);
+        let numbered = after
+            .strip_prefix(':')
+            .is_some_and(|line| line.starts_with(|c: char| c.is_ascii_digit()));
+        if path.ends_with(".rs") && numbered {
+            found.push(at);
+        }
     }
     found
 }
@@ -73,6 +94,12 @@ fn every_code_anchor_names_a_declared_symbol() {
                 problems.push(format!("{doc}:{line}: line-number anchor into dfk.rs"));
             }
         }
+        for at in core_line_anchors(&text) {
+            let line = text[..at].lines().count();
+            problems.push(format!(
+                "{doc}:{line}: line-number anchor into crates/core/src"
+            ));
+        }
     }
     assert!(problems.is_empty(), "{}", problems.join("\n"));
     assert!(
@@ -92,4 +119,7 @@ fn the_scanner_reads_anchors_and_declarations() {
     assert!(declares("struct Y;", "Y"));
     assert!(!declares("fn settle_pass(", "settle"));
     assert!(!declares("// settle", "settle"));
+    let text = "(`crates/core/src/app.rs:379`), crates/executors/src/htex.rs:40, \
+                crates/core/src/dfk/commit.rs::settle, crates/core/src/dfk/mod.rs:7.";
+    assert_eq!(core_line_anchors(text), [2, text.len() - 29]);
 }
