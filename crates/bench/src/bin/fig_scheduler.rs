@@ -3,15 +3,15 @@
 //! The paper's multi-site scenario (§4.3) runs one DataFlowKernel over
 //! several executors of different sizes. Random placement (§4.1) sends
 //! each executor the *same* share of tasks, so the slowest executor sets
-//! the makespan. This binary pits the four routing policies against each
-//! other on a deliberately skewed two-executor config — a fast pool with
-//! 4x the worker slots of a slow one — and measures end-to-end makespan
-//! and throughput for an embarrassingly parallel bag of fixed-cost tasks:
+//! the makespan. This binary pits the paper's random placement against
+//! join-shortest-queue on a deliberately skewed two-executor config — a
+//! fast pool with 4x the worker slots of a slow one — and measures
+//! end-to-end makespan and throughput for an embarrassingly parallel bag
+//! of fixed-cost tasks:
 //!
-//! - `random_hash` / `round_robin` split ~50/50, drowning the slow pool;
+//! - `random_hash` splits ~50/50, drowning the slow pool;
 //! - `least_outstanding` (join-shortest-queue) adapts with no config;
-//! - `capacity_weighted` splits by worker slots (80/20 here);
-//! - a fifth run demonstrates backpressure: `least_outstanding` with a
+//! - a third run demonstrates backpressure: `least_outstanding` with a
 //!   per-executor in-flight cap, which must not change the result.
 //!
 //! Arrivals are paced at the aggregate service rate (10 worker slots →
@@ -124,9 +124,7 @@ fn main() {
 
     let policies = [
         ("random_hash", SchedulerPolicy::RandomHash),
-        ("round_robin", SchedulerPolicy::RoundRobin),
         ("least_outstanding", SchedulerPolicy::LeastOutstanding),
-        ("capacity_weighted", SchedulerPolicy::CapacityWeighted),
     ];
 
     let mut table = Table::new(&["policy", "makespan ms", "tasks/s", "fast share"]);
@@ -190,18 +188,14 @@ fn main() {
     let json = format!(
         "{{\n  \"experiment\": \"fig_scheduler\",\n  \"workload\": \"{n} x {task_ms} ms tasks, \
          fast {FAST_WORKERS}w vs slow {SLOW_WORKERS}w (4x skew)\",\n  \"random_hash\": {},\n  \
-         \"round_robin\": {},\n  \"least_outstanding\": {},\n  \"capacity_weighted\": {},\n  \
-         \"least_outstanding_capped\": {},\n  \"random_hash_tps\": {:.1},\n  \
-         \"least_outstanding_tps\": {:.1},\n  \"capacity_weighted_tps\": {:.1},\n  \
+         \"least_outstanding\": {},\n  \"least_outstanding_capped\": {},\n  \
+         \"random_hash_tps\": {:.1},\n  \"least_outstanding_tps\": {:.1},\n  \
          \"speedup_least_vs_random\": {speedup:.3}\n}}\n",
         row(random),
-        row(get("round_robin")),
         row(least),
-        row(get("capacity_weighted")),
         row(&capped),
         random.tps,
         least.tps,
-        get("capacity_weighted").tps,
     );
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");

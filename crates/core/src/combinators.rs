@@ -1,4 +1,4 @@
-//! Higher-level parallelism constructs: `join_all`, `barrier`, and `map`.
+//! Synchronization constructs: `join_all` and `barrier`.
 //!
 //! The paper's future work (§7) names "constructs for delivering
 //! parallelism such as maps and additional synchronization primitives such
@@ -6,15 +6,43 @@
 //! an app's argument list. These combinators build those patterns on the
 //! same dependency machinery as ordinary apps — each one is a real task in
 //! the graph, so monitoring, memoization policy, and failure propagation
-//! all apply.
+//! all apply. The map construct is [`crate::app::App::map`] (fusion).
 
 use crate::app::{ArgSlot, TaskValue};
 use crate::dfk::{DataFlowKernel, SubmitOptions};
 use crate::error::AppError;
-use crate::future::AppFuture;
-use crate::registry::AppOptions;
+use crate::future::{AppFuture, FutureState};
+use crate::registry::{AppId, AppOptions, RegisteredApp};
 use crate::types::AppKind;
+use std::any::TypeId;
 use std::sync::Arc;
+
+/// What a combinator app's body depends on, and so which calls can share
+/// one registration (`DataFlowKernel::combinator_app`). The reducers of
+/// `App::map_reduce` capture the caller's closure and have no key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum CombinatorKey {
+    /// `join_all` over `n` futures of one element type.
+    Join(usize, TypeId),
+    /// `barrier` over `n` futures.
+    Barrier(usize),
+    /// The fused-chunk twin of an app (`App::map`).
+    FusedMap(AppId),
+}
+
+/// Decode a task argument buffer holding exactly `n` concatenated
+/// T-encodings — the arguments of a task whose `n` slots all hold a `T`.
+pub(crate) fn decode_concat<T: TaskValue>(bytes: &[u8], n: usize) -> Result<Vec<T>, AppError> {
+    let mut de = wire::Deserializer::new(bytes);
+    (0..n)
+        .map(|_| serde::Deserialize::deserialize(&mut de))
+        .collect::<Result<Vec<T>, wire::Error>>()
+        .and_then(|out| match de.remaining() {
+            0 => Ok(out),
+            _ => Err(wire::Error::TrailingBytes),
+        })
+        .map_err(|e| AppError::Serialization(e.to_string()))
+}
 
 /// Wait for every future and collect the values in order:
 /// `Vec<AppFuture<T>> → AppFuture<Vec<T>>`.
@@ -38,33 +66,22 @@ pub fn join_all<T: TaskValue>(
     futures: Vec<AppFuture<T>>,
 ) -> AppFuture<Vec<T>> {
     let n = futures.len();
-    // The join body decodes `n` concatenated T-encodings and re-encodes
-    // them as a Vec<T>.
-    let erased: crate::registry::ErasedAppFn = Arc::new(move |bytes: &[u8]| {
-        let mut de = wire::Deserializer::new(bytes);
-        let mut out: Vec<T> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = serde::Deserialize::deserialize(&mut de)
-                .map_err(|e: wire::Error| AppError::Serialization(e.to_string()))?;
-            out.push(v);
-        }
-        if de.remaining() != 0 {
-            return Err(AppError::Serialization("trailing bytes in join".into()));
-        }
-        wire::to_bytes(&out).map_err(|e| AppError::Serialization(e.to_string()))
+    let elem = std::any::type_name::<T>();
+    let app = dfk.combinator_app(CombinatorKey::Join(n, TypeId::of::<T>()), || {
+        dfk.register_erased(
+            &format!("_parsl_join_{n}"),
+            AppKind::Native,
+            &format!("join[{elem}; {n}]"),
+            // Re-encode the `n` concatenated T-encodings as a Vec<T>.
+            Arc::new(move |bytes: &[u8]| {
+                let out: Vec<T> = decode_concat(bytes, n)?;
+                wire::to_bytes(&out).map_err(|e| AppError::Serialization(e.to_string()))
+            }),
+            AppOptions::default(),
+        )
     });
-    let app = dfk.register_erased(
-        &format!("_parsl_join_{n}"),
-        AppKind::Native,
-        &format!("join[{}; {n}]", std::any::type_name::<T>()),
-        erased,
-        AppOptions::default(),
-    );
-    let slots: Vec<ArgSlot> = futures
-        .iter()
-        .map(|f| ArgSlot::Pending(Arc::clone(f.state())))
-        .collect();
-    AppFuture::from_state(dfk.submit(app, slots, SubmitOptions::default()))
+    let parents = futures.iter().map(AppFuture::state);
+    AppFuture::from_state(submit_over(dfk, app, parents, SubmitOptions::default()))
 }
 
 /// Synchronization barrier: resolves (to `()`) once every input future has
@@ -74,46 +91,33 @@ pub fn barrier<T: TaskValue>(
     futures: Vec<AppFuture<T>>,
 ) -> AppFuture<()> {
     let n = futures.len();
-    let erased: crate::registry::ErasedAppFn = Arc::new(move |_bytes: &[u8]| {
-        // Inputs already resolved or we would not be running; values are
-        // discarded.
-        wire::to_bytes(&()).map_err(|e| AppError::Serialization(e.to_string()))
+    let app = dfk.combinator_app(CombinatorKey::Barrier(n), || {
+        dfk.register_erased(
+            &format!("_parsl_barrier_{n}"),
+            AppKind::Native,
+            &format!("barrier[{n}]"),
+            // Inputs already resolved or we would not be running; values
+            // are discarded, and `()` encodes as no bytes.
+            Arc::new(|_: &[u8]| Ok(Vec::new())),
+            AppOptions::default(),
+        )
     });
-    let app = dfk.register_erased(
-        &format!("_parsl_barrier_{n}"),
-        AppKind::Native,
-        &format!("barrier[{n}]"),
-        erased,
-        AppOptions::default(),
-    );
-    let slots: Vec<ArgSlot> = futures
-        .iter()
-        .map(|f| ArgSlot::Pending(Arc::clone(f.state())))
-        .collect();
-    AppFuture::from_state(dfk.submit(app, slots, SubmitOptions::default()))
+    let parents = futures.iter().map(AppFuture::state);
+    AppFuture::from_state(submit_over(dfk, app, parents, SubmitOptions::default()))
 }
 
-/// Apply a one-argument app to every element: the `map` construct.
-///
-/// ```
-/// use parsl_core::prelude::*;
-/// use parsl_core::combinators::map_app;
-///
-/// let dfk = DataFlowKernel::builder().executor(ImmediateExecutor::new()).build().unwrap();
-/// let double = dfk.python_app("double", |x: i64| x * 2);
-/// let futs = map_app(&double, vec![1, 2, 3]);
-/// let vals: Vec<i64> = futs.iter().map(|f| f.result().unwrap()).collect();
-/// assert_eq!(vals, vec![2, 4, 6]);
-/// dfk.shutdown();
-/// ```
-pub fn map_app<T: TaskValue, R: TaskValue>(
-    app: &crate::app::App<(T,), R>,
-    inputs: Vec<T>,
-) -> Vec<AppFuture<R>> {
-    inputs
+/// Submit `app` with one argument slot waiting on each of `parents`.
+pub(crate) fn submit_over<'a>(
+    dfk: &Arc<DataFlowKernel>,
+    app: Arc<RegisteredApp>,
+    parents: impl IntoIterator<Item = &'a Arc<FutureState>>,
+    opts: SubmitOptions,
+) -> Arc<FutureState> {
+    let slots = parents
         .into_iter()
-        .map(|v| app.call((crate::app::Dep::Value(v),)))
-        .collect()
+        .map(|st| ArgSlot::Pending(Arc::clone(st)))
+        .collect();
+    dfk.submit(app, slots, opts)
 }
 
 #[cfg(test)]
@@ -169,10 +173,7 @@ mod tests {
     #[test]
     fn barrier_waits_for_everything() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let dfk = DataFlowKernel::builder()
-            .executor(crate::executor::ImmediateExecutor::new())
-            .build()
-            .unwrap();
+        let dfk = dfk();
         static DONE: AtomicUsize = AtomicUsize::new(0);
         DONE.store(0, Ordering::SeqCst);
         let work = dfk.python_app("work", |x: u32| {
@@ -190,7 +191,7 @@ mod tests {
     fn map_then_join_round_trip() {
         let dfk = dfk();
         let inc = dfk.python_app("inc", |x: i64| x + 1);
-        let futs = map_app(&inc, (0..50).collect());
+        let futs: Vec<_> = (0..50i64).map(|i| crate::call!(inc, i)).collect();
         let all = join_all(&dfk, futs);
         let expect: Vec<i64> = (1..=50).collect();
         assert_eq!(all.result().unwrap(), expect);

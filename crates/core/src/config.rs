@@ -74,12 +74,6 @@ pub struct Config {
     /// the `DataAware` scheduler (defaults mirror the data manager's
     /// simulated WAN: 1 ms latency, 8 GB/s).
     pub transfer_model: TransferModel,
-    /// Batched result collection (default `true`): the collector drains
-    /// every queued outcome into one completion-plane pass. `false`
-    /// processes outcomes strictly one at a time — the pre-batching
-    /// behaviour, kept as a measurable/testable baseline
-    /// (`fig_completion`, `proptest_batching`).
-    pub completion_batching: bool,
 }
 
 impl Config {
@@ -130,7 +124,6 @@ impl Default for ConfigBuilder {
             max_inflight_per_executor: None,
             tenants: Vec::new(),
             transfer_model: TransferModel::default(),
-            completion_batching: true,
         })
     }
 }
@@ -219,15 +212,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Toggle batched result collection (default on). With `false` the
-    /// collector handles each outcome in its own completion-plane pass —
-    /// the per-task baseline the batching benchmarks and equivalence
-    /// proptests compare against.
-    pub fn completion_batching(mut self, on: bool) -> Self {
-        self.0.completion_batching = on;
-        self
-    }
-
     /// Validate, start executors and service threads, and return the
     /// running kernel.
     pub fn build(self) -> Result<Arc<DataFlowKernel>, ParslError> {
@@ -312,17 +296,6 @@ mod tests {
         assert!(c.checkpoint_file.is_none());
         assert!(matches!(c.scheduler, SchedulerPolicy::RandomHash));
         assert!(c.max_inflight_per_executor.is_none());
-        assert!(c.completion_batching, "batched collection is the default");
-    }
-
-    #[test]
-    fn completion_batching_can_be_disabled() {
-        let c = Config::builder()
-            .executor(ImmediateExecutor::new())
-            .completion_batching(false)
-            .validate()
-            .unwrap();
-        assert!(!c.completion_batching);
     }
 
     #[test]

@@ -104,6 +104,7 @@ pub use tenancy::TenantHandle;
 
 use crate::app::{App, AppArgs, AppFn, ArgSlot, TaskValue};
 use crate::bash::{run_bash, BashOptions};
+use crate::combinators::CombinatorKey;
 use crate::config::{Config, ConfigBuilder, TenantConfig};
 use crate::datamap::{DataHints, DataMap, TransferModel};
 use crate::error::{AppError, TaskError};
@@ -212,9 +213,9 @@ pub struct DataFlowKernel {
     /// Introspection for tests: an idle kernel with no walltimes must not
     /// tick.
     walltime_wakeups: AtomicU64,
-    /// Batched result collection (see module docs); `false` re-enables
-    /// the per-task baseline.
-    completion_batching: bool,
+    /// Apps the combinators registered, by what their bodies depend on
+    /// (see `combinator_app`).
+    combinator_apps: Mutex<HashMap<CombinatorKey, Arc<RegisteredApp>>>,
     strategy_cfg: StrategyConfig,
     /// Arrival-rate and service-time observations feeding the predictive
     /// strategy's [`crate::strategy::LoadSignal`] and the hedge watcher's
@@ -404,6 +405,20 @@ impl DataFlowKernel {
     ) -> Arc<RegisteredApp> {
         self.validate_options(&options);
         self.registry.register(name, kind, signature, func, options)
+    }
+
+    /// The app a combinator registers for `key`, made by `register` the
+    /// first time it is asked for. A combinator body is a pure function
+    /// of its key, so one registration serves every later call: the
+    /// registry, which never removes an entry, and the app tables sent to
+    /// remote workers stay as small as the set of distinct keys.
+    pub(crate) fn combinator_app(
+        &self,
+        key: CombinatorKey,
+        register: impl FnOnce() -> Arc<RegisteredApp>,
+    ) -> Arc<RegisteredApp> {
+        let mut apps = self.combinator_apps.lock();
+        Arc::clone(apps.entry(key).or_insert_with(register))
     }
 
     fn validate_options(&self, options: &AppOptions) {
@@ -662,7 +677,8 @@ impl DataFlowKernel {
     }
 }
 
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic, for [`AppError::Panic`].
+pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     // Taking the Box by value avoids the &Box<dyn Any> coercion trap where
     // the *box* (not the payload) would be downcast.
     if let Some(s) = p.downcast_ref::<&str>() {

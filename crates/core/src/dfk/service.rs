@@ -92,7 +92,7 @@ impl DataFlowKernel {
             deadlines: Arc::new(Mutex::new(BinaryHeap::new())),
             deadline_cv: Arc::new(Condvar::new()),
             walltime_wakeups: AtomicU64::new(0),
-            completion_batching: config.completion_batching,
+            combinator_apps: Mutex::default(),
             strategy_cfg: config.strategy,
             stats: ServiceStats::new(),
             invalid_app,
@@ -174,21 +174,13 @@ impl DataFlowKernel {
             match rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(mut outcomes) => {
                     let Some(dfk) = weak.upgrade() else { return };
-                    if dfk.completion_batching {
-                        while outcomes.len() < COLLECT_BATCH_CAP {
-                            match rx.try_recv() {
-                                Ok(mut more) => outcomes.append(&mut more),
-                                Err(_) => break,
-                            }
-                        }
-                        dfk.settle(outcomes.into_iter().map(Event::Outcome));
-                    } else {
-                        // Per-task baseline: every outcome pays the
-                        // full completion cycle on its own.
-                        for outcome in outcomes {
-                            dfk.settle([Event::Outcome(outcome)]);
+                    while outcomes.len() < COLLECT_BATCH_CAP {
+                        match rx.try_recv() {
+                            Ok(mut more) => outcomes.append(&mut more),
+                            Err(_) => break,
                         }
                     }
+                    dfk.settle(outcomes.into_iter().map(Event::Outcome));
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     let Some(dfk) = weak.upgrade() else { return };

@@ -210,11 +210,11 @@ pub trait Executor: Send + Sync {
     /// Tasks submitted whose outcomes have not yet been delivered.
     fn outstanding(&self) -> usize;
 
-    /// Worker slots currently provisioned — the denominator for
-    /// capacity-aware scheduling (`SchedulerPolicy::CapacityWeighted`).
-    /// For scalable executors this tracks the block pool, so elastic
-    /// scale-out immediately shifts new traffic toward the grown
-    /// executor. Must be cheap: the dispatcher reads it once per batch.
+    /// Worker slots currently provisioned, offered to schedulers as
+    /// [`crate::scheduler::ExecutorSnapshot::capacity`]. For scalable
+    /// executors this tracks the block pool, so a capacity-aware custom
+    /// policy sees elastic scale-out at once. Must be cheap: the
+    /// dispatcher reads it once per batch.
     fn capacity(&self) -> usize {
         match self.scaling() {
             Some(s) => s.block_count() * s.workers_per_block(),

@@ -41,8 +41,9 @@
 //! ```
 
 use crate::app::{App, ArgSlot, TaskValue};
+use crate::combinators::{decode_concat, submit_over, CombinatorKey};
 use crate::datamap::DataHints;
-use crate::dfk::{DataFlowKernel, SubmitOptions};
+use crate::dfk::{panic_message, DataFlowKernel, SubmitOptions};
 use crate::error::{AppError, ParslError, TaskError};
 use crate::future::{AppFuture, FutureState};
 use crate::registry::{AppId, AppOptions, ErasedAppFn, RegisteredApp};
@@ -92,16 +93,6 @@ pub struct FusedOutput {
     pub ok: Vec<Vec<u8>>,
     /// The failure of element `ok.len()`, if any element failed.
     pub err: Option<AppError>,
-}
-
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 /// Wrap an erased app body into its fused-chunk form: decode a
@@ -370,19 +361,22 @@ fn auto_chunk_size(dfk: &DataFlowKernel, inner: AppId, n: usize) -> usize {
     n.div_ceil(FALLBACK_CHUNKS).clamp(1, MAX_CHUNK)
 }
 
-/// Register the fused-chunk twin of `inner` on this kernel. The
-/// signature encodes the inner app's identity so spawned workers can
-/// rebuild the body (`builtin::resolve` parses `fmap[{name}; {sig}]`);
-/// app options — memoization, retries, executor pin, per-item walltime —
-/// are inherited (the kernel scales walltime by `items`).
-fn register_fused_map(dfk: &Arc<DataFlowKernel>, inner: &Arc<RegisteredApp>) -> Arc<RegisteredApp> {
-    dfk.register_erased(
-        &format!("_parsl_fmap_{}", inner.name),
-        AppKind::Native,
-        &format!("fmap[{}; {}]", inner.name, inner.signature),
-        fused_map_body(Arc::clone(&inner.func)),
-        inner.options.clone(),
-    )
+/// The fused-chunk twin of `inner` on this kernel, registered by the first
+/// `map` of `inner`. The signature encodes the inner app's identity so
+/// spawned workers can rebuild the body (`builtin::resolve` parses
+/// `fmap[{name}; {sig}]`); app options — memoization, retries, executor
+/// pin, per-item walltime — are inherited (the kernel scales walltime by
+/// `items`).
+fn fused_twin(dfk: &Arc<DataFlowKernel>, inner: &Arc<RegisteredApp>) -> Arc<RegisteredApp> {
+    dfk.combinator_app(CombinatorKey::FusedMap(inner.id), || {
+        dfk.register_erased(
+            &format!("_parsl_fmap_{}", inner.name),
+            AppKind::Native,
+            &format!("fmap[{}; {}]", inner.name, inner.signature),
+            fused_map_body(Arc::clone(&inner.func)),
+            inner.options.clone(),
+        )
+    })
 }
 
 impl<T: TaskValue, R: TaskValue> App<(T,), R> {
@@ -439,7 +433,7 @@ impl<T: TaskValue, R: TaskValue> App<(T,), R> {
             cond: Condvar::new(),
         });
         if !good.is_empty() {
-            let fused = register_fused_map(&dfk, &inner);
+            let fused = fused_twin(&dfk, &inner);
             let data = Arc::new(data);
             for chunk in good.chunks(chunk_size) {
                 submit_chunk(
@@ -568,18 +562,11 @@ impl<T: TaskValue, R: TaskValue> App<(T,), R> {
                         )
                     })
                     .clone();
-                let slots = group
-                    .iter()
-                    .map(|st| ArgSlot::Pending(Arc::clone(st)))
-                    .collect();
-                next.push(dfk.submit(
-                    app,
-                    slots,
-                    SubmitOptions {
-                        tenant: opts.tenant,
-                        ..SubmitOptions::default()
-                    },
-                ));
+                let level = SubmitOptions {
+                    tenant: opts.tenant,
+                    ..SubmitOptions::default()
+                };
+                next.push(submit_over(&dfk, app, group, level));
             }
             partials = next;
         }
@@ -619,20 +606,10 @@ fn fused_reduce_body<R: TaskValue>(
     k: usize,
 ) -> ErasedAppFn {
     Arc::new(move |bytes: &[u8]| {
-        let mut de = wire::Deserializer::new(bytes);
-        let mut acc: Option<R> = None;
-        for _ in 0..k {
-            let v: R = serde::Deserialize::deserialize(&mut de)
-                .map_err(|e: wire::Error| AppError::Serialization(e.to_string()))?;
-            acc = Some(match acc.take() {
-                None => v,
-                Some(a) => reduce(a, v),
-            });
-        }
-        if de.remaining() != 0 {
-            return Err(AppError::Serialization("trailing bytes in reduce".into()));
-        }
-        let acc = acc.ok_or_else(|| AppError::Serialization("empty reduce group".into()))?;
+        let acc = decode_concat::<R>(bytes, k)?
+            .into_iter()
+            .reduce(|a, b| reduce(a, b))
+            .ok_or_else(|| AppError::Serialization("empty reduce group".into()))?;
         wire::to_bytes(&acc).map_err(|e| AppError::Serialization(e.to_string()))
     })
 }

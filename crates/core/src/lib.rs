@@ -60,7 +60,7 @@ pub mod types;
 
 pub use app::{App, AppArgs, AppFn, ArgSlot, Dep, Invocation, TaskValue};
 pub use bash::BashOptions;
-pub use combinators::{barrier, join_all, map_app};
+pub use combinators::{barrier, join_all};
 pub use config::{Config, ConfigBuilder, TenantConfig};
 pub use datamap::{DataHints, DataMap, DataRef, TransferModel};
 pub use dfk::{DataFlowKernel, SubmitOptions, TenantHandle};

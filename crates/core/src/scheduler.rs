@@ -13,20 +13,15 @@
 //! locally, so a single wide batch is *split* across executors by policy
 //! rather than routed wholesale.
 //!
-//! Four built-in policies (select via [`SchedulerPolicy`] on the config
-//! builder):
+//! Four built-in policies, plus [`SchedulerPolicy::Custom`] for a
+//! user-supplied [`Scheduler`] (select via [`SchedulerPolicy`] on the
+//! config builder):
 //!
 //! - [`SchedulerPolicy::RandomHash`] — the paper's behavior and the
 //!   default: a seeded counter-hash spreads tasks uniformly, lock-free.
-//! - [`SchedulerPolicy::RoundRobin`] — strict rotation; uniform like
-//!   `RandomHash` but with zero variance between executors.
 //! - [`SchedulerPolicy::LeastOutstanding`] — join-shortest-queue on the
 //!   dispatched-but-unfinished count; adapts to skewed executor speeds
 //!   without any configuration.
-//! - [`SchedulerPolicy::CapacityWeighted`] — a capacity-weighted hash:
-//!   executors receive traffic in proportion to their worker slots
-//!   (`Executor::capacity`, which tracks `BlockScaling` for elastic
-//!   executors), so scale-out shifts traffic toward the grown executor.
 //! - [`SchedulerPolicy::WeightedFair`] — tenant-aware placement for the
 //!   multi-tenant kernel: spread the routing task's *own tenant* evenly
 //!   (its per-executor in-flight count arrives via
@@ -108,17 +103,13 @@ pub trait Scheduler: Send + Sync {
 }
 
 /// Built-in policy selector, part of the kernel configuration.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, Debug)]
 pub enum SchedulerPolicy {
     /// Seeded uniform hash — the paper's random placement (default).
     #[default]
     RandomHash,
-    /// Strict rotation over the configured executors.
-    RoundRobin,
     /// Join-shortest-queue over in-flight counts.
     LeastOutstanding,
-    /// Traffic proportional to provisioned worker slots.
-    CapacityWeighted,
     /// Tenant-aware spread: each tenant's tasks join their own shortest
     /// queue (see [`WeightedFair`]).
     WeightedFair,
@@ -143,14 +134,12 @@ impl SchedulerPolicy {
         SchedulerPolicy::DataAware { alpha: 0.005 }
     }
 
-    /// Materialize the policy. `seed` feeds the hashing policies so
+    /// Materialize the policy. `seed` feeds the hashing policy so
     /// placement is reproducible for a given config seed.
     pub fn build(&self, seed: u64) -> Arc<dyn Scheduler> {
         match self {
             SchedulerPolicy::RandomHash => Arc::new(RandomHash { seed }),
-            SchedulerPolicy::RoundRobin => Arc::new(RoundRobin),
             SchedulerPolicy::LeastOutstanding => Arc::new(LeastOutstanding),
-            SchedulerPolicy::CapacityWeighted => Arc::new(CapacityWeighted { seed }),
             SchedulerPolicy::WeightedFair => Arc::new(WeightedFair),
             SchedulerPolicy::DataAware { alpha } => Arc::new(DataAware { alpha: *alpha }),
             SchedulerPolicy::Custom(s) => Arc::clone(s),
@@ -158,25 +147,14 @@ impl SchedulerPolicy {
     }
 }
 
-impl std::fmt::Debug for SchedulerPolicy {
+impl std::fmt::Debug for dyn Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            SchedulerPolicy::RandomHash => "RandomHash",
-            SchedulerPolicy::RoundRobin => "RoundRobin",
-            SchedulerPolicy::LeastOutstanding => "LeastOutstanding",
-            SchedulerPolicy::CapacityWeighted => "CapacityWeighted",
-            SchedulerPolicy::WeightedFair => "WeightedFair",
-            SchedulerPolicy::DataAware { alpha } => {
-                return write!(f, "DataAware {{ alpha: {alpha} }}")
-            }
-            SchedulerPolicy::Custom(s) => return write!(f, "Custom({})", s.name()),
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 
-/// SplitMix64: the statistically solid single-u64 mixer behind the
-/// hashing policies (and the kernel's historical executor choice).
+/// SplitMix64: the statistically solid single-u64 mixer behind
+/// [`RandomHash`] (and the kernel's historical executor choice).
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -201,19 +179,6 @@ impl Scheduler for RandomHash {
     }
 }
 
-/// Strict rotation by assignment sequence.
-pub struct RoundRobin;
-
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &str {
-        "round_robin"
-    }
-
-    fn assign(&self, candidates: &[ExecutorSnapshot], seq: u64) -> usize {
-        (seq % candidates.len() as u64) as usize
-    }
-}
-
 /// Join-shortest-queue: the executor with the fewest in-flight tasks.
 /// Ties break toward the earlier candidate, which is stable and — because
 /// the dispatcher bumps the local snapshot after every pick — still
@@ -232,36 +197,6 @@ impl Scheduler for LeastOutstanding {
             .min_by_key(|(_, s)| s.outstanding)
             .map(|(i, _)| i)
             .expect("candidates non-empty")
-    }
-}
-
-/// Capacity-proportional hashing: a task lands on executor *i* with
-/// probability `capacity_i / Σ capacity`, so an elastic executor that
-/// scales out (growing `BlockScaling` worker slots) immediately attracts
-/// a proportionally larger share of new traffic.
-pub struct CapacityWeighted {
-    /// Config seed, as in [`RandomHash`].
-    pub seed: u64,
-}
-
-impl Scheduler for CapacityWeighted {
-    fn name(&self) -> &str {
-        "capacity_weighted"
-    }
-
-    fn assign(&self, candidates: &[ExecutorSnapshot], seq: u64) -> usize {
-        // Zero-capacity executors (not yet started, scaled to nothing)
-        // still get one virtual slot so they are reachable.
-        let total: u64 = candidates.iter().map(|s| s.capacity.max(1) as u64).sum();
-        let mut ticket = splitmix64(self.seed.wrapping_add(seq)) % total;
-        for (i, s) in candidates.iter().enumerate() {
-            let w = s.capacity.max(1) as u64;
-            if ticket < w {
-                return i;
-            }
-            ticket -= w;
-        }
-        candidates.len() - 1 // unreachable: tickets cover the full range
     }
 }
 
@@ -373,14 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_rotates() {
-        let rr = RoundRobin;
-        let c = snaps(&[(0, 1), (0, 1), (0, 1)]);
-        let picks: Vec<usize> = (0..6).map(|seq| rr.assign(&c, seq)).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
     fn least_outstanding_joins_shortest_queue() {
         let jsq = LeastOutstanding;
         assert_eq!(jsq.assign(&snaps(&[(5, 1), (2, 1), (9, 1)]), 0), 1);
@@ -389,34 +316,10 @@ mod tests {
     }
 
     #[test]
-    fn capacity_weighted_tracks_slots() {
-        let cw = CapacityWeighted { seed: 42 };
-        // 8-vs-2 slots: expect roughly an 80/20 split over many draws.
-        let c = snaps(&[(0, 8), (0, 2)]);
-        let n = 10_000;
-        let big = (0..n).filter(|&seq| cw.assign(&c, seq) == 0).count();
-        let share = big as f64 / n as f64;
-        assert!((0.75..0.85).contains(&share), "fast share was {share}");
-    }
-
-    #[test]
-    fn capacity_weighted_survives_zero_capacity() {
-        let cw = CapacityWeighted { seed: 1 };
-        let c = snaps(&[(0, 0), (0, 0)]);
-        let mut seen = [false; 2];
-        for seq in 0..32 {
-            seen[cw.assign(&c, seq)] = true;
-        }
-        assert!(seen[0] && seen[1], "zero-capacity executors stay reachable");
-    }
-
-    #[test]
     fn policy_builder_maps_names() {
         for (policy, name) in [
             (SchedulerPolicy::RandomHash, "random_hash"),
-            (SchedulerPolicy::RoundRobin, "round_robin"),
             (SchedulerPolicy::LeastOutstanding, "least_outstanding"),
-            (SchedulerPolicy::CapacityWeighted, "capacity_weighted"),
             (SchedulerPolicy::WeightedFair, "weighted_fair"),
             (SchedulerPolicy::data_aware(), "data_aware"),
         ] {

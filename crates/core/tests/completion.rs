@@ -4,8 +4,10 @@
 use bytes::Bytes;
 use parsl_core::error::{ParslError, TaskError};
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
+use parsl_core::monitor::{MonitorEvent, MonitorSink};
 use parsl_core::prelude::*;
 use parsl_core::registry::AppOptions;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Accepts every task and never completes any — the walltime watcher is
@@ -139,18 +141,76 @@ impl Executor for FrameEcho {
     }
 }
 
-/// Run a memoized fan-in campaign with a checkpoint file; return the
+/// The per-task reference: releases one outcome per frame and waits for
+/// the kernel to commit it before taking the next task, so every outcome
+/// settles in a commit pass of its own. It learns of the commit as the
+/// kernel's monitor, from the task's terminal event.
+#[derive(Default)]
+struct OneByOne {
+    ctx: parking_lot::Mutex<Option<ExecutorContext>>,
+    settled: parking_lot::Mutex<usize>,
+    committed: parking_lot::Condvar,
+}
+
+impl MonitorSink for OneByOne {
+    fn on_event(&self, event: &MonitorEvent) {
+        if matches!(event, MonitorEvent::Task { state, .. } if state.is_terminal()) {
+            *self.settled.lock() += 1;
+            self.committed.notify_all();
+        }
+    }
+}
+
+impl Executor for OneByOne {
+    fn label(&self) -> &str {
+        "one-by-one"
+    }
+    fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
+        *self.ctx.lock() = Some(ctx);
+        Ok(())
+    }
+    fn submit(&self, t: TaskSpec) -> Result<(), ExecutorError> {
+        let ctx = self.ctx.lock().clone().ok_or(ExecutorError::NotRunning)?;
+        let result = (t.app.func)(&t.args)
+            .map(Bytes::from)
+            .map_err(TaskError::App);
+        let mut settled = self.settled.lock();
+        let target = *settled + 1;
+        ctx.completions
+            .send(vec![TaskOutcome::new(t.id, t.attempt, result)])
+            .map_err(|_| ExecutorError::Comm("completions closed".into()))?;
+        while *settled < target {
+            self.committed.wait(&mut settled);
+        }
+        Ok(())
+    }
+    fn outstanding(&self) -> usize {
+        0
+    }
+    fn connected_workers(&self) -> usize {
+        1
+    }
+    fn shutdown(&self) {
+        self.ctx.lock().take();
+    }
+}
+
+/// Run a memoized fan-in campaign with a checkpoint file, on `FrameEcho`
+/// (`batched`) or on the one-outcome-per-pass reference; return the
 /// multiset (sorted list) of checkpoint frames written.
 fn checkpointed_run(path: &std::path::Path, batched: bool) -> Vec<Vec<u8>> {
-    let dfk = DataFlowKernel::builder()
-        .executor(FrameEcho {
+    let builder = DataFlowKernel::builder()
+        .memoize(true)
+        .checkpoint_file(path);
+    let builder = if batched {
+        builder.executor(FrameEcho {
             ctx: parking_lot::Mutex::new(None),
         })
-        .memoize(true)
-        .checkpoint_file(path)
-        .completion_batching(batched)
-        .build()
-        .unwrap();
+    } else {
+        let reference = Arc::new(OneByOne::default());
+        builder.executor_arc(reference.clone()).monitor(reference)
+    };
+    let dfk = builder.build().unwrap();
     let root = dfk.python_app("root", || 0u64);
     let child = dfk.python_app("child", |gate: u64, i: u64| gate + i * 7);
     let gate = parsl_core::call!(root);

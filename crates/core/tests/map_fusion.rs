@@ -1,5 +1,6 @@
 //! Edge cases of the fused `app.map` plane: degenerate iterators, chunk
-//! geometry, and per-item failure attribution with split-retry.
+//! geometry, per-item failure attribution with split-retry, and how often
+//! the fused twin (and its sibling combinator apps) get registered.
 
 use parsl_core::fusion::MapOptions;
 use parsl_core::monitor::{MonitorEvent, MonitorSink};
@@ -170,5 +171,30 @@ fn fused_monitor_events_expand_to_logical_item_counts() {
     // 13 fused Done events, expanding to 100 logical completions.
     assert_eq!(sink.events.load(Ordering::Relaxed), 13);
     assert_eq!(sink.items.load(Ordering::Relaxed), 100);
+    dfk.shutdown();
+}
+
+/// A combinator app whose body depends only on its key — a fused twin on
+/// its inner app, a join on its arity and element type — registers once
+/// per kernel, however often it is used: the registry never removes an
+/// entry, so one registration per call would grow it without bound.
+#[test]
+fn combinator_apps_register_once_per_kernel() {
+    let dfk = dfk();
+    let id = dfk.python_app("id", |x: u32| x);
+    let before = dfk.registry().len();
+    for i in 0..1_000u32 {
+        let all = parsl_core::join_all(&dfk, vec![call!(id, i), call!(id, i + 1)]);
+        assert_eq!(all.result().unwrap(), vec![i, i + 1]);
+    }
+    assert_eq!(
+        dfk.registry().len(),
+        before + 1,
+        "one join app for (2, u32)"
+    );
+    for _ in 0..2 {
+        assert!(id.map(0..10u32).results().iter().all(Result::is_ok));
+    }
+    assert_eq!(dfk.registry().len(), before + 2, "one fused twin for `id`");
     dfk.shutdown();
 }

@@ -1,350 +1,50 @@
-//! Property: batching is semantically invisible on *both* halves of the
-//! task lifecycle. For random layered DAGs (including failing nodes and
-//! retries):
-//!
-//! - **submission**: running on an executor with a *native* batch
-//!   implementation must yield byte-identical results and an identical
-//!   task-state histogram to running on one that submits strictly one
-//!   task per call;
-//! - **collection**: the DFK's batched completion plane
-//!   (`completion_batching(true)`, the default) must produce identical
-//!   results, states, attempt counts, and monitor-event multisets to the
-//!   per-task baseline (`completion_batching(false)`).
-//!
-//! Seeded and deterministic: values are pure functions of the DAG shape.
+//! Property: batching is semantically invisible on both halves of the
+//! task lifecycle. For random layered DAGs (failing nodes, retries), a
+//! kernel whose executor takes tasks one `submit` at a time and one whose
+//! executor runs a whole batch before shipping it as one frame both
+//! produce exactly what the reference interpreter (`support::expect`)
+//! predicts: values and failure kinds, the state histogram, and every
+//! task's launches, retries and single terminal commit. The collector
+//! always drains whatever frames are queued into one commit pass, so the
+//! interpreter — one task at a time — is the per-task side of each
+//! comparison.
 
-use bytes::Bytes;
-use parsl_core::error::{AppError, ParslError, TaskError};
-use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
-use parsl_core::monitor::{MonitorEvent, MonitorSink};
+mod support;
+
 use parsl_core::prelude::*;
-use proptest::collection::vec;
+use parsl_core::ConfigBuilder;
 use proptest::prelude::*;
-use std::sync::Arc;
+use support::{dag_strategy, expect, run, InlineExec};
 
-// ---------------------------------------------------------------------------
-// A minimal inline executor with switchable batch behaviour. `batched:
-// false` refuses the batch path entirely (every task arrives through
-// `submit` and every outcome ships as a one-element frame); `batched:
-// true` executes a whole batch before delivering any outcome, shipping
-// all of them as one frame — the most batch-like schedule possible.
-// ---------------------------------------------------------------------------
-
-struct InlineExec {
-    label: String,
-    batched: bool,
-    ctx: parking_lot::Mutex<Option<ExecutorContext>>,
-}
-
-impl InlineExec {
-    fn new(batched: bool) -> Self {
-        InlineExec {
-            // Same label either way: runs in different modes must emit
-            // identical monitor events.
-            label: "inline".into(),
-            batched,
-            ctx: parking_lot::Mutex::new(None),
-        }
-    }
-
-    fn run(task: &TaskSpec) -> TaskOutcome {
-        let result = (task.app.func)(&task.args)
-            .map(Bytes::from)
-            .map_err(TaskError::App);
-        TaskOutcome::new(task.id, task.attempt, result)
-    }
-}
-
-impl Executor for InlineExec {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        *self.ctx.lock() = Some(ctx);
-        Ok(())
-    }
-
-    fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        let ctx = self.ctx.lock().clone().ok_or(ExecutorError::NotRunning)?;
-        ctx.completions
-            .send(vec![Self::run(&task)])
-            .map_err(|_| ExecutorError::Comm("completions closed".into()))
-    }
-
-    fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        if !self.batched {
-            // Per-task baseline: the provided-trait-method behaviour.
-            for t in tasks {
-                self.submit(t)?;
-            }
-            return Ok(());
-        }
-        let ctx = self.ctx.lock().clone().ok_or(ExecutorError::NotRunning)?;
-        let outcomes: Vec<TaskOutcome> = tasks.iter().map(Self::run).collect();
-        ctx.completions
-            .send(outcomes)
-            .map_err(|_| ExecutorError::Comm("completions closed".into()))
-    }
-
-    fn outstanding(&self) -> usize {
-        0
-    }
-
-    fn connected_workers(&self) -> usize {
-        1
-    }
-
-    fn shutdown(&self) {
-        self.ctx.lock().take();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// An order-insensitive monitor capture: events normalized to comparable
-// tuples (the `at` timestamp dropped — wall-clock differs between runs).
-// ---------------------------------------------------------------------------
-
-/// (kind, task, app, state/reason, executor, attempt)
-type EventKey = (u8, u64, String, String, String, u32);
-
-#[derive(Default)]
-struct Capture(parking_lot::Mutex<Vec<EventKey>>);
-
-impl Capture {
-    fn multiset(&self) -> Vec<EventKey> {
-        let mut v = self.0.lock().clone();
-        v.sort();
-        v
-    }
-}
-
-impl MonitorSink for Capture {
-    fn on_event(&self, event: &MonitorEvent) {
-        let key = match event {
-            MonitorEvent::Task {
-                task,
-                app,
-                state,
-                executor,
-                attempt,
-                ..
-            } => (
-                0u8,
-                task.0,
-                app.to_string(),
-                state.to_string(),
-                executor.clone().unwrap_or_default(),
-                *attempt,
-            ),
-            MonitorEvent::Retry {
-                task,
-                attempt,
-                reason,
-                ..
-            } => (
-                1u8,
-                task.0,
-                String::new(),
-                reason.clone(),
-                String::new(),
-                *attempt,
-            ),
-            MonitorEvent::Workers { .. } | MonitorEvent::Hedge { .. } => return,
-        };
-        self.0.lock().push(key);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Random layered DAGs. Node (li, ni) depends on a subset of layer li−1 and
-// computes base + Σ parents; nodes where `(li * 31 + ni) % 7 == 0` (and
-// `with_failures`) fail instead, exercising DepFail propagation and — with
-// a retry budget — the batched retry path.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Dag {
-    layers: Vec<Vec<Vec<usize>>>,
-    with_failures: bool,
-}
-
-fn dag_strategy() -> impl Strategy<Value = Dag> {
-    let layer_sizes = vec(1usize..5, 2..4);
-    (layer_sizes, any::<bool>()).prop_flat_map(|(sizes, with_failures)| {
-        let mut layer_strats = Vec::new();
-        for i in 0..sizes.len() {
-            let n = sizes[i];
-            let prev = if i == 0 { 0 } else { sizes[i - 1] };
-            let node = if prev == 0 {
-                Just(Vec::new()).boxed()
-            } else {
-                vec(0..prev, 0..=prev.min(3)).boxed()
-            };
-            layer_strats.push(vec(node, n..=n));
-        }
-        layer_strats.prop_map(move |layers| Dag {
-            layers,
-            with_failures,
-        })
-    })
-}
-
-fn fails(dag: &Dag, li: usize, ni: usize) -> bool {
-    dag.with_failures && (li * 31 + ni) % 7 == 0
-}
-
-/// Per-layer node results, total task count, state histogram, per-task
-/// retry counts, and the normalized monitor-event multiset.
-struct RunOutput {
-    values: Vec<Vec<Result<u64, &'static str>>>,
-    task_count: usize,
-    state_counts: Vec<(TaskState, usize)>,
-    retries: Vec<(u64, u32)>,
-    events: Vec<EventKey>,
-}
-
-/// One run of the DAG; `submit_batched` selects the executor's submission
-/// mode, `collect_batched` the DFK's collection mode.
-fn run(dag: &Dag, submit_batched: bool, collect_batched: bool) -> RunOutput {
-    let capture = Arc::new(Capture::default());
-    let store = Arc::new(parsl_monitor_capture::Retries::default());
-    struct Tee(Arc<Capture>, Arc<parsl_monitor_capture::Retries>);
-    impl MonitorSink for Tee {
-        fn on_event(&self, e: &MonitorEvent) {
-            self.0.on_event(e);
-            self.1.on_event(e);
-        }
-    }
-    let dfk = DataFlowKernel::builder()
-        .executor(InlineExec::new(submit_batched))
-        .completion_batching(collect_batched)
-        .retries(1)
-        .monitor(Arc::new(Tee(Arc::clone(&capture), Arc::clone(&store))))
-        .build()
-        .unwrap();
-    let node = dfk.python_app_fallible(
-        "node",
-        |base: u64, deps: Vec<u64>, fail: bool| -> Result<u64, AppError> {
-            if fail {
-                return Err(AppError::msg("poisoned node"));
-            }
-            Ok(deps.into_iter().fold(base, u64::wrapping_add))
-        },
-    );
-
-    let mut futures: Vec<Vec<AppFuture<u64>>> = Vec::new();
-    for (li, layer) in dag.layers.iter().enumerate() {
-        let mut layer_futs = Vec::new();
-        for (ni, deps) in layer.iter().enumerate() {
-            let base = (li as u64 + 1) * 1000 + ni as u64;
-            let dep_futs: Vec<AppFuture<u64>> =
-                deps.iter().map(|&d| futures[li - 1][d].clone()).collect();
-            let joined = parsl_core::combinators::join_all(&dfk, dep_futs);
-            let f = node.call((
-                Dep::value(base),
-                Dep::future(joined),
-                Dep::value(fails(dag, li, ni)),
-            ));
-            layer_futs.push(f);
-        }
-        futures.push(layer_futs);
-    }
-
-    let values: Vec<Vec<Result<u64, &'static str>>> = futures
-        .iter()
-        .map(|layer| {
-            layer
-                .iter()
-                .map(|f| match f.result() {
-                    Ok(v) => Ok(v),
-                    Err(ParslError::Task(TaskError::App(_))) => Err("app"),
-                    Err(ParslError::Task(TaskError::DependencyFailed { .. })) => Err("dep"),
-                    Err(e) => panic!("unexpected error shape: {e:?}"),
-                })
-                .collect()
-        })
-        .collect();
-
-    dfk.wait_for_all();
-    let task_count = dfk.task_count();
-    let mut state_counts: Vec<(TaskState, usize)> = dfk.state_counts().into_iter().collect();
-    state_counts.sort_by_key(|(s, _)| format!("{s}"));
-    dfk.shutdown();
-    RunOutput {
-        values,
-        task_count,
-        state_counts,
-        retries: store.sorted(),
-        events: capture.multiset(),
-    }
-}
-
-/// Tiny helper sink counting retries per task (the attempt-count witness).
-mod parsl_monitor_capture {
-    use super::*;
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    pub struct Retries(parking_lot::Mutex<HashMap<u64, u32>>);
-
-    impl Retries {
-        pub fn sorted(&self) -> Vec<(u64, u32)> {
-            let mut v: Vec<(u64, u32)> = self.0.lock().iter().map(|(&k, &v)| (k, v)).collect();
-            v.sort();
-            v
-        }
-    }
-
-    impl MonitorSink for Retries {
-        fn on_event(&self, event: &MonitorEvent) {
-            if let MonitorEvent::Retry { task, .. } = event {
-                *self.0.lock().entry(task.0).or_insert(0) += 1;
-            }
-        }
-    }
+fn inline(batched: bool) -> ConfigBuilder {
+    DataFlowKernel::builder().executor(InlineExec::new("inline", batched))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Batched and per-task *submission* are observationally identical:
-    /// same per-node values (and failure kinds), same task count, same
-    /// terminal-state histogram.
+    /// Per-task and batched *submission* both match the interpreter.
     #[test]
-    fn batched_equals_per_task(dag in dag_strategy()) {
-        let serial = run(&dag, false, true);
-        let batch = run(&dag, true, true);
-        prop_assert_eq!(serial.values, batch.values);
-        prop_assert_eq!(serial.task_count, batch.task_count);
-        prop_assert_eq!(serial.state_counts, batch.state_counts);
+    fn batched_equals_per_task(dag in dag_strategy(4)) {
+        prop_assert_eq!(run(inline(false), &dag, 1), expect(&dag, 1));
+        prop_assert_eq!(run(inline(true), &dag, 1), expect(&dag, 1));
     }
 
-    /// Batched and per-task *collection* are observationally identical:
-    /// same values, task count, state histogram, per-task retry counts,
-    /// and monitor-event multiset (order-insensitive, timestamps
-    /// excluded).
+    /// Batched *collection* commits what one-at-a-time evaluation does,
+    /// with no retry budget and with a deeper one.
     #[test]
-    fn batched_collection_equals_per_task_collection(dag in dag_strategy()) {
-        let batched = run(&dag, true, true);
-        let per_task = run(&dag, true, false);
-        prop_assert_eq!(batched.values, per_task.values);
-        prop_assert_eq!(batched.task_count, per_task.task_count);
-        prop_assert_eq!(batched.state_counts, per_task.state_counts);
-        prop_assert_eq!(batched.retries, per_task.retries);
-        prop_assert_eq!(batched.events, per_task.events);
+    fn batched_collection_equals_per_task_collection(dag in dag_strategy(4)) {
+        for retries in [0, 2] {
+            prop_assert_eq!(run(inline(true), &dag, retries), expect(&dag, retries));
+        }
     }
 
-    /// Determinism of the fully batched path itself: two runs of the same
-    /// DAG agree bit for bit (and event for event).
+    /// The fully batched path is deterministic: two runs of one DAG both
+    /// match the interpreter.
     #[test]
-    fn batched_run_is_deterministic(dag in dag_strategy()) {
-        let a = run(&dag, true, true);
-        let b = run(&dag, true, true);
-        prop_assert_eq!(a.values, b.values);
-        prop_assert_eq!(a.task_count, b.task_count);
-        prop_assert_eq!(a.state_counts, b.state_counts);
-        prop_assert_eq!(a.retries, b.retries);
-        prop_assert_eq!(a.events, b.events);
+    fn batched_run_is_deterministic(dag in dag_strategy(4)) {
+        let want = expect(&dag, 1);
+        prop_assert_eq!(run(inline(true), &dag, 1), want);
+        prop_assert_eq!(run(inline(true), &dag, 1), want);
     }
 }

@@ -3,19 +3,17 @@
 //! `transfer_cost` at zero on every snapshot, and
 //! [`SchedulerPolicy::DataAware`] must behave exactly like
 //! [`SchedulerPolicy::LeastOutstanding`] — same choice at the policy level
-//! for arbitrary snapshot vectors, and observationally identical runs at
-//! the kernel level for random hint-free DAGs.
+//! for arbitrary snapshot vectors; at the kernel level, runs of random
+//! hint-free DAGs under either policy compute the reference interpreter's
+//! values (`support::expect`) and move no bytes.
 
-use bytes::Bytes;
-use parking_lot::Mutex;
-use parsl_core::error::TaskError;
-use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
-use parsl_core::monitor::{MonitorEvent, MonitorSink};
+mod support;
+
 use parsl_core::prelude::*;
 use parsl_core::scheduler::{DataAware, ExecutorSnapshot, LeastOutstanding, Scheduler};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::Arc;
+use support::{assert_quiescent, dag_strategy, expect, submit, InlineExec};
 
 // ---------------------------------------------------------------------------
 // Policy level: for any snapshot vector with transfer_cost == 0 everywhere,
@@ -59,182 +57,30 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Kernel level: random hint-free DAGs run under DataAware are
-// observationally identical to LeastOutstanding runs — same values, same
-// task count, zero bytes moved through the data plane. (Placement itself
-// is compared only at the policy level above: batch formation depends on
-// dispatcher timing, so even two runs of the *same* policy may batch —
-// and therefore place — differently.)
-// ---------------------------------------------------------------------------
-
-struct InlineExec {
-    label: String,
-    ctx: Mutex<Option<ExecutorContext>>,
-}
-
-impl InlineExec {
-    fn new(label: &str) -> Self {
-        InlineExec {
-            label: label.into(),
-            ctx: Mutex::new(None),
-        }
-    }
-
-    fn run(task: &TaskSpec) -> TaskOutcome {
-        let result = (task.app.func)(&task.args)
-            .map(Bytes::from)
-            .map_err(TaskError::App);
-        TaskOutcome::new(task.id, task.attempt, result)
-    }
-}
-
-impl Executor for InlineExec {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        *self.ctx.lock() = Some(ctx);
-        Ok(())
-    }
-
-    fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        let ctx = self.ctx.lock().clone().ok_or(ExecutorError::NotRunning)?;
-        ctx.completions
-            .send(vec![Self::run(&task)])
-            .map_err(|_| ExecutorError::Comm("completions closed".into()))
-    }
-
-    fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        let ctx = self.ctx.lock().clone().ok_or(ExecutorError::NotRunning)?;
-        let outcomes: Vec<TaskOutcome> = tasks.iter().map(Self::run).collect();
-        ctx.completions
-            .send(outcomes)
-            .map_err(|_| ExecutorError::Comm("completions closed".into()))
-    }
-
-    fn outstanding(&self) -> usize {
-        0
-    }
-
-    fn connected_workers(&self) -> usize {
-        1
-    }
-
-    fn shutdown(&self) {
-        self.ctx.lock().take();
-    }
-}
-
-/// Records (task id, executor label) at launch: the placement witness.
-#[derive(Default)]
-struct Placements(Mutex<Vec<(u64, String)>>);
-
-impl MonitorSink for Placements {
-    fn on_event(&self, e: &MonitorEvent) {
-        if let MonitorEvent::Task {
-            task,
-            state: parsl_core::types::TaskState::Launched,
-            executor: Some(label),
-            ..
-        } = e
-        {
-            self.0.lock().push((task.0, label.clone()));
-        }
-    }
-}
-
-/// A layered DAG: node (li, ni) depends on a subset of layer li−1.
-#[derive(Debug, Clone)]
-struct Dag {
-    layers: Vec<Vec<Vec<usize>>>,
-}
-
-fn dag_strategy() -> impl Strategy<Value = Dag> {
-    let layer_sizes = vec(1usize..5, 2..4);
-    layer_sizes.prop_flat_map(|sizes| {
-        let mut layer_strats = Vec::new();
-        for i in 0..sizes.len() {
-            let n = sizes[i];
-            let prev = if i == 0 { 0 } else { sizes[i - 1] };
-            let node = if prev == 0 {
-                Just(Vec::new()).boxed()
-            } else {
-                vec(0..prev, 0..=prev.min(3)).boxed()
-            };
-            layer_strats.push(vec(node, n..=n));
-        }
-        layer_strats.prop_map(|layers| Dag { layers })
-    })
-}
-
-struct RunOutput {
-    values: Vec<Vec<u64>>,
-    task_count: usize,
-    launched: usize,
-    data_bytes_moved: u64,
-}
-
-fn run(dag: &Dag, policy: SchedulerPolicy) -> RunOutput {
-    let placements = Arc::new(Placements::default());
-    let dfk = DataFlowKernel::builder()
-        .executor(InlineExec::new("e0"))
-        .executor(InlineExec::new("e1"))
-        .executor(InlineExec::new("e2"))
-        .scheduler(policy)
-        .seed(42)
-        .monitor(Arc::clone(&placements) as Arc<dyn MonitorSink>)
-        .build()
-        .unwrap();
-    let node = dfk.python_app("node", |base: u64, deps: Vec<u64>| {
-        deps.into_iter().fold(base, u64::wrapping_add)
-    });
-
-    let mut futures: Vec<Vec<AppFuture<u64>>> = Vec::new();
-    for (li, layer) in dag.layers.iter().enumerate() {
-        let mut layer_futs = Vec::new();
-        for (ni, deps) in layer.iter().enumerate() {
-            let base = (li as u64 + 1) * 1000 + ni as u64;
-            let dep_futs: Vec<AppFuture<u64>> =
-                deps.iter().map(|&d| futures[li - 1][d].clone()).collect();
-            let joined = parsl_core::combinators::join_all(&dfk, dep_futs);
-            layer_futs.push(parsl_core::call!(node, base, joined));
-        }
-        futures.push(layer_futs);
-    }
-
-    let values: Vec<Vec<u64>> = futures
-        .iter()
-        .map(|layer| layer.iter().map(|f| f.result().unwrap()).collect())
-        .collect();
-    dfk.wait_for_all();
-    let task_count = dfk.task_count();
-    let data_bytes_moved = dfk.data_bytes_moved();
-    dfk.shutdown();
-    let launched = placements.0.lock().len();
-    RunOutput {
-        values,
-        task_count,
-        launched,
-        data_bytes_moved,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Hint-free DAGs: a `DataAware` run computes the same values as a
-    /// `LeastOutstanding` run, launches the same number of tasks, and
-    /// moves zero bytes through the data plane.
+    /// Hint-free DAGs on three executors: a `DataAware` run and a
+    /// `LeastOutstanding` run both compute the interpreter's values and
+    /// move zero bytes through the data plane. (Placement itself is
+    /// compared at the policy level above: batch formation depends on
+    /// dispatcher timing, so even two runs of one policy may place
+    /// differently.)
     #[test]
-    fn data_aware_run_equals_least_outstanding_on_hint_free_dags(dag in dag_strategy()) {
-        let da = run(&dag, SchedulerPolicy::data_aware());
-        let jsq = run(&dag, SchedulerPolicy::LeastOutstanding);
-        prop_assert_eq!(da.values, jsq.values);
-        prop_assert_eq!(da.task_count, jsq.task_count);
-        prop_assert_eq!(da.launched, jsq.launched);
-        prop_assert_eq!(da.data_bytes_moved, 0);
-        prop_assert_eq!(jsq.data_bytes_moved, 0);
+    fn data_aware_run_equals_least_outstanding_on_hint_free_dags(dag in dag_strategy(4)) {
+        let want = expect(&dag, 0).values;
+        for policy in [SchedulerPolicy::data_aware(), SchedulerPolicy::LeastOutstanding] {
+            let dfk = DataFlowKernel::builder()
+                .executor(InlineExec::new("e0", true))
+                .executor(InlineExec::new("e1", true))
+                .executor(InlineExec::new("e2", true))
+                .scheduler(policy)
+                .build()
+                .unwrap();
+            prop_assert_eq!(submit(&dfk, &dag), want.clone());
+            prop_assert_eq!(dfk.data_bytes_moved(), 0);
+            assert_quiescent(&dfk);
+            dfk.shutdown();
+        }
     }
 }

@@ -1,64 +1,16 @@
-//! Property: `app.map` is observationally equivalent to N individual
-//! `invoke().call()`s — same per-item values, same failure classification
-//! — for random inputs and chunk sizes, while the monitoring plane sees
-//! fused events that expand to the same logical item counts.
+//! Property: `app.map` is observationally equivalent to calling the app
+//! once per item — same per-item values, same failure classification — for
+//! random inputs and chunk sizes, while the monitoring plane sees fused
+//! events that expand to the same logical item counts.
+
+mod support;
 
 use parsl_core::fusion::MapOptions;
 use parsl_core::monitor::{MonitorEvent, MonitorSink};
 use parsl_core::prelude::*;
-use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// A comparable rendering of one logical item's outcome.
-fn normalize(r: Result<u64, ParslError>) -> Result<u64, String> {
-    match r {
-        Ok(v) => Ok(v),
-        Err(ParslError::Task(TaskError::App(e))) => Err(e.to_string()),
-        Err(e) => panic!("unexpected error shape: {e:?}"),
-    }
-}
-
-fn app_body(x: u64, with_failures: bool) -> Result<u64, AppError> {
-    if with_failures && x % 7 == 0 {
-        Err(AppError::Failure(format!("rejects {x}")))
-    } else {
-        Ok(x.wrapping_mul(2654435761).rotate_left(11))
-    }
-}
-
-fn run_map(inputs: &[u64], chunk: Option<usize>, with_failures: bool) -> Vec<Result<u64, String>> {
-    let dfk = DataFlowKernel::builder()
-        .executor(ImmediateExecutor::new())
-        .build()
-        .unwrap();
-    let app = dfk.python_app_fallible("under_test", move |x: u64| app_body(x, with_failures));
-    let handle = app.map_with(
-        inputs.to_vec(),
-        MapOptions {
-            chunk_size: chunk,
-            ..MapOptions::default()
-        },
-    );
-    let out = handle.results().into_iter().map(normalize).collect();
-    dfk.shutdown();
-    out
-}
-
-fn run_individual(inputs: &[u64], with_failures: bool) -> Vec<Result<u64, String>> {
-    let dfk = DataFlowKernel::builder()
-        .executor(ImmediateExecutor::new())
-        .build()
-        .unwrap();
-    let app = dfk.python_app_fallible("under_test", move |x: u64| app_body(x, with_failures));
-    let futs: Vec<AppFuture<u64>> = inputs
-        .iter()
-        .map(|&x| app.invoke().call((Dep::value(x),)))
-        .collect();
-    let out = futs.into_iter().map(|f| normalize(f.result())).collect();
-    dfk.shutdown();
-    out
-}
+use support::{assert_quiescent, classify, dag_strategy, expect, node_body, Value};
 
 /// Per-terminal-state (events, logical items) tallies.
 #[derive(Default)]
@@ -80,20 +32,48 @@ impl MonitorSink for Tally {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fused map and N individual calls agree item for item: successful
-    /// values byte-for-byte, failures with identical classification and
-    /// message, in input order.
+    /// `map` evaluates a random DAG level by level — each layer one map of
+    /// a one-argument `node` over the nodes whose parents all succeeded,
+    /// fed the values earlier maps returned — and agrees node for node with
+    /// the reference interpreter, which calls the body once per node.
+    /// Poisoned items exercise split-retry at every chunk size.
     #[test]
     fn map_equals_individual_calls(
-        inputs in vec(0u64..1000, 0..60),
+        dag in dag_strategy(24),
         chunk in 1usize..9,
         auto in any::<bool>(),
-        with_failures in any::<bool>(),
     ) {
-        let chunk = if auto { None } else { Some(chunk) };
-        let fused = run_map(&inputs, chunk, with_failures);
-        let individual = run_individual(&inputs, with_failures);
-        prop_assert_eq!(fused, individual);
+        let dfk = DataFlowKernel::builder()
+            .executor(ImmediateExecutor::new())
+            .build()
+            .unwrap();
+        let node = dfk.python_app_fallible("node", |(base, deps, fail): (u64, Vec<u64>, bool)| {
+            node_body(base, deps, fail)
+        });
+        let opts = MapOptions {
+            chunk_size: (!auto).then_some(chunk),
+            ..MapOptions::default()
+        };
+        let mut got: Vec<Value> = Vec::with_capacity(dag.nodes.len());
+        for layer in &dag.layers {
+            let (mut ready, mut inputs) = (Vec::new(), Vec::new());
+            for n in &dag.nodes[layer.clone()] {
+                match n.parents.iter().map(|&p| got[p]).collect::<Result<Vec<u64>, _>>() {
+                    Ok(deps) => {
+                        ready.push(got.len());
+                        inputs.push((n.base, deps, n.poisoned));
+                        got.push(Err("unmapped"));
+                    }
+                    Err(_) => got.push(Err("dep")),
+                }
+            }
+            for (k, r) in ready.into_iter().zip(node.map_with(inputs, opts.clone()).results()) {
+                got[k] = classify(r);
+            }
+        }
+        prop_assert_eq!(got, expect(&dag, 0).values);
+        assert_quiescent(&dfk);
+        dfk.shutdown();
     }
 
     /// The monitor sees ~n/chunk fused Done events whose `items` weights

@@ -1,178 +1,38 @@
 //! Property: multi-tenant *placement* is semantically invisible.
 //! [`SchedulerPolicy::WeightedFair`] only changes where tasks run — never
 //! what runs, what values come out, or how many attempts anything takes —
-//! so for random multi-tenant DAGs (including failing nodes, retries, and
-//! per-tenant quotas that force park/unpark cycles) a run under
-//! `WeightedFair` must be observationally identical to one under the
-//! paper's `RandomHash` placement.
+//! so for random multi-tenant DAGs (failing nodes, retries, and per-tenant
+//! quotas that force park/unpark cycles) a `WeightedFair` run produces
+//! exactly what the reference interpreter (`support::expect`) predicts,
+//! which is also what the default `RandomHash` placement produces
+//! (`proptest_batching`).
 //!
 //! Plus a starvation stress: a light tenant arriving behind another
 //! tenant's large parked backlog must be served interleaved by the
 //! weighted-deficit unpark order, not appended after the backlog.
 
-use bytes::Bytes;
+mod support;
+
 use parking_lot::Mutex;
-use parsl_core::error::{AppError, ParslError, TaskError};
-use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
-use parsl_core::monitor::{MonitorEvent, MonitorSink};
+use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskSpec};
 use parsl_core::prelude::*;
-use proptest::collection::vec;
+use parsl_core::ConfigBuilder;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::{dag_strategy, expect, run, InlineExec};
 
-// ---------------------------------------------------------------------------
-// An inline executor (tasks complete on submission) — placement equivalence
-// needs at least two of these so the scheduler has a real choice to make.
-// ---------------------------------------------------------------------------
-
-struct InlineExec {
-    label: String,
-    ctx: Mutex<Option<ExecutorContext>>,
-}
-
-impl InlineExec {
-    fn new(label: &str) -> Self {
-        InlineExec {
-            label: label.into(),
-            ctx: Mutex::new(None),
-        }
-    }
-
-    fn run(task: &TaskSpec) -> TaskOutcome {
-        let result = (task.app.func)(&task.args)
-            .map(Bytes::from)
-            .map_err(TaskError::App);
-        TaskOutcome::new(task.id, task.attempt, result)
-    }
-}
-
-impl Executor for InlineExec {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        *self.ctx.lock() = Some(ctx);
-        Ok(())
-    }
-
-    fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        let ctx = self.ctx.lock().clone().ok_or(ExecutorError::NotRunning)?;
-        ctx.completions
-            .send(vec![Self::run(&task)])
-            .map_err(|_| ExecutorError::Comm("completions closed".into()))
-    }
-
-    fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        let ctx = self.ctx.lock().clone().ok_or(ExecutorError::NotRunning)?;
-        let outcomes: Vec<TaskOutcome> = tasks.iter().map(Self::run).collect();
-        ctx.completions
-            .send(outcomes)
-            .map_err(|_| ExecutorError::Comm("completions closed".into()))
-    }
-
-    fn outstanding(&self) -> usize {
-        0
-    }
-
-    fn connected_workers(&self) -> usize {
-        1
-    }
-
-    fn shutdown(&self) {
-        self.ctx.lock().take();
-    }
-}
-
-/// Retry counter per task: the attempt-count witness for equivalence.
-#[derive(Default)]
-struct Retries(Mutex<std::collections::HashMap<u64, u32>>);
-
-impl Retries {
-    fn sorted(&self) -> Vec<(u64, u32)> {
-        let mut v: Vec<(u64, u32)> = self.0.lock().iter().map(|(&k, &v)| (k, v)).collect();
-        v.sort();
-        v
-    }
-}
-
-impl MonitorSink for Retries {
-    fn on_event(&self, event: &MonitorEvent) {
-        if let MonitorEvent::Retry { task, .. } = event {
-            *self.0.lock().entry(task.0).or_insert(0) += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Random layered multi-tenant DAGs: node (li, ni) depends on a subset of
-// layer li−1, belongs to tenant (li*7 + ni*3) % 4, and computes
-// base + Σ parents; nodes with (li*31 + ni) % 7 == 0 fail instead (when
-// `with_failures`), exercising DepFail propagation and the retry path
-// across tenant boundaries.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Dag {
-    layers: Vec<Vec<Vec<usize>>>,
-    with_failures: bool,
-}
-
-fn dag_strategy() -> impl Strategy<Value = Dag> {
-    let layer_sizes = vec(1usize..5, 2..4);
-    (layer_sizes, any::<bool>()).prop_flat_map(|(sizes, with_failures)| {
-        let mut layer_strats = Vec::new();
-        for i in 0..sizes.len() {
-            let n = sizes[i];
-            let prev = if i == 0 { 0 } else { sizes[i - 1] };
-            let node = if prev == 0 {
-                Just(Vec::new()).boxed()
-            } else {
-                vec(0..prev, 0..=prev.min(3)).boxed()
-            };
-            layer_strats.push(vec(node, n..=n));
-        }
-        layer_strats.prop_map(move |layers| Dag {
-            layers,
-            with_failures,
-        })
-    })
-}
-
-fn fails(dag: &Dag, li: usize, ni: usize) -> bool {
-    dag.with_failures && (li * 31 + ni) % 7 == 0
-}
-
-fn tenant_of(li: usize, ni: usize) -> TenantId {
-    TenantId(((li * 7 + ni * 3) % 4) as u32)
-}
-
-/// Everything placement must not change: per-node values (and failure
-/// kinds), task count, terminal-state histogram, per-task retry counts,
-/// and the final per-tenant in-flight counters (all zero, or a slot
-/// leaked somewhere in the park/unpark machinery).
-struct RunOutput {
-    values: Vec<Vec<Result<u64, &'static str>>>,
-    task_count: usize,
-    state_counts: Vec<(TaskState, usize)>,
-    retries: Vec<(u64, u32)>,
-    tenant_inflight: Vec<(u32, usize)>,
-}
-
-/// One run of the DAG under the given placement policy. Tenants 0 and 1
-/// carry in-flight quotas so the run exercises quota parking and the
-/// weighted-deficit unpark order, not just placement.
-fn run(dag: &Dag, policy: SchedulerPolicy) -> RunOutput {
-    let retries = Arc::new(Retries::default());
-    let dfk = DataFlowKernel::builder()
-        .executor(InlineExec::new("e0"))
-        .executor(InlineExec::new("e1"))
-        .scheduler(policy)
+/// Two inline executors, so placement is a real choice, under
+/// `WeightedFair`. Tenants 0 and 1 carry in-flight quotas, so runs park
+/// and unpark by the weighted-deficit order, not just place.
+fn weighted_fair() -> ConfigBuilder {
+    DataFlowKernel::builder()
+        .executor(InlineExec::new("e0", true))
+        .executor(InlineExec::new("e1", true))
+        .scheduler(SchedulerPolicy::WeightedFair)
         .seed(42)
-        .retries(1)
         .tenant(
             TenantId(0),
             TenantConfig {
@@ -187,105 +47,26 @@ fn run(dag: &Dag, policy: SchedulerPolicy) -> RunOutput {
                 max_inflight: Some(1),
             },
         )
-        .monitor(Arc::clone(&retries) as Arc<dyn MonitorSink>)
-        .build()
-        .unwrap();
-    let node = dfk.python_app_fallible(
-        "node",
-        |base: u64, deps: Vec<u64>, fail: bool| -> Result<u64, AppError> {
-            if fail {
-                return Err(AppError::msg("poisoned node"));
-            }
-            Ok(deps.into_iter().fold(base, u64::wrapping_add))
-        },
-    );
-
-    let mut futures: Vec<Vec<AppFuture<u64>>> = Vec::new();
-    for (li, layer) in dag.layers.iter().enumerate() {
-        let mut layer_futs = Vec::new();
-        for (ni, deps) in layer.iter().enumerate() {
-            let base = (li as u64 + 1) * 1000 + ni as u64;
-            let dep_futs: Vec<AppFuture<u64>> =
-                deps.iter().map(|&d| futures[li - 1][d].clone()).collect();
-            let joined = parsl_core::combinators::join_all(&dfk, dep_futs);
-            let f = dfk.tenant(tenant_of(li, ni)).call(
-                &node,
-                (
-                    Dep::value(base),
-                    Dep::future(joined),
-                    Dep::value(fails(dag, li, ni)),
-                ),
-            );
-            layer_futs.push(f);
-        }
-        futures.push(layer_futs);
-    }
-
-    let values: Vec<Vec<Result<u64, &'static str>>> = futures
-        .iter()
-        .map(|layer| {
-            layer
-                .iter()
-                .map(|f| match f.result() {
-                    Ok(v) => Ok(v),
-                    Err(ParslError::Task(TaskError::App(_))) => Err("app"),
-                    Err(ParslError::Task(TaskError::DependencyFailed { .. })) => Err("dep"),
-                    Err(e) => panic!("unexpected error shape: {e:?}"),
-                })
-                .collect()
-        })
-        .collect();
-
-    dfk.wait_for_all();
-    let task_count = dfk.task_count();
-    let mut state_counts: Vec<(TaskState, usize)> = dfk.state_counts().into_iter().collect();
-    state_counts.sort_by_key(|(s, _)| format!("{s}"));
-    let mut tenant_inflight: Vec<(u32, usize)> = dfk
-        .tenant_ids()
-        .into_iter()
-        .map(|t| (t.0, dfk.tenant_inflight(t)))
-        .collect();
-    tenant_inflight.sort();
-    dfk.shutdown();
-    RunOutput {
-        values,
-        task_count,
-        state_counts,
-        retries: retries.sorted(),
-        tenant_inflight,
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `WeightedFair` placement is observationally identical to
-    /// `RandomHash`: same values and failure kinds, same task count,
-    /// same terminal-state histogram, same per-task attempt counts —
-    /// and both runs end with every tenant's in-flight count at zero.
+    /// `WeightedFair` placement matches the interpreter: values and
+    /// failure kinds, state histogram, per-task attempts — and the run
+    /// ends with every tenant's in-flight count at zero.
     #[test]
-    fn weighted_fair_equals_random_hash(dag in dag_strategy()) {
-        let fair = run(&dag, SchedulerPolicy::WeightedFair);
-        let random = run(&dag, SchedulerPolicy::RandomHash);
-        prop_assert_eq!(fair.values, random.values);
-        prop_assert_eq!(fair.task_count, random.task_count);
-        prop_assert_eq!(fair.state_counts, random.state_counts);
-        prop_assert_eq!(fair.retries, random.retries);
-        for (tenant, inflight) in fair.tenant_inflight.iter().chain(&random.tenant_inflight) {
-            prop_assert_eq!(*inflight, 0, "tenant {} leaked a slot", tenant);
-        }
+    fn weighted_fair_equals_random_hash(dag in dag_strategy(4)) {
+        prop_assert_eq!(run(weighted_fair(), &dag, 1), expect(&dag, 1));
     }
 
-    /// The multi-tenant path is itself deterministic: two `WeightedFair`
-    /// runs of the same DAG agree bit for bit.
+    /// The multi-tenant path is deterministic: two `WeightedFair` runs of
+    /// one DAG both match the interpreter.
     #[test]
-    fn weighted_fair_run_is_deterministic(dag in dag_strategy()) {
-        let a = run(&dag, SchedulerPolicy::WeightedFair);
-        let b = run(&dag, SchedulerPolicy::WeightedFair);
-        prop_assert_eq!(a.values, b.values);
-        prop_assert_eq!(a.task_count, b.task_count);
-        prop_assert_eq!(a.state_counts, b.state_counts);
-        prop_assert_eq!(a.retries, b.retries);
+    fn weighted_fair_run_is_deterministic(dag in dag_strategy(4)) {
+        let want = expect(&dag, 1);
+        prop_assert_eq!(run(weighted_fair(), &dag, 1), want);
+        prop_assert_eq!(run(weighted_fair(), &dag, 1), want);
     }
 }
 

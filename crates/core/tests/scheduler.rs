@@ -165,60 +165,6 @@ fn least_outstanding_converges_on_the_idle_executor() {
 }
 
 #[test]
-fn round_robin_splits_exactly_evenly() {
-    let a = GatedExecutor::new("a", 1);
-    let b = GatedExecutor::new("b", 1);
-    let dfk = DataFlowKernel::builder()
-        .executor_arc(a.clone())
-        .executor_arc(b.clone())
-        .scheduler(SchedulerPolicy::RoundRobin)
-        .build()
-        .unwrap();
-    let id = dfk.python_app("id", |x: u64| x);
-    let futs: Vec<_> = (0..10).map(|i| parsl_core::call!(id, i)).collect();
-    eventually("all dispatched", || a.submitted() + b.submitted() == 10);
-    assert_eq!(a.submitted(), 5);
-    assert_eq!(b.submitted(), 5);
-    a.complete_all();
-    b.complete_all();
-    for f in &futs {
-        f.result().unwrap();
-    }
-    dfk.shutdown();
-}
-
-#[test]
-fn capacity_weighted_follows_worker_slots() {
-    // 8-vs-2 worker slots: traffic should skew roughly 80/20.
-    let big = GatedExecutor::new("big", 8);
-    let small = GatedExecutor::new("small", 2);
-    let dfk = DataFlowKernel::builder()
-        .executor_arc(big.clone())
-        .executor_arc(small.clone())
-        .scheduler(SchedulerPolicy::CapacityWeighted)
-        .seed(11)
-        .build()
-        .unwrap();
-    let id = dfk.python_app("id", |x: u64| x);
-    let n = 1000u64;
-    let futs: Vec<_> = (0..n).map(|i| parsl_core::call!(id, i)).collect();
-    eventually("all dispatched", || {
-        big.submitted() + small.submitted() == n as usize
-    });
-    let share = big.submitted() as f64 / n as f64;
-    assert!(
-        (0.72..0.88).contains(&share),
-        "big executor share was {share}"
-    );
-    big.complete_all();
-    small.complete_all();
-    for f in &futs {
-        f.result().unwrap();
-    }
-    dfk.shutdown();
-}
-
-#[test]
 fn backpressure_parks_over_cap_tasks_and_drains_on_completion() {
     let ex = GatedExecutor::new("gated", 1);
     let dfk = DataFlowKernel::builder()

@@ -39,12 +39,20 @@ fn main() {
         f.result().expect("chain runs")
     );
 
-    // Parallel fan-out with the map construct, reduced with join_all.
+    // Parallel fan-out with the map construct, then a reduction.
     let square = dfk.python_app("square", |x: i64| x * x);
-    let futs = parsl::core::combinators::map_app(&square, (1..=10).collect());
-    let all = parsl::core::combinators::join_all(&dfk, futs);
-    let sum: i64 = all.result().expect("squares run").iter().sum();
-    println!("sum of squares 1..10: {sum}");
+    let squares: Vec<i64> = square
+        .map(1..=10)
+        .results()
+        .into_iter()
+        .map(|r| r.expect("square runs"))
+        .collect();
+    println!("squares of 1..10: {squares:?}");
+    let sum = square.map_reduce(1..=10, 0, |a, b| a + b);
+    println!(
+        "sum of squares 1..10: {}",
+        sum.result().expect("squares run")
+    );
 
     dfk.shutdown();
 }

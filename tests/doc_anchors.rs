@@ -3,10 +3,8 @@
 //!
 //! An anchor is `crates/<path>.rs::<symbol>`: the file must exist and
 //! declare `fn|struct|enum|trait|const|type|mod <symbol>`. Line-number
-//! anchors into the kernel (`dfk.rs:<digits>`) went stale within a PR of
-//! being written and are refused outright.
-//! So are line numbers into any file of the kernel's crate
-//! (`crates/core/src/<file>.rs:<digits>`): forty-odd had rotted by PR 17.
+//! anchors (`<file>.rs:<digits>`, with or without a path) go stale with
+//! the next edit above them and are refused outright.
 
 use std::path::Path;
 
@@ -40,23 +38,13 @@ fn anchors(text: &str) -> Vec<(&str, &str)> {
     found
 }
 
-/// Offsets in `text` of each `crates/core/src/<path>.rs:<digits>`.
-fn core_line_anchors(text: &str) -> Vec<usize> {
-    let mut found = Vec::new();
-    for (at, _) in text.match_indices("crates/core/src/") {
-        let rest = &text[at..];
-        let path_len = rest
-            .find(|c: char| !(is_ident(c) || matches!(c, '/' | '.' | '-')))
-            .unwrap_or(rest.len());
-        let (path, after) = rest.split_at(path_len);
-        let numbered = after
-            .strip_prefix(':')
-            .is_some_and(|line| line.starts_with(|c: char| c.is_ascii_digit()));
-        if path.ends_with(".rs") && numbered {
-            found.push(at);
-        }
-    }
-    found
+/// Offsets in `text` of each `.rs:<digits>` — a line-number anchor into
+/// any Rust file.
+fn line_anchors(text: &str) -> Vec<usize> {
+    text.match_indices(".rs:")
+        .filter(|&(at, m)| text[at + m.len()..].starts_with(|c: char| c.is_ascii_digit()))
+        .map(|(at, _)| at)
+        .collect()
 }
 
 /// Does `source` contain `<kind> <symbol>` as whole words?
@@ -88,17 +76,9 @@ fn every_code_anchor_names_a_declared_symbol() {
                 Ok(_) => {}
             }
         }
-        for (at, _) in text.match_indices("dfk.rs:") {
-            if text[at + "dfk.rs:".len()..].starts_with(|c: char| c.is_ascii_digit()) {
-                let line = text[..at].lines().count();
-                problems.push(format!("{doc}:{line}: line-number anchor into dfk.rs"));
-            }
-        }
-        for at in core_line_anchors(&text) {
+        for at in line_anchors(&text) {
             let line = text[..at].lines().count();
-            problems.push(format!(
-                "{doc}:{line}: line-number anchor into crates/core/src"
-            ));
+            problems.push(format!("{doc}:{line}: line-number anchor"));
         }
     }
     assert!(problems.is_empty(), "{}", problems.join("\n"));
@@ -120,6 +100,11 @@ fn the_scanner_reads_anchors_and_declarations() {
     assert!(!declares("fn settle_pass(", "settle"));
     assert!(!declares("// settle", "settle"));
     let text = "(`crates/core/src/app.rs:379`), crates/executors/src/htex.rs:40, \
-                crates/core/src/dfk/commit.rs::settle, crates/core/src/dfk/mod.rs:7.";
-    assert_eq!(core_line_anchors(text), [2, text.len() - 29]);
+                crates/core/src/dfk/commit.rs::settle, dfk.rs:7, main.rs:x.";
+    // Where the `.rs` of the first mention of `file` starts.
+    let at = |file: &str| text.find(file).unwrap() + file.len() - ".rs".len();
+    assert_eq!(
+        line_anchors(text),
+        [at("app.rs"), at("htex.rs"), at("dfk.rs")]
+    );
 }

@@ -1,7 +1,7 @@
 //! Integration: DataFlowKernel × HTEX × data staging × monitoring,
 //! exercised together the way a real program would.
 
-use parsl::core::combinators::{barrier, join_all, map_app};
+use parsl::core::combinators::barrier;
 use parsl::data::{DataManager, DataManagerConfig, File, StagedFile};
 use parsl::monitor::MemoryStore;
 use parsl::prelude::*;
@@ -55,10 +55,14 @@ fn staged_pipeline_with_monitoring() {
 fn wide_map_reduce_over_htex() {
     let dfk = DataFlowKernel::builder().executor(htex()).build().unwrap();
     let square = dfk.python_app("square", |x: u64| x * x);
-    let futs = map_app(&square, (0..200).collect());
-    let values = join_all(&dfk, futs).result().unwrap();
-    let expect: u64 = (0..200u64).map(|x| x * x).sum();
-    assert_eq!(values.iter().sum::<u64>(), expect);
+    let squares = square.map(0..200).results();
+    let expect: Vec<u64> = (0..200u64).map(|x| x * x).collect();
+    assert_eq!(
+        squares.into_iter().map(Result::unwrap).collect::<Vec<_>>(),
+        expect
+    );
+    let sum = square.map_reduce(0..200, 0, |a, b| a + b);
+    assert_eq!(sum.result().unwrap(), expect.iter().sum::<u64>());
     dfk.shutdown();
 }
 

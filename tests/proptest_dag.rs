@@ -1,165 +1,67 @@
-//! Property tests on the dependency machinery: for random DAGs, execution
-//! must respect dependency order, produce deterministic values, and count
-//! states consistently — on both the inline and the multi-threaded
-//! executors.
+//! Property tests on the dependency machinery: for random DAGs (failing
+//! nodes, retries), the inline, thread-pool and in-proc HTEX executors all
+//! produce what the reference interpreter (`support::expect`) predicts —
+//! values, failure kinds, state histogram, per-task attempts — whatever
+//! order tasks complete in; and memoization never changes a value.
 
-use parsl::core::combinators::join_all;
+#[path = "../crates/core/tests/support/mod.rs"]
+mod support;
+
+use parsl::executors::{HtexConfig, HtexExecutor, ThreadPoolExecutor};
 use parsl::prelude::*;
-use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::Arc;
-
-/// A random DAG in layered form: each node sums a subset of the previous
-/// layer's nodes (plus its own index).
-#[derive(Debug, Clone)]
-struct LayeredDag {
-    /// For each node in each layer: indices into the previous layer.
-    layers: Vec<Vec<Vec<usize>>>,
-}
-
-fn dag_strategy() -> impl Strategy<Value = LayeredDag> {
-    // 2..5 layers of 1..6 nodes; edges chosen per node.
-    let layer_sizes = vec(1usize..6, 2..5);
-    layer_sizes.prop_flat_map(|sizes| {
-        let mut layer_strats = Vec::new();
-        for i in 0..sizes.len() {
-            let n = sizes[i];
-            let prev = if i == 0 { 0 } else { sizes[i - 1] };
-            let node = if prev == 0 {
-                Just(Vec::new()).boxed()
-            } else {
-                vec(0..prev, 0..=prev.min(4)).boxed()
-            };
-            layer_strats.push(vec(node, n..=n));
-        }
-        layer_strats.prop_map(|layers| LayeredDag { layers })
-    })
-}
-
-/// Reference execution: plain sequential evaluation.
-fn reference_values(dag: &LayeredDag) -> Vec<Vec<u64>> {
-    let mut values: Vec<Vec<u64>> = Vec::new();
-    for (li, layer) in dag.layers.iter().enumerate() {
-        let mut layer_vals = Vec::new();
-        for (ni, deps) in layer.iter().enumerate() {
-            let mut v = (li as u64 + 1) * 1000 + ni as u64;
-            for &d in deps {
-                v = v.wrapping_add(values[li - 1][d]);
-            }
-            layer_vals.push(v);
-        }
-        values.push(layer_vals);
-    }
-    values
-}
-
-/// Execute the DAG on a DataFlowKernel and compare with the reference.
-fn run_dag(dfk: &Arc<DataFlowKernel>, dag: &LayeredDag) {
-    let combine = dfk.python_app("combine", |base: u64, deps: Vec<u64>| {
-        deps.into_iter().fold(base, u64::wrapping_add)
-    });
-    let expected = reference_values(dag);
-
-    let mut futures: Vec<Vec<AppFuture<u64>>> = Vec::new();
-    for (li, layer) in dag.layers.iter().enumerate() {
-        let mut layer_futs = Vec::new();
-        for (ni, deps) in layer.iter().enumerate() {
-            let base = (li as u64 + 1) * 1000 + ni as u64;
-            let dep_futs: Vec<AppFuture<u64>> =
-                deps.iter().map(|&d| futures[li - 1][d].clone()).collect();
-            let joined = join_all(dfk, dep_futs);
-            let f = combine.call((Dep::value(base), Dep::future(joined)));
-            layer_futs.push(f);
-        }
-        futures.push(layer_futs);
-    }
-
-    for (li, layer) in futures.iter().enumerate() {
-        for (ni, f) in layer.iter().enumerate() {
-            let got = f.result().expect("node computes");
-            assert_eq!(got, expected[li][ni], "node ({li},{ni})");
-        }
-    }
-}
+use support::{assert_quiescent, dag_strategy, expect, run, submit};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random DAGs compute reference values on the inline executor.
+    /// Random DAGs on the inline executor.
     #[test]
-    fn dag_values_match_reference_inline(dag in dag_strategy()) {
-        let dfk = DataFlowKernel::builder()
-            .executor(ImmediateExecutor::new())
-            .build()
-            .unwrap();
-        run_dag(&dfk, &dag);
-        dfk.wait_for_all();
-        prop_assert_eq!(dfk.live_tasks(), 0);
-        dfk.shutdown();
+    fn dag_values_match_reference_inline(dag in dag_strategy(5)) {
+        let inline = DataFlowKernel::builder().executor(ImmediateExecutor::new());
+        prop_assert_eq!(run(inline, &dag, 1), expect(&dag, 1));
     }
 
-    /// The same DAGs compute the same values under real thread parallelism
-    /// (order of completion differs; values must not).
+    /// The same under real thread parallelism: completion order differs,
+    /// nothing the interpreter predicts may.
     #[test]
-    fn dag_values_match_reference_threaded(dag in dag_strategy()) {
-        let dfk = DataFlowKernel::builder()
-            .executor(parsl::executors::ThreadPoolExecutor::new(4))
-            .build()
-            .unwrap();
-        run_dag(&dfk, &dag);
-        dfk.wait_for_all();
-        dfk.shutdown();
+    fn dag_values_match_reference_threaded(dag in dag_strategy(5)) {
+        let threaded = DataFlowKernel::builder().executor(ThreadPoolExecutor::new(4));
+        prop_assert_eq!(run(threaded, &dag, 1), expect(&dag, 1));
     }
 
-    /// Memoization must never change results, only execution counts.
+    /// Memoization changes execution counts, never values: submitted twice
+    /// to a memoizing kernel, a DAG computes the interpreter's values both
+    /// times, and the second time every task that succeeded is a memo hit.
     #[test]
-    fn memoization_is_transparent(inputs in vec(0u64..50, 1..30)) {
-        let plain = DataFlowKernel::builder()
-            .executor(ImmediateExecutor::new())
-            .build()
-            .unwrap();
-        let memo = DataFlowKernel::builder()
+    fn memoization_is_transparent(dag in dag_strategy(5)) {
+        let dfk = DataFlowKernel::builder()
             .executor(ImmediateExecutor::new())
             .memoize(true)
             .build()
             .unwrap();
-        let f1 = plain.python_app("f", |x: u64| x.wrapping_mul(2654435761));
-        let f2 = memo.python_app("f", |x: u64| x.wrapping_mul(2654435761));
-        for &x in &inputs {
-            let a = parsl::core::call!(f1, x).result().unwrap();
-            let b = parsl::core::call!(f2, x).result().unwrap();
-            prop_assert_eq!(a, b);
-        }
-        plain.shutdown();
-        memo.shutdown();
+        let want = expect(&dag, 0);
+        prop_assert_eq!(submit(&dfk, &dag), want.values.clone());
+        prop_assert_eq!(submit(&dfk, &dag), want.values);
+        assert_quiescent(&dfk);
+        let counts = dfk.state_counts();
+        let count = |s| counts.get(&s).copied().unwrap_or(0);
+        let succeeded = want.states.get(&TaskState::Done).copied().unwrap_or(0);
+        prop_assert_eq!(count(TaskState::Done) + count(TaskState::Memoized), 2 * succeeded);
+        prop_assert!(count(TaskState::Memoized) >= succeeded);
+        dfk.shutdown();
     }
 
-    /// Every submitted task reaches exactly one terminal state, and the
-    /// state histogram sums to the task count.
+    /// On in-proc HTEX too, every task reaches exactly the terminal state
+    /// the interpreter gives it, once.
     #[test]
-    fn state_accounting_is_consistent(n_ok in 1usize..20, n_fail in 0usize..5) {
-        let dfk = DataFlowKernel::builder()
-            .executor(parsl::executors::ThreadPoolExecutor::new(2))
-            .build()
-            .unwrap();
-        let ok = dfk.python_app("ok", |x: u64| x);
-        let bad = dfk.python_app_fallible(
-            "bad",
-            || -> Result<u64, AppError> { Err(AppError::msg("no")) },
-        );
-        let mut futs = Vec::new();
-        for i in 0..n_ok {
-            futs.push(parsl::core::call!(ok, i as u64));
-        }
-        for _ in 0..n_fail {
-            futs.push(parsl::core::call!(bad));
-        }
-        dfk.wait_for_all();
-        let counts = dfk.state_counts();
-        let total: usize = counts.values().sum();
-        prop_assert_eq!(total, n_ok + n_fail);
-        prop_assert_eq!(counts.get(&TaskState::Done).copied().unwrap_or(0), n_ok);
-        prop_assert_eq!(counts.get(&TaskState::Failed).copied().unwrap_or(0), n_fail);
-        dfk.shutdown();
+    fn state_accounting_is_consistent(dag in dag_strategy(5)) {
+        let htex = HtexExecutor::new(HtexConfig {
+            workers_per_node: 2,
+            nodes_per_block: 2,
+            init_blocks: 1,
+            ..Default::default()
+        });
+        prop_assert_eq!(run(DataFlowKernel::builder().executor(htex), &dag, 1), expect(&dag, 1));
     }
 }

@@ -1,79 +1,20 @@
 //! Property: the transport is semantically invisible. For random layered
-//! DAGs (including failing nodes and retries), running on an HTEX whose
-//! managers are spawned `parsl-worker` *processes* over loopback TCP must
-//! produce results, failure shapes, task-state histograms, and per-task
-//! attempt counts identical to the same DAG on the in-proc fabric.
-//!
-//! Extends the `crates/core/tests/proptest_batching.rs` harness pattern;
-//! the `node` app body is compiled into the worker's builtin table
-//! (`parsl_executors::builtin`) with byte-identical semantics.
+//! DAGs (failing nodes, retries), an HTEX whose managers are spawned
+//! `parsl-worker` *processes* over loopback TCP produces what the
+//! reference interpreter (`support::expect`) predicts — values, failure
+//! kinds, state histogram, per-task attempts — as in-proc HTEX does
+//! (`proptest_dag`). The `node` app body is compiled into the worker's
+//! builtin table (`parsl_executors::builtin`) with byte-identical
+//! semantics.
 
-use parsl::core::combinators::join_all;
-use parsl::core::error::{AppError, ParslError, TaskError};
-use parsl::core::monitor::{MonitorEvent, MonitorSink};
+#[path = "../crates/core/tests/support/mod.rs"]
+mod support;
+
 use parsl::executors::{HtexConfig, HtexExecutor, TcpHtexOptions};
 use parsl::prelude::*;
-use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
-
-// ---------------------------------------------------------------------------
-// Random layered DAGs (same shape as proptest_batching): node (li, ni)
-// depends on a subset of layer li−1 and computes base + Σ parents; nodes
-// where `(li * 31 + ni) % 7 == 0` (and `with_failures`) fail instead,
-// exercising retry and DepFail propagation across the socket.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Dag {
-    layers: Vec<Vec<Vec<usize>>>,
-    with_failures: bool,
-}
-
-fn dag_strategy() -> impl Strategy<Value = Dag> {
-    let layer_sizes = vec(1usize..4, 2..4);
-    (layer_sizes, any::<bool>()).prop_flat_map(|(sizes, with_failures)| {
-        let mut layer_strats = Vec::new();
-        for i in 0..sizes.len() {
-            let n = sizes[i];
-            let prev = if i == 0 { 0 } else { sizes[i - 1] };
-            let node = if prev == 0 {
-                Just(Vec::new()).boxed()
-            } else {
-                vec(0..prev, 0..=prev.min(3)).boxed()
-            };
-            layer_strats.push(vec(node, n..=n));
-        }
-        layer_strats.prop_map(move |layers| Dag {
-            layers,
-            with_failures,
-        })
-    })
-}
-
-fn fails(dag: &Dag, li: usize, ni: usize) -> bool {
-    dag.with_failures && (li * 31 + ni) % 7 == 0
-}
-
-/// Per-task retry counts (the attempt-count witness).
-#[derive(Default)]
-struct Retries(std::sync::Mutex<std::collections::HashMap<u64, u32>>);
-
-impl MonitorSink for Retries {
-    fn on_event(&self, event: &MonitorEvent) {
-        if let MonitorEvent::Retry { task, .. } = event {
-            *self.0.lock().unwrap().entry(task.0).or_insert(0) += 1;
-        }
-    }
-}
-
-struct RunOutput {
-    values: Vec<Vec<Result<u64, &'static str>>>,
-    task_count: usize,
-    state_counts: Vec<(TaskState, usize)>,
-    retries: Vec<(u64, u32)>,
-}
+use support::{dag_strategy, expect, run};
 
 fn htex_config() -> HtexConfig {
     HtexConfig {
@@ -88,107 +29,22 @@ fn htex_config() -> HtexConfig {
     }
 }
 
-fn run(dag: &Dag, tcp: bool) -> RunOutput {
-    let retries = Arc::new(Retries::default());
-    let htex: Arc<HtexExecutor> = if tcp {
-        Arc::new(
-            HtexExecutor::tcp(
-                htex_config(),
-                TcpHtexOptions {
-                    worker_cmd: vec![env!("CARGO_BIN_EXE_parsl-worker").to_string()],
-                    ..Default::default()
-                },
-            )
-            .expect("bind loopback hub"),
-        )
-    } else {
-        Arc::new(HtexExecutor::new(htex_config()))
-    };
-    let dfk = DataFlowKernel::builder()
-        .executor_arc(htex)
-        .retries(1)
-        .monitor(retries.clone())
-        .build()
-        .unwrap();
-    // Must match the worker's builtin `node` body byte for byte.
-    let node = dfk.python_app_fallible(
-        "node",
-        |base: u64, deps: Vec<u64>, fail: bool| -> Result<u64, AppError> {
-            if fail {
-                return Err(AppError::msg("poisoned node"));
-            }
-            Ok(deps.into_iter().fold(base, u64::wrapping_add))
-        },
-    );
-
-    let mut futures: Vec<Vec<AppFuture<u64>>> = Vec::new();
-    for (li, layer) in dag.layers.iter().enumerate() {
-        let mut layer_futs = Vec::new();
-        for (ni, deps) in layer.iter().enumerate() {
-            let base = (li as u64 + 1) * 1000 + ni as u64;
-            let dep_futs: Vec<AppFuture<u64>> =
-                deps.iter().map(|&d| futures[li - 1][d].clone()).collect();
-            let joined = join_all(&dfk, dep_futs);
-            let f = node.call((
-                Dep::value(base),
-                Dep::future(joined),
-                Dep::value(fails(dag, li, ni)),
-            ));
-            layer_futs.push(f);
-        }
-        futures.push(layer_futs);
-    }
-
-    let values: Vec<Vec<Result<u64, &'static str>>> = futures
-        .iter()
-        .map(|layer| {
-            layer
-                .iter()
-                .map(|f| match f.result_timeout(Duration::from_secs(60)) {
-                    Ok(v) => Ok(v),
-                    Err(ParslError::Task(TaskError::App(_))) => Err("app"),
-                    Err(ParslError::Task(TaskError::DependencyFailed { .. })) => Err("dep"),
-                    Err(e) => panic!("unexpected error shape: {e:?}"),
-                })
-                .collect()
-        })
-        .collect();
-
-    dfk.wait_for_all();
-    let task_count = dfk.task_count();
-    let mut state_counts: Vec<(TaskState, usize)> = dfk.state_counts().into_iter().collect();
-    state_counts.sort_by_key(|(s, _)| format!("{s}"));
-    dfk.shutdown();
-    let mut sorted: Vec<(u64, u32)> = retries
-        .0
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(&k, &v)| (k, v))
-        .collect();
-    sorted.sort();
-    RunOutput {
-        values,
-        task_count,
-        state_counts,
-        retries: sorted,
-    }
-}
-
 proptest! {
     // TCP runs spawn real processes; keep the case count CI-sized.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Loopback-TCP HTEX and in-proc HTEX are observationally identical:
-    /// same per-node values and failure kinds, same task count, same
-    /// terminal-state histogram, same per-task attempt counts.
+    /// Loopback-TCP HTEX matches the interpreter, so it is observationally
+    /// identical to in-proc HTEX.
     #[test]
-    fn tcp_htex_equals_in_proc_htex(dag in dag_strategy()) {
-        let in_proc = run(&dag, false);
-        let tcp = run(&dag, true);
-        prop_assert_eq!(in_proc.values, tcp.values);
-        prop_assert_eq!(in_proc.task_count, tcp.task_count);
-        prop_assert_eq!(in_proc.state_counts, tcp.state_counts);
-        prop_assert_eq!(in_proc.retries, tcp.retries);
+    fn tcp_htex_equals_in_proc_htex(dag in dag_strategy(3)) {
+        let tcp = HtexExecutor::tcp(
+            htex_config(),
+            TcpHtexOptions {
+                worker_cmd: vec![env!("CARGO_BIN_EXE_parsl-worker").to_string()],
+                ..Default::default()
+            },
+        )
+        .expect("bind loopback hub");
+        prop_assert_eq!(run(DataFlowKernel::builder().executor(tcp), &dag, 1), expect(&dag, 1));
     }
 }
