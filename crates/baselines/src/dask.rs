@@ -55,6 +55,10 @@ impl DaskLikeExecutor {
             connected: Arc::new(AtomicUsize::new(0)),
         }
     }
+
+    fn workers(&self) -> impl Iterator<Item = Addr> + '_ {
+        (0..self.cfg.workers).map(|i| Addr::new(format!("{}:worker-{i}", self.cfg.label)))
+    }
 }
 
 impl Executor for DaskLikeExecutor {
@@ -75,16 +79,8 @@ impl Executor for DaskLikeExecutor {
                 scheduler_loop(sched_ep, &stop, &client_addr, &connected, max_connections)
             })?;
 
-        for i in 0..self.cfg.workers {
-            let fabric = self.fabric.clone();
-            let sched_addr = self.client.ix_addr().clone();
-            let addr = Addr::new(format!("{}:worker-{i}", self.cfg.label));
-            let registry = Arc::clone(&registry);
-            let stop = self.client.stop_flag();
-            self.client
-                .spawn(format!("{}-worker-{i}", self.cfg.label), move || {
-                    crate::direct_worker_loop(fabric, sched_addr, registry, addr, &stop)
-                })?;
+        for addr in self.workers() {
+            crate::spawn_direct_worker(&self.client, &self.fabric, &registry, addr)?;
         }
         Ok(())
     }
@@ -102,7 +98,13 @@ impl Executor for DaskLikeExecutor {
     }
 
     fn shutdown(&self) {
-        self.client.shutdown();
+        crate::stop_direct_workers(&self.client, &self.fabric, self.workers());
+    }
+}
+
+impl Drop for DaskLikeExecutor {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 

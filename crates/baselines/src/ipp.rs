@@ -54,6 +54,10 @@ impl IppExecutor {
             connected: Arc::new(AtomicUsize::new(0)),
         }
     }
+
+    fn engines(&self) -> impl Iterator<Item = Addr> + '_ {
+        (0..self.cfg.engines).map(|i| Addr::new(format!("{}:engine-{i}", self.cfg.label)))
+    }
 }
 
 impl Executor for IppExecutor {
@@ -76,16 +80,8 @@ impl Executor for IppExecutor {
                 hub_loop(hub_ep, &stop, &client_addr, &connected, max_connections)
             })?;
 
-        for i in 0..self.cfg.engines {
-            let fabric = self.fabric.clone();
-            let hub_addr = self.client.ix_addr().clone();
-            let addr = Addr::new(format!("{}:engine-{i}", self.cfg.label));
-            let registry = Arc::clone(&registry);
-            let stop = self.client.stop_flag();
-            self.client
-                .spawn(format!("{}-engine-{i}", self.cfg.label), move || {
-                    crate::direct_worker_loop(fabric, hub_addr, registry, addr, &stop)
-                })?;
+        for addr in self.engines() {
+            crate::spawn_direct_worker(&self.client, &self.fabric, &registry, addr)?;
         }
         Ok(())
     }
@@ -103,7 +99,13 @@ impl Executor for IppExecutor {
     }
 
     fn shutdown(&self) {
-        self.client.shutdown();
+        crate::stop_direct_workers(&self.client, &self.fabric, self.engines());
+    }
+}
+
+impl Drop for IppExecutor {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 

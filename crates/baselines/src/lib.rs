@@ -30,61 +30,49 @@ pub use dask::{DaskConfig, DaskLikeExecutor};
 pub use fireworks::{FireworksConfig, FireworksExecutor};
 pub use ipp::{IppConfig, IppExecutor};
 
-use nexus::{Addr, Fabric, RecvError};
+use nexus::{Addr, Fabric};
+use parsl_core::executor::ExecutorError;
 use parsl_core::registry::AppRegistry;
-use parsl_executors::kernel;
-use parsl_executors::proto::{decode, encode, ToInterchange, ToManager};
-use std::sync::atomic::{AtomicBool, Ordering};
+use parsl_executors::client::Client;
+use parsl_executors::worker::{manager_loop, Fanout, ManagerCfg};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A worker (Dask) or engine (IPP) connected straight to its broker: bind
-/// `addr`, register one slot, then run each task batch handed over and
-/// send its results back, until a shutdown frame or `stop`.
-fn direct_worker_loop(
-    fabric: Fabric,
-    broker_addr: Addr,
-    registry: Arc<AppRegistry>,
+/// Start a worker (Dask) or engine (IPP) connected straight to its broker
+/// at `addr`: HTEX's manager loop with one slot, run inline. These brokers
+/// send no heartbeats, so it never gives up on a silent one; it stops on
+/// a shutdown frame, or when [`stop_direct_workers`] kills its endpoint.
+fn spawn_direct_worker(
+    client: &Client,
+    fabric: &Fabric,
+    registry: &Arc<AppRegistry>,
     addr: Addr,
-    stop: &AtomicBool,
-) {
-    let Ok(ep) = fabric.bind(addr.clone()) else {
-        return;
+) -> Result<(), ExecutorError> {
+    let ep = fabric
+        .bind(addr.clone())
+        .map_err(|e| ExecutorError::Comm(e.to_string()))?;
+    let cfg = ManagerCfg {
+        workers: 1,
+        prefetch: 0,
+        batch_size: 1,
+        heartbeat_period: Duration::from_millis(100),
+        heartbeat_threshold: Duration::MAX,
+        reconnect: false,
     };
-    let _ = ep.send(
-        &broker_addr,
-        encode(&ToInterchange::Register {
-            name: addr.to_string(),
-            capacity: 1,
-            held: vec![],
-        }),
-    );
-    loop {
-        // Poll the stop flag: a worker that registers after the broker
-        // has already exited would otherwise wait for a shutdown frame
-        // that never comes and hang the executor's join.
-        let env = match ep.recv_timeout(Duration::from_millis(50)) {
-            Ok(env) => env,
-            Err(RecvError::Timeout) if !stop.load(Ordering::Acquire) => continue,
-            Err(_) => return,
-        };
-        match decode::<ToManager>(&env.payload) {
-            Ok(ToManager::Tasks(tasks)) => {
-                let results: Vec<_> = tasks
-                    .iter()
-                    .map(|t| kernel::execute(&registry, t, addr.as_str()))
-                    .collect();
-                if ep
-                    .send(&broker_addr, encode(&ToInterchange::Results(results)))
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(ToManager::Shutdown) => return,
-            _ => {}
-        }
+    let (broker, registry) = (client.ix_addr().clone(), Arc::clone(registry));
+    client.spawn(addr.to_string(), move || {
+        manager_loop(Box::new(ep), registry, broker, cfg, Fanout::Inline)
+    })
+}
+
+/// Stop the broker and its direct workers. A worker that registered after
+/// the broker exited would never hear a shutdown frame, so every endpoint
+/// is killed before the client joins the threads.
+fn stop_direct_workers(client: &Client, fabric: &Fabric, workers: impl Iterator<Item = Addr>) {
+    for addr in workers {
+        fabric.kill(&addr);
     }
+    client.shutdown();
 }
 
 #[cfg(test)]

@@ -26,8 +26,8 @@
 //! | `Outcome`, attempt neither the primary's nor the hedge's | unchanged | none (stale) |
 //! | `Outcome(Err)` of the hedge | unchanged, hedge forgotten | hedge slot released |
 //! | `Outcome(Ok)` of primary or hedge | `Done` | release, cancel the other attempt, service sample, output recorded in the data map, checkpoint frame if memoizable, monitor event, fire |
-//! | `Outcome(Err)` of the primary, retries left | `Launched` on a fresh attempt number | release, cancel the hedge, fresh charge via `route_retry`, walltime armed, `Retry` monitor event, spec to resubmit |
-//! | `Outcome(Err)` of the primary, no retries left | `Failed` | release, cancel the hedge, monitor event, fire |
+//! | `Outcome(Err)` of the primary, retries left | `Launched` on a fresh attempt number | release, cancel the hedge (and the primary on a walltime expiry), fresh charge via `route_retry`, walltime armed, `Retry` monitor event, spec to resubmit |
+//! | `Outcome(Err)` of the primary, no retries left | `Failed` | release, cancel the hedge (and the primary on a walltime expiry), monitor event, fire |
 //! | `Settle { state, result }` | `state` (`Memoized`, `DepFail` or `Failed`) | release, monitor event, fire |
 
 use super::record::{TaskRecord, TABLE_SHARDS};
@@ -84,7 +84,8 @@ pub(super) struct Effects {
     events: Vec<MonitorEvent>,
     /// Next attempts to submit, with the executor each was routed to.
     retries: Vec<(TaskSpec, usize)>,
-    /// Losing attempts of settled hedge races: (executor, task, attempt).
+    /// Attempts to stop, the losers of settled hedge races and expired
+    /// primaries: (executor, task, attempt).
     cancels: Vec<(usize, TaskId, u32)>,
     /// Observed per-item service times.
     samples: Vec<(AppId, Duration)>,
@@ -252,6 +253,14 @@ impl DataFlowKernel {
                         (TaskState::Done, Ok(bytes))
                     }
                     Err(e) => {
+                        // An expired attempt is still running or queued
+                        // somewhere: cancel it as a hedge loser is, so it
+                        // does not keep a worker the retry could use.
+                        if matches!(e, TaskError::WalltimeExceeded) {
+                            if let Some(i) = rec.charged {
+                                fx.cancels.push((i, id, rec.attempt));
+                            }
+                        }
                         // A lost manager takes its staged files down with
                         // it: drop every residency claim for the executor
                         // so readers stop being attracted to copies that
@@ -354,9 +363,10 @@ impl DataFlowKernel {
             "a park entry survived its task's terminal commit"
         );
 
-        // Cancel the losing halves of settled hedge races. Advisory:
-        // an executor that cannot cancel simply runs the loser to
-        // completion and its outcome is discarded by the attempt filter.
+        // Cancel the losing halves of settled hedge races and the attempts
+        // walltime expired. Advisory: an executor that cannot cancel
+        // simply runs the attempt to completion and its outcome is
+        // discarded by the attempt filter.
         for (idx, id, attempt) in fx.cancels.drain(..) {
             self.executors[idx].cancel(id, attempt);
         }

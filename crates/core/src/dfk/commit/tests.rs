@@ -11,7 +11,7 @@
 //! the way the shutdown sweep would, and checks what the kernel relies
 //! on: one fire per task, terminal states absorb, charges net to zero,
 //! at most one checkpoint frame, a retry outnumbers every attempt that
-//! was ever in flight.
+//! was ever in flight, an expired attempt in flight is cancelled.
 
 use super::{Effects, Event};
 use crate::dfk::record::TaskRecord;
@@ -163,9 +163,17 @@ fn check(retries: u32, start_parked: bool, memoizable: bool, ops: &[(u8, u8)]) {
         };
 
         let (state, attempt, before) = (rec.state, rec.attempt, sizes(&fx));
-        let was_parked = rec.parked;
+        let (was_parked, charged) = (rec.parked, rec.charged);
         dfk.transition(&mut rec, event, &mut fx);
 
+        if op == 3 && !state.is_terminal() {
+            if let Some(i) = charged {
+                assert!(
+                    fx.cancels[before[4]..].contains(&(i, id, attempt)),
+                    "an expired attempt in flight was not cancelled"
+                );
+            }
+        }
         if state.is_terminal() {
             assert_eq!(rec.state, state, "a terminal state was left");
             assert_eq!(

@@ -2,13 +2,13 @@
 //! Figure 2a: "the executor client submits tasks and receives results on
 //! behalf of the DataFlowKernel").
 //!
-//! HTEX, EXEX, LLEX and the Dask/IPP baselines differ in what sits behind
-//! the broker address — an interchange with managers, MPI pools, a
-//! stateless relay, a central scheduler, a hub — but the half that faces
-//! the DFK is the same: a port on the message plane, an outstanding-task
-//! gauge, a receive thread turning `ToClient` frames into completion
-//! batches, and a stop flag plus joined threads for teardown. Each of
-//! those executors owns one [`Client`].
+//! HTEX (in all three of its shapes, LLEX and EXEX among them) and the
+//! Dask/IPP baselines differ in what sits behind the broker address — an
+//! interchange with managers, a central scheduler, a hub — but the half
+//! that faces the DFK is the same: a port on the message plane, an
+//! outstanding-task gauge, a receive thread turning `ToClient` frames
+//! into completion batches, and a stop flag plus joined threads for
+//! teardown. Each of those executors owns one [`Client`].
 //!
 //! # The outbox
 //!
@@ -314,8 +314,8 @@ impl Client {
         Ok(broker_ep)
     }
 
-    /// Spawn a named thread that [`Client::shutdown`] joins (brokers,
-    /// managers, workers).
+    /// Spawn a named thread that [`Client::shutdown`] joins (brokers and
+    /// the baselines' workers).
     pub fn spawn(
         &self,
         name: String,
@@ -893,8 +893,9 @@ mod tests {
     }
 
     /// LLEX submits through [`Client::submit`]: one frame per call, of a
-    /// `Submit` frame's size, however much is already queued at its relay
-    /// (no workers here, so nothing ever drains and nothing else sends).
+    /// `Submit` frame's size, however much is already queued at its
+    /// interchange (no workers here, so nothing ever drains and nothing
+    /// else sends).
     #[test]
     fn llex_still_sends_one_submit_frame_per_task() {
         let fabric = Fabric::new();

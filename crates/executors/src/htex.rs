@@ -1,21 +1,26 @@
-//! The High Throughput Executor (§4.3.1).
+//! The High Throughput Executor (§4.3.1), and the one executor type
+//! behind LLEX and EXEX too.
 //!
 //! Three components, mirroring Figure 2a:
 //!
 //! - the **executor client** ([`crate::client::Client`], shared with the
-//!   other wire executors) submits tasks and receives results on behalf
-//!   of the DataFlowKernel;
-//! - the **interchange** ([`crate::interchange`], shared with EXEX)
-//!   brokers between client and managers: it queues tasks, matches them
-//!   to managers with advertised capacity using randomized selection for
-//!   fairness, relays result batches, answers a synchronous command
-//!   channel, and watches heartbeats;
+//!   Dask/IPP baselines) submits tasks and receives results on behalf of
+//!   the DataFlowKernel;
+//! - the **interchange** ([`crate::interchange`]) brokers between client
+//!   and managers: it queues tasks, matches them to managers with
+//!   advertised capacity using randomized selection for fairness, relays
+//!   result batches, answers a synchronous command channel, and watches
+//!   heartbeats;
 //! - **managers** (pilot agents, one per node, [`crate::worker`])
 //!   register capacity (`workers_per_node + prefetch`), receive task
-//!   batches, feed a pool of worker threads, and batch results back.
+//!   batches, hand them to their workers, and batch results back.
 //!
 //! What this file adds is the topology (in-proc fabric or TCP), the node
-//! lifecycle (add, retire, kill) and block scaling.
+//! lifecycle (add, retire, kill, stop at shutdown) and block scaling. A
+//! [`NodeShape`] says what a node is: built from an [`HtexConfig`] its
+//! manager feeds worker threads, while [`crate::LlexExecutor`] and
+//! [`crate::ExexExecutor`] are this type over the shapes their configs
+//! build (one inline worker per node; a pool of MPI ranks).
 //!
 //! Fault tolerance follows the paper: managers and the interchange
 //! exchange periodic heartbeats. A manager that loses the interchange
@@ -32,7 +37,7 @@
 use crate::client::{Client, Cover};
 use crate::interchange::{interchange_loop, IxParams};
 use crate::proto::{Command, CommandReply, ToInterchange};
-use crate::worker::{manager_loop, ManagerCfg};
+use crate::worker::{manager_loop, Fanout, ManagerCfg};
 use nexus::{Addr, Fabric, Port, SpokeConfig, TcpHub, TcpSpoke, Transport};
 use parking_lot::Mutex;
 use parsl_core::executor::{BlockScaling, Executor, ExecutorContext, ExecutorError, TaskSpec};
@@ -91,6 +96,28 @@ impl Default for HtexConfig {
             init_blocks: 1,
             seed: 0,
         }
+    }
+}
+
+/// What the nodes of an [`HtexExecutor`] are: HTEX's knobs plus how each
+/// manager runs its tasks. Built only from the executor configs:
+/// [`HtexConfig`] (worker threads), [`crate::LlexConfig`] and
+/// [`crate::ExexConfig`] (see their `From` impls).
+#[derive(Debug, Clone)]
+pub struct NodeShape {
+    cfg: HtexConfig,
+    fanout: Fanout,
+}
+
+impl NodeShape {
+    pub(crate) fn new(cfg: HtexConfig, fanout: Fanout) -> Self {
+        NodeShape { cfg, fanout }
+    }
+}
+
+impl From<HtexConfig> for NodeShape {
+    fn from(cfg: HtexConfig) -> Self {
+        NodeShape::new(cfg, Fanout::Threads)
     }
 }
 
@@ -168,6 +195,7 @@ enum Topology {
 /// The High Throughput Executor. See module docs.
 pub struct HtexExecutor {
     cfg: HtexConfig,
+    fanout: Fanout,
     topo: Topology,
     client: Client,
     connected_workers: Arc<AtomicUsize>,
@@ -180,27 +208,31 @@ pub struct HtexExecutor {
     /// draining set (graceful deregister or heartbeat loss). Drives
     /// [`BlockScaling::draining_blocks`] and the providers' drain probes.
     draining_nodes: Arc<AtomicUsize>,
+    /// The managers the interchange told to stop on its way out, written
+    /// when it exits. Shutdown kills every other node.
+    stopped: Arc<Mutex<Vec<Addr>>>,
 }
 
 impl HtexExecutor {
     /// Build an executor over its own private fabric.
-    pub fn new(cfg: HtexConfig) -> Self {
-        Self::on_fabric(cfg, Fabric::new())
+    pub fn new(shape: impl Into<NodeShape>) -> Self {
+        Self::on_fabric(shape, Fabric::new())
     }
 
     /// Build over an externally supplied fabric (tests inject latency and
     /// faults this way).
-    pub fn on_fabric(cfg: HtexConfig, fabric: Fabric) -> Self {
-        Self::with_topology(cfg, Topology::InProc(fabric))
+    pub fn on_fabric(shape: impl Into<NodeShape>, fabric: Fabric) -> Self {
+        Self::with_topology(shape.into(), Topology::InProc(fabric))
     }
 
     /// Build over real TCP: the interchange listens on a [`TcpHub`] and
-    /// every `add_node` spawns a `parsl-worker` process that connects
-    /// back. Fails if the hub socket cannot bind.
+    /// every `add_node` spawns a `parsl-worker` process, whose manager
+    /// feeds worker threads, that connects back. Fails if the hub socket
+    /// cannot bind.
     pub fn tcp(cfg: HtexConfig, opts: TcpHtexOptions) -> std::io::Result<Self> {
         let hub = TcpHub::bind(&opts.bind)?;
         Ok(Self::with_topology(
-            cfg,
+            cfg.into(),
             Topology::Tcp(TcpTopology {
                 hub,
                 opts,
@@ -209,16 +241,18 @@ impl HtexExecutor {
         ))
     }
 
-    fn with_topology(cfg: HtexConfig, topo: Topology) -> Self {
+    fn with_topology(NodeShape { cfg, fanout }: NodeShape, topo: Topology) -> Self {
         HtexExecutor {
             client: Client::new(&cfg.label, "ix"),
             cfg,
+            fanout,
             topo,
             connected_workers: Arc::new(AtomicUsize::new(0)),
             next_node: AtomicU64::new(0),
             nodes: Mutex::new(Vec::new()),
             blocks: AtomicUsize::new(0),
             draining_nodes: Arc::new(AtomicUsize::new(0)),
+            stopped: Arc::default(),
         }
     }
 
@@ -251,11 +285,13 @@ impl HtexExecutor {
                     heartbeat_threshold: cfg.heartbeat_threshold,
                     reconnect: false,
                 };
-                let ix_addr = self.client.ix_addr().clone();
-                self.client
-                    .spawn(format!("{}-mgr-{n}", cfg.label), move || {
-                        manager_loop(Box::new(ep), registry, ix_addr, mgr_cfg)
-                    })
+                let (ix_addr, fanout) = (self.client.ix_addr().clone(), self.fanout);
+                // The thread stands in for a node's process, so nothing
+                // joins it: shutdown stops it (a `Shutdown`, or a killed
+                // endpoint) without waiting on a task wedged in app code.
+                std::thread::Builder::new()
+                    .name(format!("{}-mgr-{n}", cfg.label))
+                    .spawn(move || manager_loop(Box::new(ep), registry, ix_addr, mgr_cfg, fanout))
                     .expect("spawn manager");
             }
             Topology::Tcp(t) => {
@@ -360,26 +396,27 @@ impl Executor for HtexExecutor {
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
         let comm = |e: &dyn std::fmt::Display| ExecutorError::Comm(e.to_string());
+        let registry = Arc::clone(&ctx.registry);
         // Attach the interchange to the plane; over TCP the client also
         // crosses a real socket (a spoke into the hub), so the submit
         // path pays genuine per-frame transport costs.
-        let ix_addr = self.client.ix_addr().clone();
-        let client_addr = self.client.client_addr().clone();
-        let (ix_ep, client_ep): (Box<dyn Port>, Arc<dyn Port>) = match &self.topo {
-            Topology::InProc(fabric) => (
-                Box::new(fabric.bind(ix_addr).map_err(|e| comm(&e))?),
-                Arc::new(fabric.bind(client_addr).map_err(|e| comm(&e))?),
-            ),
-            Topology::Tcp(t) => (
-                t.hub.attach(ix_addr).map_err(|e| comm(&e))?,
-                Arc::new(
+        let ix_ep: Box<dyn Port> = match &self.topo {
+            Topology::InProc(fabric) => {
+                Box::new(self.client.start_on_fabric(fabric, ctx, "manager")?)
+            }
+            Topology::Tcp(t) => {
+                let ix_ep = t
+                    .hub
+                    .attach(self.client.ix_addr().clone())
+                    .map_err(|e| comm(&e))?;
+                let client_addr = self.client.client_addr().clone();
+                let spoke =
                     TcpSpoke::connect(t.hub.local_addr(), client_addr, SpokeConfig::default())
-                        .map_err(|e| comm(&e))?,
-                ),
-            ),
+                        .map_err(|e| comm(&e))?;
+                self.client.start(Arc::new(spoke), ctx, "manager")?;
+                ix_ep
+            }
         };
-        let registry = Arc::clone(&ctx.registry);
-        self.client.start(client_ep, ctx, "manager")?;
 
         let params = IxParams {
             client_addr: self.client.client_addr().clone(),
@@ -392,9 +429,10 @@ impl Executor for HtexExecutor {
             draining_nodes: Arc::clone(&self.draining_nodes),
             stop: self.client.stop_flag(),
         };
+        let stopped = Arc::clone(&self.stopped);
         self.client
             .spawn(format!("{}-ix", self.cfg.label), move || {
-                interchange_loop(ix_ep, registry, params)
+                *stopped.lock() = interchange_loop(ix_ep, registry, params);
             })?;
 
         for _ in 0..self.cfg.init_blocks {
@@ -433,30 +471,35 @@ impl Executor for HtexExecutor {
         self.connected_workers.load(Ordering::Relaxed)
     }
 
+    /// Stop the interchange, then every node: a manager the interchange
+    /// told to stop drains and exits by itself; any other node (still
+    /// starting, or declared lost) was never told, so it is killed rather
+    /// than waited on.
     fn shutdown(&self) {
         self.client.shutdown();
-        // Reap spawned worker processes: the interchange's Shutdown fan-out
-        // makes them drain and exit; anything still alive after a grace
-        // period is killed so no orphans outlive the executor.
-        if let Topology::Tcp(t) = &self.topo {
-            let mut children: Vec<(Addr, Child)> = t.children.lock().drain().collect();
-            let deadline = Instant::now() + Duration::from_secs(5);
-            for (_, child) in &mut children {
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        _ => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                    }
+        let stopped = std::mem::take(&mut *self.stopped.lock());
+        let nodes = std::mem::take(&mut *self.nodes.lock());
+        match &self.topo {
+            Topology::InProc(fabric) => {
+                for addr in nodes.iter().filter(|a| !stopped.contains(a)) {
+                    fabric.kill(addr);
                 }
             }
-            t.hub.shutdown();
+            Topology::Tcp(t) => {
+                // A told worker process is reaped once it exits; the
+                // deadline only bounds one that cannot finish its drain.
+                let deadline = Instant::now() + Duration::from_secs(5);
+                for (addr, mut child) in t.children.lock().drain() {
+                    if stopped.contains(&addr) {
+                        while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
+                    }
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
+                t.hub.shutdown();
+            }
         }
     }
 
@@ -692,19 +735,28 @@ mod tests {
     /// Draining a node mid-burst loses nothing: every task still returns
     /// Ok exactly once, the retired manager finishes its held work and
     /// deregisters (`draining_nodes` settles back to 0), and capacity
-    /// drops to the surviving node.
+    /// drops to the surviving node. Worker threads and MPI ranks alike.
     #[test]
     fn drain_under_load_loses_no_tasks() {
-        let registry = AppRegistry::new();
-        let app = sleep_app(&registry);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let htex = HtexExecutor::new(HtexConfig {
+        drain_under_load(HtexConfig {
             workers_per_node: 1,
             prefetch: 1,
             init_blocks: 2,
             nodes_per_block: 1,
             ..Default::default()
         });
+        drain_under_load(crate::ExexConfig {
+            ranks_per_pool: 2,
+            init_pools: 2,
+            ..Default::default()
+        });
+    }
+
+    fn drain_under_load(shape: impl Into<NodeShape>) {
+        let registry = AppRegistry::new();
+        let app = sleep_app(&registry);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let htex = HtexExecutor::new(shape);
         htex.start(ExecutorContext {
             completions: tx,
             registry: Arc::clone(&registry),
@@ -749,51 +801,73 @@ mod tests {
     /// queued at the interchange comes back "cancelled before dispatch",
     /// a task already held by a manager is skipped by the worker
     /// ("cancelled"), and an uncancelled running task completes normally.
-    /// Either way the outstanding gauge returns to zero.
+    /// Either way the outstanding gauge returns to zero. An MPI pool has
+    /// no prefetch, so it holds nothing beyond what runs: only the queued
+    /// half applies to it.
     #[test]
     fn cancel_settles_queued_and_held_tasks() {
+        // One manager advertising two slots (1 worker + 1 prefetch): the
+        // blocker runs, t2 is held, t3 stays queued at the interchange.
+        cancel_settles(
+            HtexConfig {
+                workers_per_node: 1,
+                prefetch: 1,
+                init_blocks: 1,
+                nodes_per_block: 1,
+                ..Default::default()
+            },
+            true,
+        );
+        // One pool of one worker rank: the blocker runs, t3 stays queued.
+        cancel_settles(
+            crate::ExexConfig {
+                ranks_per_pool: 2,
+                ..Default::default()
+            },
+            false,
+        );
+    }
+
+    fn cancel_settles(shape: impl Into<NodeShape>, held: bool) {
         let registry = AppRegistry::new();
         let app = sleep_app(&registry);
         let (tx, rx) = crossbeam::channel::unbounded();
-        // One manager advertising two slots (1 worker + 1 prefetch): the
-        // blocker runs, t2 is held, t3 stays queued at the interchange.
-        let htex = HtexExecutor::new(HtexConfig {
-            workers_per_node: 1,
-            prefetch: 1,
-            init_blocks: 1,
-            nodes_per_block: 1,
-            ..Default::default()
-        });
+        let htex = HtexExecutor::new(shape);
         htex.start(ExecutorContext {
             completions: tx,
             registry: Arc::clone(&registry),
         })
         .unwrap();
 
-        htex.submit_batch(vec![
-            spec(&app, 1, 300), // blocker: occupies the only worker
-            spec(&app, 2, 0),   // held by the manager behind the blocker
-            spec(&app, 3, 0),   // never leaves the interchange queue
-        ])
-        .unwrap();
+        let mut batch = vec![spec(&app, 1, 300)]; // blocker: occupies the only worker
+        if held {
+            batch.push(spec(&app, 2, 0)); // held by the manager behind the blocker
+        }
+        batch.push(spec(&app, 3, 0)); // never leaves the interchange queue
+        let n = batch.len();
+        htex.submit_batch(batch).unwrap();
         // Wait for dispatch so the blocker is running and t2 is held.
         std::thread::sleep(Duration::from_millis(100));
-        htex.cancel(TaskId(2), 0);
+        if held {
+            htex.cancel(TaskId(2), 0);
+        }
         htex.cancel(TaskId(3), 0);
 
         let mut outcomes = std::collections::HashMap::new();
-        while outcomes.len() < 3 {
+        while outcomes.len() < n {
             for o in rx.recv_timeout(Duration::from_secs(10)).expect("settles") {
                 outcomes.insert(o.id.0, o.result);
             }
         }
         let v: u64 = wire::from_bytes(outcomes[&1].as_ref().unwrap()).unwrap();
         assert_eq!(v, 1, "uncancelled blocker completes normally");
-        let held_err = format!("{:?}", outcomes[&2].as_ref().unwrap_err());
-        assert!(
-            held_err.contains("cancelled"),
-            "held-task cancel: {held_err}"
-        );
+        if held {
+            let held_err = format!("{:?}", outcomes[&2].as_ref().unwrap_err());
+            assert!(
+                held_err.contains("cancelled"),
+                "held-task cancel: {held_err}"
+            );
+        }
         let queued_err = format!("{:?}", outcomes[&3].as_ref().unwrap_err());
         assert!(
             queued_err.contains("cancelled before dispatch"),

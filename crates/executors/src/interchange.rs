@@ -9,9 +9,10 @@
 //! reported to the client so the DFK can retry them. Results from a
 //! manager the interchange no longer accounts for are discarded.
 //!
-//! HTEX runs it with node managers behind it; EXEX runs the same loop
-//! with MPI pool managers ("identical broker role", §4.3.2) and
-//! `prefetch: 0`.
+//! Every executor shape runs it: HTEX's managers feed worker threads,
+//! EXEX's are MPI pool leaders ("identical broker role", §4.3.2) with
+//! `prefetch: 0`, and LLEX's run one task at a time inline with no
+//! heartbeat expiry.
 
 use crate::proto::{
     decode, encode, Command, CommandReply, ToClient, ToInterchange, ToManager, WireApp, WireResult,
@@ -69,9 +70,11 @@ fn node_drained(draining_nodes: &AtomicUsize) {
 }
 
 /// Run the interchange on `ep` until a `Shutdown` frame, a
-/// `ShutdownExecutor` command or `p.stop`; managers are told to shut down
-/// on the way out. `registry` resolves app ids for advertisement.
-pub fn interchange_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, p: IxParams) {
+/// `ShutdownExecutor` command or `p.stop`; registered managers are told to
+/// shut down on the way out. Returns the managers so told: the executor
+/// kills every other node it started. `registry` resolves app ids for
+/// advertisement.
+pub fn interchange_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, p: IxParams) -> Vec<Addr> {
     let mut pending: VecDeque<WireTask> = VecDeque::new();
     let mut managers: HashMap<Addr, ManagerInfo> = HashMap::new();
     let mut blacklist: HashSet<Addr> = HashSet::new();
@@ -353,10 +356,10 @@ pub fn interchange_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, p: IxPara
         }
     }
 
-    // Shutdown: stop every manager.
-    for addr in managers.keys() {
-        let _ = ep.send(addr, encode(&ToManager::Shutdown));
-    }
+    managers
+        .into_keys()
+        .filter(|addr| ep.send(addr, encode(&ToManager::Shutdown)).is_ok())
+        .collect()
 }
 
 #[cfg(test)]
@@ -458,10 +461,8 @@ mod tests {
         // nothing may come out the other side.
         let second = rx.recv_timeout(4 * HEARTBEAT_THRESHOLD);
         let outstanding = ex.outstanding();
-        // Tear down before asserting: the interchange no longer knows
-        // `holder`, so its shutdown fan-out would miss it and a failed
-        // assertion would hang in the executor's drop instead of reporting.
-        fabric.kill(&holder);
+        // The interchange no longer knows `holder`, so its shutdown fan-out
+        // misses it and the executor kills it instead.
         ex.shutdown();
         assert!(second.is_err(), "stale results forwarded: {second:?}");
         assert_eq!(outstanding, 0, "outstanding gauge decremented twice");
@@ -483,7 +484,7 @@ mod tests {
                     fabric.clone(),
                 ));
                 exex.start(ctx).unwrap();
-                let pool = exex.pools().remove(0);
+                let pool = exex.nodes().remove(0);
                 (exex, pool, Addr::new("exex:ix"))
             },
             k,

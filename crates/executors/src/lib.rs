@@ -8,14 +8,16 @@
 //! | Executor | Paper target | This crate |
 //! |---|---|---|
 //! | [`ThreadPoolExecutor`] | single node | worker threads in-process |
-//! | [`HtexExecutor`] | ≤2000 nodes, high throughput | [`interchange`] + per-node managers ([`worker`]) + workers over the `nexus` fabric or TCP; batching, prefetch, heartbeats, command channel |
-//! | [`ExexExecutor`] | >1000 nodes | the same [`interchange`] in front of `minimpi` pools: rank 0 manages, other ranks work; fate-sharing faults |
-//! | [`LlexExecutor`] | latency-sensitive | stateless relay, direct worker connections, no tracking |
+//! | [`HtexExecutor`] | ≤2000 nodes, high throughput | [`interchange`] + per-node managers ([`worker`]) + worker threads over the `nexus` fabric or TCP; batching, prefetch, heartbeats, command channel |
+//! | [`ExexExecutor`] | >1000 nodes | `HtexExecutor` whose nodes are `minimpi` pools: rank 0 manages, other ranks work; no prefetch; fate-sharing faults |
+//! | [`LlexExecutor`] | latency-sensitive | `HtexExecutor` whose nodes are one worker run inline by its manager; no prefetch, no batching, no heartbeat expiry, a fixed pool |
 //!
-//! The three wire executors (and the `baselines` crate's Dask/IPP
-//! models) share one client half, [`client::Client`]: the port, the
-//! outstanding gauge, the outbox, the receive thread and teardown. What
-//! each adds is what sits behind the broker address.
+//! There is one wire executor, [`HtexExecutor`]; a [`NodeShape`] built
+//! from [`HtexConfig`], [`LlexConfig`] or [`ExexConfig`] picks how its
+//! managers run tasks ([`worker::Fanout`]). It shares its client half,
+//! [`client::Client`] — the port, the outstanding gauge, the outbox, the
+//! receive thread and teardown — with the `baselines` crate's Dask/IPP
+//! models.
 //!
 //! Single [`Executor::submit`](parsl_core::executor::Executor::submit)
 //! calls batch too, on HTEX: while the interchange's backlog already
@@ -41,7 +43,7 @@ pub mod threadpool;
 pub mod worker;
 
 pub use exex::{ExexConfig, ExexExecutor};
-pub use htex::{default_worker_cmd, HtexConfig, HtexExecutor, TcpHtexOptions};
+pub use htex::{default_worker_cmd, HtexConfig, HtexExecutor, NodeShape, TcpHtexOptions};
 pub use llex::{LlexConfig, LlexExecutor};
 pub use model::{CampaignResult, FrameworkModel, ScaleFailure};
 pub use threadpool::ThreadPoolExecutor;
@@ -205,7 +207,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         // Add a second worker so the retry can run while the first worker
         // is stuck sleeping (LLEX itself never notices).
-        llex.add_worker();
+        llex.add_node();
         assert_eq!(f.result().unwrap(), 9);
         dfk.shutdown();
     }
@@ -250,10 +252,10 @@ mod tests {
         });
         let f = parsl_core::call!(slow, 1u64);
         std::thread::sleep(Duration::from_millis(100));
-        let pools = exex.pools();
+        let pools = exex.nodes();
         assert_eq!(pools.len(), 1);
-        exex.kill_pool(&pools[0]);
-        exex.add_pool();
+        exex.kill_node(&pools[0]);
+        exex.add_node();
         assert_eq!(f.result().unwrap(), 2);
         dfk.shutdown();
     }

@@ -47,7 +47,7 @@ impl ThreadPoolExecutor {
     }
 }
 
-fn worker_loop(
+fn worker_thread(
     label: String,
     index: usize,
     rx: Receiver<WireTask>,
@@ -104,7 +104,7 @@ impl Executor for ThreadPoolExecutor {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("{label}-w{i}"))
-                    .spawn(move || worker_loop(label, i, rx, ctx, outstanding))
+                    .spawn(move || worker_thread(label, i, rx, ctx, outstanding))
                     .map_err(|e| ExecutorError::Comm(format!("spawn worker: {e}")))?,
             );
         }

@@ -1,16 +1,30 @@
-//! The HTEX manager (pilot agent), generalized over the transport.
+//! The manager (pilot agent): one loop per node, for every executor shape.
 //!
-//! One manager runs per node: it registers capacity with the interchange,
-//! feeds a pool of worker threads from received task batches, batches
-//! results back, and keeps the heartbeat contract (§4.3.1). The same loop
-//! serves both deployment shapes:
+//! A manager registers capacity with the interchange, hands each accepted
+//! task to its fan-out, batches the results back, and keeps the heartbeat
+//! contract (§4.3.1). The fan-out ([`Fanout`]) is all that differs between
+//! the three executor shapes:
+//!
+//! - **threads**: a pool of worker threads on a shared queue (HTEX);
+//! - **inline**: the manager thread runs each task itself, LLEX's missing
+//!   manager hop (§4.3.3);
+//! - **ranks**: a `minimpi` world whose rank 0 is the manager and sends
+//!   each task to an idle worker rank (EXEX, §4.3.2). The world aborting
+//!   ends the manager, and a manager that ends without draining aborts the
+//!   world: MPI fate sharing.
+//!
+//! Every fan-out checks the cancel set before it runs a task and reports
+//! into the loop's one result funnel, so registration, heartbeats, the
+//! silence exit, re-registration, app binding, cancel and drain exist once.
+//!
+//! A manager runs in one of two deployments:
 //!
 //! - **in-proc** (`HtexExecutor::add_node`): a thread holding a fabric
 //!   endpoint, sharing the client's app registry;
-//! - **spawned process** (`parsl-worker` bin via [`run_worker`]): a
-//!   [`nexus::TcpSpoke`] back to the interchange's hub, resolving apps
-//!   from the compiled-in builtin table as the interchange advertises
-//!   them.
+//! - **spawned process** (`parsl-worker` bin via [`run_worker`], threads
+//!   fan-out): a [`nexus::TcpSpoke`] back to the interchange's hub,
+//!   resolving apps from the compiled-in builtin table as the interchange
+//!   advertises them.
 //!
 //! With `reconnect` enabled the manager re-registers — carrying its held
 //! `(task, attempt)` set so the interchange can reconcile accounting —
@@ -19,9 +33,10 @@
 //! silence makes the manager exit, "to avoid resource wastage".
 
 use crate::builtin;
+use crate::exex::Ranks;
 use crate::kernel;
 use crate::proto::{encode, ToInterchange, ToManager, WireResult, WireTask};
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{unbounded, Sender};
 use nexus::{Addr, Port, SpokeConfig, TcpSpoke};
 use parking_lot::Mutex;
 use parsl_core::error::AppError;
@@ -29,12 +44,13 @@ use parsl_core::registry::{AppId, AppOptions, AppRegistry};
 use parsl_core::types::AppKind;
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Manager tuning, the per-node slice of `HtexConfig`.
 #[derive(Debug, Clone)]
 pub struct ManagerCfg {
-    /// Worker threads in this manager's pool.
+    /// Workers behind this manager.
     pub workers: usize,
     /// Extra advertised slots beyond the workers (task prefetch).
     pub prefetch: usize,
@@ -49,48 +65,140 @@ pub struct ManagerCfg {
     pub reconnect: bool,
 }
 
-/// Run one manager until shutdown or link death. Blocks the caller.
-pub fn manager_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, ix_addr: Addr, cfg: ManagerCfg) {
-    let addr = ep.addr().clone();
+/// How a manager runs the tasks it accepts. See the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fanout {
+    /// A pool of worker threads on a shared queue.
+    Threads,
+    /// The manager thread runs each task itself.
+    Inline,
+    /// Rank 0 of a `minimpi` world sends each task to an idle worker rank.
+    Ranks,
+}
 
-    // Worker pool: shared task queue, common result funnel. Cancelled
-    // attempts (hedge losers) are checked at pick-up: the kernel is
-    // skipped but a failed result still flows back, so `held` accounting
-    // and the interchange's outstanding map settle identically either way.
-    let (task_tx, task_rx) = unbounded::<WireTask>();
-    let (result_tx, result_rx) = unbounded::<WireResult>();
-    let cancelled: Arc<Mutex<HashSet<(u64, u32)>>> = Arc::new(Mutex::new(HashSet::new()));
-    let mut worker_handles = Vec::with_capacity(cfg.workers);
-    for w in 0..cfg.workers {
-        let task_rx = task_rx.clone();
-        let result_tx = result_tx.clone();
-        let registry = Arc::clone(&registry);
-        let cancelled = Arc::clone(&cancelled);
-        let name = format!("{addr}:w{w}");
-        worker_handles.push(
-            std::thread::Builder::new()
-                .name(name.clone())
-                .spawn(move || {
-                    while let Ok(task) = task_rx.recv() {
-                        let result = if cancelled.lock().remove(&(task.id, task.attempt)) {
-                            WireResult {
-                                id: task.id,
-                                attempt: task.attempt,
-                                outcome: Err(AppError::msg("cancelled")),
-                                worker: name.clone(),
-                            }
-                        } else {
-                            kernel::execute(&registry, &task, &name)
-                        };
-                        if result_tx.send(result).is_err() {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn worker"),
-        );
+/// What every fan-out runs a task with: the cancel check at pick-up, the
+/// kernel, and the manager's result funnel. A cancelled attempt (a hedge
+/// loser, an expired walltime) is skipped but still answered, so `held`
+/// and the interchange's accounting settle the same either way.
+#[derive(Clone)]
+pub(crate) struct Runner {
+    registry: Arc<AppRegistry>,
+    cancelled: Arc<Mutex<HashSet<(u64, u32)>>>,
+    results: Sender<WireResult>,
+}
+
+impl Runner {
+    /// Run `task` as `worker` and report it. False once the manager is
+    /// gone.
+    pub(crate) fn run(&self, task: &WireTask, worker: &str) -> bool {
+        let result = if self.cancelled.lock().remove(&(task.id, task.attempt)) {
+            WireResult {
+                id: task.id,
+                attempt: task.attempt,
+                outcome: Err(AppError::msg("cancelled")),
+                worker: worker.to_string(),
+            }
+        } else {
+            kernel::execute(&self.registry, task, worker)
+        };
+        self.results.send(result).is_ok()
     }
-    drop(result_tx); // manager holds only the receiver side
+}
+
+/// A manager's running fan-out.
+enum Workers {
+    Threads {
+        queue: Sender<WireTask>,
+        handles: Vec<JoinHandle<()>>,
+    },
+    Inline {
+        name: String,
+    },
+    Ranks(Ranks),
+}
+
+impl Workers {
+    fn spawn(fanout: Fanout, n: usize, runner: &Runner, node: &Addr) -> Self {
+        match fanout {
+            Fanout::Threads => {
+                let (queue, tasks) = unbounded::<WireTask>();
+                let handles = (0..n)
+                    .map(|w| {
+                        let (tasks, runner) = (tasks.clone(), runner.clone());
+                        let name = format!("{node}:w{w}");
+                        std::thread::Builder::new()
+                            .name(name.clone())
+                            .spawn(move || {
+                                while let Ok(task) = tasks.recv() {
+                                    if !runner.run(&task, &name) {
+                                        return;
+                                    }
+                                }
+                            })
+                            .expect("spawn worker")
+                    })
+                    .collect();
+                Workers::Threads { queue, handles }
+            }
+            Fanout::Inline => Workers::Inline {
+                name: format!("{node}:w0"),
+            },
+            Fanout::Ranks => Workers::Ranks(Ranks::spawn(n, runner, node)),
+        }
+    }
+
+    /// Hand over one accepted task. False once the fan-out is gone.
+    fn dispatch(&mut self, task: WireTask, runner: &Runner) -> bool {
+        match self {
+            Workers::Threads { queue, .. } => queue.send(task).is_ok(),
+            Workers::Inline { name } => runner.run(&task, name),
+            Workers::Ranks(ranks) => ranks.dispatch(task).is_ok(),
+        }
+    }
+
+    /// `result` left the funnel: the rank that ran it is idle again.
+    fn finished(&mut self, result: &WireResult) {
+        if let Workers::Ranks(ranks) = self {
+            ranks.finished(result.id, result.attempt);
+        }
+    }
+
+    /// Whether the fan-out died under the manager (an aborted world).
+    fn aborted(&self) -> bool {
+        matches!(self, Workers::Ranks(ranks) if ranks.is_aborted())
+    }
+
+    /// The graceful end, once every accepted task has been answered.
+    fn stop(self) {
+        match self {
+            Workers::Threads { queue, handles } => {
+                drop(queue);
+                for h in handles {
+                    let _ = h.join();
+                }
+            }
+            Workers::Inline { .. } => {}
+            Workers::Ranks(ranks) => ranks.stop(),
+        }
+    }
+}
+
+/// Run one manager until shutdown or link death. Blocks the caller.
+pub fn manager_loop(
+    ep: Box<dyn Port>,
+    registry: Arc<AppRegistry>,
+    ix_addr: Addr,
+    cfg: ManagerCfg,
+    fanout: Fanout,
+) {
+    let addr = ep.addr().clone();
+    let (result_tx, result_rx) = unbounded::<WireResult>();
+    let runner = Runner {
+        registry: Arc::clone(&registry),
+        cancelled: Arc::default(),
+        results: result_tx,
+    };
+    let mut workers = Workers::spawn(fanout, cfg.workers, &runner, &addr);
 
     let capacity = cfg.workers + cfg.prefetch;
     // Tasks accepted but not yet returned as results. Doubles as the
@@ -125,7 +233,7 @@ pub fn manager_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, ix_addr: Addr
                     Ok(ToManager::Tasks(batch)) => {
                         for t in batch {
                             held.insert((t.id, t.attempt));
-                            if task_tx.send(t).is_err() {
+                            if !workers.dispatch(t, &runner) {
                                 return;
                             }
                         }
@@ -155,7 +263,7 @@ pub fn manager_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, ix_addr: Addr
                         // else already returned (or never arrived) and the
                         // entry would leak.
                         if held.contains(&(id, attempt)) {
-                            cancelled.lock().insert((id, attempt));
+                            runner.cancelled.lock().insert((id, attempt));
                         }
                     }
                     Ok(ToManager::Shutdown) => {
@@ -165,28 +273,29 @@ pub fn manager_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, ix_addr: Addr
                 }
             }
             recv(result_rx) -> res => {
-                if let Ok(res) = res {
+                // Batch aggressively under load (drain whatever has
+                // already accumulated), but never sit on results when the
+                // funnel is empty — idle latency must not pay the batching
+                // timer.
+                let mut next = res.ok();
+                while let Some(res) = next {
                     held.remove(&(res.id, res.attempt));
+                    workers.finished(&res);
                     result_buf.push(res);
-                    // Batch aggressively under load (drain whatever has
-                    // already accumulated), but never sit on results when
-                    // the funnel is empty — idle latency must not pay the
-                    // batching timer.
-                    while result_buf.len() < cfg.batch_size {
-                        match result_rx.try_recv() {
-                            Ok(more) => {
-                                held.remove(&(more.id, more.attempt));
-                                result_buf.push(more);
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
+                    next = if result_buf.len() < cfg.batch_size {
+                        result_rx.try_recv().ok()
+                    } else {
+                        None
+                    };
                 }
+                flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
             }
             recv(ticker) -> _ => {
+                if workers.aborted() {
+                    return;
+                }
                 // Prune cancel marks whose attempt raced its result out.
-                cancelled.lock().retain(|k| held.contains(k));
+                runner.cancelled.lock().retain(|k| held.contains(k));
                 flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
                 let _ = ep.send(
                     &ix_addr,
@@ -225,10 +334,7 @@ pub fn manager_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, ix_addr: Addr
                     name: addr.to_string(),
                 }),
             );
-            drop(task_tx);
-            for h in worker_handles {
-                let _ = h.join();
-            }
+            workers.stop();
             return;
         }
     }
@@ -292,6 +398,7 @@ pub fn run_worker(opts: WorkerOptions) -> Result<(), String> {
             heartbeat_threshold: opts.heartbeat_threshold,
             reconnect: true,
         },
+        Fanout::Threads,
     );
     Ok(())
 }

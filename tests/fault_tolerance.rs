@@ -234,9 +234,9 @@ fn exex_pool_fate_sharing_is_recovered_by_retries() {
     let futs: Vec<_> = (0..8u64).map(|i| parsl::core::call!(slow, i)).collect();
     std::thread::sleep(Duration::from_millis(50));
     // Crash one pool: every rank in it dies together (MPI semantics).
-    let pools = exex.pools();
-    exex.kill_pool(&pools[0]);
-    exex.add_pool();
+    let pools = exex.nodes();
+    exex.kill_node(&pools[0]);
+    exex.add_node();
     for (i, f) in futs.iter().enumerate() {
         assert_eq!(f.result().unwrap(), 2 * i as u64);
     }
@@ -281,15 +281,18 @@ fn walltime_plus_retries_recover_a_hung_task() {
         .retries(1)
         .build()
         .unwrap();
+    // The hung attempt blocks until the gate's sender drops.
+    let (gate, gate_rx) = std::sync::mpsc::sync_channel::<()>(0);
+    let gate_rx = std::sync::Mutex::new(gate_rx);
     let sometimes_hangs = dfk.python_app_cfg(
         "hangs_once",
         AppOptions {
             walltime: Some(Duration::from_millis(80)),
             ..Default::default()
         },
-        |x: u64| -> Result<u64, AppError> {
+        move |x: u64| -> Result<u64, AppError> {
             if CALLS.fetch_add(1, Ordering::SeqCst) == 0 {
-                std::thread::sleep(Duration::from_secs(30)); // hang
+                let _ = gate_rx.lock().unwrap().recv(); // hang
             }
             Ok(x)
         },
@@ -300,6 +303,68 @@ fn walltime_plus_retries_recover_a_hung_task() {
         CALLS.load(Ordering::SeqCst) >= 2,
         "the hung attempt must have been retried"
     );
+    drop(gate);
+    dfk.shutdown();
+}
+
+/// A walltime expiry cancels the attempt it expired. Behind a gated
+/// blocker on the only worker, the expired attempt waits in the manager's
+/// prefetch slot; the cancel reaches the manager ahead of the retry, so
+/// opening the gate skips that attempt at pick-up and the body runs once,
+/// for the retry.
+#[test]
+fn walltime_expiry_cancels_the_attempt_it_expired() {
+    use parsl::executors::proto::{Command, CommandReply};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    static RUNS: AtomicU32 = AtomicU32::new(0);
+
+    let htex = Arc::new(parsl::executors::HtexExecutor::new(
+        parsl::executors::HtexConfig {
+            workers_per_node: 1,
+            prefetch: 1,
+            ..Default::default()
+        },
+    ));
+    let dfk = DataFlowKernel::builder()
+        .executor_arc(htex.clone())
+        .retries(1)
+        .build()
+        .unwrap();
+    // The blocker holds the only worker until the gate's sender drops.
+    let (gate, gate_rx) = std::sync::mpsc::sync_channel::<()>(0);
+    let gate_rx = std::sync::Mutex::new(gate_rx);
+    let blocker = dfk.python_app("blocker", move || {
+        let _ = gate_rx.lock().unwrap().recv();
+        0u8
+    });
+    let expires = dfk.python_app_cfg(
+        "expires",
+        AppOptions {
+            walltime: Some(Duration::from_millis(100)),
+            ..Default::default()
+        },
+        |x: u64| -> Result<u64, AppError> {
+            RUNS.fetch_add(1, Ordering::SeqCst);
+            Ok(x)
+        },
+    );
+    let _blocked = parsl::core::call!(blocker);
+    let f = parsl::core::call!(expires, 7u64);
+    // Blocker and first attempt at the manager, the retry queued at the
+    // interchange, which has by then forwarded the cancel the kernel sent
+    // ahead of the retry.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while htex
+        .command(Command::OutstandingInfo, Duration::from_secs(2))
+        .ok()
+        != Some(CommandReply::Outstanding(3))
+    {
+        assert!(std::time::Instant::now() < deadline, "never retried");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(gate);
+    assert_eq!(f.result_timeout(Duration::from_secs(10)).unwrap(), 7);
+    assert_eq!(RUNS.load(Ordering::SeqCst), 1, "the expired attempt ran");
     dfk.shutdown();
 }
 
@@ -381,8 +446,8 @@ fn llex_drops_faults_silently_as_documented() {
     let f = parsl::core::call!(slow, 1u64);
     std::thread::sleep(Duration::from_millis(50));
     // Kill the only worker mid-task.
-    let addr = nexus::Addr::new("llex:w-0");
-    llex.kill_worker(&addr);
+    let addr = llex.nodes().remove(0);
+    llex.kill_node(&addr);
     assert!(
         matches!(
             f.result_timeout(Duration::from_millis(600)),

@@ -8,7 +8,7 @@
 //! (`parsl_executors::builtin`), so every app used here must be one the
 //! worker knows.
 
-use parsl::executors::{HtexConfig, HtexExecutor, TcpHtexOptions};
+use parsl::executors::{HtexConfig, HtexExecutor, LlexConfig, LlexExecutor, TcpHtexOptions};
 use parsl::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,6 +108,81 @@ fn tcp_unknown_app_fails_cleanly_instead_of_hanging() {
         "error should mention the app problem, got: {rendered}"
     );
     dfk.shutdown();
+}
+
+/// This process's children whose command line mentions `needle`.
+fn children_naming(needle: &str) -> Vec<u32> {
+    let me = std::process::id().to_string();
+    let entries = std::fs::read_dir("/proc").expect("procfs");
+    entries
+        .flatten()
+        .filter_map(|entry| {
+            let pid: u32 = entry.file_name().to_str()?.parse().ok()?;
+            let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+            // After the parenthesised command name: state, then ppid.
+            let ppid = stat.rsplit_once(") ")?.1.split(' ').nth(1)?.to_string();
+            let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).ok()?;
+            let named = String::from_utf8_lossy(&cmdline).contains(needle);
+            (ppid == me && named).then_some(pid)
+        })
+        .collect()
+}
+
+/// Whether a thread of this process has a name starting with `prefix`.
+fn thread_named(prefix: &str) -> bool {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    tasks.flatten().any(|task| {
+        std::fs::read_to_string(task.path().join("comm")).is_ok_and(|c| c.starts_with(prefix))
+    })
+}
+
+/// Shutting down right after start stops every node, including the ones
+/// the interchange had not registered yet: it never told those to stop,
+/// so they are killed instead of waited on. A spawned worker used to sit
+/// out a 5 s grace period; an LLEX-shape node, whose heartbeat threshold
+/// never expires, would never exit at all.
+#[test]
+fn shutdown_stops_nodes_the_interchange_never_registered() {
+    let tcp = tcp_htex(HtexConfig {
+        label: "quit-tcp".into(),
+        workers_per_node: 1,
+        nodes_per_block: 2,
+        ..Default::default()
+    });
+    let llex = Arc::new(LlexExecutor::new(LlexConfig {
+        label: "quit-llex".into(),
+        workers: 2,
+    }));
+    let start = |ex: Arc<HtexExecutor>| DataFlowKernel::builder().executor_arc(ex).build();
+    let shut_down_at_once = |dfk: Arc<DataFlowKernel>| {
+        let t = Instant::now();
+        dfk.shutdown();
+        assert!(
+            t.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            t.elapsed()
+        );
+    };
+
+    let dfk = start(tcp).unwrap();
+    let workers = children_naming("quit-tcp:mgr-");
+    assert_eq!(workers.len(), 2, "both worker processes were spawned");
+    shut_down_at_once(dfk);
+    for pid in workers {
+        assert!(
+            !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+            "parsl-worker {pid} outlived shutdown"
+        );
+    }
+
+    shut_down_at_once(start(llex).unwrap());
+    // In-proc nodes stand in for processes and are not joined: they exit
+    // on their own once stopped.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while thread_named("quit-llex-mgr") {
+        assert!(Instant::now() < deadline, "an LLEX node outlived shutdown");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 // ---------------------------------------------------------------------------
