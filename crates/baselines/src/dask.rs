@@ -7,7 +7,7 @@
 //! throughput of all systems (2617 tasks/s — "optimized for short duration
 //! jobs on small clusters") but connection failures at 8192 workers.
 
-use nexus::{Addr, Endpoint, Fabric};
+use nexus::{Addr, Fabric, Port};
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskSpec};
 use parsl_executors::client::Client;
 use parsl_executors::proto::{encode, ToClient, ToInterchange, ToManager, WireTask};
@@ -68,7 +68,7 @@ impl Executor for DaskLikeExecutor {
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
         let registry = Arc::clone(&ctx.registry);
-        let sched_ep = self.client.start_on_fabric(&self.fabric, ctx, "worker")?;
+        let sched_ep = self.client.start_on(&self.fabric, ctx, "worker")?;
 
         let stop = self.client.stop_flag();
         let client_addr = self.client.client_addr().clone();
@@ -115,7 +115,7 @@ impl Drop for DaskLikeExecutor {
 /// task — the architectural behaviour that is fast at small scale and
 /// limits Dask at large scale.
 fn scheduler_loop(
-    ep: Endpoint,
+    ep: Box<dyn Port>,
     stop: &AtomicBool,
     client_addr: &Addr,
     connected: &AtomicUsize,

@@ -5,7 +5,7 @@
 //! no batching or prefetching. The paper measured 330 tasks/s through the
 //! hub and failures past 2048 engines.
 
-use nexus::{Addr, Endpoint, Fabric};
+use nexus::{Addr, Fabric, Port};
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskSpec};
 use parsl_executors::client::Client;
 use parsl_executors::proto::{encode, ToClient, ToInterchange, ToManager, WireTask};
@@ -69,7 +69,7 @@ impl Executor for IppExecutor {
         let registry = Arc::clone(&ctx.registry);
         // Frames here are usually single-task (the hub brokers tasks
         // individually), but the completion channel carries batches.
-        let hub_ep = self.client.start_on_fabric(&self.fabric, ctx, "engine")?;
+        let hub_ep = self.client.start_on(&self.fabric, ctx, "engine")?;
 
         let stop = self.client.stop_flag();
         let client_addr = self.client.client_addr().clone();
@@ -110,7 +110,7 @@ impl Drop for IppExecutor {
 }
 
 fn hub_loop(
-    ep: Endpoint,
+    ep: Box<dyn Port>,
     stop: &AtomicBool,
     client_addr: &Addr,
     connected: &AtomicUsize,

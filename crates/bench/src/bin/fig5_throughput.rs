@@ -101,7 +101,9 @@ fn run_htex(n: usize, batched: bool) -> f64 {
 
 /// The same workload over real loopback TCP: the interchange listens on a
 /// [`nexus::TcpHub`] and `parsl-worker` processes connect back (resolve
-/// the binary with `PARSL_WORKER_BIN` or as a sibling of this one).
+/// the binary with `PARSL_WORKER_BIN` or as a sibling of this one). The
+/// client is a hub-local port beside the interchange, so only the
+/// interchange ↔ manager frames cross a socket.
 ///
 /// Loopback sockets carry no modelled per-message cost, so the contrast
 /// is the real per-frame cost of [`htex_config`]'s two settings.

@@ -224,14 +224,14 @@ impl DataFlowKernel {
                 if let Some(h) = rec.hedge_attempt.take() {
                     if is_hedge {
                         if let Some(i) = rec.charged {
-                            fx.cancels.push((i, id, rec.attempt));
+                            fx.cancels.push((i.into(), id, rec.attempt));
                         }
                         // Adopt the winning attempt: the terminal record,
                         // monitor event, and future all speak for it.
                         rec.attempt = h;
                         rec.executor_idx = rec.hedge_charged.or(rec.executor_idx);
                     } else if let Some(i) = rec.hedge_charged {
-                        fx.cancels.push((i, id, h));
+                        fx.cancels.push((i.into(), id, h));
                     }
                 }
                 match outcome.result {
@@ -258,7 +258,7 @@ impl DataFlowKernel {
                         // does not keep a worker the retry could use.
                         if matches!(e, TaskError::WalltimeExceeded) {
                             if let Some(i) = rec.charged {
-                                fx.cancels.push((i, id, rec.attempt));
+                                fx.cancels.push((i.into(), id, rec.attempt));
                             }
                         }
                         // A lost manager takes its staged files down with
@@ -269,7 +269,7 @@ impl DataFlowKernel {
                         // — the penalty is a re-stage, not a mis-route.
                         if matches!(e, TaskError::ExecutorLost(_)) {
                             if let Some(idx) = rec.executor_idx {
-                                self.data_map.forget_executor(idx);
+                                self.data_map.forget_executor(idx.into());
                             }
                         }
                         if rec.retries_left == 0 {
@@ -282,7 +282,7 @@ impl DataFlowKernel {
                             let idx = self.route_retry(
                                 self.pinned_index(&rec.app),
                                 &tenant,
-                                &rec.hints.inputs,
+                                rec.inputs(),
                             );
                             let spec = self.dispatch(rec, idx);
                             if self.monitor.is_some() {
@@ -309,8 +309,8 @@ impl DataFlowKernel {
             // stage-in completions are what populate the placement
             // registry (memo hits skip this — they produced nothing
             // anywhere new).
-            if let (Some(output), Some(idx)) = (rec.hints.output, rec.executor_idx) {
-                self.data_map.record(output, idx);
+            if let (Some(output), Some(idx)) = (rec.output(), rec.executor_idx) {
+                self.data_map.record(output, idx.into());
             }
             if let (Some(key), Ok(bytes)) = (rec.memo_key, &result) {
                 fx.checkpoints.push((key, bytes.clone()));

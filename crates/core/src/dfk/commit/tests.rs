@@ -163,7 +163,7 @@ fn check(retries: u32, start_parked: bool, memoizable: bool, ops: &[(u8, u8)]) {
         };
 
         let (state, attempt, before) = (rec.state, rec.attempt, sizes(&fx));
-        let (was_parked, charged) = (rec.parked, rec.charged);
+        let (was_parked, charged) = (rec.parked, rec.charged.map(usize::from));
         dfk.transition(&mut rec, event, &mut fx);
 
         if op == 3 && !state.is_terminal() {
@@ -192,7 +192,7 @@ fn check(retries: u32, start_parked: bool, memoizable: bool, ops: &[(u8, u8)]) {
             );
             highest = Some(spec.attempt);
             assert_eq!(rec.state, TaskState::Launched);
-            assert_eq!(rec.charged, Some(*idx));
+            assert_eq!(rec.charged.map(usize::from), Some(*idx));
         }
         if was_parked && (rec.state != state || rec.attempt != attempt) {
             assert!(!rec.parked && fx.unparked.contains(&id));

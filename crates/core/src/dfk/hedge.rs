@@ -2,7 +2,7 @@
 //! their app's observed p99.
 
 use super::commit::Event;
-use super::record::TaskRecord;
+use super::record::{exec_idx, TaskRecord};
 use super::DataFlowKernel;
 use crate::error::TaskError;
 use crate::executor::{TaskOutcome, TaskSpec};
@@ -97,7 +97,7 @@ impl DataFlowKernel {
         if rec.state != TaskState::Launched || rec.hedge_attempt.is_some() {
             return None;
         }
-        let primary_idx = rec.charged?;
+        let primary_idx = usize::from(rec.charged?);
         // Prefer a different executor (least loaded); fall back to the
         // primary's when it is the only one.
         let idx = self
@@ -109,7 +109,7 @@ impl DataFlowKernel {
             .map_or(primary_idx, |(i, _)| i);
         let attempt = rec.next_attempt();
         rec.hedge_attempt = Some(attempt);
-        rec.hedge_charged = Some(idx);
+        rec.hedge_charged = Some(exec_idx(idx));
         self.inflight[idx].fetch_add(1, Ordering::Relaxed);
         Some((rec.spec(attempt), idx))
     }

@@ -2,7 +2,7 @@
 //! batch launch that memo-checks, routes, parks and submits.
 
 use super::commit::Event;
-use super::record::TaskRecord;
+use super::record::{exec_idx, TaskRecord};
 use super::{DataFlowKernel, COLLECT_BATCH_CAP};
 use crate::error::TaskError;
 use crate::executor::{TaskOutcome, TaskSpec};
@@ -136,7 +136,7 @@ impl DataFlowKernel {
                         let pinned = self.pinned_index(&rec.app);
                         let tenant = self.tenant_state(rec.tenant);
                         let snapshots = &mut scratch.snapshots;
-                        match self.route(snapshots, pinned, &tenant, &rec.hints.inputs, false) {
+                        match self.route(snapshots, pinned, &tenant, rec.inputs(), false) {
                             Some(idx) => {
                                 let spec = self.dispatch(rec, idx);
                                 Some((spec, idx, self.task_event(rec, TaskState::Launched)))
@@ -191,8 +191,8 @@ impl DataFlowKernel {
     /// routing just charged, and build the attempt's spec. Called with the
     /// task's shard lock held.
     pub(super) fn dispatch(&self, rec: &mut TaskRecord, idx: usize) -> TaskSpec {
-        rec.executor_idx = Some(idx);
-        rec.charged = Some(idx);
+        rec.executor_idx = Some(exec_idx(idx));
+        rec.charged = rec.executor_idx;
         rec.state = TaskState::Launched;
         rec.launched_at = Some(Instant::now());
         self.arm_walltime(rec);

@@ -275,7 +275,7 @@ impl DataFlowKernel {
             state,
             executor: rec
                 .executor_idx
-                .map(|i| self.executors[i].label().to_string()),
+                .map(|i| self.executors[usize::from(i)].label().to_string()),
             attempt: rec.attempt,
             tenant: rec.tenant,
             items: rec.items,

@@ -2,7 +2,7 @@
 
 use super::SubmitOptions;
 use crate::app::ArgSlot;
-use crate::datamap::DataHints;
+use crate::datamap::{DataHints, DataRef};
 use crate::executor::TaskSpec;
 use crate::future::FutureState;
 use crate::registry::RegisteredApp;
@@ -18,6 +18,16 @@ use std::time::{Duration, Instant};
 /// a task is a mask of its id; 16 shards keep contention negligible well
 /// past the thread counts a single client drives.
 pub const TABLE_SHARDS: usize = 16;
+
+/// An executor's index as a record stores it: records sit inline in the
+/// table's buckets, so the three a record holds take 4 bytes each instead
+/// of an `Option<usize>`'s 16. Widen with `usize::from`.
+pub(super) type ExecIdx = u16;
+
+/// Narrow an executor index for a record.
+pub(super) fn exec_idx(idx: usize) -> ExecIdx {
+    ExecIdx::try_from(idx).expect("a kernel runs fewer than 65,536 executors")
+}
 
 /// One task's bookkeeping in the dynamic task graph.
 pub(super) struct TaskRecord {
@@ -36,12 +46,12 @@ pub(super) struct TaskRecord {
     last_attempt: u32,
     pub(super) retries_left: u32,
     /// Executor the task was last dispatched to (monitor labeling).
-    pub(super) executor_idx: Option<usize>,
+    pub(super) executor_idx: Option<ExecIdx>,
     /// Executor whose in-flight slot (and the tenant's) this task
     /// currently holds; `Some` from routing until the charge is released
     /// by `release_charges` — exactly once per dispatched attempt, on any
     /// accepted outcome or terminal commit.
-    pub(super) charged: Option<usize>,
+    pub(super) charged: Option<ExecIdx>,
     /// Attempt number of an in-flight speculative duplicate (straggler
     /// hedge), if one was launched. Whichever of the primary and the
     /// hedge finishes first wins; the other is cancelled and its late
@@ -50,7 +60,7 @@ pub(super) struct TaskRecord {
     /// Executor in-flight slot the hedge holds (executor counter only —
     /// hedges are accounting-invisible to tenant quotas). Released
     /// exactly once by `release_charges`.
-    pub(super) hedge_charged: Option<usize>,
+    pub(super) hedge_charged: Option<ExecIdx>,
     /// When the current attempt was dispatched; feeds the hedge
     /// watcher's age check and the service-time fallback when an
     /// executor does not stamp `started`/`finished`.
@@ -74,8 +84,10 @@ pub(super) struct TaskRecord {
     pub(super) memo_key: Option<u64>,
     /// Declared data inputs/output (`Invocation::hints`); inputs steer the
     /// `DataAware` router toward executors already holding the bytes, the
-    /// output is recorded in the kernel's `DataMap` on completion.
-    pub(super) hints: DataHints,
+    /// output is recorded in the kernel's `DataMap` on completion. Boxed,
+    /// and `None` when nothing was declared: records sit inline in the
+    /// table's buckets, so every byte here is paid per bucket.
+    hints: Option<Box<DataHints>>,
     pub(super) future: Arc<FutureState>,
 }
 
@@ -110,13 +122,24 @@ impl TaskRecord {
             parked: false,
             deadline_attempt: None,
             memo_key: None,
-            hints: opts.hints,
+            hints: (!opts.hints.inputs.is_empty() || opts.hints.output.is_some())
+                .then(|| Box::new(opts.hints)),
             future,
         }
     }
 
     pub(super) fn id(&self) -> TaskId {
         self.future.task_id()
+    }
+
+    /// The data objects the task declared it reads.
+    pub(super) fn inputs(&self) -> &[DataRef] {
+        self.hints.as_deref().map_or(&[], |h| &h.inputs)
+    }
+
+    /// The data object the task declared it produces.
+    pub(super) fn output(&self) -> Option<DataRef> {
+        self.hints.as_deref().and_then(|h| h.output)
     }
 
     /// A fresh attempt number: past every one this task has used, so the
@@ -288,5 +311,13 @@ mod tests {
             table.state_counts(),
             [(TaskState::Done, 75_000), (TaskState::Failed, 25_000)].into()
         );
+    }
+
+    /// Records sit inline in the buckets, so a burst of live tasks pays
+    /// for every byte of one, in every bucket the burst grew.
+    #[test]
+    fn a_record_stays_small() {
+        let size = std::mem::size_of::<TaskRecord>();
+        assert!(size <= 168, "TaskRecord is {size} bytes");
     }
 }

@@ -96,13 +96,13 @@ impl DataFlowKernel {
     /// on the record and is taken here, so whichever event resolves the
     /// attempt first releases it and every later one finds nothing.
     pub(super) fn release_charges(&self, rec: &mut TaskRecord, primary: bool) {
-        if let Some(idx) = rec.hedge_charged.take() {
+        if let Some(idx) = rec.hedge_charged.take().map(usize::from) {
             self.inflight[idx].fetch_sub(1, Ordering::Relaxed);
         }
         if !primary {
             return;
         }
-        if let Some(idx) = rec.charged.take() {
+        if let Some(idx) = rec.charged.take().map(usize::from) {
             self.inflight[idx].fetch_sub(1, Ordering::Relaxed);
             let tenant = self.tenant_state(rec.tenant);
             tenant.inflight.fetch_sub(1, Ordering::Relaxed);

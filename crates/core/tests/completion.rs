@@ -144,10 +144,17 @@ impl Executor for FrameEcho {
 /// The per-task reference: releases one outcome per frame and waits for
 /// the kernel to commit it before taking the next task, so every outcome
 /// settles in a commit pass of its own. It learns of the commit as the
-/// kernel's monitor, from the task's terminal event.
+/// kernel's monitor, from the task's terminal event. The waiting happens
+/// on a thread of its own: `submit` only queues, because the kernel may
+/// call it from the collector, the one thread that commits.
 #[derive(Default)]
 struct OneByOne {
-    ctx: parking_lot::Mutex<Option<ExecutorContext>>,
+    queue: parking_lot::Mutex<Option<crossbeam::channel::Sender<TaskSpec>>>,
+    commits: Arc<Commits>,
+}
+
+#[derive(Default)]
+struct Commits {
     settled: parking_lot::Mutex<usize>,
     committed: parking_lot::Condvar,
 }
@@ -155,8 +162,8 @@ struct OneByOne {
 impl MonitorSink for OneByOne {
     fn on_event(&self, event: &MonitorEvent) {
         if matches!(event, MonitorEvent::Task { state, .. } if state.is_terminal()) {
-            *self.settled.lock() += 1;
-            self.committed.notify_all();
+            *self.commits.settled.lock() += 1;
+            self.commits.committed.notify_all();
         }
     }
 }
@@ -166,23 +173,32 @@ impl Executor for OneByOne {
         "one-by-one"
     }
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        *self.ctx.lock() = Some(ctx);
+        let (tx, rx) = crossbeam::channel::unbounded::<TaskSpec>();
+        *self.queue.lock() = Some(tx);
+        let commits = Arc::clone(&self.commits);
+        std::thread::spawn(move || {
+            while let Ok(t) = rx.recv() {
+                let result = (t.app.func)(&t.args)
+                    .map(Bytes::from)
+                    .map_err(TaskError::App);
+                let mut settled = commits.settled.lock();
+                let target = *settled + 1;
+                let outcome = vec![TaskOutcome::new(t.id, t.attempt, result)];
+                if ctx.completions.send(outcome).is_err() {
+                    return;
+                }
+                while *settled < target {
+                    commits.committed.wait(&mut settled);
+                }
+            }
+        });
         Ok(())
     }
     fn submit(&self, t: TaskSpec) -> Result<(), ExecutorError> {
-        let ctx = self.ctx.lock().clone().ok_or(ExecutorError::NotRunning)?;
-        let result = (t.app.func)(&t.args)
-            .map(Bytes::from)
-            .map_err(TaskError::App);
-        let mut settled = self.settled.lock();
-        let target = *settled + 1;
-        ctx.completions
-            .send(vec![TaskOutcome::new(t.id, t.attempt, result)])
-            .map_err(|_| ExecutorError::Comm("completions closed".into()))?;
-        while *settled < target {
-            self.committed.wait(&mut settled);
-        }
-        Ok(())
+        let queue = self.queue.lock();
+        let tx = queue.as_ref().ok_or(ExecutorError::NotRunning)?;
+        tx.send(t)
+            .map_err(|_| ExecutorError::Comm("one-by-one thread gone".into()))
     }
     fn outstanding(&self) -> usize {
         0
@@ -191,7 +207,7 @@ impl Executor for OneByOne {
         1
     }
     fn shutdown(&self) {
-        self.ctx.lock().take();
+        self.queue.lock().take();
     }
 }
 

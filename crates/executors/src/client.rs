@@ -48,7 +48,7 @@ use crate::proto::{
     ToInterchange, WireTask,
 };
 use crossbeam::channel::{bounded, Sender};
-use nexus::{Addr, Endpoint, Fabric, Port};
+use nexus::{Addr, Port, Transport};
 use parking_lot::Mutex;
 use parsl_core::executor::{ExecutorContext, ExecutorError, TaskSpec};
 use parsl_core::registry::AppRegistry;
@@ -294,24 +294,26 @@ impl Client {
         })
     }
 
-    /// [`Client::start`] for an executor whose whole plane is one in-proc
-    /// fabric: bind both addresses, go live on the client one, and hand
-    /// back the broker's endpoint for the caller's broker loop.
-    pub fn start_on_fabric(
+    /// [`Client::start`] on the broker's own plane: attach both addresses
+    /// to `plane`, go live on the client one, and hand back the broker's
+    /// port for the caller's broker loop. Client and broker share the
+    /// process, so on a [`nexus::TcpHub`] both are hub-local ports and a
+    /// frame between them is one channel send; only the broker's remote
+    /// peers sit behind sockets.
+    pub fn start_on(
         &self,
-        fabric: &Fabric,
+        plane: &dyn Transport,
         ctx: ExecutorContext,
         lost_noun: &'static str,
-    ) -> Result<Endpoint, ExecutorError> {
-        let bind = |addr: &Addr| {
-            fabric
-                .bind(addr.clone())
+    ) -> Result<Box<dyn Port>, ExecutorError> {
+        let attach = |addr: &Addr| {
+            plane
+                .attach(addr.clone())
                 .map_err(|e| ExecutorError::Comm(e.to_string()))
         };
-        let broker_ep = bind(&self.ix_addr)?;
-        let client_ep = bind(&self.client_addr)?;
-        self.start(Arc::new(client_ep), ctx, lost_noun)?;
-        Ok(broker_ep)
+        let broker = attach(&self.ix_addr)?;
+        self.start(Arc::from(attach(&self.client_addr)?), ctx, lost_noun)?;
+        Ok(broker)
     }
 
     /// Spawn a named thread that [`Client::shutdown`] joins (brokers and
@@ -454,20 +456,24 @@ fn recv_loop(
 
 #[cfg(test)]
 mod tests {
-    //! The test plays the broker: it owns the endpoint bound at the
+    //! The test plays the broker: it owns the port attached at the
     //! broker address, so it sees every frame the client sends and
-    //! decides when results come back. Nothing else is on the fabric, so
-    //! `FabricStats::sent` counts exactly the client's frames plus the
-    //! test's own replies. The only clock involved is the receive
-    //! thread's 50 ms tick, which can flush a held outbox early but can
-    //! never reorder, drop or overfill a frame; where a test depends on
-    //! the tick it blocks on the frame's arrival.
+    //! decides when results come back. The outbox tests run on both
+    //! planes the client meets: a `Fabric`, and a `TcpHub` bound on
+    //! loopback with both ports hub-local, as HTEX attaches them over TCP
+    //! (no worker, so no socket carries a frame). On the fabric nothing
+    //! else is attached, so `FabricStats::sent` counts exactly the
+    //! client's frames plus the test's own replies. The only clock
+    //! involved is the receive thread's 50 ms tick, which can flush a
+    //! held outbox early but can never reorder, drop or overfill a frame;
+    //! where a test depends on the tick it blocks on the frame's arrival.
 
     use super::*;
     use crate::proto::WireResult;
     use crate::{LlexConfig, LlexExecutor};
     use bytes::Bytes;
     use crossbeam::channel::{unbounded, Receiver};
+    use nexus::{Endpoint, Fabric, TcpHub};
     use parsl_core::error::TaskError;
     use parsl_core::executor::{Executor, TaskOutcome};
     use parsl_core::registry::{AppOptions, RegisteredApp};
@@ -475,12 +481,12 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(10);
 
-    struct Rig {
-        fabric: Fabric,
+    struct Rig<P> {
         client: Client,
-        broker: Endpoint,
+        broker: Box<dyn Port>,
         outcomes: Receiver<Vec<TaskOutcome>>,
         app: Arc<RegisteredApp>,
+        plane: P,
     }
 
     fn context() -> (
@@ -504,18 +510,22 @@ mod tests {
         (ctx, outcomes, app)
     }
 
-    fn rig() -> Rig {
-        let fabric = Fabric::new();
+    fn rig<P: Transport>(plane: P) -> Rig<P> {
         let client = Client::new("t", "ix");
         let (ctx, outcomes, app) = context();
-        let broker = client.start_on_fabric(&fabric, ctx, "manager").unwrap();
+        let broker = client.start_on(&plane, ctx, "manager").unwrap();
         Rig {
-            fabric,
             client,
             broker,
             outcomes,
             app,
+            plane,
         }
+    }
+
+    /// A loopback hub with nothing connected to it.
+    fn hub() -> TcpHub {
+        TcpHub::bind("127.0.0.1:0").expect("bind loopback hub")
     }
 
     fn spec(app: &Arc<RegisteredApp>, id: u64, args_len: usize) -> TaskSpec {
@@ -530,7 +540,7 @@ mod tests {
         }
     }
 
-    impl Rig {
+    impl<P> Rig<P> {
         fn submit(&self, id: u64, args_len: usize, cover: Cover) {
             let task = spec(&self.app, id, args_len);
             self.client.submit(&task, Some(cover)).unwrap();
@@ -544,7 +554,7 @@ mod tests {
         }
 
         /// Answer `ids` with one `Results` frame.
-        fn reply(&self, from: &Endpoint, ids: &[u64]) {
+        fn reply(&self, from: &dyn Port, ids: &[u64]) {
             let results = ids
                 .iter()
                 .map(|&id| WireResult {
@@ -583,17 +593,17 @@ mod tests {
     /// returns, and it is the `Submit` frame an uncovered one sends.
     #[test]
     fn idle_submit_sends_one_submit_frame_before_returning() {
-        let rig = rig();
+        let rig = rig(Fabric::new());
         let cover = Cover {
             slots: 2,
             max_tasks: 64,
             max_frame_bytes: 1 << 18,
         };
         for id in 0..3 {
-            let sent = rig.fabric.stats().sent();
+            let sent = rig.plane.stats().sent();
             rig.submit(id, 8, cover);
             assert_eq!(
-                rig.fabric.stats().sent(),
+                rig.plane.stats().sent(),
                 sent + 1,
                 "one frame per idle call"
             );
@@ -601,7 +611,7 @@ mod tests {
             let plain = ToInterchange::Submit(WireTask::from_spec(&spec(&rig.app, id, 8)));
             assert_eq!(env.payload, encode(&plain), "byte-identical to Submit");
             // Settle it, so the next call finds nothing outstanding again.
-            rig.reply(&rig.broker, &[id]);
+            rig.reply(&*rig.broker, &[id]);
             rig.outcomes(1);
             assert_eq!(rig.client.outstanding(), 0);
         }
@@ -610,8 +620,8 @@ mod tests {
     /// Single submits past 2 × slots coalesce: no frame exceeds
     /// `max_tasks` or the byte budget, tasks reach the broker in submit
     /// order, and once answered the gauge is back at zero.
-    fn coalesces_within_caps(args_len: usize, cover: Cover) {
-        let rig = rig();
+    fn coalesces_within_caps(plane: impl Transport, args_len: usize, cover: Cover) {
+        let rig = rig(plane);
         let n = 100u64;
         for id in 0..n {
             rig.submit(id, args_len, cover);
@@ -633,7 +643,7 @@ mod tests {
             "wire order is submit order"
         );
         assert!(frames < n as usize, "nothing was coalesced");
-        rig.reply(&rig.broker, &seen);
+        rig.reply(&*rig.broker, &seen);
         let done: Vec<u64> = rig.outcomes(n as usize).iter().map(|o| o.id.0).collect();
         assert_eq!(done, seen);
         assert_eq!(rig.client.outstanding(), 0);
@@ -641,28 +651,26 @@ mod tests {
 
     #[test]
     fn coalesced_frames_stop_at_max_tasks() {
-        coalesces_within_caps(
-            8,
-            Cover {
-                slots: 3,
-                max_tasks: 8,
-                max_frame_bytes: 1 << 18,
-            },
-        );
+        let cover = Cover {
+            slots: 3,
+            max_tasks: 8,
+            max_frame_bytes: 1 << 18,
+        };
+        coalesces_within_caps(Fabric::new(), 8, cover);
+        coalesces_within_caps(hub(), 8, cover);
     }
 
     /// Fat arguments: the byte budget closes a frame at 3 tasks, long
     /// before `max_tasks`.
     #[test]
     fn coalesced_frames_stop_at_the_frame_budget() {
-        coalesces_within_caps(
-            1000,
-            Cover {
-                slots: 3,
-                max_tasks: 64,
-                max_frame_bytes: 4096,
-            },
-        );
+        let cover = Cover {
+            slots: 3,
+            max_tasks: 64,
+            max_frame_bytes: 4096,
+        };
+        coalesces_within_caps(Fabric::new(), 1000, cover);
+        coalesces_within_caps(hub(), 1000, cover);
     }
 
     /// A task bigger than the frame budget still ships, alone: at once
@@ -670,7 +678,7 @@ mod tests {
     /// under backlog, and in the middle of an explicit batch.
     #[test]
     fn oversize_task_ships_alone() {
-        let rig = rig();
+        let rig = rig(Fabric::new());
         let cover = Cover {
             slots: 1,
             max_tasks: 64,
@@ -712,12 +720,12 @@ mod tests {
     /// further, in order, and the gauge counts the whole batch.
     #[test]
     fn one_batch_spans_frames_in_order() {
-        let rig = rig();
+        let rig = rig(Fabric::new());
         let batch: Vec<TaskSpec> = (0..100).map(|id| spec(&rig.app, id, 60)).collect();
         let per_task = WireTask::from_spec(&batch[0]).encoded_size_hint();
-        let sent = rig.fabric.stats().sent();
+        let sent = rig.plane.stats().sent();
         rig.client.submit_batch(&batch, per_task * 10).unwrap();
-        assert_eq!(rig.fabric.stats().sent(), sent + 10);
+        assert_eq!(rig.plane.stats().sent(), sent + 10);
         assert_eq!(rig.client.outstanding(), 100);
         let mut seen = Vec::new();
         for _ in 0..10 {
@@ -734,7 +742,12 @@ mod tests {
     /// frames of its own.
     #[test]
     fn batch_leaves_behind_held_tasks() {
-        let rig = rig();
+        batch_leaves_behind_held(Fabric::new());
+        batch_leaves_behind_held(hub());
+    }
+
+    fn batch_leaves_behind_held(plane: impl Transport) {
+        let rig = rig(plane);
         let cover = Cover {
             slots: 1,
             max_tasks: 64,
@@ -830,7 +843,12 @@ mod tests {
     /// no results, leaves on the receive thread's tick.
     #[test]
     fn held_task_leaves_on_the_tick() {
-        let rig = rig();
+        held_task_leaves_on_tick(Fabric::new());
+        held_task_leaves_on_tick(hub());
+    }
+
+    fn held_task_leaves_on_tick(plane: impl Transport) {
+        let rig = rig(plane);
         let cover = Cover {
             slots: 2,
             max_tasks: 64,
@@ -849,7 +867,12 @@ mod tests {
     /// A control message goes out behind the held tasks, never ahead.
     #[test]
     fn control_messages_flush_the_outbox_first() {
-        let rig = rig();
+        control_messages_flush_first(Fabric::new());
+        control_messages_flush_first(hub());
+    }
+
+    fn control_messages_flush_first(plane: impl Transport) {
+        let rig = rig(plane);
         let cover = Cover {
             slots: 1,
             max_tasks: 64,
@@ -878,16 +901,16 @@ mod tests {
     /// frame per call whatever the backlog.
     #[test]
     fn max_tasks_one_never_coalesces() {
-        let rig = rig();
+        let rig = rig(Fabric::new());
         let cover = Cover {
             slots: 1,
             max_tasks: 1,
             max_frame_bytes: 1 << 18,
         };
         for id in 0..20 {
-            let sent = rig.fabric.stats().sent();
+            let sent = rig.plane.stats().sent();
             rig.submit(id, 8, cover);
-            assert_eq!(rig.fabric.stats().sent(), sent + 1);
+            assert_eq!(rig.plane.stats().sent(), sent + 1);
             assert!(matches!(rig.next_frame().1, ToInterchange::Submit(t) if t.id == id));
         }
     }
@@ -928,7 +951,7 @@ mod tests {
     /// counted until a successor answers them.
     #[test]
     fn held_tasks_settle_as_lost_when_the_broker_dies() {
-        let rig = rig();
+        let rig = rig(Fabric::new());
         let cover = Cover {
             slots: 2,
             max_tasks: 4,
@@ -937,7 +960,7 @@ mod tests {
         for id in 0..4 {
             rig.submit(id, 8, cover);
         }
-        rig.fabric.kill(rig.client.ix_addr());
+        rig.plane.kill(rig.client.ix_addr());
         // Covered and under `max_tasks`: accepted without touching the port.
         for id in 4..7 {
             rig.submit(id, 8, cover);
@@ -977,7 +1000,7 @@ mod tests {
         // A successor at the broker address answers the four that were
         // sent: the gauge reaches zero, and no second outcome for a lost
         // task ever shows up.
-        let successor = rig.fabric.bind(rig.client.ix_addr().clone()).unwrap();
+        let successor = rig.plane.bind(rig.client.ix_addr().clone()).unwrap();
         rig.reply(&successor, &[0, 1, 2, 3]);
         let done: Vec<u64> = rig.outcomes(4).iter().map(|o| o.id.0).collect();
         assert_eq!(done, vec![0, 1, 2, 3]);

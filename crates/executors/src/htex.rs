@@ -32,13 +32,16 @@
 //! the in-proc fabric (threads, deterministic fault injection) or real
 //! loopback/remote TCP ([`HtexExecutor::tcp`]), where managers are
 //! `parsl-worker` *processes* spawned through the `providers` launcher
-//! path and connected back via [`nexus::TcpSpoke`].
+//! path and connected back to the interchange's [`nexus::TcpHub`]. On
+//! both planes the client and the interchange are ports of the same
+//! plane in this process ([`Client::start_on`]), so a frame between
+//! them is a channel send, never a socket write.
 
 use crate::client::{Client, Cover};
 use crate::interchange::{interchange_loop, IxParams};
 use crate::proto::{Command, CommandReply, ToInterchange};
 use crate::worker::{manager_loop, Fanout, ManagerCfg};
-use nexus::{Addr, Fabric, Port, SpokeConfig, TcpHub, TcpSpoke, Transport};
+use nexus::{Addr, Fabric, TcpHub, Transport};
 use parking_lot::Mutex;
 use parsl_core::executor::{BlockScaling, Executor, ExecutorContext, ExecutorError, TaskSpec};
 use parsl_core::types::TaskId;
@@ -190,6 +193,16 @@ enum Topology {
     InProc(Fabric),
     /// Real TCP: managers are spawned `parsl-worker` processes.
     Tcp(TcpTopology),
+}
+
+impl Topology {
+    /// The plane the interchange and the client attach to.
+    fn plane(&self) -> &dyn Transport {
+        match self {
+            Topology::InProc(fabric) => fabric,
+            Topology::Tcp(t) => &t.hub,
+        }
+    }
 }
 
 /// The High Throughput Executor. See module docs.
@@ -360,14 +373,6 @@ impl HtexExecutor {
         self.nodes.lock().clone()
     }
 
-    /// The plane's frame budget.
-    fn max_frame_bytes(&self) -> usize {
-        match &self.topo {
-            Topology::InProc(f) => f.max_frame_bytes(),
-            Topology::Tcp(t) => t.hub.max_frame_bytes(),
-        }
-    }
-
     /// The client's coalescing terms: Σ capacity of the registered
     /// managers as the slots a backlog must cover, `batch_size` and the
     /// plane's frame budget as the caps on a coalesced frame.
@@ -379,7 +384,7 @@ impl HtexExecutor {
         Cover {
             slots: workers + self.cfg.prefetch * managers,
             max_tasks: self.cfg.batch_size,
-            max_frame_bytes: self.max_frame_bytes(),
+            max_frame_bytes: self.topo.plane().max_frame_bytes(),
         }
     }
 
@@ -395,28 +400,10 @@ impl Executor for HtexExecutor {
     }
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        let comm = |e: &dyn std::fmt::Display| ExecutorError::Comm(e.to_string());
         let registry = Arc::clone(&ctx.registry);
-        // Attach the interchange to the plane; over TCP the client also
-        // crosses a real socket (a spoke into the hub), so the submit
-        // path pays genuine per-frame transport costs.
-        let ix_ep: Box<dyn Port> = match &self.topo {
-            Topology::InProc(fabric) => {
-                Box::new(self.client.start_on_fabric(fabric, ctx, "manager")?)
-            }
-            Topology::Tcp(t) => {
-                let ix_ep = t
-                    .hub
-                    .attach(self.client.ix_addr().clone())
-                    .map_err(|e| comm(&e))?;
-                let client_addr = self.client.client_addr().clone();
-                let spoke =
-                    TcpSpoke::connect(t.hub.local_addr(), client_addr, SpokeConfig::default())
-                        .map_err(|e| comm(&e))?;
-                self.client.start(Arc::new(spoke), ctx, "manager")?;
-                ix_ep
-            }
-        };
+        // The interchange and the client attach to the same plane as local
+        // ports: over TCP only the managers sit behind sockets.
+        let ix_ep = self.client.start_on(self.topo.plane(), ctx, "manager")?;
 
         let params = IxParams {
             client_addr: self.client.client_addr().clone(),
@@ -450,7 +437,8 @@ impl Executor for HtexExecutor {
 
     /// An explicit batch leaves at once, behind any held single submits.
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        self.client.submit_batch(&tasks, self.max_frame_bytes())
+        self.client
+            .submit_batch(&tasks, self.topo.plane().max_frame_bytes())
     }
 
     fn outstanding(&self) -> usize {

@@ -1,14 +1,15 @@
 //! Real TCP transport: hub-and-spoke sockets carrying `wire` frames.
 //!
 //! The process hosting the interchange owns a [`TcpHub`]: a loopback (or
-//! any-interface) listener plus a router. Remote processes — spawned
-//! worker managers, or the executor client exercising a real socket path —
-//! connect a [`TcpSpoke`], identify themselves with a `Hello` frame, and
-//! then exchange `Data { from, to, payload }` frames. The hub routes each
-//! frame to a locally attached port or to another spoke by name, giving
-//! the same any-to-any addressing as the in-proc fabric, over real
-//! sockets. This is the reproduction's stand-in for Parsl HTEX's ZeroMQ
-//! planes (§4.3).
+//! any-interface) listener plus a router. Ports in that process — the
+//! interchange and the executor client — attach to the hub directly, so
+//! a frame between them is one channel send. Remote processes (spawned
+//! worker managers) connect a [`TcpSpoke`], identify themselves with a
+//! `Hello` frame, and then exchange `Data { from, to, payload }` frames.
+//! The hub routes each frame to a locally attached port or to another
+//! spoke by name, giving the same any-to-any addressing as the in-proc
+//! fabric, over real sockets. This is the reproduction's stand-in for
+//! Parsl HTEX's ZeroMQ planes (§4.3).
 //!
 //! Fault behavior:
 //! - A dropped connection ([`TcpHub::drop_conn`], a died process, a

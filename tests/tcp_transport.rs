@@ -136,6 +136,40 @@ fn thread_named(prefix: &str) -> bool {
     })
 }
 
+/// The client and the interchange share the hub as local ports: only the
+/// manager is behind a socket. So the client is no hub connection that
+/// `drop_node_conn` could sever, and no spoke reader thread runs in this
+/// process.
+#[test]
+fn client_reaches_the_interchange_without_a_socket() {
+    let htex = tcp_htex(HtexConfig {
+        label: "direct".into(),
+        workers_per_node: 1,
+        init_blocks: 1,
+        heartbeat_period: Duration::from_millis(50),
+        heartbeat_threshold: Duration::from_secs(5),
+        ..Default::default()
+    });
+    let dfk = DataFlowKernel::builder()
+        .executor_arc(htex.clone())
+        .build()
+        .unwrap();
+    let noop = dfk.python_app("noop", |x: u64| x);
+    let futs: Vec<_> = (0..100u64).map(|i| parsl::core::call!(noop, i)).collect();
+    for (i, f) in futs.iter().enumerate() {
+        assert_eq!(f.result_timeout(Duration::from_secs(30)).unwrap(), i as u64);
+    }
+    assert!(
+        !htex.drop_node_conn(&parsl::nexus::Addr::new("direct:client")),
+        "the client is a hub connection"
+    );
+    assert!(
+        !thread_named("nexus-tcp-spoke"),
+        "a spoke reader runs in the kernel process"
+    );
+    dfk.shutdown();
+}
+
 /// Shutting down right after start stops every node, including the ones
 /// the interchange had not registered yet: it never told those to stop,
 /// so they are killed instead of waited on. A spawned worker used to sit
