@@ -99,6 +99,7 @@ impl Executor for DaskLikeExecutor {
 
     fn shutdown(&self) {
         crate::stop_direct_workers(&self.client, &self.fabric, self.workers());
+        self.connected.store(0, Ordering::Relaxed);
     }
 }
 

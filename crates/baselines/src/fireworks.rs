@@ -182,7 +182,7 @@ impl Executor for FireworksExecutor {
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        if !self.started.load(Ordering::Acquire) {
+        if !self.started.load(Ordering::Acquire) || self.stop.load(Ordering::Acquire) {
             return Err(ExecutorError::NotRunning);
         }
         self.outstanding.fetch_add(1, Ordering::Relaxed);
@@ -213,6 +213,7 @@ impl Executor for FireworksExecutor {
         for h in handles {
             let _ = h.join();
         }
+        self.pad.connections.store(0, Ordering::Relaxed);
     }
 }
 

@@ -100,6 +100,7 @@ impl Executor for IppExecutor {
 
     fn shutdown(&self) {
         crate::stop_direct_workers(&self.client, &self.fabric, self.engines());
+        self.connected.store(0, Ordering::Relaxed);
     }
 }
 

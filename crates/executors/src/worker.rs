@@ -16,6 +16,9 @@
 //! Every fan-out checks the cancel set before it runs a task and reports
 //! into the loop's one result funnel, so registration, heartbeats, the
 //! silence exit, re-registration, app binding, cancel and drain exist once.
+//! The thread pool ([`crate::ThreadPoolExecutor`]) runs the threads
+//! fan-out with no manager at all: its `Runner`'s funnel is the
+//! kernel's completion channel.
 //!
 //! A manager runs in one of two deployments:
 //!
@@ -76,21 +79,30 @@ pub enum Fanout {
     Ranks,
 }
 
+/// Cancel marks: the `(task, attempt)` pairs to skip at pick-up.
+pub(crate) type Marks = Arc<Mutex<HashSet<(u64, u32)>>>;
+
+/// Where a [`Runner`] reports each attempt, given when it was picked up.
+/// False once the receiving side is gone.
+pub(crate) type Funnel = Arc<dyn Fn(WireResult, Instant) -> bool + Send + Sync>;
+
 /// What every fan-out runs a task with: the cancel check at pick-up, the
-/// kernel, and the manager's result funnel. A cancelled attempt (a hedge
+/// kernel, and its owner's result funnel — a manager's result channel, or
+/// the thread pool's completion channel. A cancelled attempt (a hedge
 /// loser, an expired walltime) is skipped but still answered, so `held`
-/// and the interchange's accounting settle the same either way.
+/// and the owner's accounting settle the same either way.
 #[derive(Clone)]
 pub(crate) struct Runner {
-    registry: Arc<AppRegistry>,
-    cancelled: Arc<Mutex<HashSet<(u64, u32)>>>,
-    results: Sender<WireResult>,
+    pub(crate) registry: Arc<AppRegistry>,
+    pub(crate) cancelled: Marks,
+    pub(crate) funnel: Funnel,
 }
 
 impl Runner {
-    /// Run `task` as `worker` and report it. False once the manager is
+    /// Run `task` as `worker` and report it. False once the owner is
     /// gone.
     pub(crate) fn run(&self, task: &WireTask, worker: &str) -> bool {
+        let started = Instant::now();
         let result = if self.cancelled.lock().remove(&(task.id, task.attempt)) {
             WireResult {
                 id: task.id,
@@ -101,12 +113,12 @@ impl Runner {
         } else {
             kernel::execute(&self.registry, task, worker)
         };
-        self.results.send(result).is_ok()
+        (self.funnel)(result, started)
     }
 }
 
-/// A manager's running fan-out.
-enum Workers {
+/// A running fan-out: a manager's, or the thread pool's.
+pub(crate) enum Workers {
     Threads {
         queue: Sender<WireTask>,
         handles: Vec<JoinHandle<()>>,
@@ -118,7 +130,7 @@ enum Workers {
 }
 
 impl Workers {
-    fn spawn(fanout: Fanout, n: usize, runner: &Runner, node: &Addr) -> Self {
+    pub(crate) fn spawn(fanout: Fanout, n: usize, runner: &Runner, node: &Addr) -> Self {
         match fanout {
             Fanout::Threads => {
                 let (queue, tasks) = unbounded::<WireTask>();
@@ -148,7 +160,7 @@ impl Workers {
     }
 
     /// Hand over one accepted task. False once the fan-out is gone.
-    fn dispatch(&mut self, task: WireTask, runner: &Runner) -> bool {
+    pub(crate) fn dispatch(&mut self, task: WireTask, runner: &Runner) -> bool {
         match self {
             Workers::Threads { queue, .. } => queue.send(task).is_ok(),
             Workers::Inline { name } => runner.run(&task, name),
@@ -169,7 +181,7 @@ impl Workers {
     }
 
     /// The graceful end, once every accepted task has been answered.
-    fn stop(self) {
+    pub(crate) fn stop(self) {
         match self {
             Workers::Threads { queue, handles } => {
                 drop(queue);
@@ -196,7 +208,7 @@ pub fn manager_loop(
     let runner = Runner {
         registry: Arc::clone(&registry),
         cancelled: Arc::default(),
-        results: result_tx,
+        funnel: Arc::new(move |result, _| result_tx.send(result).is_ok()),
     };
     let mut workers = Workers::spawn(fanout, cfg.workers, &runner, &addr);
 

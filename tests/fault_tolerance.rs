@@ -212,38 +212,6 @@ fn manager_death_with_partially_reported_results_loses_and_duplicates_nothing() 
 }
 
 #[test]
-fn exex_pool_fate_sharing_is_recovered_by_retries() {
-    let exex = Arc::new(parsl::executors::ExexExecutor::new(
-        parsl::executors::ExexConfig {
-            ranks_per_pool: 3,
-            init_pools: 2,
-            heartbeat_period: Duration::from_millis(30),
-            heartbeat_threshold: Duration::from_millis(150),
-            ..Default::default()
-        },
-    ));
-    let dfk = DataFlowKernel::builder()
-        .executor_arc(exex.clone())
-        .retries(3)
-        .build()
-        .unwrap();
-    let slow = dfk.python_app("slow", |x: u64| {
-        std::thread::sleep(Duration::from_millis(100));
-        x * 2
-    });
-    let futs: Vec<_> = (0..8u64).map(|i| parsl::core::call!(slow, i)).collect();
-    std::thread::sleep(Duration::from_millis(50));
-    // Crash one pool: every rank in it dies together (MPI semantics).
-    let pools = exex.nodes();
-    exex.kill_node(&pools[0]);
-    exex.add_node();
-    for (i, f) in futs.iter().enumerate() {
-        assert_eq!(f.result().unwrap(), 2 * i as u64);
-    }
-    dfk.shutdown();
-}
-
-#[test]
 fn dependency_failure_cascades_through_deep_graph() {
     let dfk = DataFlowKernel::builder()
         .executor(parsl::executors::ThreadPoolExecutor::new(2))
@@ -309,14 +277,12 @@ fn walltime_plus_retries_recover_a_hung_task() {
 
 /// A walltime expiry cancels the attempt it expired. Behind a gated
 /// blocker on the only worker, the expired attempt waits in the manager's
-/// prefetch slot; the cancel reaches the manager ahead of the retry, so
-/// opening the gate skips that attempt at pick-up and the body runs once,
-/// for the retry.
+/// prefetch slot (HTEX) or the pool's queue (thread pool); the cancel
+/// arrives ahead of the retry, so opening the gate skips that attempt at
+/// pick-up and the body runs once, for the retry.
 #[test]
 fn walltime_expiry_cancels_the_attempt_it_expired() {
     use parsl::executors::proto::{Command, CommandReply};
-    use std::sync::atomic::{AtomicU32, Ordering};
-    static RUNS: AtomicU32 = AtomicU32::new(0);
 
     let htex = Arc::new(parsl::executors::HtexExecutor::new(
         parsl::executors::HtexConfig {
@@ -325,8 +291,31 @@ fn walltime_expiry_cancels_the_attempt_it_expired() {
             ..Default::default()
         },
     ));
+    // Blocker and first attempt at the manager, the retry queued at the
+    // interchange, which has by then forwarded the cancel the kernel sent
+    // ahead of the retry.
+    let ix = htex.clone();
+    walltime_expiry_cancels(htex, move || {
+        ix.command(Command::OutstandingInfo, Duration::from_secs(2))
+            .ok()
+            == Some(CommandReply::Outstanding(3))
+    });
+
+    // Blocker running, first attempt and retry queued: the cancel was
+    // marked before the retry was submitted.
+    let pool = Arc::new(parsl::executors::ThreadPoolExecutor::new(1));
+    let queued = pool.clone();
+    walltime_expiry_cancels(pool, move || queued.outstanding() == 3);
+}
+
+/// Run the walltime-cancel scenario on `executor`; `retried` says when the
+/// expired attempt and its retry are both in the executor.
+fn walltime_expiry_cancels(executor: Arc<dyn Executor>, retried: impl Fn() -> bool) {
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    let runs = Arc::new(AtomicU32::new(0));
     let dfk = DataFlowKernel::builder()
-        .executor_arc(htex.clone())
+        .executor_arc(executor)
         .retries(1)
         .build()
         .unwrap();
@@ -337,34 +326,28 @@ fn walltime_expiry_cancels_the_attempt_it_expired() {
         let _ = gate_rx.lock().unwrap().recv();
         0u8
     });
+    let counter = runs.clone();
     let expires = dfk.python_app_cfg(
         "expires",
         AppOptions {
             walltime: Some(Duration::from_millis(100)),
             ..Default::default()
         },
-        |x: u64| -> Result<u64, AppError> {
-            RUNS.fetch_add(1, Ordering::SeqCst);
+        move |x: u64| -> Result<u64, AppError> {
+            counter.fetch_add(1, Ordering::SeqCst);
             Ok(x)
         },
     );
     let _blocked = parsl::core::call!(blocker);
     let f = parsl::core::call!(expires, 7u64);
-    // Blocker and first attempt at the manager, the retry queued at the
-    // interchange, which has by then forwarded the cancel the kernel sent
-    // ahead of the retry.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while htex
-        .command(Command::OutstandingInfo, Duration::from_secs(2))
-        .ok()
-        != Some(CommandReply::Outstanding(3))
-    {
+    while !retried() {
         assert!(std::time::Instant::now() < deadline, "never retried");
         std::thread::sleep(Duration::from_millis(5));
     }
     drop(gate);
     assert_eq!(f.result_timeout(Duration::from_secs(10)).unwrap(), 7);
-    assert_eq!(RUNS.load(Ordering::SeqCst), 1, "the expired attempt ran");
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "the expired attempt ran");
     dfk.shutdown();
 }
 
