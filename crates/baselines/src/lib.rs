@@ -81,6 +81,54 @@ mod tests {
     use parsl_core::prelude::*;
     use std::time::Duration;
 
+    fn run_hundred(dfk: &std::sync::Arc<DataFlowKernel>) {
+        let square = dfk.python_app("square", |x: u64| x * x);
+        let futs: Vec<_> = (0..100u64).map(|i| parsl_core::call!(square, i)).collect();
+        for (i, f) in futs.iter().enumerate() {
+            assert_eq!(f.result().unwrap(), (i * i) as u64);
+        }
+    }
+
+    #[test]
+    fn ipp_runs_parsl_programs() {
+        let dfk = DataFlowKernel::builder()
+            .executor(IppExecutor::new(IppConfig {
+                engines: 4,
+                ..Default::default()
+            }))
+            .build()
+            .unwrap();
+        run_hundred(&dfk);
+        dfk.shutdown();
+    }
+
+    #[test]
+    fn dask_runs_parsl_programs() {
+        let dfk = DataFlowKernel::builder()
+            .executor(DaskLikeExecutor::new(DaskConfig {
+                workers: 4,
+                ..Default::default()
+            }))
+            .build()
+            .unwrap();
+        run_hundred(&dfk);
+        dfk.shutdown();
+    }
+
+    #[test]
+    fn fireworks_runs_parsl_programs() {
+        let dfk = DataFlowKernel::builder()
+            .executor(FireworksExecutor::new(FireworksConfig {
+                workers: 4,
+                poll_interval: Duration::from_millis(5),
+                ..Default::default()
+            }))
+            .build()
+            .unwrap();
+        run_hundred(&dfk);
+        dfk.shutdown();
+    }
+
     #[test]
     fn dask_connection_cap_rejects_workers() {
         let d = DaskLikeExecutor::new(DaskConfig {

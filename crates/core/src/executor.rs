@@ -323,3 +323,54 @@ impl Executor for ImmediateExecutor {
         self.ctx.lock().take();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::{AppOptions, AppRegistry};
+    use crate::types::AppKind;
+
+    fn spec(app: Arc<RegisteredApp>, args: Bytes) -> TaskSpec {
+        TaskSpec {
+            id: TaskId(1),
+            app,
+            args,
+            resources: ResourceSpec::default(),
+            attempt: 0,
+            tenant: TenantId::DEFAULT,
+            items: 1,
+        }
+    }
+
+    #[test]
+    fn immediate_executor_roundtrip() {
+        let registry = AppRegistry::new();
+        let app = registry.register(
+            "double",
+            AppKind::Native,
+            "(u32)->u32",
+            Arc::new(|args| {
+                let (x,): (u32,) = wire::from_bytes(args)
+                    .map_err(|e| crate::error::AppError::Serialization(e.to_string()))?;
+                wire::to_bytes(&(x * 2))
+                    .map_err(|e| crate::error::AppError::Serialization(e.to_string()))
+            }),
+            AppOptions::default(),
+        );
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let ex = ImmediateExecutor::new();
+        ex.start(ExecutorContext {
+            completions: tx,
+            registry,
+        })
+        .unwrap();
+        ex.submit(spec(app, Bytes::from(wire::to_bytes(&(21u32,)).unwrap())))
+            .unwrap();
+        let batch = rx.recv().unwrap();
+        assert_eq!(batch.len(), 1);
+        let outcome = batch.into_iter().next().unwrap();
+        let v: u32 = wire::from_bytes(&outcome.result.unwrap()).unwrap();
+        assert_eq!(v, 42);
+        assert!(outcome.worker.unwrap().contains("inline"));
+    }
+}

@@ -640,6 +640,66 @@ mod tests {
     use parsl_core::registry::{AppOptions, AppRegistry};
     use parsl_core::types::{AppKind, ResourceSpec, TaskId};
 
+    /// A batch submitted through one `submit_batch` call comes back
+    /// complete, and the outstanding gauge returns to zero.
+    #[test]
+    fn submit_batch_roundtrip() {
+        let registry = AppRegistry::new();
+        let app = registry.register(
+            "double",
+            AppKind::Native,
+            "(u64)->u64",
+            Arc::new(|args| {
+                let (x,): (u64,) = wire::from_bytes(args)
+                    .map_err(|e| parsl_core::error::AppError::Serialization(e.to_string()))?;
+                wire::to_bytes(&(x * 2))
+                    .map_err(|e| parsl_core::error::AppError::Serialization(e.to_string()))
+            }),
+            AppOptions::default(),
+        );
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let htex = HtexExecutor::new(HtexConfig {
+            workers_per_node: 2,
+            nodes_per_block: 2,
+            ..Default::default()
+        });
+        htex.start(ExecutorContext {
+            completions: tx,
+            registry: Arc::clone(&registry),
+        })
+        .unwrap();
+
+        let n = 64u64;
+        let batch: Vec<TaskSpec> = (0..n)
+            .map(|i| TaskSpec {
+                id: TaskId(i),
+                app: Arc::clone(&app),
+                args: Bytes::from(wire::to_bytes(&(i,)).unwrap()),
+                resources: ResourceSpec::default(),
+                attempt: 0,
+                tenant: parsl_core::types::TenantId::DEFAULT,
+                items: 1,
+            })
+            .collect();
+        htex.submit_batch(batch).unwrap();
+
+        let mut got = std::collections::HashMap::new();
+        while got.len() < n as usize {
+            let outcomes = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("batch completes");
+            for outcome in outcomes {
+                let v: u64 = wire::from_bytes(&outcome.result.unwrap()).unwrap();
+                got.insert(outcome.id.0, v);
+            }
+        }
+        for i in 0..n {
+            assert_eq!(got.get(&i), Some(&(i * 2)), "task {i}");
+        }
+        assert_eq!(htex.outstanding(), 0);
+        htex.shutdown();
+    }
+
     fn spec(app: &Arc<parsl_core::registry::RegisteredApp>, id: u64, ms: u64) -> TaskSpec {
         TaskSpec {
             id: TaskId(id),

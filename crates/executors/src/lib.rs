@@ -55,6 +55,129 @@ mod tests {
     use parsl_core::prelude::*;
     use std::time::Duration;
 
+    fn quick_htex(workers_per_node: usize, nodes: usize) -> HtexExecutor {
+        HtexExecutor::new(HtexConfig {
+            workers_per_node,
+            nodes_per_block: nodes,
+            init_blocks: 1,
+            heartbeat_period: Duration::from_millis(30),
+            heartbeat_threshold: Duration::from_millis(150),
+            ..Default::default()
+        })
+    }
+
+    /// An app whose first call reports on the returned "started" channel
+    /// and then hangs until the returned gate sender drops; every later
+    /// call returns `f(x)` at once.
+    fn hang_first(
+        dfk: &std::sync::Arc<DataFlowKernel>,
+        f: fn(u64) -> u64,
+    ) -> (
+        App<(u64,), u64>,
+        crossbeam::channel::Receiver<()>,
+        crossbeam::channel::Sender<()>,
+    ) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (started_tx, started) = crossbeam::channel::unbounded();
+        let (gate, gate_rx) = crossbeam::channel::bounded::<()>(0);
+        let first = AtomicBool::new(true);
+        let app = dfk.python_app("slow", move |x: u64| {
+            if first.swap(false, Ordering::SeqCst) {
+                let _ = started_tx.send(());
+                let _ = gate_rx.recv(); // returns once the gate drops
+            }
+            f(x)
+        });
+        (app, started, gate)
+    }
+
+    #[test]
+    fn htex_executes_tasks() {
+        let dfk = DataFlowKernel::builder()
+            .executor(quick_htex(2, 2))
+            .build()
+            .unwrap();
+        let double = dfk.python_app("double", |x: u64| x * 2);
+        let futs: Vec<_> = (0..50u64).map(|i| parsl_core::call!(double, i)).collect();
+        for (i, f) in futs.iter().enumerate() {
+            assert_eq!(f.result().unwrap(), 2 * i as u64);
+        }
+        dfk.shutdown();
+    }
+
+    #[test]
+    fn htex_dependency_chains_cross_nodes() {
+        let dfk = DataFlowKernel::builder()
+            .executor(quick_htex(2, 3))
+            .build()
+            .unwrap();
+        let inc = dfk.python_app("inc", |x: u64| x + 1);
+        let mut f = parsl_core::call!(inc, 0u64);
+        for _ in 0..20 {
+            f = parsl_core::call!(inc, f);
+        }
+        assert_eq!(f.result().unwrap(), 21);
+        dfk.shutdown();
+    }
+
+    #[test]
+    fn htex_worker_count_reflects_nodes() {
+        let htex = quick_htex(4, 2);
+        let dfk = DataFlowKernel::builder()
+            .executor_arc(std::sync::Arc::new(htex))
+            .build()
+            .unwrap();
+        // 1 block × 2 nodes × 4 workers; registration is async, poll briefly.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let ex = dfk.executor("htex").unwrap();
+        while ex.connected_workers() < 8 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(ex.connected_workers(), 8);
+        dfk.shutdown();
+    }
+
+    #[test]
+    fn htex_manager_loss_is_detected_and_retried() {
+        let htex = std::sync::Arc::new(quick_htex(1, 1));
+        let dfk = DataFlowKernel::builder()
+            .executor_arc(htex.clone())
+            .retries(2)
+            .build()
+            .unwrap();
+        let (slow, started, gate) = hang_first(&dfk, |x| x);
+        let f = parsl_core::call!(slow, 5u64);
+        // Once the task runs on the (only) node, kill that node.
+        started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("task started");
+        let nodes = htex.nodes();
+        assert_eq!(nodes.len(), 1);
+        htex.kill_node(&nodes[0]);
+        // Bring up a replacement so the retry has somewhere to run.
+        htex.add_node();
+        assert_eq!(f.result().unwrap(), 5);
+        drop(gate);
+        dfk.shutdown();
+    }
+
+    #[test]
+    fn llex_executes_tasks() {
+        let dfk = DataFlowKernel::builder()
+            .executor(LlexExecutor::new(LlexConfig {
+                workers: 3,
+                ..Default::default()
+            }))
+            .build()
+            .unwrap();
+        let id = dfk.python_app("id", |x: i64| x);
+        let futs: Vec<_> = (0..30i64).map(|i| parsl_core::call!(id, i)).collect();
+        for (i, f) in futs.iter().enumerate() {
+            assert_eq!(f.result().unwrap(), i as i64);
+        }
+        dfk.shutdown();
+    }
+
     #[test]
     fn htex_command_channel_reports_outstanding() {
         use crate::proto::{Command, CommandReply};
@@ -115,6 +238,54 @@ mod tests {
         // stuck in the first attempt (LLEX itself never notices).
         llex.add_node();
         assert_eq!(f.result().unwrap(), 9);
+        drop(gate);
+        dfk.shutdown();
+    }
+
+    #[test]
+    fn exex_executes_tasks() {
+        let dfk = DataFlowKernel::builder()
+            .executor(ExexExecutor::new(ExexConfig {
+                ranks_per_pool: 4,
+                init_pools: 2,
+                heartbeat_period: Duration::from_millis(30),
+                heartbeat_threshold: Duration::from_millis(150),
+                ..Default::default()
+            }))
+            .build()
+            .unwrap();
+        let sq = dfk.python_app("sq", |x: u64| x * x);
+        let futs: Vec<_> = (0..40u64).map(|i| parsl_core::call!(sq, i)).collect();
+        for (i, f) in futs.iter().enumerate() {
+            assert_eq!(f.result().unwrap(), (i * i) as u64);
+        }
+        dfk.shutdown();
+    }
+
+    #[test]
+    fn exex_pool_crash_takes_out_whole_pool_and_retries_elsewhere() {
+        let exex = std::sync::Arc::new(ExexExecutor::new(ExexConfig {
+            ranks_per_pool: 3,
+            init_pools: 1,
+            heartbeat_period: Duration::from_millis(30),
+            heartbeat_threshold: Duration::from_millis(200),
+            ..Default::default()
+        }));
+        let dfk = DataFlowKernel::builder()
+            .executor_arc(exex.clone())
+            .retries(2)
+            .build()
+            .unwrap();
+        let (slow, started, gate) = hang_first(&dfk, |x| x + 1);
+        let f = parsl_core::call!(slow, 1u64);
+        started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("task started");
+        let pools = exex.nodes();
+        assert_eq!(pools.len(), 1);
+        exex.kill_node(&pools[0]);
+        exex.add_node();
+        assert_eq!(f.result().unwrap(), 2);
         drop(gate);
         dfk.shutdown();
     }

@@ -175,6 +175,56 @@ mod tests {
     use parsl_core::registry::AppRegistry;
     use parsl_core::types::AppKind;
 
+    #[test]
+    fn pool_executes_parallel_tasks() {
+        use parsl_core::prelude::*;
+        let dfk = DataFlowKernel::builder()
+            .executor(ThreadPoolExecutor::new(4))
+            .build()
+            .unwrap();
+        let square = dfk.python_app("square", |x: u64| x * x);
+        let futs: Vec<_> = (0..100u64).map(|i| parsl_core::call!(square, i)).collect();
+        for (i, f) in futs.iter().enumerate() {
+            assert_eq!(f.result().unwrap(), (i * i) as u64);
+        }
+        dfk.shutdown();
+    }
+
+    /// Eight tasks on eight threads meet at a barrier, so none finishes
+    /// unless all of them run at once.
+    #[test]
+    fn pool_actually_runs_concurrently() {
+        use parsl_core::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+        let dfk = DataFlowKernel::builder()
+            .executor(ThreadPoolExecutor::new(8))
+            .build()
+            .unwrap();
+        static PEAK: AtomicUsize = AtomicUsize::new(0);
+        static NOW: AtomicUsize = AtomicUsize::new(0);
+        PEAK.store(0, Ordering::SeqCst);
+        NOW.store(0, Ordering::SeqCst);
+        let all_in = Arc::new(std::sync::Barrier::new(8));
+        let busy = dfk.python_app("busy", move |_i: u64| {
+            let n = NOW.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK.fetch_max(n, Ordering::SeqCst);
+            all_in.wait();
+            NOW.fetch_sub(1, Ordering::SeqCst);
+            0u8
+        });
+        let futs: Vec<_> = (0..8u64).map(|i| parsl_core::call!(busy, i)).collect();
+        for f in &futs {
+            f.result_timeout(Duration::from_secs(10)).unwrap();
+        }
+        assert!(
+            PEAK.load(Ordering::SeqCst) >= 4,
+            "expected real concurrency, peak was {}",
+            PEAK.load(Ordering::SeqCst)
+        );
+        dfk.shutdown();
+    }
+
     /// Cancels aimed at 1,000 attempts that already finished, sent while a
     /// blocker keeps the pool busy, are recorded, and gone once the pool
     /// is idle again.

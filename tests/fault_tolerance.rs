@@ -212,6 +212,48 @@ fn manager_death_with_partially_reported_results_loses_and_duplicates_nothing() 
 }
 
 #[test]
+fn exex_pool_fate_sharing_is_recovered_by_retries() {
+    let exex = Arc::new(parsl::executors::ExexExecutor::new(
+        parsl::executors::ExexConfig {
+            ranks_per_pool: 3,
+            init_pools: 2,
+            heartbeat_period: Duration::from_millis(30),
+            heartbeat_threshold: Duration::from_millis(150),
+            ..Default::default()
+        },
+    ));
+    let dfk = DataFlowKernel::builder()
+        .executor_arc(exex.clone())
+        .retries(3)
+        .build()
+        .unwrap();
+    // Every body reports that it started, then holds until the gate drops.
+    let (started_tx, started) = crossbeam::channel::unbounded();
+    let (gate, gate_rx) = crossbeam::channel::bounded::<()>(0);
+    let slow = dfk.python_app("slow", move |x: u64| {
+        let _ = started_tx.send(());
+        let _ = gate_rx.recv();
+        x * 2
+    });
+    let futs: Vec<_> = (0..8u64).map(|i| parsl::core::call!(slow, i)).collect();
+    // Both pools busy: 2 pools x 2 worker ranks.
+    for _ in 0..4 {
+        started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("both pools running tasks");
+    }
+    // Crash one pool: every rank in it dies together (MPI semantics).
+    let pools = exex.nodes();
+    exex.kill_node(&pools[0]);
+    exex.add_node();
+    drop(gate);
+    for (i, f) in futs.iter().enumerate() {
+        assert_eq!(f.result().unwrap(), 2 * i as u64);
+    }
+    dfk.shutdown();
+}
+
+#[test]
 fn dependency_failure_cascades_through_deep_graph() {
     let dfk = DataFlowKernel::builder()
         .executor(parsl::executors::ThreadPoolExecutor::new(2))

@@ -46,6 +46,43 @@ fn await_workers(htex: &HtexExecutor, want: usize) {
 }
 
 #[test]
+fn tcp_roundtrip_executes_tasks_in_worker_processes() {
+    let htex = tcp_htex(HtexConfig {
+        workers_per_node: 2,
+        nodes_per_block: 2,
+        init_blocks: 1,
+        heartbeat_period: Duration::from_millis(50),
+        heartbeat_threshold: Duration::from_secs(5),
+        ..Default::default()
+    });
+    let dfk = DataFlowKernel::builder()
+        .executor_arc(htex.clone())
+        .build()
+        .unwrap();
+    // Bodies run in the worker process via the builtin table; these
+    // client-side closures only fix the types and signatures.
+    let double = dfk.python_app("double", |x: u64| x * 2);
+    let add = dfk.python_app("add", |a: u64, b: u64| a + b);
+
+    // Dependency chains force result→argument flow across the socket.
+    let futs: Vec<_> = (0..40u64)
+        .map(|i| {
+            let d = parsl::core::call!(double, i);
+            add.call((Dep::future(d), Dep::value(i)))
+        })
+        .collect();
+    for (i, f) in futs.iter().enumerate() {
+        assert_eq!(
+            f.result_timeout(Duration::from_secs(30)).unwrap(),
+            3 * i as u64,
+            "add(double({i}), {i})"
+        );
+    }
+    assert_eq!(htex.outstanding(), 0);
+    dfk.shutdown();
+}
+
+#[test]
 fn tcp_unknown_app_fails_cleanly_instead_of_hanging() {
     let htex = tcp_htex(HtexConfig {
         workers_per_node: 1,
