@@ -11,6 +11,14 @@
 //! scheduler, hub, memoizer, and monitor all pay ~1k task costs instead
 //! of 1M.
 //!
+//! A map keeps no heap object per element. Elements are encoded back to
+//! back into one buffer, cut into chunk frames, and stay inside frames
+//! from there on: the worker walks its argument frame and writes its
+//! result frame in place (`wire::items`), the client keeps each landed
+//! result frame as it came, and [`MapHandle::results`] decodes every
+//! element straight out of those frames. Only failed elements get an
+//! entry of their own.
+//!
 //! Everything downstream still accounts in *logical items*: a fused spec
 //! carries `items = chunk length`, so arrival rates, per-item service
 //! samples, hedge thresholds, walltime budgets, and monitor rollups stay
@@ -50,14 +58,18 @@ use crate::registry::{AppId, AppOptions, ErasedAppFn, RegisteredApp};
 use crate::types::{AppKind, TenantId};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Duration;
+use wire::items::{self, Items};
 
-/// Widest chunk the auto-sizer will pick. Keeps a fused frame comfortably
-/// under the transport's frame budget and bounds how much work one failed
-/// chunk can strand.
+/// Most items the auto-sizer puts in one chunk. It bounds how much work
+/// one failed chunk can strand, not a chunk's bytes: 4,096 elements of
+/// 20 KB make a frame larger than `wire::MAX_FRAME_LEN` (64 MiB), so a
+/// map of large elements should set [`MapOptions::chunk_size`].
 pub const MAX_CHUNK: usize = 4096;
 
 /// Per-chunk service time the auto-sizer aims for when it has observed
@@ -95,36 +107,71 @@ pub struct FusedOutput {
     pub err: Option<AppError>,
 }
 
-/// Wrap an erased app body into its fused-chunk form: decode a
+/// Wrap an erased app body into its fused-chunk form: take an encoded
 /// `Vec<Vec<u8>>` of per-item argument encodings, apply the inner body to
-/// each in order, stop at the first failure, and encode a [`FusedOutput`].
+/// each in order, stop at the first failure, and return the encoding of
+/// a [`FusedOutput`]. Both are written and walked in place
+/// ([`wire::items`]); a malformed argument frame fails before any
+/// element runs.
 ///
 /// Exposed so spawned worker processes can rebuild the body for an
 /// advertised `_parsl_fmap_*` app from its `fmap[{name}; {sig}]`
 /// signature, exactly like the join/barrier combinators.
 pub fn fused_map_body(inner: ErasedAppFn) -> ErasedAppFn {
     Arc::new(move |bytes: &[u8]| {
-        let items: Vec<Vec<u8>> = wire::from_bytes(bytes)
-            .map_err(|e| AppError::Serialization(format!("fused chunk args: {e}")))?;
-        let mut ok = Vec::with_capacity(items.len());
-        let mut err = None;
-        for item in &items {
+        let mut args = chunk_args(bytes, "fused chunk args")?;
+        let n = args.remaining();
+        // `ok`'s count is `n` unless an element fails; then it is
+        // rewritten once the loop knows how many ran.
+        let mut out = Vec::with_capacity(bytes.len() + 8);
+        wire::encode_varint(n as u64, &mut out);
+        let head = out.len();
+        let (mut item, mut ran, mut err) = (Vec::new(), 0, None);
+        while err.is_none() && args.next_into(&mut item).map_err(serialization)? {
             // Catch per element, not per chunk: a panicking element must
             // fail only its own logical item.
-            match std::panic::catch_unwind(AssertUnwindSafe(|| (inner)(item))) {
-                Ok(Ok(bytes)) => ok.push(bytes),
-                Ok(Err(e)) => {
-                    err = Some(e);
-                    break;
+            match std::panic::catch_unwind(AssertUnwindSafe(|| (inner)(&item))) {
+                Ok(Ok(bytes)) => {
+                    items::push(&bytes, &mut out);
+                    ran += 1;
                 }
-                Err(p) => {
-                    err = Some(AppError::Panic(panic_message(p)));
-                    break;
-                }
+                Ok(Err(e)) => err = Some(e),
+                Err(p) => err = Some(AppError::Panic(panic_message(p))),
             }
         }
-        wire::to_bytes(&FusedOutput { ok, err }).map_err(|e| AppError::Serialization(e.to_string()))
+        if ran < n {
+            out.splice(..head, items::frame(ran, &[]));
+        }
+        wire::to_writer(&err, &mut out).map_err(serialization)?;
+        Ok(out)
     })
+}
+
+fn serialization(e: wire::Error) -> AppError {
+    AppError::Serialization(e.to_string())
+}
+
+/// Check a chunk's whole argument frame, then return a cursor over it.
+fn chunk_args<'a>(bytes: &'a [u8], what: &str) -> Result<Items<'a>, AppError> {
+    let bad = |e: wire::Error| AppError::Serialization(format!("{what}: {e}"));
+    match items::check(bytes).map_err(bad)? {
+        (_, []) => Items::new(bytes).map_err(bad),
+        _ => Err(bad(wire::Error::TrailingBytes)),
+    }
+}
+
+/// Check a chunk's whole `FusedOutput` frame against its `n` elements:
+/// one result each, or results up to a failed element and its failure.
+/// Returns how many succeeded and that failure.
+fn chunk_output(frame: &[u8], n: usize) -> Result<(usize, Option<AppError>), TaskError> {
+    let bad =
+        |e: String| TaskError::App(AppError::Serialization(format!("fused chunk result: {e}")));
+    let (ran, tail) = items::check(frame).map_err(|e| bad(e.to_string()))?;
+    let err: Option<AppError> = wire::from_bytes(tail).map_err(|e| bad(e.to_string()))?;
+    if ran > n || (ran < n && err.is_none()) {
+        return Err(bad(format!("{ran} results for {n} elements")));
+    }
+    Ok((ran, err))
 }
 
 /// Per-call options for [`App::map`] / [`App::map_reduce`].
@@ -142,35 +189,87 @@ pub struct MapOptions {
     pub hints: DataHints,
 }
 
+/// A map's results, kept per chunk: no state per element except the
+/// failed ones.
 struct MapInner {
-    results: Vec<Option<Result<Bytes, TaskError>>>,
+    /// Elements that encoded and are not resolved yet.
     remaining: usize,
+    /// Checked `FusedOutput` frames, by the input index their first
+    /// result answers. In order, their results are every element in
+    /// input order that is neither failed nor lost.
+    landed: BTreeMap<usize, Bytes>,
+    /// Input ranges whose elements failed with their chunk, by start:
+    /// the range's end and the error.
+    lost: BTreeMap<usize, (usize, TaskError)>,
+    /// Failed elements by input index: those that would not encode, and
+    /// those that failed inside a chunk.
+    failed: BTreeMap<usize, TaskError>,
 }
 
 struct MapState {
+    len: usize,
     cell: Mutex<MapInner>,
     cond: Condvar,
 }
 
 impl MapState {
-    /// Record results for logical items; the last fill wakes waiters.
-    fn fill_many(&self, entries: Vec<(usize, Result<Bytes, TaskError>)>) {
+    /// Resolve the `n` elements of the chunk over input range `span`
+    /// from its outcome. When an element failed mid-chunk, returns how
+    /// many ran before it and the input range left to run.
+    fn land(
+        &self,
+        outcome: &Result<Bytes, TaskError>,
+        span: Range<usize>,
+        n: usize,
+    ) -> Option<(usize, Range<usize>)> {
+        let checked = outcome
+            .as_ref()
+            .map_err(TaskError::clone)
+            .and_then(|frame| Ok((frame, chunk_output(frame, n)?)));
         let mut inner = self.cell.lock();
-        for (i, v) in entries {
-            if inner.results[i].is_none() {
-                inner.results[i] = Some(v);
-                inner.remaining -= 1;
+        let mut rest = None;
+        match checked {
+            // Chunk-level failure (executor lost, walltime, shutdown,
+            // malformed chunk args or result): every element inherits it.
+            Err(e) => {
+                inner.lost.insert(span.start, (span.end, e));
+                inner.remaining -= n;
+            }
+            Ok((frame, (ran, err))) => {
+                if ran > 0 {
+                    inner.landed.insert(span.start, frame.clone());
+                    inner.remaining -= ran;
+                }
+                // Element `ran` failed; everything past it never ran.
+                if let Some(e) = err.filter(|_| ran < n) {
+                    let at = nth_encoded(&inner.failed, span.start, ran);
+                    inner.failed.insert(at, TaskError::App(e));
+                    inner.remaining -= 1;
+                    if ran + 1 < n {
+                        rest = Some((ran, at + 1..span.end));
+                    }
+                }
             }
         }
         if inner.remaining == 0 {
             drop(inner);
             self.cond.notify_all();
         }
+        rest
     }
+}
 
-    fn fill_all(&self, idxs: &[usize], v: &Result<Bytes, TaskError>) {
-        self.fill_many(idxs.iter().map(|&i| (i, v.clone())).collect());
+/// Input index of the `k`-th element that encoded, counting from input
+/// index `start`: `failed` holds the ones that did not.
+fn nth_encoded<V>(failed: &BTreeMap<usize, V>, start: usize, k: usize) -> usize {
+    let mut at = start + k;
+    for &i in failed.range(start..).map(|(i, _)| i) {
+        if i > at {
+            break;
+        }
+        at += 1;
     }
+    at
 }
 
 /// Handle to an in-flight [`App::map`]: per-item results land as fused
@@ -185,7 +284,7 @@ pub struct MapHandle<R> {
 impl<R: TaskValue> MapHandle<R> {
     /// Number of logical items in the map.
     pub fn len(&self) -> usize {
-        self.state.cell.lock().results.len()
+        self.state.len
     }
 
     /// True for a map over an empty iterator.
@@ -222,18 +321,29 @@ impl<R: TaskValue> MapHandle<R> {
     }
 
     /// Block until every fused chunk (and split-retry) completes, then
-    /// decode the per-item results in input order.
+    /// decode the per-item results in input order, walking each landed
+    /// frame once.
     pub fn results(&self) -> Vec<Result<R, ParslError>> {
-        let mut inner = self.state.cell.lock();
-        while inner.remaining > 0 {
-            self.state.cond.wait(&mut inner);
+        let mut guard = self.state.cell.lock();
+        while guard.remaining > 0 {
+            self.state.cond.wait(&mut guard);
         }
-        inner
-            .results
-            .iter()
-            .map(|slot| match slot.as_ref().expect("remaining == 0") {
-                Ok(bytes) => wire::from_bytes(bytes).map_err(ParslError::Decode),
-                Err(e) => Err(ParslError::Task(e.clone())),
+        let inner = &*guard;
+        let mut landed = inner.landed.values();
+        let mut frame = Items::bare(&[], 0);
+        let mut item = Vec::new();
+        (0..self.state.len)
+            .map(|i| {
+                let lost = inner.lost.range(..=i).next_back();
+                let lost = lost.filter(|(_, (end, _))| i < *end).map(|(_, (_, e))| e);
+                if let Some(e) = inner.failed.get(&i).or(lost) {
+                    return Err(ParslError::Task(e.clone()));
+                }
+                while frame.remaining() == 0 {
+                    frame = Items::new(landed.next().expect("every element resolved"))?;
+                }
+                frame.next_into(&mut item)?;
+                wire::from_bytes(&item).map_err(ParslError::Decode)
             })
             .collect()
     }
@@ -241,110 +351,95 @@ impl<R: TaskValue> MapHandle<R> {
 
 impl<R> std::fmt::Debug for MapHandle<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.state.cell.lock();
         f.debug_struct("MapHandle")
-            .field("items", &inner.results.len())
-            .field("remaining", &inner.remaining)
+            .field("items", &self.state.len)
+            .field("remaining", &self.state.cell.lock().remaining)
             .field("chunks", &self.chunks)
             .field("chunk_size", &self.chunk_size)
             .finish()
     }
 }
 
-/// Encode a chunk's argument frame: the selected per-item encodings as
-/// one `Vec<Vec<u8>>` in a single ready slot.
-fn encode_chunk(data: &[Vec<u8>], idxs: &[usize]) -> Result<Bytes, AppError> {
-    let slice: Vec<&Vec<u8>> = idxs.iter().map(|&i| &data[i]).collect();
-    wire::to_bytes(&slice)
-        .map(Bytes::from)
-        .map_err(|e| AppError::Serialization(e.to_string()))
+/// Encode every input into one buffer, back to back in chunk format: an
+/// element that will not encode fails only itself, before any chunk is
+/// cut. Returns the buffer, how many elements it holds, and the failures
+/// by input index.
+fn encode<T: TaskValue>(
+    inputs: impl IntoIterator<Item = T>,
+) -> (Vec<u8>, usize, BTreeMap<usize, AppError>) {
+    let (mut body, mut count, mut failed) = (Vec::new(), 0, BTreeMap::new());
+    let mut item = Vec::new();
+    for (i, v) in inputs.into_iter().enumerate() {
+        item.clear();
+        // (T,) encodes as the concatenation of its fields, i.e. as T.
+        match wire::to_writer(&v, &mut item) {
+            Ok(()) => {
+                items::push(&item, &mut body);
+                count += 1;
+            }
+            Err(e) => {
+                failed.insert(i, serialization(e));
+            }
+        }
+    }
+    (body, count, failed)
 }
 
-/// Submit one fused chunk for the logical items `idxs` and arrange for
-/// its completion to fill their result slots — splitting and resubmitting
-/// the unprocessed remainder when an element fails mid-chunk. The
-/// remainder is strictly smaller than the chunk, so the recursion
-/// terminates even if every element fails.
-fn submit_chunk(
-    dfk: &Arc<DataFlowKernel>,
-    fused: &Arc<RegisteredApp>,
-    data: &Arc<Vec<Vec<u8>>>,
-    idxs: Vec<usize>,
+/// Cut `encode`'s buffer into chunk frames of `size` elements: each a
+/// count and one copy of its elements' bytes, with the input range it
+/// covers and its element count. The buffer is dropped here.
+fn cut<V>(
+    body: Vec<u8>,
+    count: usize,
+    size: usize,
+    failed: &BTreeMap<usize, V>,
+) -> Vec<(Bytes, Range<usize>, usize)> {
+    let mut walk = Items::bare(&body, count);
+    let mut chunks = Vec::with_capacity(count.div_ceil(size));
+    let mut start = 0;
+    while walk.remaining() > 0 {
+        let n = walk.remaining().min(size);
+        let elements = walk.skip(n).expect("encode wrote these elements");
+        let end = nth_encoded(failed, start, n - 1) + 1;
+        chunks.push((Bytes::from(items::frame(n, elements)), start..end, n));
+        start = end;
+    }
+    chunks
+}
+
+/// What every chunk of one map shares.
+struct MapRun {
+    dfk: Arc<DataFlowKernel>,
+    fused: Arc<RegisteredApp>,
     tenant: TenantId,
-    hints: &DataHints,
-    state: &Arc<MapState>,
-) {
-    let args = match encode_chunk(data, &idxs) {
-        Ok(b) => b,
-        Err(e) => {
-            state.fill_all(&idxs, &Err(TaskError::App(e)));
-            return;
-        }
-    };
-    let fut = dfk.submit(
-        Arc::clone(fused),
-        vec![ArgSlot::Ready(args)],
+    hints: DataHints,
+    state: Arc<MapState>,
+}
+
+/// Submit one fused chunk of `n` elements over input range `span`, and
+/// arrange for its completion to resolve them — resubmitting the
+/// unprocessed remainder when an element fails mid-chunk. The remainder
+/// is strictly smaller than the chunk, so the recursion terminates even
+/// if every element fails.
+fn submit_chunk(run: &Arc<MapRun>, args: Bytes, span: Range<usize>, n: usize) {
+    let fut = run.dfk.submit(
+        Arc::clone(&run.fused),
+        vec![ArgSlot::Ready(args.clone())],
         SubmitOptions {
-            tenant,
-            hints: hints.clone(),
-            items: idxs.len() as u32,
+            tenant: run.tenant,
+            hints: run.hints.clone(),
+            items: n as u32,
         },
     );
-    let dfk = Arc::clone(dfk);
-    let fused = Arc::clone(fused);
-    let data = Arc::clone(data);
-    let hints = hints.clone();
-    let state2 = Arc::clone(state);
+    let run = Arc::clone(run);
     fut.on_done(move |r| {
-        let bytes = match r {
-            Ok(b) => b,
-            // Chunk-level failure (executor lost, walltime, shutdown,
-            // undecodable chunk args): every unprocessed item inherits it.
-            Err(e) => {
-                state2.fill_all(&idxs, &Err(e.clone()));
-                return;
-            }
-        };
-        let out: FusedOutput = match wire::from_bytes(bytes) {
-            Ok(out) => out,
-            Err(e) => {
-                state2.fill_all(
-                    &idxs,
-                    &Err(TaskError::App(AppError::Serialization(format!(
-                        "fused chunk result: {e}"
-                    )))),
-                );
-                return;
-            }
-        };
-        let k = out.ok.len().min(idxs.len());
-        let mut filled: Vec<(usize, Result<Bytes, TaskError>)> = Vec::with_capacity(k + 1);
-        for (j, b) in out.ok.into_iter().take(k).enumerate() {
-            filled.push((idxs[j], Ok(Bytes::from(b))));
-        }
-        match out.err {
-            Some(e) if k < idxs.len() => {
-                // Element k failed; everything past it was never run.
-                filled.push((idxs[k], Err(TaskError::App(e))));
-                state2.fill_many(filled);
-                let rest = idxs[k + 1..].to_vec();
-                if !rest.is_empty() {
-                    submit_chunk(&dfk, &fused, &data, rest, tenant, &hints, &state2);
-                }
-            }
-            _ => {
-                // A well-formed chunk reports one result per item; a short
-                // report without an error is a protocol violation.
-                if k < idxs.len() {
-                    let short = Err(TaskError::App(AppError::Serialization(
-                        "fused chunk under-reported results".into(),
-                    )));
-                    for &i in &idxs[k..] {
-                        filled.push((i, short.clone()));
-                    }
-                }
-                state2.fill_many(filled);
-            }
+        if let Some((ran, span)) = run.state.land(r, span, n) {
+            // A new count, then the raw tail of this chunk's own frame:
+            // the bytes encoding the tail afresh would make.
+            let mut walk = Items::new(&args).expect("a chunk's own frame");
+            walk.skip(ran + 1).expect("a chunk's own frame");
+            let rest = Bytes::from(items::frame(n - ran - 1, walk.rest()));
+            submit_chunk(&run, rest, span, n - ran - 1);
         }
     });
 }
@@ -401,55 +496,41 @@ impl<T: TaskValue, R: TaskValue> App<(T,), R> {
     {
         let dfk = Arc::clone(self.dfk());
         let inner = Arc::clone(self.registered());
-        // Encode every element up front; an element that will not encode
-        // fails only itself, before any chunk is cut.
-        let mut data: Vec<Vec<u8>> = Vec::new();
-        let mut results: Vec<Option<Result<Bytes, TaskError>>> = Vec::new();
-        let mut good: Vec<usize> = Vec::new();
-        for v in inputs {
-            // (T,) encodes as the concatenation of its fields, i.e. as T.
-            match wire::to_bytes(&v) {
-                Ok(b) => {
-                    good.push(results.len());
-                    data.push(b);
-                    results.push(None);
-                }
-                Err(e) => {
-                    data.push(Vec::new());
-                    results.push(Some(Err(TaskError::App(AppError::Serialization(
-                        e.to_string(),
-                    )))));
-                }
-            }
-        }
+        let (body, count, failed) = encode(inputs);
         let chunk_size = opts
             .chunk_size
-            .unwrap_or_else(|| auto_chunk_size(&dfk, inner.id, good.len()))
+            .unwrap_or_else(|| auto_chunk_size(&dfk, inner.id, count))
             .max(1);
-        let remaining = good.len();
-        let chunks = good.len().div_ceil(chunk_size);
+        let chunks = cut(body, count, chunk_size, &failed);
+        let chunk_count = chunks.len();
         let state = Arc::new(MapState {
-            cell: Mutex::new(MapInner { results, remaining }),
+            len: count + failed.len(),
+            cell: Mutex::new(MapInner {
+                remaining: count,
+                landed: BTreeMap::new(),
+                lost: BTreeMap::new(),
+                failed: failed
+                    .into_iter()
+                    .map(|(i, e)| (i, TaskError::App(e)))
+                    .collect(),
+            }),
             cond: Condvar::new(),
         });
-        if !good.is_empty() {
-            let fused = fused_twin(&dfk, &inner);
-            let data = Arc::new(data);
-            for chunk in good.chunks(chunk_size) {
-                submit_chunk(
-                    &dfk,
-                    &fused,
-                    &data,
-                    chunk.to_vec(),
-                    opts.tenant,
-                    &opts.hints,
-                    &state,
-                );
+        if chunk_count > 0 {
+            let run = Arc::new(MapRun {
+                fused: fused_twin(&dfk, &inner),
+                dfk,
+                tenant: opts.tenant,
+                hints: opts.hints,
+                state: Arc::clone(&state),
+            });
+            for (args, span, n) in chunks {
+                submit_chunk(&run, args, span, n);
             }
         }
         MapHandle {
             state,
-            chunks,
+            chunks: chunk_count,
             chunk_size,
             _marker: PhantomData,
         }
@@ -494,23 +575,16 @@ impl<T: TaskValue, R: TaskValue> App<(T,), R> {
         let dfk = Arc::clone(self.dfk());
         let inner = Arc::clone(self.registered());
         let reduce: Arc<dyn Fn(R, R) -> R + Send + Sync> = Arc::new(reduce);
-        let mut data: Vec<Vec<u8>> = Vec::new();
-        for v in inputs {
-            match wire::to_bytes(&v) {
-                Ok(b) => data.push(b),
-                Err(e) => {
-                    return AppFuture::from_shared_state(
-                        dfk.failed_submission(AppError::Serialization(e.to_string())),
-                    );
-                }
-            }
+        let (body, count, mut failed) = encode(inputs);
+        if let Some((_, e)) = failed.pop_first() {
+            return AppFuture::from_shared_state(dfk.failed_submission(e));
         }
-        if data.is_empty() {
+        if count == 0 {
             return AppFuture::ready(&init);
         }
         let chunk_size = opts
             .chunk_size
-            .unwrap_or_else(|| auto_chunk_size(&dfk, inner.id, data.len()))
+            .unwrap_or_else(|| auto_chunk_size(&dfk, inner.id, count))
             .max(1);
         let fold = dfk.register_erased(
             &format!("_parsl_fmapfold_{}", inner.name),
@@ -519,24 +593,20 @@ impl<T: TaskValue, R: TaskValue> App<(T,), R> {
             fused_map_fold_body::<R>(Arc::clone(&inner.func), Arc::clone(&reduce)),
             inner.options.clone(),
         );
-        let all: Vec<usize> = (0..data.len()).collect();
-        let data = Arc::new(data);
-        let mut partials: Vec<Arc<FutureState>> = Vec::with_capacity(all.len() / chunk_size + 1);
-        for chunk in all.chunks(chunk_size) {
-            let args = match encode_chunk(&data, chunk) {
-                Ok(b) => b,
-                Err(e) => return AppFuture::from_shared_state(dfk.failed_submission(e)),
-            };
-            partials.push(dfk.submit(
-                Arc::clone(&fold),
-                vec![ArgSlot::Ready(args)],
-                SubmitOptions {
-                    tenant: opts.tenant,
-                    hints: opts.hints.clone(),
-                    items: chunk.len() as u32,
-                },
-            ));
-        }
+        let mut partials: Vec<Arc<FutureState>> = cut(body, count, chunk_size, &failed)
+            .into_iter()
+            .map(|(args, _, n)| {
+                dfk.submit(
+                    Arc::clone(&fold),
+                    vec![ArgSlot::Ready(args)],
+                    SubmitOptions {
+                        tenant: opts.tenant,
+                        hints: opts.hints.clone(),
+                        items: n as u32,
+                    },
+                )
+            })
+            .collect();
         // Collapse the chunk partials through fused reduce levels. Each
         // level preserves input order, so the overall fold order matches
         // the flat left-fold.
@@ -582,11 +652,11 @@ fn fused_map_fold_body<R: TaskValue>(
     reduce: Arc<dyn Fn(R, R) -> R + Send + Sync>,
 ) -> ErasedAppFn {
     Arc::new(move |bytes: &[u8]| {
-        let items: Vec<Vec<u8>> = wire::from_bytes(bytes)
-            .map_err(|e| AppError::Serialization(format!("fused fold args: {e}")))?;
+        let mut args = chunk_args(bytes, "fused fold args")?;
+        let mut item = Vec::new();
         let mut acc: Option<R> = None;
-        for item in &items {
-            let out = std::panic::catch_unwind(AssertUnwindSafe(|| (inner)(item)))
+        while args.next_into(&mut item).map_err(serialization)? {
+            let out = std::panic::catch_unwind(AssertUnwindSafe(|| (inner)(&item)))
                 .map_err(|p| AppError::Panic(panic_message(p)))??;
             let v: R = wire::from_bytes(&out)
                 .map_err(|e| AppError::Serialization(format!("fused fold item: {e}")))?;
@@ -596,7 +666,7 @@ fn fused_map_fold_body<R: TaskValue>(
             });
         }
         let acc = acc.ok_or_else(|| AppError::Serialization("empty fused fold chunk".into()))?;
-        wire::to_bytes(&acc).map_err(|e| AppError::Serialization(e.to_string()))
+        wire::to_bytes(&acc).map_err(serialization)
     })
 }
 
@@ -610,7 +680,7 @@ fn fused_reduce_body<R: TaskValue>(
             .into_iter()
             .reduce(|a, b| reduce(a, b))
             .ok_or_else(|| AppError::Serialization("empty reduce group".into()))?;
-        wire::to_bytes(&acc).map_err(|e| AppError::Serialization(e.to_string()))
+        wire::to_bytes(&acc).map_err(serialization)
     })
 }
 

@@ -37,6 +37,7 @@ mod de;
 mod error;
 mod frame;
 mod hash;
+pub mod items;
 mod ser;
 mod varint;
 

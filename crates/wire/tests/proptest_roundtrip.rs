@@ -1,10 +1,13 @@
 //! Property tests: every value the task layer can produce must survive a
-//! wire roundtrip, and decoding must never panic on arbitrary bytes.
+//! wire roundtrip, decoding must never panic on arbitrary bytes, and the
+//! in-place list codec (`wire::items`) writes serde's bytes.
 
 use proptest::collection::{btree_map, vec};
 use proptest::option;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
+use wire::items::{check, frame, push, Items};
+use wire::{encode_varint, Error};
 
 #[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
 enum Payload {
@@ -126,4 +129,80 @@ proptest! {
         }
         prop_assert!(wire::read_frame(&mut buf).unwrap().is_none());
     }
+}
+
+fn byte_lists() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    vec(vec(any::<u8>(), 0..40), 0..20)
+}
+
+fn encode_items(items: &[Vec<u8>]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for item in items {
+        push(item, &mut body);
+    }
+    frame(items.len(), &body)
+}
+
+fn walk(input: &[u8]) -> wire::Result<Vec<Vec<u8>>> {
+    let mut items = Items::new(input)?;
+    let mut out = Vec::new();
+    let mut buf = Vec::new();
+    while items.next_into(&mut buf)? {
+        out.push(buf.clone());
+    }
+    Ok(out)
+}
+
+proptest! {
+    // The encoding of a `Vec<Vec<u8>>`, written and walked in place by
+    // `wire::items`, is serde's byte for byte, and fails where serde fails.
+    #[test]
+    fn frames_are_serdes_bytes(items in byte_lists()) {
+        let bytes = encode_items(&items);
+        prop_assert_eq!(&bytes, &wire::to_bytes(&items).unwrap());
+        prop_assert_eq!(check(&bytes).unwrap(), (items.len(), &[] as &[u8]));
+        prop_assert_eq!(walk(&bytes).unwrap(), items);
+    }
+
+    #[test]
+    fn a_skipped_tail_is_serdes_tail(items in byte_lists(), at in 0usize..20) {
+        let at = at.min(items.len());
+        let bytes = wire::to_bytes(&items).unwrap();
+        let mut walked = Items::new(&bytes).unwrap();
+        walked.skip(at).unwrap();
+        let tail = frame(items.len() - at, walked.rest());
+        prop_assert_eq!(tail, wire::to_bytes(&items[at..].to_vec()).unwrap());
+    }
+
+    #[test]
+    fn hostile_input_fails_where_serde_fails(bytes in vec(any::<u8>(), 0..64)) {
+        let serde = wire::from_bytes::<Vec<Vec<u8>>>(&bytes);
+        let ours = check(&bytes).and_then(|(_, tail)| {
+            if tail.is_empty() { walk(&bytes) } else { Err(Error::TrailingBytes) }
+        });
+        prop_assert_eq!(serde.ok(), ours.ok());
+    }
+}
+
+#[test]
+fn every_malformation_is_an_error() {
+    let good = wire::to_bytes(&vec![vec![1u8, 200], vec![]]).unwrap();
+    // Truncated anywhere.
+    for cut in 0..good.len() {
+        assert!(check(&good[..cut]).is_err(), "cut at {cut}");
+    }
+    // A "byte" of 300.
+    let mut big = Vec::new();
+    encode_varint(1, &mut big);
+    encode_varint(1, &mut big);
+    encode_varint(300, &mut big);
+    assert!(matches!(check(&big), Err(Error::LengthOverflow(300))));
+    // A count larger than the bytes can hold.
+    assert!(matches!(check(&[9, 0]), Err(Error::LengthOverflow(9))));
+    // An element length larger than the bytes left.
+    assert!(matches!(check(&[1, 5, 1]), Err(Error::LengthOverflow(5))));
+    // Trailing bytes are left to the caller.
+    let mut trailing = good.clone();
+    trailing.push(7);
+    assert_eq!(check(&trailing).unwrap(), (2, &[7u8][..]));
 }
