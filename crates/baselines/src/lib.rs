@@ -17,14 +17,13 @@
 //!   at single-digit tasks per second.
 //!
 //! All three implement `parsl_core::Executor`, so any Parsl program can run
-//! unmodified against a baseline (that's how the latency/throughput
-//! benches compare them). The [`model`] module provides their
-//! discrete-event counterparts for paper-scale sweeps.
+//! unmodified against a baseline; `tests/executor_contract.rs` runs the
+//! executor contract on each. Their discrete-event counterparts for
+//! paper-scale sweeps are in `simcluster::model`.
 
 mod dask;
 mod fireworks;
 mod ipp;
-pub mod model;
 
 pub use dask::{DaskConfig, DaskLikeExecutor};
 pub use fireworks::{FireworksConfig, FireworksExecutor};
@@ -80,54 +79,6 @@ mod tests {
     use super::*;
     use parsl_core::prelude::*;
     use std::time::Duration;
-
-    fn run_hundred(dfk: &std::sync::Arc<DataFlowKernel>) {
-        let square = dfk.python_app("square", |x: u64| x * x);
-        let futs: Vec<_> = (0..100u64).map(|i| parsl_core::call!(square, i)).collect();
-        for (i, f) in futs.iter().enumerate() {
-            assert_eq!(f.result().unwrap(), (i * i) as u64);
-        }
-    }
-
-    #[test]
-    fn ipp_runs_parsl_programs() {
-        let dfk = DataFlowKernel::builder()
-            .executor(IppExecutor::new(IppConfig {
-                engines: 4,
-                ..Default::default()
-            }))
-            .build()
-            .unwrap();
-        run_hundred(&dfk);
-        dfk.shutdown();
-    }
-
-    #[test]
-    fn dask_runs_parsl_programs() {
-        let dfk = DataFlowKernel::builder()
-            .executor(DaskLikeExecutor::new(DaskConfig {
-                workers: 4,
-                ..Default::default()
-            }))
-            .build()
-            .unwrap();
-        run_hundred(&dfk);
-        dfk.shutdown();
-    }
-
-    #[test]
-    fn fireworks_runs_parsl_programs() {
-        let dfk = DataFlowKernel::builder()
-            .executor(FireworksExecutor::new(FireworksConfig {
-                workers: 4,
-                poll_interval: Duration::from_millis(5),
-                ..Default::default()
-            }))
-            .build()
-            .unwrap();
-        run_hundred(&dfk);
-        dfk.shutdown();
-    }
 
     #[test]
     fn dask_connection_cap_rejects_workers() {

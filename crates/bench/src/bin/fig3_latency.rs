@@ -17,10 +17,8 @@
 //! IPP 11.72, Dask 16.19. (*derived: LLEX is "approximately 2.43 ms slower
 //! than the local ThreadPool executor".)
 
-use baselines::model as baseline_models;
 use bench::{fmt_f, section, Table};
-use parsl_executors::model::FrameworkModel;
-use simcluster::machines;
+use simcluster::{machines, FrameworkModel};
 use simnet::SimTime;
 use std::time::{Duration, Instant};
 
@@ -34,8 +32,8 @@ fn main() {
         (FrameworkModel::llex(), Some(3.47)),
         (FrameworkModel::htex(), Some(6.87)),
         (FrameworkModel::exex(), Some(9.83)),
-        (baseline_models::ipp(), Some(11.72)),
-        (baseline_models::dask(), Some(16.19)),
+        (FrameworkModel::ipp(), Some(11.72)),
+        (FrameworkModel::dask(), Some(16.19)),
     ];
     let mut t = Table::new(&[
         "executor", "mean ms", "p5 ms", "p50 ms", "p95 ms", "stddev", "paper ms",

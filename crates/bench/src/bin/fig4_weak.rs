@@ -6,16 +6,15 @@
 //! observes sublinear scaling setting in at ~32 workers for FireWorks,
 //! ~256 for IPP, and ~1024 for Dask, HTEX, and EXEX.
 
-use baselines::model as baseline_models;
 use bench::{fmt_opt, pow2_range, section, Table};
-use simcluster::machines;
+use simcluster::{machines, model};
 use simnet::SimTime;
 
 fn main() {
     let bw = machines::blue_waters();
     let one_way = bw.one_way_latency();
     let workers = pow2_range(32, 262_144);
-    let frameworks = baseline_models::figure4_lineup();
+    let frameworks = model::figure4_lineup();
 
     for duration_ms in [0u64, 10, 100, 1000] {
         section(&format!(

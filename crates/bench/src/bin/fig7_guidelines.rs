@@ -11,8 +11,7 @@
 
 use bench::{fmt_f, section, Table};
 use parsl_core::guidelines::{recommend, ExecutorChoice};
-use parsl_executors::model::FrameworkModel;
-use simcluster::machines;
+use simcluster::{machines, FrameworkModel};
 use simnet::SimTime;
 
 fn choice_of(model: &FrameworkModel) -> ExecutorChoice {

@@ -27,7 +27,8 @@ use bench::{fmt_f, section, Table};
 use parsl_core::prelude::*;
 use parsl_core::strategy::PredictiveConfig;
 use parsl_executors::{HtexConfig, HtexExecutor};
-use parsl_providers::{BlockPool, ProvidedExecutor, SimProvider};
+use parsl_providers::{BlockPool, ProvidedExecutor};
+use simcluster::SimProvider;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -10,10 +10,8 @@
 //! - **max tasks/s**: 50 000 no-op tasks on the Midway model at a worker
 //!   count in the framework's sweet spot.
 
-use baselines::model as baseline_models;
 use bench::{fmt_f, section, Table};
-use parsl_executors::model::FrameworkModel;
-use simcluster::machines;
+use simcluster::{machines, FrameworkModel};
 use simnet::SimTime;
 
 struct Row {
@@ -29,7 +27,7 @@ fn main() {
     let midway = machines::midway();
     let rows = vec![
         Row {
-            model: baseline_models::ipp(),
+            model: FrameworkModel::ipp(),
             paper_workers: 2048,
             paper_nodes: 64,
             paper_tput: 330.0,
@@ -50,14 +48,14 @@ fn main() {
             allocation_limited: true,
         },
         Row {
-            model: baseline_models::fireworks(),
+            model: FrameworkModel::fireworks(),
             paper_workers: 1024,
             paper_nodes: 32,
             paper_tput: 4.0,
             allocation_limited: false,
         },
         Row {
-            model: baseline_models::dask(),
+            model: FrameworkModel::dask(),
             paper_workers: 8192,
             paper_nodes: 256,
             paper_tput: 2617.0,

@@ -325,7 +325,7 @@ pub struct PredictiveConfig {
     /// does not flap across a block boundary.
     pub hysteresis: f64,
     /// Service-time prior used until the monitor has real samples
-    /// (calibrated workloads in `baselines/model.rs` run ~1 task/s/worker).
+    /// (calibrated workloads in `simcluster/src/model.rs` run ~1 task/s/worker).
     pub default_service: Duration,
     /// When true (default), scale-in is expressed as
     /// [`ScalingDecision::Drain`] — graceful retirement. When false it

@@ -26,9 +26,6 @@
 //! [`HtexConfig::batch_size`] and the transport's frame budget. With
 //! nothing outstanding a task leaves in the calling thread as one
 //! `Submit` frame, as it always did (see [`client`]).
-//!
-//! The [`model`] module holds the discrete-event versions of these
-//! architectures used to regenerate the paper-scale experiments.
 
 pub mod builtin;
 pub mod client;
@@ -37,7 +34,6 @@ pub mod htex;
 pub mod interchange;
 pub mod kernel;
 pub mod llex;
-pub mod model;
 pub mod proto;
 pub mod threadpool;
 pub mod worker;
@@ -45,7 +41,6 @@ pub mod worker;
 pub use exex::{ExexConfig, ExexExecutor};
 pub use htex::{default_worker_cmd, HtexConfig, HtexExecutor, NodeShape, TcpHtexOptions};
 pub use llex::{LlexConfig, LlexExecutor};
-pub use model::{CampaignResult, FrameworkModel, ScaleFailure};
 pub use threadpool::ThreadPoolExecutor;
 pub use worker::{run_worker, ManagerCfg, WorkerOptions};
 

@@ -32,12 +32,6 @@ pub struct FabricConfig {
     /// otherwise head-of-line-block everything behind it on a real
     /// transport. Advisory: the fabric itself never rejects a frame.
     pub max_frame_bytes: usize,
-    /// Fixed per-message cost charged to the *sender*, modelling the
-    /// syscall/serialization floor of a real transport (ZeroMQ over TCP in
-    /// the paper). Zero by default; throughput experiments set it so the
-    /// messages-per-task ratio shows up in wall-clock numbers the way it
-    /// does on a cluster.
-    pub per_message_cost: Duration,
 }
 
 /// Default frame budget: 256 KiB, a few thousand small tasks per frame.
@@ -50,7 +44,6 @@ impl Default for FabricConfig {
             loss_probability: 0.0,
             seed: 0,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            per_message_cost: Duration::ZERO,
         }
     }
 }
@@ -73,14 +66,6 @@ pub(crate) struct FabricInner {
 
 impl FabricInner {
     pub(crate) fn route(&self, from: &Addr, to: &Addr, payload: Bytes) -> Result<(), SendError> {
-        if self.config.per_message_cost > Duration::ZERO {
-            // Spin rather than sleep: the modelled costs are microseconds,
-            // well under OS sleep granularity.
-            let until = Instant::now() + self.config.per_message_cost;
-            while Instant::now() < until {
-                std::hint::spin_loop();
-            }
-        }
         self.stats.record_sent(payload.len());
         if !self.dead_links.read().is_empty()
             && self.dead_links.read().contains(&(from.clone(), to.clone()))

@@ -10,9 +10,6 @@
 //!
 //! - [`ExecutionProvider`]: the three-action trait;
 //! - [`LocalProvider`]: "fork on this machine" — jobs start immediately;
-//! - [`SimProvider`]: jobs go through the `simcluster` LRM (queue delays,
-//!   capacity limits, walltimes) driven by wall-clock time — the paper's
-//!   Slurm/PBS/Cobalt stand-in;
 //! - [`SlurmScript`]: renders the `#SBATCH` submission script a real Slurm
 //!   provider would generate, so configs are inspectable (§4.2's
 //!   parameter-to-script mapping);
@@ -29,7 +26,6 @@ mod channel;
 mod launcher;
 mod local;
 mod provider;
-mod sim;
 mod slurm;
 mod wrapper;
 
@@ -38,14 +34,12 @@ pub use channel::{Channel, LocalChannel, SshChannel};
 pub use launcher::{Launcher, MpiExecLauncher, SingleLauncher, SrunLauncher};
 pub use local::LocalProvider;
 pub use provider::{ExecutionProvider, JobHandle, JobStatus, ProviderError};
-pub use sim::SimProvider;
 pub use slurm::SlurmScript;
 pub use wrapper::ProvidedExecutor;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::SimTime;
     use std::time::Duration;
 
     #[test]
@@ -63,43 +57,6 @@ mod tests {
     fn local_provider_rejects_oversized() {
         let p = LocalProvider::new(2);
         assert!(p.submit(3, None).is_err());
-    }
-
-    #[test]
-    fn sim_provider_queues_then_runs() {
-        let p = SimProvider::builder()
-            .nodes(4)
-            .queue_delay(Duration::from_millis(80))
-            .build();
-        let job = p.submit(2, None).unwrap();
-        assert_eq!(p.status(&job), JobStatus::Pending);
-        std::thread::sleep(Duration::from_millis(150));
-        assert_eq!(p.status(&job), JobStatus::Running);
-        p.cancel(&job);
-        assert_eq!(p.status(&job), JobStatus::Cancelled);
-    }
-
-    #[test]
-    fn sim_provider_respects_capacity() {
-        let p = SimProvider::builder().nodes(2).build();
-        let a = p.submit(2, None).unwrap();
-        let b = p.submit(1, None).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(p.status(&a), JobStatus::Running);
-        assert_eq!(p.status(&b), JobStatus::Pending);
-        p.cancel(&a);
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(p.status(&b), JobStatus::Running);
-    }
-
-    #[test]
-    fn sim_provider_walltime_completes_job() {
-        let p = SimProvider::builder().nodes(1).build();
-        let job = p.submit(1, Some(Duration::from_millis(60))).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(p.status(&job), JobStatus::Running);
-        std::thread::sleep(Duration::from_millis(80));
-        assert_eq!(p.status(&job), JobStatus::Completed);
     }
 
     #[test]
@@ -147,75 +104,5 @@ mod tests {
         let cmd = mpi.wrap("worker", 4, 2);
         assert!(cmd.contains("mpiexec"));
         assert!(cmd.contains("-n 8"));
-    }
-
-    #[test]
-    fn block_pool_provisions_through_queue_delay() {
-        use parsl_core::executor::BlockScaling;
-        use parsl_executors::{HtexConfig, HtexExecutor};
-        use std::sync::Arc;
-
-        let htex = Arc::new(HtexExecutor::new(HtexConfig {
-            label: "pool-test".into(),
-            workers_per_node: 1,
-            init_blocks: 0,
-            ..Default::default()
-        }));
-        let dfk = parsl_core::DataFlowKernel::builder()
-            .executor_arc(htex.clone())
-            .build()
-            .unwrap();
-        let _ = &dfk;
-
-        let provider = SimProvider::builder()
-            .nodes(10)
-            .queue_delay(Duration::from_millis(50))
-            .build();
-        let pool = BlockPool::builder(provider)
-            .nodes_per_block(2)
-            .min_blocks(0)
-            .max_blocks(3)
-            .poll_interval(Duration::from_millis(10))
-            .on_block_up({
-                let htex = Arc::clone(&htex);
-                move |nodes| {
-                    for _ in 0..nodes {
-                        htex.add_node();
-                    }
-                }
-            })
-            .on_block_down({
-                let htex = Arc::clone(&htex);
-                move |nodes| {
-                    for _ in 0..nodes {
-                        htex.remove_node();
-                    }
-                }
-            })
-            .build();
-
-        assert_eq!(pool.block_count(), 0);
-        assert_eq!(pool.scale_out(2), 2);
-        assert_eq!(
-            pool.block_count(),
-            2,
-            "blocks count as provisioned while queued"
-        );
-        // Nodes appear only after the queue delay.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while htex.nodes().len() < 4 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(htex.nodes().len(), 4);
-        // Scale in releases jobs and tears down nodes.
-        assert_eq!(pool.scale_in(1), 1);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while htex.nodes().len() > 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(htex.nodes().len(), 2);
-        pool.shutdown();
-        dfk.shutdown();
-        let _ = SimTime::ZERO; // keep simnet linked for the doc examples
     }
 }

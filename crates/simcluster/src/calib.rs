@@ -30,20 +30,6 @@ pub const DFK_SUBMIT: SimTime = SimTime::from_micros(600);
 /// kernel"). See [`DFK_SUBMIT`] for the derivation.
 pub const EXEC_KERNEL: SimTime = SimTime::from_micros(440);
 
-/// Share of [`DFK_SUBMIT`] that is per-*message* dispatch work — framing
-/// the submit message and writing it to the executor socket — rather than
-/// per-task argument serialization. Derived: profiled on the real-thread
-/// plane as roughly 30% of the submit path. Batched submission (§4.3.1)
-/// pays this once per frame instead of once per task, which is the lever
-/// behind the Figure-5-style launch-rate experiments.
-pub const SUBMIT_PER_MSG: SimTime = SimTime::from_micros(180);
-
-/// Fraction of the central component's per-task service that is message
-/// parsing/framing rather than matching and task tracking; amortized by
-/// the same batching. Assumed: framing-heavy brokers (HTEX interchange)
-/// profile near this share on the real-thread plane.
-pub const CENTRAL_MSG_FRACTION: f64 = 0.4;
-
 // ---------------------------------------------------------------------------
 // Per-executor extra path cost (latency experiment, Figure 3)
 // ---------------------------------------------------------------------------
@@ -164,28 +150,6 @@ pub const EXEX_MAX_POOLS: usize = 1024;
 /// Workers per EXEX MPI pool used in the scale experiments: one pool per
 /// node of 32 workers keeps pools small as §4.3.2 recommends.
 pub const EXEX_POOL_SIZE: usize = 32;
-
-// ---------------------------------------------------------------------------
-// Batching (HTEX manager prefetch, §4.3.1)
-// ---------------------------------------------------------------------------
-
-/// Default task batch size managers request from the interchange.
-pub const HTEX_DEFAULT_BATCH: usize = 8;
-
-/// Per-batch fixed messaging overhead between interchange and manager.
-pub const HTEX_BATCH_OVERHEAD: SimTime = SimTime::from_micros(150);
-
-// ---------------------------------------------------------------------------
-// Elasticity experiment (Figures 5–6)
-// ---------------------------------------------------------------------------
-
-/// Strategy evaluation period (Parsl's default polling cadence).
-pub const STRATEGY_INTERVAL: SimTime = SimTime::from_secs(5);
-
-/// Queue delay for acquiring a block on the Midway-like cluster during the
-/// elasticity run; chosen at the small end of campus-cluster delays so the
-/// elastic run's makespan penalty (~10%) matches Figure 6.
-pub const ELASTICITY_BLOCK_QDELAY: SimTime = SimTime::from_secs(8);
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,5 @@
-//! `simcluster` — testbed machines and a batch-scheduler (LRM) simulator.
+//! `simcluster` — testbed machines, a batch-scheduler (LRM) simulator, and
+//! the paper-scale executor models.
 //!
 //! The paper evaluates on two real systems (§5): the **Midway** campus
 //! cluster (28-core Intel nodes, 0.07 ms RTT) and the **Blue Waters** Cray
@@ -15,20 +16,34 @@
 //!   with explicit clocks, so the same implementation serves the real
 //!   thread-based providers (wall-clock nanoseconds) and the
 //!   discrete-event experiments (virtual time);
+//! - [`SimProvider`], a `parsl_providers::ExecutionProvider` whose jobs go
+//!   through the [`Lrm`] on the wall clock — the paper's Slurm/PBS/Cobalt
+//!   stand-in for elasticity experiments;
 //! - [`calib`], the cost constants that parameterize every executor and
-//!   baseline model, with their provenance documented next to each number.
+//!   baseline model, with their provenance documented next to each number;
+//! - [`model`], the discrete-event [`FrameworkModel`] of each Parsl
+//!   executor and baseline system, for the paper-scale experiments.
+//!
+//! Nothing in the runtime links this crate: only the paper-figure binaries
+//! in `crates/bench` do.
 
 pub mod calib;
 mod lrm;
 mod machine;
+pub mod model;
+mod sim;
 
 pub use lrm::{JobId, JobState, Lrm, LrmConfig, SubmitError};
 pub use machine::{machines, Machine};
+pub use model::{CampaignResult, FrameworkModel, ScaleFailure};
+pub use sim::SimProvider;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parsl_providers::{ExecutionProvider, JobStatus};
     use simnet::SimTime;
+    use std::time::Duration;
 
     fn small_machine() -> Machine {
         Machine {
@@ -217,5 +232,111 @@ mod tests {
         assert!((t - 2617.0).abs() / 2617.0 < tol, "Dask {t}");
         let t = 1.0 / calib::FIREWORKS_DB_SERVICE.as_secs_f64();
         assert!((t - 4.0).abs() / 4.0 < tol, "FireWorks {t}");
+    }
+
+    #[test]
+    fn sim_provider_queues_then_runs() {
+        let p = SimProvider::builder()
+            .nodes(4)
+            .queue_delay(Duration::from_millis(80))
+            .build();
+        let job = p.submit(2, None).unwrap();
+        assert_eq!(p.status(&job), JobStatus::Pending);
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(p.status(&job), JobStatus::Running);
+        p.cancel(&job);
+        assert_eq!(p.status(&job), JobStatus::Cancelled);
+    }
+
+    #[test]
+    fn sim_provider_respects_capacity() {
+        let p = SimProvider::builder().nodes(2).build();
+        let a = p.submit(2, None).unwrap();
+        let b = p.submit(1, None).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(p.status(&a), JobStatus::Running);
+        assert_eq!(p.status(&b), JobStatus::Pending);
+        p.cancel(&a);
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(p.status(&b), JobStatus::Running);
+    }
+
+    #[test]
+    fn sim_provider_walltime_completes_job() {
+        let p = SimProvider::builder().nodes(1).build();
+        let job = p.submit(1, Some(Duration::from_millis(60))).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(p.status(&job), JobStatus::Running);
+        std::thread::sleep(Duration::from_millis(80));
+        assert_eq!(p.status(&job), JobStatus::Completed);
+    }
+
+    #[test]
+    fn block_pool_provisions_through_queue_delay() {
+        use parsl_core::executor::BlockScaling;
+        use parsl_executors::{HtexConfig, HtexExecutor};
+        use std::sync::Arc;
+
+        let htex = Arc::new(HtexExecutor::new(HtexConfig {
+            label: "pool-test".into(),
+            workers_per_node: 1,
+            init_blocks: 0,
+            ..Default::default()
+        }));
+        let dfk = parsl_core::DataFlowKernel::builder()
+            .executor_arc(htex.clone())
+            .build()
+            .unwrap();
+        let _ = &dfk;
+
+        let provider = SimProvider::builder()
+            .nodes(10)
+            .queue_delay(Duration::from_millis(50))
+            .build();
+        let pool = parsl_providers::BlockPool::builder(provider)
+            .nodes_per_block(2)
+            .min_blocks(0)
+            .max_blocks(3)
+            .poll_interval(Duration::from_millis(10))
+            .on_block_up({
+                let htex = Arc::clone(&htex);
+                move |nodes| {
+                    for _ in 0..nodes {
+                        htex.add_node();
+                    }
+                }
+            })
+            .on_block_down({
+                let htex = Arc::clone(&htex);
+                move |nodes| {
+                    for _ in 0..nodes {
+                        htex.remove_node();
+                    }
+                }
+            })
+            .build();
+
+        assert_eq!(pool.block_count(), 0);
+        assert_eq!(pool.scale_out(2), 2);
+        assert_eq!(
+            pool.block_count(),
+            2,
+            "blocks count as provisioned while queued"
+        );
+        // Nodes appear only after the queue delay.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while htex.nodes().len() < 4 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(htex.nodes().len(), 4);
+        // Scale in releases jobs and tears down nodes.
+        assert_eq!(pool.scale_in(1), 1);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while htex.nodes().len() > 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(htex.nodes().len(), 2);
+        pool.shutdown();
+        dfk.shutdown();
     }
 }

@@ -1,16 +1,16 @@
 //! The simulated batch-system provider: Slurm/PBS/Cobalt semantics on a
 //! wall clock.
 //!
-//! Wraps the `simcluster` LRM state machine, driving it with real elapsed
+//! Wraps the [`Lrm`] state machine, driving it with real elapsed
 //! time: submissions sit in a FIFO queue for the configured queue delay,
 //! jobs wait when the machine is full, and walltimes expire. This is what
 //! makes elasticity experiments experience realistic provisioning latency
 //! (§4.4: "in an HPC setting, elasticity may be complicated by queue
 //! delays").
 
-use crate::provider::{ExecutionProvider, JobHandle, JobStatus, ProviderError};
+use crate::{JobId, JobState, Lrm, LrmConfig, Machine, SubmitError};
 use parking_lot::Mutex;
-use simcluster::{JobState, Lrm, LrmConfig, Machine, SubmitError};
+use parsl_providers::{ExecutionProvider, JobHandle, JobStatus, ProviderError};
 use simnet::SimTime;
 use std::time::{Duration, Instant};
 
@@ -145,7 +145,7 @@ impl ExecutionProvider for SimProvider {
         let now = self.now();
         let mut lrm = self.lrm.lock();
         lrm.advance(now);
-        match lrm.status(simcluster::JobId(job.0)) {
+        match lrm.status(JobId(job.0)) {
             None => JobStatus::Unknown,
             Some(JobState::Pending) => JobStatus::Pending,
             Some(JobState::Running { .. }) => JobStatus::Running,
@@ -157,7 +157,7 @@ impl ExecutionProvider for SimProvider {
 
     fn cancel(&self, job: &JobHandle) -> bool {
         let now = self.now();
-        self.lrm.lock().cancel(now, simcluster::JobId(job.0))
+        self.lrm.lock().cancel(now, JobId(job.0))
     }
 
     fn free_nodes(&self) -> usize {

@@ -1,4 +1,8 @@
-//! Facade crate: re-exports the full `parsl-rs` public API.
+//! Facade crate: re-exports the `parsl-rs` runtime's public API.
+//!
+//! The simulators (`simnet`, `simcluster`) and the comparison systems
+//! (`baselines`) serve the paper-figure binaries and the tests; this crate
+//! does not link them.
 //!
 //! See the README for a tour. The typical entry point is
 //! [`parsl_core::DataFlowKernel`].
@@ -25,7 +29,6 @@
 //! dfk.shutdown();
 //! ```
 
-pub use baselines;
 pub use minimpi;
 pub use nexus;
 pub use parsl_core as core;
@@ -33,8 +36,6 @@ pub use parsl_data as data;
 pub use parsl_executors as executors;
 pub use parsl_monitor as monitor;
 pub use parsl_providers as providers;
-pub use simcluster;
-pub use simnet;
 pub use wire;
 
 pub use parsl_core::prelude;

@@ -17,8 +17,8 @@
 //! `cargo test --test executor_contract every_pair -- --nocapture` prints
 //! the clause × instance table.
 
+use baselines::*;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parsl::baselines::*;
 use parsl::core::executor::{ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
 use parsl::core::registry::{AppId, AppRegistry, ErasedAppFn, RegisteredApp};
 use parsl::core::types::AppKind;
