@@ -7,14 +7,13 @@
 //! throughput of all systems (2617 tasks/s — "optimized for short duration
 //! jobs on small clusters") but connection failures at 8192 workers.
 
-use nexus::{Addr, Fabric, Port};
+use nexus::{Addr, Fabric};
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskSpec};
-use parsl_executors::client::Client;
-use parsl_executors::proto::{encode, ToClient, ToInterchange, ToManager, WireTask};
+use parsl_executors::client::{Broker, Client, Request};
+use parsl_executors::proto::{decode, encode, encode_tasks, QueuedTask, ToInterchange, ToManager};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Dask-like configuration.
 #[derive(Debug, Clone)]
@@ -68,15 +67,13 @@ impl Executor for DaskLikeExecutor {
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
         let registry = Arc::clone(&ctx.registry);
-        let sched_ep = self.client.start_on(&self.fabric, ctx, "worker")?;
+        let broker = self.client.start_on(&self.fabric, ctx)?;
 
-        let stop = self.client.stop_flag();
-        let client_addr = self.client.client_addr().clone();
         let connected = Arc::clone(&self.connected);
         let max_connections = self.cfg.max_connections;
         self.client
             .spawn(format!("{}-scheduler", self.cfg.label), move || {
-                scheduler_loop(sched_ep, &stop, &client_addr, &connected, max_connections)
+                scheduler_loop(broker, &connected, max_connections)
             })?;
 
         for addr in self.workers() {
@@ -86,7 +83,7 @@ impl Executor for DaskLikeExecutor {
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        self.client.submit(&task, None)
+        self.client.submit(task)
     }
 
     fn outstanding(&self) -> usize {
@@ -115,41 +112,47 @@ impl Drop for DaskLikeExecutor {
 /// this scheduler maintains occupancy for every worker and decides task by
 /// task — the architectural behaviour that is fast at small scale and
 /// limits Dask at large scale.
-fn scheduler_loop(
-    ep: Box<dyn Port>,
-    stop: &AtomicBool,
-    client_addr: &Addr,
-    connected: &AtomicUsize,
-    max_connections: usize,
-) {
+fn scheduler_loop(broker: Broker, connected: &AtomicUsize, max_connections: usize) {
+    let Broker {
+        port: ep,
+        requests,
+        outcomes,
+        ..
+    } = broker;
     let mut workers: HashMap<Addr, usize> = HashMap::new(); // addr -> queued depth
-    let mut queued: VecDeque<WireTask> = VecDeque::new();
-    loop {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(env) = ep.recv_timeout(Duration::from_millis(50)) else {
-            continue;
-        };
-        match parsl_executors::proto::decode::<ToInterchange>(&env.payload) {
-            Ok(ToInterchange::Submit(t)) => queued.push_back(t),
-            Ok(ToInterchange::Register { .. }) => {
-                if workers.len() >= max_connections {
-                    // Connection refused (paper: observed at 8192 workers).
-                    let _ = ep.send(&env.from, encode(&ToManager::Shutdown));
-                } else {
-                    connected.fetch_add(1, Ordering::Relaxed);
-                    workers.insert(env.from, 0);
+    let mut queued: VecDeque<QueuedTask> = VecDeque::new();
+    'run: loop {
+        crossbeam::channel::select! {
+            recv(requests) -> request => {
+                match request {
+                    Ok(Request::Task(t)) => queued.push_back(t),
+                    Ok(Request::Tasks(tasks)) => queued.extend(tasks),
+                    Ok(Request::Shutdown) | Err(_) => break 'run,
+                    // The model has no cancel, retirement or commands.
+                    Ok(_) => {}
                 }
             }
-            Ok(ToInterchange::Results(results)) => {
-                if let Some(depth) = workers.get_mut(&env.from) {
-                    *depth = depth.saturating_sub(results.len());
+            recv(ep.receiver()) -> env => {
+                let Ok(env) = env else { break 'run };
+                match decode::<ToInterchange>(&env.payload) {
+                    Ok(ToInterchange::Register { .. }) => {
+                        if workers.len() >= max_connections {
+                            // Connection refused (paper: observed at 8192 workers).
+                            let _ = ep.send(&env.from, encode(&ToManager::Shutdown));
+                        } else {
+                            connected.fetch_add(1, Ordering::Relaxed);
+                            workers.insert(env.from, 0);
+                        }
+                    }
+                    Ok(ToInterchange::Results(results)) => {
+                        if let Some(depth) = workers.get_mut(&env.from) {
+                            *depth = depth.saturating_sub(results.len());
+                        }
+                        outcomes.results(results);
+                    }
+                    _ => {}
                 }
-                let _ = ep.send(client_addr, encode(&ToClient::Results(results)));
             }
-            Ok(ToInterchange::Shutdown) => break,
-            _ => {}
         }
         // Per-task decision: place on the least-occupied worker.
         while !queued.is_empty() {
@@ -162,7 +165,7 @@ fn scheduler_loop(
                 break; // everyone busy enough; wait for results
             }
             let t = queued.pop_front().expect("non-empty");
-            if ep.send(&addr, encode(&ToManager::Tasks(vec![t]))).is_err() {
+            if ep.send(&addr, encode_tasks([&t])).is_err() {
                 workers.remove(&addr);
                 connected.fetch_sub(1, Ordering::Relaxed);
             } else {

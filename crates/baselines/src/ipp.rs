@@ -5,14 +5,13 @@
 //! no batching or prefetching. The paper measured 330 tasks/s through the
 //! hub and failures past 2048 engines.
 
-use nexus::{Addr, Fabric, Port};
+use nexus::{Addr, Fabric};
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskSpec};
-use parsl_executors::client::Client;
-use parsl_executors::proto::{encode, ToClient, ToInterchange, ToManager, WireTask};
+use parsl_executors::client::{Broker, Client, Request};
+use parsl_executors::proto::{decode, encode, encode_tasks, QueuedTask, ToInterchange, ToManager};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// IPP configuration.
 #[derive(Debug, Clone)]
@@ -69,15 +68,13 @@ impl Executor for IppExecutor {
         let registry = Arc::clone(&ctx.registry);
         // Frames here are usually single-task (the hub brokers tasks
         // individually), but the completion channel carries batches.
-        let hub_ep = self.client.start_on(&self.fabric, ctx, "engine")?;
+        let broker = self.client.start_on(&self.fabric, ctx)?;
 
-        let stop = self.client.stop_flag();
-        let client_addr = self.client.client_addr().clone();
         let connected = Arc::clone(&self.connected);
         let max_connections = self.cfg.max_connections;
         self.client
             .spawn(format!("{}-hub", self.cfg.label), move || {
-                hub_loop(hub_ep, &stop, &client_addr, &connected, max_connections)
+                hub_loop(broker, &connected, max_connections)
             })?;
 
         for addr in self.engines() {
@@ -87,7 +84,7 @@ impl Executor for IppExecutor {
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        self.client.submit(&task, None)
+        self.client.submit(task)
     }
 
     fn outstanding(&self) -> usize {
@@ -110,46 +107,52 @@ impl Drop for IppExecutor {
     }
 }
 
-fn hub_loop(
-    ep: Box<dyn Port>,
-    stop: &AtomicBool,
-    client_addr: &Addr,
-    connected: &AtomicUsize,
-    max_connections: usize,
-) {
+fn hub_loop(broker: Broker, connected: &AtomicUsize, max_connections: usize) {
+    let Broker {
+        port: ep,
+        requests,
+        outcomes,
+        ..
+    } = broker;
     let mut idle: VecDeque<Addr> = VecDeque::new();
-    let mut queued: VecDeque<WireTask> = VecDeque::new();
-    loop {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(env) = ep.recv_timeout(Duration::from_millis(50)) else {
-            continue;
-        };
-        match parsl_executors::proto::decode::<ToInterchange>(&env.payload) {
-            Ok(ToInterchange::Submit(t)) => queued.push_back(t),
-            Ok(ToInterchange::Register { .. }) => {
-                if connected.load(Ordering::Relaxed) >= max_connections {
-                    // Connection refused: the engine gets no reply and its
-                    // thread exits (paper: failures past 2048 engines).
-                    let _ = ep.send(&env.from, encode(&ToManager::Shutdown));
-                } else {
-                    connected.fetch_add(1, Ordering::Relaxed);
-                    idle.push_back(env.from);
+    let mut queued: VecDeque<QueuedTask> = VecDeque::new();
+    'run: loop {
+        crossbeam::channel::select! {
+            recv(requests) -> request => {
+                match request {
+                    Ok(Request::Task(t)) => queued.push_back(t),
+                    Ok(Request::Tasks(tasks)) => queued.extend(tasks),
+                    Ok(Request::Shutdown) | Err(_) => break 'run,
+                    // The model has no cancel, retirement or commands.
+                    Ok(_) => {}
                 }
             }
-            Ok(ToInterchange::Results(results)) => {
-                idle.push_back(env.from);
-                let _ = ep.send(client_addr, encode(&ToClient::Results(results)));
+            recv(ep.receiver()) -> env => {
+                let Ok(env) = env else { break 'run };
+                match decode::<ToInterchange>(&env.payload) {
+                    Ok(ToInterchange::Register { .. }) => {
+                        if connected.load(Ordering::Relaxed) >= max_connections {
+                            // Connection refused: the engine gets no reply and its
+                            // thread exits (paper: failures past 2048 engines).
+                            let _ = ep.send(&env.from, encode(&ToManager::Shutdown));
+                        } else {
+                            connected.fetch_add(1, Ordering::Relaxed);
+                            idle.push_back(env.from);
+                        }
+                    }
+                    Ok(ToInterchange::Results(results)) => {
+                        idle.push_back(env.from);
+                        outcomes.results(results);
+                    }
+                    _ => {}
+                }
             }
-            Ok(ToInterchange::Shutdown) => break,
-            _ => {}
         }
         // One-at-a-time dispatch: IPP's hub has no batching.
         while let (Some(_), false) = (idle.front(), queued.is_empty()) {
             let w = idle.pop_front().expect("non-empty");
             let t = queued.pop_front().expect("non-empty");
-            if ep.send(&w, encode(&ToManager::Tasks(vec![t]))).is_err() {
+            if ep.send(&w, encode_tasks([&t])).is_err() {
                 connected.fetch_sub(1, Ordering::Relaxed);
             }
         }

@@ -1,7 +1,8 @@
 //! Shared helpers for the experiment harness binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure from the
-//! paper's evaluation (§5); see DESIGN.md's experiment index. Binaries
+//! paper's evaluation (§5); README.md's "Benchmarks and paper figures"
+//! lists them with how to run each. Binaries
 //! print the paper's reported numbers next to the reproduction's so the
 //! *shape* comparison (who wins, by what factor, where curves cross) is
 //! immediate.

@@ -22,7 +22,7 @@
 //!   executed by the data manager itself;
 //! - the wide-area network is simulated: per-scheme latency + bandwidth
 //!   delays, with deterministic synthetic content for "remote" files (the
-//!   substitution documented in DESIGN.md).
+//!   substitution documented in docs/ARCHITECTURE.md §4.6).
 
 mod cache;
 mod file;

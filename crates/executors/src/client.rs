@@ -5,256 +5,174 @@
 //! HTEX (in all three of its shapes, LLEX and EXEX among them) and the
 //! Dask/IPP baselines differ in what sits behind the broker address — an
 //! interchange with managers, a central scheduler, a hub — but the half
-//! that faces the DFK is the same: a port on the message plane, an
-//! outstanding-task gauge, a receive thread turning `ToClient` frames
-//! into completion batches, and a stop flag plus joined threads for
-//! teardown. Each of those executors owns one [`Client`].
+//! that faces the DFK is the same: an outstanding-task gauge, one queue
+//! into the broker, and joined threads for teardown. Each of those
+//! executors owns one [`Client`].
 //!
-//! # The outbox
+//! # One party, one queue
 //!
-//! Every submit goes through one outbox, under one lock, so submit order
-//! is wire order. [`Client::submit`] without a [`Cover`] and
-//! [`Client::submit_batch`] empty it before they return. `submit` with a
-//! `Cover` (HTEX) may leave its task there: a task that would queue
-//! behind a broker backlog already twice the registered slots cannot
-//! start sooner by leaving now, so it waits for company and the outbox
-//! ships as one `SubmitBatch` frame (§4.3.1 "configurable batching ... to
-//! minimize communication overheads", applied to callers that submit one
-//! task at a time). With nothing outstanding the rule never holds, and
-//! the task leaves in the calling thread as the same `Submit` frame as
-//! ever.
+//! The client and its broker share a process, so nothing between them is
+//! encoded. [`Client::submit`], [`Client::submit_batch`], [`Client::send`]
+//! and [`Client::command`] push [`Request`] values onto one FIFO channel,
+//! which the broker drains. A task carries the kernel's argument bytes
+//! ([`QueuedTask`]); the first and only copy of them in this process is
+//! the manager frame the broker writes. Because there is one queue, a
+//! `Cancel` or a command never overtakes the submit it follows. Batching
+//! lives in the broker, beside its backlog and the managers' free slots
+//! (§4.3.1 "configurable batching and prefetching of tasks to minimize
+//! communication overheads"); no task waits in the client, or on a timer.
 //!
-//! A held outbox is flushed
-//! - by the next `submit`, once the backlog no longer covers the slots,
-//!   the outbox reaches [`Cover::max_tasks`], or the new task would
-//!   overflow [`Cover::max_frame_bytes`]; and by `submit_batch`, ahead of
-//!   its own frames;
-//! - by the receive thread after every frame from the broker (a results
-//!   frame is the moment the backlog shrank) and on its 50 ms receive
-//!   timeout. A held task sits behind at least two slots' worth of sent
-//!   ones, so results keep coming while it waits; the timeout bounds the
-//!   wait when they do not;
-//! - before every control message ([`Client::send`], [`Client::command`],
-//!   shutdown), so a `Cancel` or an `OutstandingInfo` never overtakes the
-//!   submit it refers to.
-//!
-//! A frame the port refuses fails every task in it: the gauge is rolled
-//! back, tasks whose submit call had already returned `Ok` are delivered
-//! as `ExecutorLost` outcomes by whichever thread flushed, and the tasks
-//! of the call in progress fail that call.
+//! The broker settles tasks itself: it turns each results frame it
+//! accepts, each lost manager and each task cancelled before dispatch
+//! into one completion batch through its [`Outcomes`], which also takes
+//! them off the gauge. The plane carries only the broker's own peers, so
+//! a peer on it cannot submit, cancel, retire or stop anything: those are
+//! requests, and only the client makes requests.
 
 use crate::proto::{
-    decode, encode, outcomes_from_lost, outcomes_from_results, Command, CommandReply, ToClient,
-    ToInterchange, WireTask,
+    outcomes_from_lost, outcomes_from_results, Command, CommandReply, QueuedTask, WireResult,
 };
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use nexus::{Addr, Port, Transport};
 use parking_lot::Mutex;
-use parsl_core::executor::{ExecutorContext, ExecutorError, TaskSpec};
+use parsl_core::executor::{ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
 use parsl_core::registry::AppRegistry;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Reply slot for the synchronous command channel, shared with the
-/// receive thread.
-type CommandSlot = Arc<Mutex<Option<Sender<CommandReply>>>>;
-
-/// What lets [`Client::submit`] hold a task back, and what caps the frame
-/// it is held for. See the module docs.
-#[derive(Debug, Clone, Copy)]
-pub struct Cover {
-    /// Task slots registered behind the broker (Σ manager capacity:
-    /// workers plus prefetch). A task is held only while the tasks already
-    /// sent and not yet answered number at least twice this. A broker
-    /// still waiting for its first manager counts as one slot, so the
-    /// first tasks leave at once.
-    pub slots: usize,
-    /// Most tasks a held outbox may reach before it is sent; 1 never
-    /// holds.
-    pub max_tasks: usize,
-    /// The transport's frame budget: no frame of more than one task
-    /// exceeds it, by [`WireTask::encoded_size_hint`].
-    pub max_frame_bytes: usize,
+/// What the client asks of its broker, in submit order on one queue.
+#[derive(Debug)]
+pub enum Request {
+    /// One task.
+    Task(QueuedTask),
+    /// The tasks of one `submit_batch` call, in order.
+    Tasks(Vec<QueuedTask>),
+    /// Abandon one attempt (the losing half of a straggler hedge).
+    /// Advisory: if the attempt is still queued the broker drops it and
+    /// settles it "cancelled before dispatch"; if it already reached a
+    /// manager the cancel is forwarded and the worker skips execution,
+    /// but a result still flows back so held-task accounting stays
+    /// intact.
+    Cancel {
+        /// DFK task id.
+        id: u64,
+        /// Attempt to abandon.
+        attempt: u32,
+    },
+    /// Stop dispatching to one manager, then tell it to drain. Routing
+    /// retirement through the broker (instead of telling the manager
+    /// directly) closes the race where a task batch and a shutdown cross
+    /// on the wire.
+    Retire {
+        /// The manager's address.
+        node: Addr,
+    },
+    /// A synchronous administrative command (§4.3.1) and where its reply
+    /// goes.
+    Command(Command, Sender<CommandReply>),
+    /// Stop the broker.
+    Shutdown,
 }
 
-/// Tasks accepted and not yet on the wire, in submit order. Between calls
-/// it holds only single submits a [`Cover`] let wait, fewer than its
-/// `max_tasks`; inside `submit_batch` it is the frame being filled.
-#[derive(Default)]
-struct Outbox {
-    tasks: Vec<WireTask>,
-    /// Σ `encoded_size_hint` over `tasks`.
-    bytes: usize,
-}
-
-impl Outbox {
-    /// Whether `task` can join the frame being filled: a frame always
-    /// takes its first task, so an oversized task still ships, alone.
-    fn fits(&self, task: &WireTask, max_frame_bytes: usize) -> bool {
-        self.tasks.is_empty() || self.bytes + task.encoded_size_hint() <= max_frame_bytes
-    }
-
-    fn push(&mut self, task: WireTask) {
-        self.bytes += task.encoded_size_hint();
-        self.tasks.push(task);
-    }
-}
-
-/// The sending half of a live client, shared by the submitting threads
-/// and the receive thread.
-struct Link {
-    port: Arc<dyn Port>,
-    ix_addr: Addr,
+/// Where a broker settles tasks: the kernel's completion channel, and the
+/// client's outstanding gauge, which each delivery decrements first.
+#[derive(Clone)]
+pub struct Outcomes {
+    completions: Sender<Vec<TaskOutcome>>,
     outstanding: Arc<AtomicUsize>,
-    ctx: ExecutorContext,
-    outbox: Mutex<Outbox>,
+}
+
+impl Outcomes {
+    /// Deliver one results frame as one completion batch: the batching
+    /// the managers did on the wire carries through the DFK's collector.
+    /// False once the kernel is gone.
+    pub fn results(&self, results: Vec<WireResult>) -> bool {
+        self.settle(outcomes_from_results(results))
+    }
+
+    /// Deliver `(task, attempt)` pairs a lost counterparty held as one
+    /// batch of `ExecutorLost` failures. False once the kernel is gone.
+    pub fn lost(&self, tasks: Vec<(u64, u32)>, reason: &str) -> bool {
+        self.settle(outcomes_from_lost(tasks, reason))
+    }
+
+    fn settle(&self, outcomes: Vec<TaskOutcome>) -> bool {
+        if outcomes.is_empty() {
+            return true;
+        }
+        self.outstanding
+            .fetch_sub(outcomes.len(), Ordering::Relaxed);
+        self.completions.send(outcomes).is_ok()
+    }
+}
+
+/// The broker's side of a live client, from [`Client::start_on`].
+pub struct Broker {
+    /// The broker's port on the plane, for its managers or workers.
+    pub port: Box<dyn Port>,
+    /// The client's requests, in order.
+    pub requests: Receiver<Request>,
+    /// Rung after every request that is not a task, and closed with the
+    /// client: a broker that cannot use more tasks for now (every slot
+    /// taken) may wait on this instead of `requests`, so queued tasks cost
+    /// no wake-up, and still obey a cancel, a command or a shutdown at
+    /// once by draining `requests`.
+    pub bell: Receiver<()>,
+    /// Where the broker settles tasks.
+    pub outcomes: Outcomes,
+}
+
+/// A started client's half of the queue.
+struct Link {
+    requests: Sender<Request>,
+    bell: Sender<()>,
+    registry: Arc<AppRegistry>,
 }
 
 impl Link {
-    /// Send the outbox as one frame: a lone task as `Submit`, more as
-    /// `SubmitBatch`. If the port refuses it, every task in it comes off
-    /// the gauge and the first `held` of them — the ones whose submit call
-    /// has already returned `Ok` — settle as `ExecutorLost`.
-    fn flush(&self, outbox: &mut Outbox, held: usize) -> Result<(), ExecutorError> {
-        outbox.bytes = 0;
-        let msg = match outbox.tasks.len() {
-            0 => return Ok(()),
-            // `pop` keeps the allocation for the next lone task.
-            1 => ToInterchange::Submit(outbox.tasks.pop().expect("len checked")),
-            _ => ToInterchange::SubmitBatch(std::mem::take(&mut outbox.tasks)),
-        };
-        self.port.send(&self.ix_addr, encode(&msg)).map_err(|e| {
-            let tasks = match msg {
-                ToInterchange::Submit(task) => vec![task],
-                ToInterchange::SubmitBatch(tasks) => tasks,
-                _ => unreachable!("built as a submit above"),
-            };
-            self.outstanding.fetch_sub(tasks.len(), Ordering::Relaxed);
-            let lost: Vec<(u64, u32)> =
-                tasks.iter().take(held).map(|t| (t.id, t.attempt)).collect();
-            if !lost.is_empty() {
-                let reason = format!("submit frame refused: {e}");
-                let _ = self.ctx.completions.send(outcomes_from_lost(lost, &reason));
-            }
-            ExecutorError::Comm(e.to_string())
-        })
-    }
-
-    /// Flush an outbox in which every task's submit call has returned.
-    /// The error is dropped: the tasks have settled as lost, and whatever
-    /// the caller sends next meets the same port.
-    fn flush_held(&self, outbox: &mut Outbox) {
-        let _ = self.flush(outbox, usize::MAX);
-    }
-
-    /// Accept one task behind whatever is held, and send the outbox
-    /// unless `cover` holds it back.
-    fn submit(&self, spec: &TaskSpec, cover: Option<Cover>) -> Result<(), ExecutorError> {
-        let task = WireTask::from_spec(spec);
-        let mut outbox = self.outbox.lock();
-        // Without a cover the task joins no held frame: it ships alone.
-        if !outbox.fits(&task, cover.map_or(0, |c| c.max_frame_bytes)) {
-            self.flush_held(&mut outbox);
+    fn send(&self, request: Request) -> Result<(), ExecutorError> {
+        let control = !matches!(request, Request::Task(_) | Request::Tasks(_));
+        self.requests
+            .send(request)
+            .map_err(|_| ExecutorError::Comm("the broker has stopped".into()))?;
+        if control {
+            // One ring pending is enough: the broker drains every request.
+            let _ = self.bell.try_send(());
         }
-        let held = outbox.tasks.len();
-        outbox.push(task);
-        let outstanding = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(c) = cover {
-            let at_broker = outstanding.saturating_sub(outbox.tasks.len());
-            let covered = at_broker >= c.slots.max(1).saturating_mul(2);
-            if covered && outbox.tasks.len() < c.max_tasks {
-                return Ok(());
-            }
-        }
-        self.flush(&mut outbox, held)
-    }
-
-    /// Send `specs` now, behind whatever is held: one frame per
-    /// `max_frame_bytes` of tasks.
-    fn submit_batch(
-        &self,
-        specs: &[TaskSpec],
-        max_frame_bytes: usize,
-    ) -> Result<(), ExecutorError> {
-        let mut outbox = self.outbox.lock();
-        self.flush_held(&mut outbox);
-        self.outstanding.fetch_add(specs.len(), Ordering::Relaxed);
-        for (i, spec) in specs.iter().enumerate() {
-            let task = WireTask::from_spec(spec);
-            if !outbox.fits(&task, max_frame_bytes) {
-                if let Err(e) = self.flush(&mut outbox, 0) {
-                    // Tasks `i..` never reached the outbox.
-                    self.outstanding
-                        .fetch_sub(specs.len() - i, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-            outbox.push(task);
-        }
-        self.flush(&mut outbox, 0)
-    }
-
-    /// Send a control message behind everything submitted so far.
-    fn send(&self, msg: &ToInterchange) -> Result<(), ExecutorError> {
-        let mut outbox = self.outbox.lock();
-        self.flush_held(&mut outbox);
-        self.port
-            .send(&self.ix_addr, encode(msg))
-            .map_err(|e| ExecutorError::Comm(e.to_string()))
+        Ok(())
     }
 }
 
 /// The client half of a wire executor. See module docs.
 pub struct Client {
     ix_addr: Addr,
-    client_addr: Addr,
     outstanding: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
-    command_reply: CommandSlot,
-    link: Mutex<Option<Arc<Link>>>,
+    link: Mutex<Option<Link>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Client {
     /// A stopped client for the executor `label`, whose broker
-    /// (interchange, scheduler, hub) answers at `{label}:{broker}` and
-    /// whose own mailbox is `{label}:client`.
+    /// (interchange, scheduler, hub) answers at `{label}:{broker}`.
     pub fn new(label: &str, broker: &str) -> Self {
         Client {
             ix_addr: Addr::new(format!("{label}:{broker}")),
-            client_addr: Addr::new(format!("{label}:client")),
             outstanding: Arc::new(AtomicUsize::new(0)),
-            stop: Arc::new(AtomicBool::new(false)),
-            command_reply: Arc::new(Mutex::new(None)),
             link: Mutex::new(None),
             threads: Mutex::new(Vec::new()),
         }
     }
 
-    /// The broker's address.
+    /// The broker's address on its plane.
     pub fn ix_addr(&self) -> &Addr {
         &self.ix_addr
     }
 
-    /// The address the broker sends results to; bind the port passed to
-    /// [`Client::start`] here.
-    pub fn client_addr(&self) -> &Addr {
-        &self.client_addr
-    }
-
-    /// Set by [`Client::shutdown`]; broker loops poll it between receives.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
     /// The DFK's app registry, once started (worker-side app resolution).
     pub fn registry(&self) -> Option<Arc<AppRegistry>> {
-        self.link
-            .lock()
-            .as_ref()
-            .map(|l| Arc::clone(&l.ctx.registry))
+        self.link.lock().as_ref().map(|l| Arc::clone(&l.registry))
     }
 
     /// Tasks submitted whose outcomes have not yet been delivered.
@@ -262,58 +180,37 @@ impl Client {
         self.outstanding.load(Ordering::Relaxed)
     }
 
-    /// Go live on `port` (bound at [`Client::client_addr`]) and spawn the
-    /// receive thread delivering to `ctx.completions`. `lost_noun` names
-    /// the broker's counterparties in `ExecutorLost` reasons ("manager",
-    /// "MPI pool", ...).
-    pub fn start(
-        &self,
-        port: Arc<dyn Port>,
-        ctx: ExecutorContext,
-        lost_noun: &'static str,
-    ) -> Result<(), ExecutorError> {
-        let link = {
-            let mut slot = self.link.lock();
-            if slot.is_some() {
-                return Err(ExecutorError::Rejected("already started".into()));
-            }
-            let link = Arc::new(Link {
-                port,
-                ix_addr: self.ix_addr.clone(),
-                outstanding: Arc::clone(&self.outstanding),
-                ctx,
-                outbox: Mutex::default(),
-            });
-            *slot = Some(Arc::clone(&link));
-            link
-        };
-        let stop = self.stop_flag();
-        let command_reply = Arc::clone(&self.command_reply);
-        self.spawn(format!("{}-recv", self.client_addr), move || {
-            recv_loop(&link, &stop, lost_noun, &command_reply)
-        })
-    }
-
-    /// [`Client::start`] on the broker's own plane: attach both addresses
-    /// to `plane`, go live on the client one, and hand back the broker's
-    /// port for the caller's broker loop. Client and broker share the
-    /// process, so on a [`nexus::TcpHub`] both are hub-local ports and a
-    /// frame between them is one channel send; only the broker's remote
-    /// peers sit behind sockets.
+    /// Go live: attach the broker's address to `plane` and hand back
+    /// everything the caller's broker loop needs — its port, the request
+    /// queue, and where to settle tasks (`ctx.completions`).
     pub fn start_on(
         &self,
         plane: &dyn Transport,
         ctx: ExecutorContext,
-        lost_noun: &'static str,
-    ) -> Result<Box<dyn Port>, ExecutorError> {
-        let attach = |addr: &Addr| {
-            plane
-                .attach(addr.clone())
-                .map_err(|e| ExecutorError::Comm(e.to_string()))
-        };
-        let broker = attach(&self.ix_addr)?;
-        self.start(Arc::from(attach(&self.client_addr)?), ctx, lost_noun)?;
-        Ok(broker)
+    ) -> Result<Broker, ExecutorError> {
+        let mut link = self.link.lock();
+        if link.is_some() {
+            return Err(ExecutorError::Rejected("already started".into()));
+        }
+        let port = plane
+            .attach(self.ix_addr.clone())
+            .map_err(|e| ExecutorError::Comm(e.to_string()))?;
+        let (requests, inbox) = unbounded();
+        let (bell, rung) = bounded(1);
+        *link = Some(Link {
+            requests,
+            bell,
+            registry: ctx.registry,
+        });
+        Ok(Broker {
+            port,
+            requests: inbox,
+            bell: rung,
+            outcomes: Outcomes {
+                completions: ctx.completions,
+                outstanding: Arc::clone(&self.outstanding),
+            },
+        })
     }
 
     /// Spawn a named thread that [`Client::shutdown`] joins (brokers and
@@ -331,64 +228,51 @@ impl Client {
         Ok(())
     }
 
-    fn link(&self) -> Result<Arc<Link>, ExecutorError> {
-        self.link.lock().clone().ok_or(ExecutorError::NotRunning)
+    /// Queue `request` behind everything before it, counting `tasks` more
+    /// outstanding until the broker settles them.
+    fn push(&self, request: Request, tasks: usize) -> Result<(), ExecutorError> {
+        let link = self.link.lock();
+        let link = link.as_ref().ok_or(ExecutorError::NotRunning)?;
+        self.outstanding.fetch_add(tasks, Ordering::Relaxed);
+        link.send(request).inspect_err(|_| {
+            self.outstanding.fetch_sub(tasks, Ordering::Relaxed);
+        })
     }
 
     /// Accept one task, in order behind everything submitted before.
-    /// Without a `cover` it has left as its own `Submit` frame when this
-    /// returns; with one it may wait in the outbox (module docs), which
-    /// only a broker that decodes `SubmitBatch` can take.
-    pub fn submit(&self, task: &TaskSpec, cover: Option<Cover>) -> Result<(), ExecutorError> {
-        self.link()?.submit(task, cover)
+    pub fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
+        self.push(Request::Task(QueuedTask::from_spec(task)), 1)
     }
 
-    /// Ship a batch now, behind everything submitted before, as
-    /// `SubmitBatch` frames — one message per `max_frame_bytes` of tasks
-    /// instead of one per task (§4.3.1 "configurable batching ... to
-    /// minimize communication overheads"). Only for brokers that decode
-    /// `SubmitBatch`.
-    pub fn submit_batch(
-        &self,
-        tasks: &[TaskSpec],
-        max_frame_bytes: usize,
-    ) -> Result<(), ExecutorError> {
-        self.link()?.submit_batch(tasks, max_frame_bytes)
+    /// Accept a batch as one request, in order behind everything
+    /// submitted before.
+    pub fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
+        let n = tasks.len();
+        let tasks = tasks.into_iter().map(QueuedTask::from_spec).collect();
+        self.push(Request::Tasks(tasks), n)
     }
 
-    /// Send a control message (cancel, retire) to the broker, behind
-    /// every task submitted so far.
-    pub fn send(&self, msg: &ToInterchange) -> Result<(), ExecutorError> {
-        self.link()?.send(msg)
+    /// Send a control request (cancel, retire) behind every task
+    /// submitted so far.
+    pub fn send(&self, request: Request) -> Result<(), ExecutorError> {
+        self.push(request, 0)
     }
 
-    /// Synchronous administrative command (§4.3.1): one in flight at a
-    /// time, times out after `wait`.
+    /// Synchronous administrative command (§4.3.1), answered behind every
+    /// task submitted before it; times out after `wait`.
     pub fn command(&self, cmd: Command, wait: Duration) -> Result<CommandReply, ExecutorError> {
-        let (tx, rx) = bounded(1);
-        {
-            let mut slot = self.command_reply.lock();
-            if slot.is_some() {
-                return Err(ExecutorError::Rejected("command already in flight".into()));
-            }
-            *slot = Some(tx);
-        }
-        let reply = self.send(&ToInterchange::Command(cmd)).and_then(|()| {
-            rx.recv_timeout(wait)
-                .map_err(|_| ExecutorError::Comm("command timed out".into()))
-        });
-        *self.command_reply.lock() = None;
-        reply
+        let (reply, answer) = bounded(1);
+        self.send(Request::Command(cmd, reply))?;
+        answer
+            .recv_timeout(wait)
+            .map_err(|_| ExecutorError::Comm("command not answered".into()))
     }
 
-    /// Stop: raise the flag, tell the broker, drop the DFK context, join
-    /// every thread. Idempotent.
+    /// Stop: tell the broker, close the queue, join every thread.
+    /// Idempotent.
     pub fn shutdown(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
         if let Some(link) = self.link.lock().take() {
-            let _ = link.send(&ToInterchange::Shutdown);
+            let _ = link.send(Request::Shutdown);
         }
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         for h in handles {
@@ -403,90 +287,32 @@ impl Drop for Client {
     }
 }
 
-/// Forward each `Results` frame as one completion batch, convert
-/// lost-manager reports into `ExecutorLost` retries, resolve synchronous
-/// command replies, and flush the outbox after every frame and every
-/// receive timeout. Returns when `stop` is set or the completion channel
-/// closes.
-fn recv_loop(
-    link: &Link,
-    stop: &AtomicBool,
-    lost_noun: &str,
-    command_reply: &Mutex<Option<Sender<CommandReply>>>,
-) {
-    let completions = &link.ctx.completions;
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let received = link.port.recv_timeout(Duration::from_millis(50));
-        if let Ok(env) = received {
-            match decode::<ToClient>(&env.payload) {
-                Ok(ToClient::Results(results)) => {
-                    // Forward the whole frame as one completion batch — the
-                    // batching the interchange/manager did on the wire is
-                    // preserved through the DFK's collector.
-                    link.outstanding.fetch_sub(results.len(), Ordering::Relaxed);
-                    let outcomes = outcomes_from_results(results);
-                    if !outcomes.is_empty() && completions.send(outcomes).is_err() {
-                        return;
-                    }
-                }
-                Ok(ToClient::ManagerLost { name, tasks }) => {
-                    link.outstanding.fetch_sub(tasks.len(), Ordering::Relaxed);
-                    let outcomes = outcomes_from_lost(
-                        tasks,
-                        &format!("{lost_noun} {name} lost (heartbeat expired)"),
-                    );
-                    if !outcomes.is_empty() && completions.send(outcomes).is_err() {
-                        return;
-                    }
-                }
-                Ok(ToClient::CommandReply(reply)) => {
-                    if let Some(tx) = command_reply.lock().take() {
-                        let _ = tx.send(reply);
-                    }
-                }
-                Err(_) => {}
-            }
-        }
-        link.flush_held(&mut link.outbox.lock());
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    //! The test plays the broker: it owns the port attached at the
-    //! broker address, so it sees every frame the client sends and
-    //! decides when results come back. The outbox tests run on both
-    //! planes the client meets: a `Fabric`, and a `TcpHub` bound on
-    //! loopback with both ports hub-local, as HTEX attaches them over TCP
-    //! (no worker, so no socket carries a frame). On the fabric nothing
-    //! else is attached, so `FabricStats::sent` counts exactly the
-    //! client's frames plus the test's own replies. The only clock
-    //! involved is the receive thread's 50 ms tick, which can flush a
-    //! held outbox early but can never reorder, drop or overfill a frame;
-    //! where a test depends on the tick it blocks on the frame's arrival.
+    //! The queue's properties, seen where they matter: in the frames a
+    //! manager receives. Each rig runs a real interchange on a plane — a
+    //! `Fabric`, or a `TcpHub` bound on loopback with every port
+    //! hub-local, as HTEX attaches them over TCP — and the test plays the
+    //! manager: it registers when it chooses, reads `Tasks` frames, and
+    //! answers with `Results`. Tasks submitted before the manager
+    //! registers wait at the interchange, so the frames they leave in do
+    //! not depend on timing.
 
     use super::*;
-    use crate::proto::WireResult;
-    use crate::{LlexConfig, LlexExecutor};
+    use crate::interchange::{interchange_loop, IxParams};
+    use crate::proto::{decode, encode, ToInterchange, ToManager, WireTask};
     use bytes::Bytes;
-    use crossbeam::channel::{unbounded, Receiver};
-    use nexus::{Endpoint, Fabric, TcpHub};
-    use parsl_core::error::TaskError;
-    use parsl_core::executor::{Executor, TaskOutcome};
+    use nexus::{Fabric, FabricConfig, TcpHub};
     use parsl_core::registry::{AppOptions, RegisteredApp};
     use parsl_core::types::{AppKind, ResourceSpec, TaskId, TenantId};
 
     const WAIT: Duration = Duration::from_secs(10);
 
-    struct Rig<P> {
+    struct Rig {
         client: Client,
-        broker: Box<dyn Port>,
+        manager: Box<dyn Port>,
         outcomes: Receiver<Vec<TaskOutcome>>,
         app: Arc<RegisteredApp>,
-        plane: P,
     }
 
     fn context() -> (
@@ -510,22 +336,50 @@ mod tests {
         (ctx, outcomes, app)
     }
 
-    fn rig<P: Transport>(plane: P) -> Rig<P> {
+    /// An interchange sending at most `batch_size` tasks per frame, whose
+    /// managers count as lost after `threshold` of silence, and the port
+    /// of one manager that has not registered yet.
+    fn rig_with(plane: &dyn Transport, batch_size: usize, threshold: Duration) -> Rig {
         let client = Client::new("t", "ix");
         let (ctx, outcomes, app) = context();
-        let broker = client.start_on(&plane, ctx, "manager").unwrap();
+        let registry = Arc::clone(&ctx.registry);
+        let broker = client.start_on(plane, ctx).unwrap();
+        let params = IxParams {
+            prefetch: 0,
+            batch_size,
+            max_frame_bytes: plane.max_frame_bytes(),
+            heartbeat_period: threshold / 4,
+            heartbeat_threshold: threshold,
+            seed: 0,
+            connected_workers: Arc::default(),
+            draining_nodes: Arc::default(),
+        };
+        client
+            .spawn("t-ix".into(), move || {
+                interchange_loop(broker, registry, params);
+            })
+            .unwrap();
+        let manager = plane.attach(Addr::new("t:mgr")).unwrap();
         Rig {
             client,
-            broker,
+            manager,
             outcomes,
             app,
-            plane,
         }
     }
 
-    /// A loopback hub with nothing connected to it.
-    fn hub() -> TcpHub {
-        TcpHub::bind("127.0.0.1:0").expect("bind loopback hub")
+    fn rig(plane: &dyn Transport, batch_size: usize) -> Rig {
+        rig_with(plane, batch_size, Duration::from_secs(60))
+    }
+
+    /// Both planes, with a frame budget of `max_frame_bytes`.
+    fn planes(max_frame_bytes: usize) -> [Box<dyn Transport>; 2] {
+        let fabric = Fabric::with_config(FabricConfig {
+            max_frame_bytes,
+            ..Default::default()
+        });
+        let hub = TcpHub::bind_with("127.0.0.1:0", max_frame_bytes).expect("bind loopback hub");
+        [Box::new(fabric), Box::new(hub)]
     }
 
     fn spec(app: &Arc<RegisteredApp>, id: u64, args_len: usize) -> TaskSpec {
@@ -540,21 +394,53 @@ mod tests {
         }
     }
 
-    impl<P> Rig<P> {
-        fn submit(&self, id: u64, args_len: usize, cover: Cover) {
-            let task = spec(&self.app, id, args_len);
-            self.client.submit(&task, Some(cover)).unwrap();
+    impl Rig {
+        fn submit(&self, id: u64, args_len: usize) {
+            self.client.submit(spec(&self.app, id, args_len)).unwrap();
         }
 
-        /// The next frame at the broker: its payload size and message.
-        fn next_frame(&self) -> (usize, ToInterchange) {
-            let env = self.broker.recv_timeout(WAIT).expect("a frame arrives");
-            let msg = decode(&env.payload).expect("client frames decode");
-            (env.payload.len(), msg)
+        fn submit_batch(&self, ids: std::ops::Range<u64>, args_len: usize) {
+            let batch = ids.map(|id| spec(&self.app, id, args_len)).collect();
+            self.client.submit_batch(batch).unwrap();
         }
 
-        /// Answer `ids` with one `Results` frame.
-        fn reply(&self, from: &dyn Port, ids: &[u64]) {
+        /// The manager announces itself with `capacity` slots.
+        fn register(&self, port: &dyn Port, capacity: usize) {
+            let name = port.addr().to_string();
+            let held = Vec::new();
+            let hello = ToInterchange::Register {
+                name,
+                capacity,
+                held,
+            };
+            port.send(self.client.ix_addr(), encode(&hello)).unwrap();
+        }
+
+        /// The next `Tasks` frame at `port`: its payload size and tasks.
+        fn next_tasks(&self, port: &dyn Port) -> (usize, Vec<WireTask>) {
+            loop {
+                let env = port.recv_timeout(WAIT).expect("a frame arrives");
+                match decode(&env.payload).expect("interchange frames decode") {
+                    ToManager::Tasks(tasks) => return (env.payload.len(), tasks),
+                    ToManager::Apps(_) | ToManager::Heartbeat => {}
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+
+        /// Frames at the manager until `n` tasks have arrived.
+        fn frames(&self, n: usize) -> Vec<(usize, Vec<u64>)> {
+            let (mut frames, mut seen) = (Vec::new(), 0);
+            while seen < n {
+                let (bytes, tasks) = self.next_tasks(&*self.manager);
+                seen += tasks.len();
+                frames.push((bytes, tasks.iter().map(|t| t.id).collect()));
+            }
+            frames
+        }
+
+        /// Answer `ids` from `port` with one `Results` frame.
+        fn reply(&self, port: &dyn Port, ids: &[u64]) {
             let results = ids
                 .iter()
                 .map(|&id| WireResult {
@@ -564,11 +450,8 @@ mod tests {
                     worker: "w".into(),
                 })
                 .collect();
-            from.send(
-                self.client.client_addr(),
-                encode(&ToClient::Results(results)),
-            )
-            .unwrap();
+            let frame = encode(&ToInterchange::Results(results));
+            port.send(self.client.ix_addr(), frame).unwrap();
         }
 
         /// Collect `n` outcomes from the completion channel.
@@ -581,433 +464,268 @@ mod tests {
         }
     }
 
-    fn tasks_of(msg: ToInterchange) -> Vec<WireTask> {
-        match msg {
-            ToInterchange::Submit(task) => vec![task],
-            ToInterchange::SubmitBatch(tasks) => tasks,
-            other => panic!("expected a submit frame, got {other:?}"),
-        }
+    fn ids(frames: &[(usize, Vec<u64>)]) -> Vec<u64> {
+        frames
+            .iter()
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .collect()
     }
 
-    /// With nothing outstanding the frame has left when a covered `submit`
-    /// returns, and it is the `Submit` frame an uncovered one sends.
+    /// With a manager idle, each submit leaves at once as a `Tasks` frame
+    /// of that one task, byte for byte serde's encoding of it; its result
+    /// settles it and takes it off the gauge.
     #[test]
-    fn idle_submit_sends_one_submit_frame_before_returning() {
-        let rig = rig(Fabric::new());
-        let cover = Cover {
-            slots: 2,
-            max_tasks: 64,
-            max_frame_bytes: 1 << 18,
-        };
+    fn idle_submit_leaves_in_one_tasks_frame() {
+        let fabric = Fabric::new();
+        let rig = rig(&fabric, 64);
+        rig.register(&*rig.manager, 1);
         for id in 0..3 {
-            let sent = rig.plane.stats().sent();
-            rig.submit(id, 8, cover);
-            assert_eq!(
-                rig.plane.stats().sent(),
-                sent + 1,
-                "one frame per idle call"
-            );
-            let env = rig.broker.try_recv().expect("already at the broker");
-            let plain = ToInterchange::Submit(WireTask::from_spec(&spec(&rig.app, id, 8)));
-            assert_eq!(env.payload, encode(&plain), "byte-identical to Submit");
-            // Settle it, so the next call finds nothing outstanding again.
-            rig.reply(&*rig.broker, &[id]);
-            rig.outcomes(1);
+            rig.submit(id, 8);
+            let env = loop {
+                let env = rig.manager.recv_timeout(WAIT).expect("a frame arrives");
+                if matches!(decode(&env.payload), Ok(ToManager::Tasks(_))) {
+                    break env;
+                }
+            };
+            let task = WireTask::from_spec(&spec(&rig.app, id, 8));
+            assert_eq!(env.payload, encode(&ToManager::Tasks(vec![task])));
+            rig.reply(&*rig.manager, &[id]);
+            assert_eq!(rig.outcomes(1)[0].id, TaskId(id));
             assert_eq!(rig.client.outstanding(), 0);
         }
     }
 
-    /// Single submits past 2 × slots coalesce: no frame exceeds
-    /// `max_tasks` or the byte budget, tasks reach the broker in submit
-    /// order, and once answered the gauge is back at zero.
-    fn coalesces_within_caps(plane: impl Transport, args_len: usize, cover: Cover) {
-        let rig = rig(plane);
-        let n = 100u64;
-        for id in 0..n {
-            rig.submit(id, args_len, cover);
-        }
-        assert_eq!(rig.client.outstanding(), n as usize);
-        let mut seen = Vec::new();
-        let mut frames = 0;
-        while seen.len() < n as usize {
-            let (bytes, msg) = rig.next_frame();
-            let tasks = tasks_of(msg);
-            assert!(tasks.len() <= cover.max_tasks, "{} tasks", tasks.len());
-            assert!(bytes <= cover.max_frame_bytes, "{bytes} bytes");
-            frames += 1;
-            seen.extend(tasks.iter().map(|t| t.id));
-        }
-        assert_eq!(
-            seen,
-            (0..n).collect::<Vec<u64>>(),
-            "wire order is submit order"
-        );
-        assert!(frames < n as usize, "nothing was coalesced");
-        rig.reply(&*rig.broker, &seen);
-        let done: Vec<u64> = rig.outcomes(n as usize).iter().map(|o| o.id.0).collect();
-        assert_eq!(done, seen);
-        assert_eq!(rig.client.outstanding(), 0);
-    }
-
+    /// Single submits queued at the interchange leave `batch_size` to a
+    /// frame, in submit order; answered, the gauge is back at zero.
     #[test]
     fn coalesced_frames_stop_at_max_tasks() {
-        let cover = Cover {
-            slots: 3,
-            max_tasks: 8,
-            max_frame_bytes: 1 << 18,
-        };
-        coalesces_within_caps(Fabric::new(), 8, cover);
-        coalesces_within_caps(hub(), 8, cover);
+        for plane in planes(1 << 18) {
+            let rig = rig(&*plane, 8);
+            for id in 0..100 {
+                rig.submit(id, 8);
+            }
+            assert_eq!(rig.client.outstanding(), 100);
+            rig.register(&*rig.manager, 1000);
+            let frames = rig.frames(100);
+            assert!(frames.iter().all(|(_, ids)| ids.len() <= 8));
+            assert_eq!(frames.len(), 13, "100 tasks, 8 to a frame");
+            let seen = ids(&frames);
+            assert_eq!(
+                seen,
+                (0..100).collect::<Vec<u64>>(),
+                "wire order is submit order"
+            );
+            rig.reply(&*rig.manager, &seen);
+            let done: Vec<u64> = rig.outcomes(100).iter().map(|o| o.id.0).collect();
+            assert_eq!(done, seen);
+            assert_eq!(rig.client.outstanding(), 0);
+        }
     }
 
-    /// Fat arguments: the byte budget closes a frame at 3 tasks, long
-    /// before `max_tasks`.
+    /// Fat arguments: the frame budget closes a frame at 3 tasks, long
+    /// before `batch_size`.
     #[test]
     fn coalesced_frames_stop_at_the_frame_budget() {
-        let cover = Cover {
-            slots: 3,
-            max_tasks: 64,
-            max_frame_bytes: 4096,
-        };
-        coalesces_within_caps(Fabric::new(), 1000, cover);
-        coalesces_within_caps(hub(), 1000, cover);
+        for plane in planes(4096) {
+            let rig = rig(&*plane, 64);
+            for id in 0..30 {
+                rig.submit(id, 1000);
+            }
+            rig.register(&*rig.manager, 1000);
+            let frames = rig.frames(30);
+            assert!(frames.iter().all(|(bytes, _)| *bytes <= 4096));
+            assert!(frames.iter().all(|(_, ids)| ids.len() <= 4));
+            assert!(frames[0].1.len() >= 3, "{frames:?}");
+            assert_eq!(ids(&frames), (0..30).collect::<Vec<u64>>());
+        }
     }
 
-    /// A task bigger than the frame budget still ships, alone: at once
-    /// with nothing outstanding, behind the held tasks it cannot join
-    /// under backlog, and in the middle of an explicit batch.
+    /// A task bigger than the frame budget still ships, alone, between
+    /// the frames of the tasks around it.
     #[test]
     fn oversize_task_ships_alone() {
-        let rig = rig(Fabric::new());
-        let cover = Cover {
-            slots: 1,
-            max_tasks: 64,
+        let fabric = Fabric::with_config(FabricConfig {
             max_frame_bytes: 200,
-        };
-        rig.submit(0, 4096, cover);
-        let env = rig.broker.try_recv().expect("already at the broker");
-        assert!(env.payload.len() > 4096);
-        assert!(matches!(decode(&env.payload), Ok(ToInterchange::Submit(t)) if t.id == 0));
-
-        // 1 leaves (one task at the broker covers nothing), 2 and 3 are
-        // held, 4 does not fit behind them.
-        for id in 1..4 {
-            rig.submit(id, 8, cover);
+            ..Default::default()
+        });
+        let rig = rig(&fabric, 64);
+        for id in 0..3 {
+            rig.submit(id, 8);
         }
-        rig.submit(4, 4096, cover);
-        let mut seen = Vec::new();
-        while seen.len() < 4 {
-            let tasks = tasks_of(rig.next_frame().1);
-            assert!(tasks.len() == 1 || tasks.iter().all(|t| t.id != 4));
-            seen.extend(tasks.iter().map(|t| t.id));
-        }
-        assert_eq!(seen, vec![1, 2, 3, 4]);
-
-        let batch: Vec<TaskSpec> = [(5, 8), (6, 4096), (7, 8)]
-            .iter()
-            .map(|&(id, len)| spec(&rig.app, id, len))
-            .collect();
-        rig.client.submit_batch(&batch, 64).unwrap();
-        for id in 5..8 {
-            let env = rig.broker.try_recv().expect("sent before returning");
-            assert!(matches!(decode(&env.payload), Ok(ToInterchange::Submit(t)) if t.id == id));
-        }
-        assert_eq!(rig.client.outstanding(), 8);
+        rig.submit(3, 4096);
+        rig.submit_batch(4..6, 8);
+        rig.register(&*rig.manager, 1000);
+        let frames = rig.frames(6);
+        let alone: Vec<&(usize, Vec<u64>)> = frames.iter().filter(|(b, _)| *b > 200).collect();
+        assert_eq!(alone.len(), 1);
+        assert_eq!(alone[0].1, vec![3]);
+        assert!(alone[0].0 > 4096);
+        assert_eq!(ids(&frames), (0..6).collect::<Vec<u64>>());
     }
 
-    /// One explicit batch wider than the frame budget: every frame is on
-    /// the fabric when the call returns, full to the budget and no
-    /// further, in order, and the gauge counts the whole batch.
+    /// One batch wider than `batch_size` spans frames, each full, in
+    /// order, and the gauge counts the whole batch.
     #[test]
     fn one_batch_spans_frames_in_order() {
-        let rig = rig(Fabric::new());
-        let batch: Vec<TaskSpec> = (0..100).map(|id| spec(&rig.app, id, 60)).collect();
-        let per_task = WireTask::from_spec(&batch[0]).encoded_size_hint();
-        let sent = rig.plane.stats().sent();
-        rig.client.submit_batch(&batch, per_task * 10).unwrap();
-        assert_eq!(rig.plane.stats().sent(), sent + 10);
+        let fabric = Fabric::new();
+        let rig = rig(&fabric, 10);
+        rig.submit_batch(0..100, 60);
         assert_eq!(rig.client.outstanding(), 100);
-        let mut seen = Vec::new();
-        for _ in 0..10 {
-            let env = rig.broker.try_recv().expect("sent before returning");
-            assert!(env.payload.len() <= per_task * 10);
-            let tasks = tasks_of(decode(&env.payload).unwrap());
-            assert_eq!(tasks.len(), 10);
-            seen.extend(tasks.iter().map(|t| t.id));
-        }
-        assert_eq!(seen, (0..100).collect::<Vec<u64>>());
+        rig.register(&*rig.manager, 1000);
+        let frames = rig.frames(100);
+        assert!(frames.iter().all(|(_, ids)| ids.len() == 10));
+        assert_eq!(ids(&frames), (0..100).collect::<Vec<u64>>());
     }
 
-    /// An explicit batch goes out behind the held single submits, in
-    /// frames of its own.
+    /// A batch queues behind the single submits before it.
     #[test]
     fn batch_leaves_behind_held_tasks() {
-        batch_leaves_behind_held(Fabric::new());
-        batch_leaves_behind_held(hub());
-    }
-
-    fn batch_leaves_behind_held(plane: impl Transport) {
-        let rig = rig(plane);
-        let cover = Cover {
-            slots: 1,
-            max_tasks: 64,
-            max_frame_bytes: 1 << 18,
-        };
-        for id in 0..4 {
-            rig.submit(id, 8, cover);
-        }
-        let batch: Vec<TaskSpec> = (4..7).map(|id| spec(&rig.app, id, 8)).collect();
-        rig.client.submit_batch(&batch, 1 << 18).unwrap();
-        let mut frames = Vec::new();
-        while frames.iter().map(Vec::len).sum::<usize>() < 7 {
-            let env = rig.broker.try_recv().expect("sent before returning");
-            let tasks = tasks_of(decode(&env.payload).unwrap());
-            frames.push(tasks.iter().map(|t| t.id).collect::<Vec<u64>>());
-        }
-        assert_eq!(frames.concat(), (0..7).collect::<Vec<u64>>());
-        assert_eq!(frames.last().unwrap(), &[4, 5, 6]);
-    }
-
-    /// A port that refuses every send once its allowance is used up.
-    struct Metered {
-        inner: Endpoint,
-        allowance: AtomicUsize,
-    }
-
-    impl Port for Metered {
-        fn addr(&self) -> &Addr {
-            self.inner.addr()
-        }
-        fn send(&self, to: &Addr, payload: Bytes) -> Result<(), nexus::SendError> {
-            let spend = |left: usize| left.checked_sub(1);
-            self.allowance
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, spend)
-                .map_err(|_| nexus::SendError::PeerGone(to.clone()))?;
-            self.inner.send(to, payload)
-        }
-        fn recv(&self) -> Result<nexus::Envelope, nexus::RecvError> {
-            self.inner.recv()
-        }
-        fn recv_timeout(&self, timeout: Duration) -> Result<nexus::Envelope, nexus::RecvError> {
-            self.inner.recv_timeout(timeout)
-        }
-        fn try_recv(&self) -> Option<nexus::Envelope> {
-            self.inner.try_recv()
-        }
-        fn queued(&self) -> usize {
-            self.inner.queued()
-        }
-        fn receiver(&self) -> &Receiver<nexus::Envelope> {
-            self.inner.receiver()
-        }
-    }
-
-    /// The port takes the first frame of a three-frame batch and refuses
-    /// the second: the call fails, only the frame that left stays on the
-    /// gauge, nothing is delivered as lost (no task's submit had
-    /// returned), and the outbox is left empty for the next call.
-    #[test]
-    fn refused_frame_mid_batch_rolls_the_gauge_back() {
-        let fabric = Fabric::new();
-        let client = Client::new("t", "ix");
-        let broker = fabric.bind(client.ix_addr().clone()).unwrap();
-        let port = Arc::new(Metered {
-            inner: fabric.bind(client.client_addr().clone()).unwrap(),
-            allowance: AtomicUsize::new(1),
-        });
-        let (ctx, outcomes, app) = context();
-        client.start(port.clone(), ctx, "manager").unwrap();
-
-        let batch: Vec<TaskSpec> = (0..30).map(|id| spec(&app, id, 60)).collect();
-        let per_task = WireTask::from_spec(&batch[0]).encoded_size_hint();
-        let refused = client.submit_batch(&batch, per_task * 10);
-        assert!(
-            matches!(refused, Err(ExecutorError::Comm(_))),
-            "{refused:?}"
-        );
-        assert_eq!(client.outstanding(), 10);
-        let first = tasks_of(decode(&broker.try_recv().unwrap().payload).unwrap());
-        let ids: Vec<u64> = first.iter().map(|t| t.id).collect();
-        assert_eq!(ids, (0..10).collect::<Vec<u64>>());
-        assert!(broker.try_recv().is_none());
-        assert!(outcomes.try_recv().is_err(), "a failed call lost a task");
-
-        port.allowance.store(usize::MAX, Ordering::Relaxed);
-        client.submit(&spec(&app, 30, 8), None).unwrap();
-        let env = broker.try_recv().expect("sent before returning");
-        assert!(matches!(decode(&env.payload), Ok(ToInterchange::Submit(t)) if t.id == 30));
-        assert_eq!(client.outstanding(), 11);
-    }
-
-    /// A task held behind 2 × slots sent ones, with no further call and
-    /// no results, leaves on the receive thread's tick.
-    #[test]
-    fn held_task_leaves_on_the_tick() {
-        held_task_leaves_on_tick(Fabric::new());
-        held_task_leaves_on_tick(hub());
-    }
-
-    fn held_task_leaves_on_tick(plane: impl Transport) {
-        let rig = rig(plane);
-        let cover = Cover {
-            slots: 2,
-            max_tasks: 64,
-            max_frame_bytes: 1 << 18,
-        };
-        for id in 0..5 {
-            rig.submit(id, 8, cover);
-        }
-        let mut seen = Vec::new();
-        while seen.len() < 5 {
-            seen.extend(tasks_of(rig.next_frame().1).iter().map(|t| t.id));
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-    }
-
-    /// A control message goes out behind the held tasks, never ahead.
-    #[test]
-    fn control_messages_flush_the_outbox_first() {
-        control_messages_flush_first(Fabric::new());
-        control_messages_flush_first(hub());
-    }
-
-    fn control_messages_flush_first(plane: impl Transport) {
-        let rig = rig(plane);
-        let cover = Cover {
-            slots: 1,
-            max_tasks: 64,
-            max_frame_bytes: 1 << 18,
-        };
-        for id in 0..4 {
-            rig.submit(id, 8, cover);
-        }
-        rig.client
-            .send(&ToInterchange::Cancel { id: 3, attempt: 0 })
-            .unwrap();
-        let mut seen = Vec::new();
-        loop {
-            match rig.next_frame().1 {
-                ToInterchange::Cancel { id, .. } => {
-                    assert_eq!(id, 3);
-                    break;
-                }
-                submit => seen.extend(tasks_of(submit).iter().map(|t| t.id)),
+        for plane in planes(1 << 18) {
+            let rig = rig(&*plane, 64);
+            for id in 0..4 {
+                rig.submit(id, 8);
             }
+            rig.submit_batch(4..7, 8);
+            rig.register(&*rig.manager, 1000);
+            assert_eq!(ids(&rig.frames(7)), (0..7).collect::<Vec<u64>>());
         }
-        assert_eq!(seen, vec![0, 1, 2, 3], "cancel overtook a submit");
     }
 
-    /// `max_tasks: 1` (HTEX `batch_size: 1`) never holds: one `Submit`
-    /// frame per call whatever the backlog.
+    /// A cancel and a command travel behind the submits before them: the
+    /// cancel finds its task still queued and settles it "cancelled
+    /// before dispatch", and the command counts every other task.
+    #[test]
+    fn cancel_never_overtakes_its_submit() {
+        for plane in planes(1 << 18) {
+            let rig = rig(&*plane, 64);
+            rig.register(&*rig.manager, 0); // no slots: everything stays queued
+            for id in 0..3 {
+                rig.submit(id, 8);
+            }
+            rig.submit_batch(3..5, 8);
+            for id in [2, 4] {
+                rig.client.send(Request::Cancel { id, attempt: 0 }).unwrap();
+            }
+            let reply = rig.client.command(Command::OutstandingInfo, WAIT).unwrap();
+            assert_eq!(reply, CommandReply::Outstanding(3));
+            let cancelled = rig.outcomes(2);
+            for (o, id) in cancelled.iter().zip([2, 4]) {
+                assert_eq!(o.id, TaskId(id));
+                let err = format!("{:?}", o.result.as_ref().unwrap_err());
+                assert!(err.contains("cancelled before dispatch"), "{err}");
+            }
+            assert_eq!(rig.client.outstanding(), 3);
+        }
+    }
+
+    /// A burst queued while two managers have room is split evenly
+    /// between them, in order within each, rather than filling whichever
+    /// one a random pick names first.
+    #[test]
+    fn a_burst_spreads_over_every_free_manager() {
+        let fabric = Fabric::new();
+        let rig = rig(&fabric, 64);
+        let second = fabric.bind(Addr::new("t:mgr-2")).unwrap();
+        rig.register(&*rig.manager, 100);
+        rig.register(&second, 100);
+        let both = CommandReply::Workers(200);
+        while rig.client.command(Command::ConnectedWorkers, WAIT).unwrap() != both {}
+        rig.submit_batch(0..40, 8);
+        let mine = ids(&rig.frames(20));
+        let mut theirs = Vec::new();
+        while theirs.len() < 20 {
+            theirs.extend(rig.next_tasks(&second).1.iter().map(|t| t.id));
+        }
+        assert!(mine.windows(2).all(|w| w[0] < w[1]), "{mine:?}");
+        assert!(theirs.windows(2).all(|w| w[0] < w[1]), "{theirs:?}");
+        let mut all = [mine, theirs].concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..40).collect::<Vec<u64>>());
+    }
+
+    /// `batch_size: 1` (LLEX) never coalesces: one task per frame however
+    /// many are queued.
     #[test]
     fn max_tasks_one_never_coalesces() {
-        let rig = rig(Fabric::new());
-        let cover = Cover {
-            slots: 1,
-            max_tasks: 1,
-            max_frame_bytes: 1 << 18,
-        };
-        for id in 0..20 {
-            let sent = rig.plane.stats().sent();
-            rig.submit(id, 8, cover);
-            assert_eq!(rig.plane.stats().sent(), sent + 1);
-            assert!(matches!(rig.next_frame().1, ToInterchange::Submit(t) if t.id == id));
-        }
-    }
-
-    /// LLEX submits through [`Client::submit`]: one frame per call, of a
-    /// `Submit` frame's size, however much is already queued at its
-    /// interchange (no workers here, so nothing ever drains and nothing
-    /// else sends).
-    #[test]
-    fn llex_still_sends_one_submit_frame_per_task() {
         let fabric = Fabric::new();
-        let llex = LlexExecutor::on_fabric(
-            LlexConfig {
-                workers: 0,
-                ..Default::default()
-            },
-            fabric.clone(),
-        );
-        let (ctx, _outcomes, app) = context();
-        llex.start(ctx).unwrap();
-        let stats = fabric.stats();
+        let rig = rig(&fabric, 1);
         for id in 0..20 {
-            let task = spec(&app, id, 8);
-            let frame = encode(&ToInterchange::Submit(WireTask::from_spec(&task)));
-            let (sent, bytes) = (stats.sent(), stats.bytes());
-            llex.submit(task).unwrap();
-            assert_eq!(stats.sent(), sent + 1);
-            assert_eq!(stats.bytes(), bytes + frame.len() as u64);
+            rig.submit(id, 8);
         }
-        assert_eq!(llex.outstanding(), 20);
-        llex.shutdown();
+        rig.register(&*rig.manager, 1000);
+        let frames = rig.frames(20);
+        assert_eq!(frames.len(), 20);
+        assert_eq!(ids(&frames), (0..20).collect::<Vec<u64>>());
     }
 
-    /// The broker dies with tasks in the outbox. Each held task, whose
-    /// `submit` had returned `Ok`, settles exactly once as `ExecutorLost`
-    /// and comes off the gauge; a call whose own frame is refused fails
-    /// instead, also off the gauge. The tasks the dead broker took stay
-    /// counted until a successor answers them.
+    /// Once the broker has stopped, a submit fails and the gauge does not
+    /// count it; after shutdown the client is not running.
     #[test]
-    fn held_tasks_settle_as_lost_when_the_broker_dies() {
-        let rig = rig(Fabric::new());
-        let cover = Cover {
-            slots: 2,
-            max_tasks: 4,
-            max_frame_bytes: 1 << 18,
+    fn submit_fails_once_the_broker_is_gone() {
+        let fabric = Fabric::new();
+        let rig = rig(&fabric, 64);
+        rig.submit(0, 8);
+        let ack = rig.client.command(Command::ShutdownExecutor, WAIT).unwrap();
+        assert_eq!(ack, CommandReply::Ack);
+        // The interchange drops its end of the queue as it returns.
+        let deadline = std::time::Instant::now() + WAIT;
+        let refused = loop {
+            match rig.client.submit(spec(&rig.app, 1, 8)) {
+                Ok(()) => assert!(std::time::Instant::now() < deadline, "still accepted"),
+                Err(e) => break e,
+            }
+            std::thread::sleep(Duration::from_millis(5));
         };
-        for id in 0..4 {
-            rig.submit(id, 8, cover);
-        }
-        rig.plane.kill(rig.client.ix_addr());
-        // Covered and under `max_tasks`: accepted without touching the port.
-        for id in 4..7 {
-            rig.submit(id, 8, cover);
-        }
-        let mut lost: Vec<u64> = rig
-            .outcomes(3)
-            .into_iter()
-            .map(|o| {
-                assert!(
-                    matches!(o.result, Err(TaskError::ExecutorLost(_))),
-                    "expected ExecutorLost, got {:?}",
-                    o.result
-                );
-                o.id.0
-            })
-            .collect();
-        lost.sort_unstable();
-        assert_eq!(lost, vec![4, 5, 6]);
-        assert_eq!(rig.client.outstanding(), 4);
+        assert!(matches!(refused, ExecutorError::Comm(_)), "{refused:?}");
+        let accepted_before = rig.client.outstanding();
+        assert!(rig.client.submit(spec(&rig.app, 2, 8)).is_err());
+        assert_eq!(rig.client.outstanding(), accepted_before);
+        rig.client.shutdown();
+        let after = rig.client.submit(spec(&rig.app, 3, 8));
+        assert!(matches!(after, Err(ExecutorError::NotRunning)), "{after:?}");
+    }
 
-        // Three more held, then a call that sends at once: the refusal
-        // fails that call and loses whatever was still held before it
-        // (the tick may already have lost some; once each either way).
-        for id in 7..10 {
-            rig.submit(id, 8, cover);
+    /// A manager whose port died takes nothing: its frames are refused,
+    /// its tasks stay queued, and once it is found lost they all go to
+    /// the next manager, in order. None of them settles as lost.
+    #[test]
+    fn refused_tasks_frame_keeps_its_tasks_queued() {
+        let fabric = Fabric::new();
+        let rig = rig_with(&fabric, 64, Duration::from_millis(200));
+        rig.register(&*rig.manager, 1000);
+        let deadline = std::time::Instant::now() + WAIT;
+        while rig.client.command(Command::ConnectedWorkers, WAIT).unwrap()
+            != CommandReply::Workers(1000)
+        {
+            assert!(std::time::Instant::now() < deadline, "never registered");
         }
-        let refused = rig.client.submit(&spec(&rig.app, 10, 8), None);
-        assert!(
-            matches!(refused, Err(ExecutorError::Comm(_))),
-            "{refused:?}"
-        );
-        let mut lost: Vec<u64> = rig.outcomes(3).iter().map(|o| o.id.0).collect();
-        lost.sort_unstable();
-        assert_eq!(lost, vec![7, 8, 9]);
-        assert_eq!(rig.client.outstanding(), 4);
-
-        // A successor at the broker address answers the four that were
-        // sent: the gauge reaches zero, and no second outcome for a lost
-        // task ever shows up.
-        let successor = rig.plane.bind(rig.client.ix_addr().clone()).unwrap();
-        rig.reply(&successor, &[0, 1, 2, 3]);
-        let done: Vec<u64> = rig.outcomes(4).iter().map(|o| o.id.0).collect();
-        assert_eq!(done, vec![0, 1, 2, 3]);
+        fabric.kill(rig.manager.addr());
+        rig.submit_batch(0..5, 8);
+        let successor = fabric.bind(Addr::new("t:mgr-2")).unwrap();
+        rig.register(&successor, 1000);
+        // The successor heartbeats while it waits, so only the dead
+        // manager goes silent past the threshold.
+        let heartbeat = encode(&ToInterchange::Heartbeat {
+            name: "t:mgr-2".into(),
+        });
+        let mut seen = Vec::new();
+        while seen.len() < 5 {
+            assert!(std::time::Instant::now() < deadline, "tasks never moved");
+            successor
+                .send(rig.client.ix_addr(), heartbeat.clone())
+                .unwrap();
+            if let Ok(env) = successor.recv_timeout(Duration::from_millis(20)) {
+                if let Ok(ToManager::Tasks(tasks)) = decode(&env.payload) {
+                    seen.extend(tasks.iter().map(|t| t.id));
+                }
+            }
+        }
+        assert_eq!(seen, (0..5).collect::<Vec<u64>>());
+        assert!(rig.outcomes.try_recv().is_err(), "a queued task settled");
+        assert_eq!(rig.client.outstanding(), 5);
+        rig.reply(&successor, &seen);
+        let done: Vec<u64> = rig.outcomes(5).iter().map(|o| o.id.0).collect();
+        assert_eq!(done, seen);
         assert_eq!(rig.client.outstanding(), 0);
-        assert!(
-            rig.outcomes.try_recv().is_err(),
-            "an outcome was duplicated"
-        );
     }
 }

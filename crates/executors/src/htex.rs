@@ -4,13 +4,14 @@
 //! Three components, mirroring Figure 2a:
 //!
 //! - the **executor client** ([`crate::client::Client`], shared with the
-//!   Dask/IPP baselines) submits tasks and receives results on behalf of
+//!   Dask/IPP baselines) queues tasks and control requests on behalf of
 //!   the DataFlowKernel;
 //! - the **interchange** ([`crate::interchange`]) brokers between client
-//!   and managers: it queues tasks, matches them to managers with
-//!   advertised capacity using randomized selection for fairness, relays
-//!   result batches, answers a synchronous command channel, and watches
-//!   heartbeats;
+//!   and managers: it drains the client's queue, matches tasks to
+//!   managers with advertised capacity using randomized selection for
+//!   fairness, settles result batches straight into the kernel's
+//!   completion channel, answers a synchronous command channel, and
+//!   watches heartbeats;
 //! - **managers** (pilot agents, one per node, [`crate::worker`])
 //!   register capacity (`workers_per_node + prefetch`), receive task
 //!   batches, hand them to their workers, and batch results back.
@@ -33,13 +34,13 @@
 //! loopback/remote TCP ([`HtexExecutor::tcp`]), where managers are
 //! `parsl-worker` *processes* spawned through the `providers` launcher
 //! path and connected back to the interchange's [`nexus::TcpHub`]. On
-//! both planes the client and the interchange are ports of the same
-//! plane in this process ([`Client::start_on`]), so a frame between
-//! them is a channel send, never a socket write.
+//! both planes the client and the interchange share this process and
+//! talk over one typed queue ([`Client::start_on`]); only the
+//! interchange has a port on the plane.
 
-use crate::client::{Client, Cover};
+use crate::client::{Client, Request};
 use crate::interchange::{interchange_loop, IxParams};
-use crate::proto::{Command, CommandReply, ToInterchange};
+use crate::proto::{Command, CommandReply};
 use crate::worker::{manager_loop, Fanout, ManagerCfg};
 use nexus::{Addr, Fabric, TcpHub, Transport};
 use parking_lot::Mutex;
@@ -63,10 +64,8 @@ pub struct HtexConfig {
     /// are prefetched while workers are busy ("configurable batching and
     /// prefetching of tasks to minimize communication overheads").
     pub prefetch: usize,
-    /// Largest task batch the interchange sends a manager at once, and
-    /// the most single `submit`s the client coalesces into one frame
-    /// under backlog (1 = never coalesce). An explicit `submit_batch` is
-    /// split only at the transport's frame budget.
+    /// Largest task batch the interchange sends a manager at once (and
+    /// a manager's largest results batch); 1 = one task per frame.
     pub batch_size: usize,
     /// Heartbeat period between managers and interchange.
     pub heartbeat_period: Duration,
@@ -324,10 +323,7 @@ impl HtexExecutor {
         let Some(addr) = self.nodes.lock().pop() else {
             return false;
         };
-        let retire = ToInterchange::Retire {
-            name: addr.to_string(),
-        };
-        if self.client.send(&retire).is_ok() {
+        if self.client.send(Request::Retire { node: addr }).is_ok() {
             self.draining_nodes.fetch_add(1, Ordering::Relaxed);
         }
         true
@@ -373,21 +369,6 @@ impl HtexExecutor {
         self.nodes.lock().clone()
     }
 
-    /// The client's coalescing terms: Σ capacity of the registered
-    /// managers as the slots a backlog must cover, `batch_size` and the
-    /// plane's frame budget as the caps on a coalesced frame.
-    fn cover(&self) -> Cover {
-        // Every manager registers `workers_per_node` workers and
-        // `prefetch` slots beyond them.
-        let workers = self.connected_workers.load(Ordering::Relaxed);
-        let managers = workers / self.cfg.workers_per_node.max(1);
-        Cover {
-            slots: workers + self.cfg.prefetch * managers,
-            max_tasks: self.cfg.batch_size,
-            max_frame_bytes: self.topo.plane().max_frame_bytes(),
-        }
-    }
-
     /// Synchronous administrative command (§4.3.1). Times out after `wait`.
     pub fn command(&self, cmd: Command, wait: Duration) -> Result<CommandReply, ExecutorError> {
         self.client.command(cmd, wait)
@@ -401,25 +382,24 @@ impl Executor for HtexExecutor {
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
         let registry = Arc::clone(&ctx.registry);
-        // The interchange and the client attach to the same plane as local
-        // ports: over TCP only the managers sit behind sockets.
-        let ix_ep = self.client.start_on(self.topo.plane(), ctx, "manager")?;
+        // The interchange attaches to the plane as a local port: over TCP
+        // only the managers sit behind sockets.
+        let broker = self.client.start_on(self.topo.plane(), ctx)?;
 
         let params = IxParams {
-            client_addr: self.client.client_addr().clone(),
             prefetch: self.cfg.prefetch,
             batch_size: self.cfg.batch_size,
+            max_frame_bytes: self.topo.plane().max_frame_bytes(),
             heartbeat_period: self.cfg.heartbeat_period,
             heartbeat_threshold: self.cfg.heartbeat_threshold,
             seed: self.cfg.seed,
             connected_workers: Arc::clone(&self.connected_workers),
             draining_nodes: Arc::clone(&self.draining_nodes),
-            stop: self.client.stop_flag(),
         };
         let stopped = Arc::clone(&self.stopped);
         self.client
             .spawn(format!("{}-ix", self.cfg.label), move || {
-                *stopped.lock() = interchange_loop(ix_ep, registry, params);
+                *stopped.lock() = interchange_loop(broker, registry, params);
             })?;
 
         for _ in 0..self.cfg.init_blocks {
@@ -428,17 +408,15 @@ impl Executor for HtexExecutor {
         Ok(())
     }
 
-    /// Under a backlog that already covers the managers' slots twice
-    /// over, single submits wait in the client's outbox and cross the
-    /// wire up to `batch_size` to a frame ([`crate::client`]).
+    /// Queues the task for the interchange, which batches whatever is
+    /// queued up to `batch_size` per manager frame ([`crate::client`]).
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
-        self.client.submit(&task, Some(self.cover()))
+        self.client.submit(task)
     }
 
-    /// An explicit batch leaves at once, behind any held single submits.
+    /// Queues the batch as one request, behind every earlier submit.
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
-        self.client
-            .submit_batch(&tasks, self.topo.plane().max_frame_bytes())
+        self.client.submit_batch(tasks)
     }
 
     fn outstanding(&self) -> usize {
@@ -450,9 +428,7 @@ impl Executor for HtexExecutor {
     /// (possibly synthesized) result flows back, so the outstanding gauge
     /// and manager accounting settle normally.
     fn cancel(&self, id: TaskId, attempt: u32) {
-        let _ = self
-            .client
-            .send(&ToInterchange::Cancel { id: id.0, attempt });
+        let _ = self.client.send(Request::Cancel { id: id.0, attempt });
     }
 
     fn connected_workers(&self) -> usize {
@@ -712,8 +688,8 @@ mod tests {
         }
     }
 
-    /// One node of one worker plus one prefetch slot (2 slots, so the
-    /// client holds single submits once 4 are out), running an app that
+    /// One node of one worker plus one prefetch slot (2 slots, so later
+    /// tasks stay queued at the interchange), running an app that
     /// blocks until the returned gate sender is dropped. Returns once the
     /// manager has registered.
     fn gated_htex() -> (
@@ -767,9 +743,9 @@ mod tests {
         }
     }
 
-    /// 2 × slots + 1 single submits against a closed gate: the last one
-    /// waits in the client's outbox, and a command flushes it ahead of
-    /// itself — the interchange counts every task submitted.
+    /// Five single submits against a closed gate and two slots: three
+    /// are still queued at the interchange when a command arrives behind
+    /// them on the same queue, so it counts every task submitted.
     #[test]
     fn command_sees_every_task_submitted_before_it() {
         let (htex, rx, app, gate) = gated_htex();
@@ -784,8 +760,9 @@ mod tests {
         htex.shutdown();
     }
 
-    /// Cancelling a task that is still in the client's outbox settles it
-    /// like any other undispatched task: the cancel travels behind it.
+    /// Cancelling a task that is still queued (where the client's outbox
+    /// used to hold it) settles it like any other undispatched task: the
+    /// cancel travels behind it on the one queue.
     #[test]
     fn cancel_settles_a_task_still_in_the_outbox() {
         let (htex, rx, app, gate) = gated_htex();

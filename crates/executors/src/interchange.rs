@@ -1,42 +1,59 @@
 //! The interchange: the broker between an executor client and its
 //! managers (§4.3.1, Figure 2a).
 //!
-//! It queues submitted tasks, matches them to managers with advertised
+//! It queues the client's tasks, matches them to managers with advertised
 //! capacity using randomized selection for fairness, tracks which
-//! `(task, attempt)` pairs each manager holds, relays result batches,
-//! answers the synchronous command channel, and watches heartbeats: a
-//! manager silent past the threshold is dropped and its held tasks are
-//! reported to the client so the DFK can retry them. Results from a
-//! manager the interchange no longer accounts for are discarded.
+//! `(task, attempt)` pairs each manager holds, settles result batches
+//! straight into the kernel's completion channel, answers the
+//! synchronous command channel, and watches heartbeats: a manager silent
+//! past the threshold is dropped and its held tasks are settled as lost
+//! so the DFK can retry them. Results from a manager the interchange no
+//! longer accounts for are discarded.
+//!
+//! It waits on two sources at once: the client's request queue
+//! ([`crate::client::Request`], typed values, never encoded) and its port
+//! on the plane, which carries only manager frames. On each wake it
+//! drains the queue in bulk, then dispatches per manager up to
+//! `batch_size`, each batch written as one `ToManager::Tasks` frame
+//! straight from the queued argument bytes ([`crate::proto::encode_tasks`]).
+//! While tasks are left that no manager has a slot for, it waits on the
+//! client's bell instead of the queue, so more tasks do not wake it and
+//! a control request still does.
 //!
 //! Every executor shape runs it: HTEX's managers feed worker threads,
 //! EXEX's are MPI pool leaders ("identical broker role", §4.3.2) with
 //! `prefetch: 0`, and LLEX's run one task at a time inline with no
 //! heartbeat expiry.
 
+use crate::client::{Broker, Outcomes, Request};
 use crate::proto::{
-    decode, encode, Command, CommandReply, ToClient, ToInterchange, ToManager, WireApp, WireResult,
-    WireTask,
+    decode, encode, encode_tasks, Command, CommandReply, QueuedTask, ToInterchange, ToManager,
+    WireApp, WireResult,
 };
-use nexus::{Addr, Port};
+use nexus::{Addr, Envelope, Port};
 use parsl_core::error::AppError;
 use parsl_core::registry::{AppId, AppRegistry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Most requests one wake takes off the client's queue before it
+/// dispatches, so a producer that never pauses cannot starve the plane.
+const DRAIN: usize = 1024;
+
 /// What the interchange reads from the executor that runs it.
 pub struct IxParams {
-    /// Where results and lost-manager reports go.
-    pub client_addr: Addr,
     /// Slots a manager advertises beyond its workers; subtracted from a
     /// registering manager's capacity to count its workers.
     pub prefetch: usize,
     /// Largest task batch sent to a manager at once.
     pub batch_size: usize,
+    /// The plane's frame budget: no `Tasks` frame of more than one task
+    /// exceeds it.
+    pub max_frame_bytes: usize,
     /// Heartbeat period toward managers.
     pub heartbeat_period: Duration,
     /// Manager silence longer than this marks it lost.
@@ -49,15 +66,13 @@ pub struct IxParams {
     /// increments it when it sends a `Retire`, the interchange decrements
     /// it when that manager deregisters, is lost, or was never known.
     pub draining_nodes: Arc<AtomicUsize>,
-    /// Checked between receives; set by the client's shutdown.
-    pub stop: Arc<AtomicBool>,
 }
 
 struct ManagerInfo {
     free: usize,
     workers: usize,
     last_seen: Instant,
-    outstanding: HashMap<(u64, u32), ()>,
+    outstanding: HashSet<(u64, u32)>,
     /// App ids already advertised to this manager (remote workers bind
     /// builtins by name on first sight; in-proc managers ignore these).
     advertised: HashSet<u64>,
@@ -69,297 +84,426 @@ fn node_drained(draining_nodes: &AtomicUsize) {
     let _ = draining_nodes.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
 }
 
-/// Run the interchange on `ep` until a `Shutdown` frame, a
-/// `ShutdownExecutor` command or `p.stop`; registered managers are told to
-/// shut down on the way out. Returns the managers so told: the executor
-/// kills every other node it started. `registry` resolves app ids for
-/// advertisement.
-pub fn interchange_loop(ep: Box<dyn Port>, registry: Arc<AppRegistry>, p: IxParams) -> Vec<Addr> {
-    let mut pending: VecDeque<WireTask> = VecDeque::new();
-    let mut managers: HashMap<Addr, ManagerInfo> = HashMap::new();
-    let mut blacklist: HashSet<Addr> = HashSet::new();
-    let mut draining: HashSet<Addr> = HashSet::new();
-    let mut rng = SmallRng::seed_from_u64(p.seed);
+/// Why `name`'s held tasks come back as `ExecutorLost`.
+fn lost_reason(name: &Addr) -> String {
+    format!("manager {name} lost (heartbeat expired)")
+}
+
+/// The interchange's state between wakes.
+struct Interchange {
+    ep: Box<dyn Port>,
+    outcomes: Outcomes,
+    registry: Arc<AppRegistry>,
+    p: IxParams,
+    pending: VecDeque<QueuedTask>,
+    managers: HashMap<Addr, ManagerInfo>,
+    blacklist: HashSet<Addr>,
+    draining: HashSet<Addr>,
+    rng: SmallRng,
+    /// Managers with free slots, refilled for each dispatch.
+    candidates: Vec<Addr>,
+}
+
+/// Run the interchange until a `Shutdown` request, a `ShutdownExecutor`
+/// command, or the client's queue closing; registered managers are told
+/// to shut down on the way out. Returns the managers so told: the
+/// executor kills every other node it started. `registry` resolves app
+/// ids for advertisement.
+pub fn interchange_loop(broker: Broker, registry: Arc<AppRegistry>, p: IxParams) -> Vec<Addr> {
+    let Broker {
+        port,
+        requests,
+        bell,
+        outcomes,
+    } = broker;
+    let tick = p.heartbeat_period / 2;
+    let mut ix = Interchange {
+        ep: port,
+        outcomes,
+        registry,
+        rng: SmallRng::seed_from_u64(p.seed),
+        p,
+        pending: VecDeque::new(),
+        managers: HashMap::new(),
+        blacklist: HashSet::new(),
+        draining: HashSet::new(),
+        candidates: Vec::new(),
+    };
+    let mut next_tick = Instant::now() + tick;
     let mut last_hb_out = Instant::now();
+    // Tasks are queued that no manager can take yet: until a frame frees
+    // a slot, more of them are no reason to wake, so wait on the bell
+    // instead of the queue (`Broker::bell`).
+    let mut saturated = false;
 
-    loop {
-        if p.stop.load(Ordering::Acquire) {
-            break;
+    'run: loop {
+        let wait = if saturated && !requests.is_empty() {
+            Duration::ZERO // the last drain stopped at its limit
+        } else {
+            next_tick.saturating_duration_since(Instant::now())
+        };
+        if saturated {
+            crossbeam::channel::select! {
+                recv(bell) -> rung => {
+                    if rung.is_err() && requests.is_empty() {
+                        break 'run; // the client is gone
+                    }
+                }
+                recv(ix.ep.receiver()) -> env => {
+                    match env {
+                        Ok(env) => ix.frame(env),
+                        Err(_) => break 'run, // the port was killed
+                    }
+                }
+                default(wait) => {}
+            }
+        } else {
+            // Requests first: a request the client made before a worker
+            // finished (a cancel, then the gate that held the worker
+            // opening) is obeyed before that worker's results frame.
+            crossbeam::channel::select! {
+                recv(requests) -> request => {
+                    if !request.is_ok_and(|r| ix.request(r)) {
+                        break 'run;
+                    }
+                }
+                recv(ix.ep.receiver()) -> env => {
+                    match env {
+                        Ok(env) => ix.frame(env),
+                        Err(_) => break 'run, // the port was killed
+                    }
+                }
+                default(wait) => {}
+            }
         }
-        let msg = ep.recv_timeout(p.heartbeat_period / 2);
+        for _ in 0..DRAIN {
+            let Ok(request) = requests.try_recv() else {
+                break;
+            };
+            if !ix.request(request) {
+                break 'run;
+            }
+        }
         let now = Instant::now();
-
-        if let Ok(env) = msg {
-            match decode::<ToInterchange>(&env.payload) {
-                Ok(ToInterchange::Submit(task)) => {
-                    pending.push_back(task);
+        if now >= next_tick {
+            next_tick = now + tick;
+            if now.duration_since(last_hb_out) >= ix.p.heartbeat_period {
+                last_hb_out = now;
+                for addr in ix.managers.keys() {
+                    let _ = ix.ep.send(addr, encode(&ToManager::Heartbeat));
                 }
-                Ok(ToInterchange::SubmitBatch(tasks)) => {
-                    pending.extend(tasks);
-                }
-                Ok(ToInterchange::Register {
-                    name: _,
-                    capacity,
-                    held,
-                }) => {
-                    if let Some(m) = managers.get_mut(&env.from) {
-                        // Re-register after a link drop: keep the
-                        // accounting, reconcile against what the manager
-                        // actually still holds, and report anything that
-                        // died in the gap as lost so the DFK retries it.
-                        let held: HashSet<(u64, u32)> = held.into_iter().collect();
-                        let vanished: Vec<(u64, u32)> = m
-                            .outstanding
-                            .keys()
-                            .filter(|k| !held.contains(k))
-                            .copied()
-                            .collect();
-                        for k in &vanished {
-                            m.outstanding.remove(k);
-                        }
-                        m.free = capacity.saturating_sub(m.outstanding.len());
-                        m.last_seen = now;
-                        if !vanished.is_empty() {
-                            let _ = ep.send(
-                                &p.client_addr,
-                                encode(&ToClient::ManagerLost {
-                                    name: env.from.to_string(),
-                                    tasks: vanished,
-                                }),
-                            );
-                        }
-                    } else {
-                        let workers = capacity.saturating_sub(p.prefetch);
-                        p.connected_workers.fetch_add(workers, Ordering::Relaxed);
-                        managers.insert(
-                            env.from.clone(),
-                            ManagerInfo {
-                                free: capacity,
-                                workers,
-                                last_seen: now,
-                                outstanding: HashMap::new(),
-                                advertised: HashSet::new(),
-                            },
-                        );
-                    }
-                }
-                Ok(ToInterchange::Capacity { name: _, free }) => {
-                    if let Some(m) = managers.get_mut(&env.from) {
-                        m.free = free;
-                        m.last_seen = now;
-                    }
-                }
-                Ok(ToInterchange::Results(results)) => {
-                    // Forward only results this interchange still accounts
-                    // for. A manager declared lost (its tasks already
-                    // reported and retried) may reconnect and flush stale
-                    // results; forwarding those would double-finalize
-                    // attempts and corrupt the client's outstanding gauge.
-                    if let Some(m) = managers.get_mut(&env.from) {
-                        let known: Vec<_> = results
-                            .into_iter()
-                            .filter(|r| m.outstanding.remove(&(r.id, r.attempt)).is_some())
-                            .collect();
-                        m.free += known.len();
-                        m.last_seen = now;
-                        if !known.is_empty() {
-                            let _ = ep.send(&p.client_addr, encode(&ToClient::Results(known)));
-                        }
-                    }
-                }
-                Ok(ToInterchange::Heartbeat { name: _ }) => {
-                    if let Some(m) = managers.get_mut(&env.from) {
-                        m.last_seen = now;
-                    }
-                }
-                Ok(ToInterchange::Retire { name }) => {
-                    let addr = Addr::new(&name);
-                    if managers.contains_key(&addr) {
-                        // Stop dispatching first, then tell the manager to
-                        // drain; same-pair FIFO means any batch sent before
-                        // this instant arrives before the shutdown.
-                        draining.insert(addr.clone());
-                        let _ = ep.send(&addr, encode(&ToManager::Shutdown));
-                    } else {
-                        // Manager already gone (or never registered): the
-                        // drain is trivially complete.
-                        node_drained(&p.draining_nodes);
-                    }
-                }
-                Ok(ToInterchange::Cancel { id, attempt }) => {
-                    if let Some(pos) = pending
-                        .iter()
-                        .position(|t| t.id == id && t.attempt == attempt)
-                    {
-                        // Never dispatched: drop it here and synthesize a
-                        // failed result so the client's outstanding gauge
-                        // settles (the DFK's attempt filter discards it).
-                        pending.remove(pos);
-                        let _ = ep.send(
-                            &p.client_addr,
-                            encode(&ToClient::Results(vec![WireResult {
-                                id,
-                                attempt,
-                                outcome: Err(AppError::msg("cancelled before dispatch")),
-                                worker: String::new(),
-                            }])),
-                        );
-                    } else if let Some(addr) = managers
-                        .iter()
-                        .find(|(_, m)| m.outstanding.contains_key(&(id, attempt)))
-                        .map(|(a, _)| a.clone())
-                    {
-                        let _ = ep.send(&addr, encode(&ToManager::Cancel { id, attempt }));
-                    }
-                }
-                Ok(ToInterchange::Deregister { name: _ }) => {
-                    if draining.remove(&env.from) {
-                        node_drained(&p.draining_nodes);
-                    }
-                    if let Some(m) = managers.remove(&env.from) {
-                        p.connected_workers.fetch_sub(m.workers, Ordering::Relaxed);
-                        // A graceful manager has already flushed results;
-                        // anything still marked outstanding is reported.
-                        if !m.outstanding.is_empty() {
-                            let tasks: Vec<(u64, u32)> = m.outstanding.keys().copied().collect();
-                            let _ = ep.send(
-                                &p.client_addr,
-                                encode(&ToClient::ManagerLost {
-                                    name: env.from.to_string(),
-                                    tasks,
-                                }),
-                            );
-                        }
-                    }
-                }
-                Ok(ToInterchange::Command(cmd)) => {
-                    let reply = match cmd {
-                        Command::OutstandingInfo => {
-                            let queued = pending.len();
-                            let running: usize =
-                                managers.values().map(|m| m.outstanding.len()).sum();
-                            CommandReply::Outstanding(queued + running)
-                        }
-                        Command::ConnectedWorkers => {
-                            CommandReply::Workers(p.connected_workers.load(Ordering::Relaxed))
-                        }
-                        Command::Blacklist(name) => {
-                            blacklist.insert(Addr::new(name));
-                            CommandReply::Ack
-                        }
-                        Command::ShutdownExecutor => {
-                            let _ = ep.send(
-                                &env.from,
-                                encode(&ToClient::CommandReply(CommandReply::Ack)),
-                            );
-                            break;
-                        }
-                    };
-                    let _ = ep.send(&env.from, encode(&ToClient::CommandReply(reply)));
-                }
-                Ok(ToInterchange::Shutdown) => break,
-                Err(_) => { /* corrupt frame; drop, like a real broker */ }
             }
+            ix.sweep(now);
         }
-
-        // Heartbeats out to managers.
-        if now.duration_since(last_hb_out) >= p.heartbeat_period {
-            last_hb_out = now;
-            for addr in managers.keys() {
-                let _ = ep.send(addr, encode(&ToManager::Heartbeat));
-            }
-        }
-
-        // Detect lost managers (§4.3.1) and surface their tasks.
-        let lost: Vec<Addr> = managers
-            .iter()
-            .filter(|(_, m)| now.duration_since(m.last_seen) > p.heartbeat_threshold)
-            .map(|(a, _)| a.clone())
-            .collect();
-        for addr in lost {
-            let m = managers.remove(&addr).expect("present");
-            if draining.remove(&addr) {
-                node_drained(&p.draining_nodes);
-            }
-            p.connected_workers.fetch_sub(m.workers, Ordering::Relaxed);
-            let tasks: Vec<(u64, u32)> = m.outstanding.keys().copied().collect();
-            let _ = ep.send(
-                &p.client_addr,
-                encode(&ToClient::ManagerLost {
-                    name: addr.to_string(),
-                    tasks,
-                }),
-            );
-        }
-
-        // Dispatch: match queued tasks to managers with capacity, picking
-        // managers at random for fairness.
-        while !pending.is_empty() {
-            let candidates: Vec<Addr> = managers
-                .iter()
-                .filter(|(a, m)| m.free > 0 && !blacklist.contains(a) && !draining.contains(a))
-                .map(|(a, _)| a.clone())
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let pick = &candidates[rng.random_range(0..candidates.len())];
-            let m = managers.get_mut(pick).expect("candidate exists");
-            let n = p.batch_size.min(m.free).min(pending.len());
-            let batch: Vec<WireTask> = pending.drain(..n).collect();
-
-            // Advertise apps this manager hasn't seen before their tasks:
-            // same-pair FIFO guarantees the worker binds the ids first.
-            let mut new_app_ids: Vec<u64> = batch
-                .iter()
-                .map(|t| t.app_id)
-                .filter(|id| !m.advertised.contains(id))
-                .collect();
-            new_app_ids.sort_unstable();
-            new_app_ids.dedup();
-            let new_apps: Vec<WireApp> = new_app_ids
-                .iter()
-                .filter_map(|id| registry.get(AppId(*id)))
-                .map(|app| WireApp {
-                    id: app.id.0,
-                    name: app.name.to_string(),
-                    signature: app.signature.to_string(),
-                })
-                .collect();
-            if !new_apps.is_empty() && ep.send(pick, encode(&ToManager::Apps(new_apps))).is_err() {
-                for t in batch.into_iter().rev() {
-                    pending.push_front(t);
-                }
-                break;
-            }
-            let m = managers.get_mut(pick).expect("candidate exists");
-            m.advertised.extend(new_app_ids);
-
-            for t in &batch {
-                m.outstanding.insert((t.id, t.attempt), ());
-            }
-            m.free -= n;
-            let msg = ToManager::Tasks(batch);
-            if ep.send(pick, encode(&msg)).is_err() {
-                // Manager's endpoint died between heartbeat checks; requeue
-                // and let the loss path clean up.
-                let ToManager::Tasks(batch) = msg else {
-                    unreachable!("built as Tasks above")
-                };
-                let m = managers.get_mut(pick).expect("candidate exists");
-                for t in batch.into_iter().rev() {
-                    m.outstanding.remove(&(t.id, t.attempt));
-                    pending.push_front(t);
-                }
-                break;
-            }
-        }
+        ix.dispatch();
+        saturated = !ix.pending.is_empty();
     }
 
+    let Interchange { ep, managers, .. } = ix;
     managers
         .into_keys()
         .filter(|addr| ep.send(addr, encode(&ToManager::Shutdown)).is_ok())
         .collect()
+}
+
+impl Interchange {
+    /// Take one client request. False to stop. Tasks only join the queue;
+    /// a control request first dispatches what it can, so it meets the
+    /// tasks ahead of it where they would be had each request had a wake
+    /// of its own (a cancel behind a batch finds the tasks that fit a
+    /// manager already sent).
+    fn request(&mut self, request: Request) -> bool {
+        match request {
+            Request::Task(task) => self.pending.push_back(task),
+            Request::Tasks(tasks) => self.pending.extend(tasks),
+            control => {
+                self.dispatch();
+                return self.control(control);
+            }
+        }
+        true
+    }
+
+    /// Obey one control request. False to stop.
+    fn control(&mut self, request: Request) -> bool {
+        match request {
+            Request::Task(_) | Request::Tasks(_) => unreachable!("tasks are queued, not obeyed"),
+            Request::Cancel { id, attempt } => self.cancel(id, attempt),
+            Request::Retire { node } => {
+                if self.managers.contains_key(&node) {
+                    // Stop dispatching first, then tell the manager to
+                    // drain; same-pair FIFO means any batch sent before
+                    // this instant arrives before the shutdown.
+                    self.draining.insert(node.clone());
+                    let _ = self.ep.send(&node, encode(&ToManager::Shutdown));
+                } else {
+                    // Manager already gone (or never registered): the
+                    // drain is trivially complete.
+                    node_drained(&self.p.draining_nodes);
+                }
+            }
+            Request::Command(cmd, reply) => {
+                let answer = match cmd {
+                    Command::OutstandingInfo => {
+                        let running: usize =
+                            self.managers.values().map(|m| m.outstanding.len()).sum();
+                        CommandReply::Outstanding(self.pending.len() + running)
+                    }
+                    Command::ConnectedWorkers => {
+                        CommandReply::Workers(self.p.connected_workers.load(Ordering::Relaxed))
+                    }
+                    Command::Blacklist(name) => {
+                        self.blacklist.insert(Addr::new(name));
+                        CommandReply::Ack
+                    }
+                    Command::ShutdownExecutor => {
+                        let _ = reply.send(CommandReply::Ack);
+                        return false;
+                    }
+                };
+                let _ = reply.send(answer);
+            }
+            Request::Shutdown => return false,
+        }
+        true
+    }
+
+    /// Drop a still-queued attempt and settle it "cancelled before
+    /// dispatch" (the DFK's attempt filter discards the result), or
+    /// forward the cancel to the manager holding it.
+    fn cancel(&mut self, id: u64, attempt: u32) {
+        if let Some(pos) = self
+            .pending
+            .iter()
+            .position(|t| t.id == id && t.attempt == attempt)
+        {
+            self.pending.remove(pos);
+            self.outcomes.results(vec![WireResult {
+                id,
+                attempt,
+                outcome: Err(AppError::msg("cancelled before dispatch")),
+                worker: String::new(),
+            }]);
+        } else if let Some(addr) = self
+            .managers
+            .iter()
+            .find(|(_, m)| m.outstanding.contains(&(id, attempt)))
+            .map(|(a, _)| a.clone())
+        {
+            let _ = self
+                .ep
+                .send(&addr, encode(&ToManager::Cancel { id, attempt }));
+        }
+    }
+
+    /// Handle one frame from a manager. Client-only messages (submits,
+    /// cancels, retirements, commands, shutdown) are ignored here like an
+    /// undecodable frame: they come only from the request queue, so no
+    /// peer on the plane can queue work or stop the interchange.
+    fn frame(&mut self, env: Envelope) {
+        let now = Instant::now();
+        let Ok(msg) = decode::<ToInterchange>(&env.payload) else {
+            return; // corrupt frame; drop, like a real broker
+        };
+        match msg {
+            ToInterchange::Register {
+                name: _,
+                capacity,
+                held,
+            } => {
+                if let Some(m) = self.managers.get_mut(&env.from) {
+                    // Re-register after a link drop: keep the accounting,
+                    // reconcile against what the manager actually still
+                    // holds, and settle anything that died in the gap as
+                    // lost so the DFK retries it.
+                    let held: HashSet<(u64, u32)> = held.into_iter().collect();
+                    let vanished: Vec<(u64, u32)> =
+                        m.outstanding.difference(&held).copied().collect();
+                    for k in &vanished {
+                        m.outstanding.remove(k);
+                    }
+                    m.free = capacity.saturating_sub(m.outstanding.len());
+                    m.last_seen = now;
+                    self.outcomes.lost(vanished, &lost_reason(&env.from));
+                } else {
+                    let workers = capacity.saturating_sub(self.p.prefetch);
+                    self.p
+                        .connected_workers
+                        .fetch_add(workers, Ordering::Relaxed);
+                    self.managers.insert(
+                        env.from,
+                        ManagerInfo {
+                            free: capacity,
+                            workers,
+                            last_seen: now,
+                            outstanding: HashSet::new(),
+                            advertised: HashSet::new(),
+                        },
+                    );
+                }
+            }
+            ToInterchange::Capacity { name: _, free } => {
+                if let Some(m) = self.managers.get_mut(&env.from) {
+                    m.free = free;
+                    m.last_seen = now;
+                }
+            }
+            ToInterchange::Results(results) => {
+                // Settle only results this interchange still accounts for.
+                // A manager declared lost (its tasks already settled and
+                // retried) may reconnect and flush stale results; settling
+                // those would double-finalize attempts and corrupt the
+                // client's outstanding gauge.
+                if let Some(m) = self.managers.get_mut(&env.from) {
+                    let known: Vec<_> = results
+                        .into_iter()
+                        .filter(|r| m.outstanding.remove(&(r.id, r.attempt)))
+                        .collect();
+                    m.free += known.len();
+                    m.last_seen = now;
+                    self.outcomes.results(known);
+                }
+            }
+            ToInterchange::Heartbeat { name: _ } => {
+                if let Some(m) = self.managers.get_mut(&env.from) {
+                    m.last_seen = now;
+                }
+            }
+            ToInterchange::Deregister { name: _ } => {
+                if self.draining.remove(&env.from) {
+                    node_drained(&self.p.draining_nodes);
+                }
+                if let Some(m) = self.managers.remove(&env.from) {
+                    self.p
+                        .connected_workers
+                        .fetch_sub(m.workers, Ordering::Relaxed);
+                    // A graceful manager has already flushed results;
+                    // anything still marked outstanding is settled lost.
+                    let tasks = m.outstanding.into_iter().collect();
+                    self.outcomes.lost(tasks, &lost_reason(&env.from));
+                }
+            }
+            ToInterchange::Submit(_)
+            | ToInterchange::SubmitBatch(_)
+            | ToInterchange::Retire { .. }
+            | ToInterchange::Cancel { .. }
+            | ToInterchange::Command(_)
+            | ToInterchange::Shutdown => {}
+        }
+    }
+
+    /// Detect lost managers (§4.3.1) and settle their tasks.
+    fn sweep(&mut self, now: Instant) {
+        let threshold = self.p.heartbeat_threshold;
+        let lost: Vec<Addr> = self
+            .managers
+            .iter()
+            .filter(|(_, m)| now.duration_since(m.last_seen) > threshold)
+            .map(|(a, _)| a.clone())
+            .collect();
+        for addr in lost {
+            let m = self.managers.remove(&addr).expect("present");
+            if self.draining.remove(&addr) {
+                node_drained(&self.p.draining_nodes);
+            }
+            self.p
+                .connected_workers
+                .fetch_sub(m.workers, Ordering::Relaxed);
+            let tasks = m.outstanding.into_iter().collect();
+            self.outcomes.lost(tasks, &lost_reason(&addr));
+        }
+    }
+
+    /// Match queued tasks to managers with capacity. Each round gives
+    /// every manager with a free slot an even share of what is queued,
+    /// starting at a random one for fairness, so a burst spreads over all
+    /// of them; a share is cut to `batch_size`, the manager's free slots
+    /// and the frame budget. Tasks left queued wait for a frame that frees
+    /// a slot or registers a manager.
+    fn dispatch(&mut self) {
+        while !self.pending.is_empty() {
+            self.candidates.clear();
+            self.candidates.extend(
+                self.managers
+                    .iter()
+                    .filter(|(a, m)| {
+                        m.free > 0 && !self.blacklist.contains(*a) && !self.draining.contains(*a)
+                    })
+                    .map(|(a, _)| a.clone()),
+            );
+            let k = self.candidates.len();
+            if k == 0 {
+                return;
+            }
+            let share = self.pending.len().div_ceil(k);
+            let first = self.rng.random_range(0..k);
+            for i in 0..k {
+                let pick = self.candidates[(first + i) % k].clone();
+                if self.pending.is_empty() || !self.send_share(&pick, share) {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Send `pick` one `Tasks` frame of at most `share` queued tasks (its
+    /// first task always fits the frame budget), advertising any app it
+    /// has not seen first. False if the manager's port refused a frame.
+    fn send_share(&mut self, pick: &Addr, share: usize) -> bool {
+        let m = self.managers.get_mut(pick).expect("candidate exists");
+        let most = self.p.batch_size.min(m.free).min(share);
+        let mut bytes = 10; // the variant index and the task count
+        let n = self
+            .pending
+            .iter()
+            .take(most)
+            .take_while(|t| {
+                bytes += t.encoded_len();
+                bytes <= self.p.max_frame_bytes
+            })
+            .count()
+            .max(1);
+        let batch = self.pending.range(..n);
+
+        // Advertise apps this manager hasn't seen before their tasks:
+        // same-pair FIFO guarantees the worker binds the ids first.
+        let mut new_app_ids: Vec<u64> = batch
+            .clone()
+            .map(|t| t.app_id)
+            .filter(|id| !m.advertised.contains(id))
+            .collect();
+        new_app_ids.sort_unstable();
+        new_app_ids.dedup();
+        let new_apps: Vec<WireApp> = new_app_ids
+            .iter()
+            .filter_map(|id| self.registry.get(AppId(*id)))
+            .map(|app| WireApp {
+                id: app.id.0,
+                name: app.name.to_string(),
+                signature: app.signature.to_string(),
+            })
+            .collect();
+        if !new_apps.is_empty()
+            && self
+                .ep
+                .send(pick, encode(&ToManager::Apps(new_apps)))
+                .is_err()
+        {
+            return false;
+        }
+        m.advertised.extend(new_app_ids);
+
+        // The tasks leave the queue only once their frame is sent: a
+        // manager whose endpoint died between heartbeat checks keeps
+        // nothing, and the loss path cleans up.
+        if self.ep.send(pick, encode_tasks(batch)).is_err() {
+            return false;
+        }
+        m.free -= n;
+        m.outstanding
+            .extend(self.pending.drain(..n).map(|t| (t.id, t.attempt)));
+        true
+    }
 }
 
 #[cfg(test)]

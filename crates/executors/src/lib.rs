@@ -15,17 +15,16 @@
 //! There is one wire executor, [`HtexExecutor`]; a [`NodeShape`] built
 //! from [`HtexConfig`], [`LlexConfig`] or [`ExexConfig`] picks how its
 //! managers run tasks ([`worker::Fanout`]). It shares its client half,
-//! [`client::Client`] — the port, the outstanding gauge, the outbox, the
-//! receive thread and teardown — with the `baselines` crate's Dask/IPP
+//! [`client::Client`] — the outstanding gauge, one typed request queue
+//! into the broker, and teardown — with the `baselines` crate's Dask/IPP
 //! models.
 //!
 //! Single [`Executor::submit`](parsl_core::executor::Executor::submit)
-//! calls batch too, on HTEX: while the interchange's backlog already
-//! covers its managers' slots twice over, the client holds new tasks in
-//! its outbox and ships them as one `SubmitBatch` frame, capped by
-//! [`HtexConfig::batch_size`] and the transport's frame budget. With
-//! nothing outstanding a task leaves in the calling thread as one
-//! `Submit` frame, as it always did (see [`client`]).
+//! calls batch too, on HTEX: the interchange drains whatever the client
+//! queued since its last wake and sends each manager one `Tasks` frame of
+//! up to [`HtexConfig::batch_size`] tasks, written straight from the
+//! kernel's argument bytes. It settles results into the kernel's
+//! completion channel itself (see [`client`]).
 
 pub mod builtin;
 pub mod client;

@@ -167,6 +167,88 @@ fn client_reaches_the_interchange_without_a_socket() {
         !thread_named("nexus-tcp-spoke"),
         "a spoke reader runs in the kernel process"
     );
+    // The interchange settles results itself: no client thread receives
+    // them (a thread's name is cut to 15 bytes, so match its prefix).
+    assert!(
+        !thread_named("direct:client"),
+        "a client receive thread runs in the kernel process"
+    );
+    dfk.shutdown();
+}
+
+/// The hub address this process's `parsl-worker` child named `node`
+/// was told to connect to.
+fn hub_of(node: &str) -> String {
+    let pid = children_naming(node)[0];
+    let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).expect("procfs");
+    let args: Vec<String> = cmdline
+        .split(|&b| b == 0)
+        .map(|a| String::from_utf8_lossy(a).into_owned())
+        .collect();
+    let at = args
+        .iter()
+        .position(|a| a == "--connect")
+        .expect("--connect");
+    args[at + 1].clone()
+}
+
+/// Anything that can connect to the hub is a peer of the interchange,
+/// not its client: a stranger's `Shutdown`, `ShutdownExecutor` command
+/// and `Submit` are ignored like undecodable frames. The kernel's next
+/// 100 tasks still complete, and no task the kernel never submitted is
+/// run or settled (the outstanding gauge returns to exactly 0).
+#[test]
+fn plane_peers_cannot_stop_or_feed_the_interchange() {
+    use parsl::executors::proto::{encode, Command, ToInterchange, WireTask};
+    use parsl::nexus::{Addr, Port, SpokeConfig, TcpSpoke};
+
+    let htex = tcp_htex(HtexConfig {
+        label: "guarded".into(),
+        workers_per_node: 1,
+        init_blocks: 1,
+        heartbeat_period: Duration::from_millis(50),
+        heartbeat_threshold: Duration::from_secs(5),
+        ..Default::default()
+    });
+    let dfk = DataFlowKernel::builder()
+        .executor_arc(htex.clone())
+        .build()
+        .unwrap();
+    let noop = dfk.python_app("noop", |x: u64| x);
+    let first = parsl::core::call!(noop, 0u64);
+    assert_eq!(first.result_timeout(Duration::from_secs(30)).unwrap(), 0);
+
+    let me = Addr::new("stranger");
+    let stranger = TcpSpoke::connect(hub_of("guarded:mgr-0"), me.clone(), SpokeConfig::default())
+        .expect("connect to the hub");
+    let ix = Addr::new("guarded:ix");
+    let forged = WireTask {
+        id: 999_999,
+        attempt: 0,
+        app_id: 0,
+        tenant: 0,
+        items: 1,
+        args: Vec::new(),
+    };
+    for msg in [
+        ToInterchange::Shutdown,
+        ToInterchange::Command(Command::ShutdownExecutor),
+        ToInterchange::Submit(forged),
+    ] {
+        stranger.send(&ix, encode(&msg)).unwrap();
+    }
+    // The hub routes one connection's frames in order: once the stranger
+    // hears its own echo, all three are in the interchange's inbox.
+    stranger.send(&me, encode(&())).unwrap();
+    stranger
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the echo returns");
+
+    let futs: Vec<_> = (1..=100u64).map(|i| parsl::core::call!(noop, i)).collect();
+    for (i, f) in (1..).zip(&futs) {
+        assert_eq!(f.result_timeout(Duration::from_secs(10)).unwrap(), i);
+    }
+    assert_eq!(htex.outstanding(), 0);
     dfk.shutdown();
 }
 
