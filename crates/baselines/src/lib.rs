@@ -5,16 +5,28 @@
 //! that determines its performance envelope — rather than its codebase:
 //!
 //! - [`IppExecutor`]: an IPyParallel-style **hub** to which every engine
-//!   (worker) connects directly; the hub tracks each task individually
-//!   (no batching), which is what limits its throughput and scale;
-//! - [`DaskLikeExecutor`]: a **centralized scheduler** making a per-task
-//!   placement decision over directly connected workers — fast for short
-//!   tasks on small clusters, capped by per-worker connection state;
+//!   (worker) connects directly; the hub hands an engine one task at a
+//!   time and tracks each individually (no batching), which is what
+//!   limits its throughput and scale;
+//! - [`DaskLikeExecutor`]: a **centralized scheduler** placing each task
+//!   on a directly connected worker, one task ahead of the one it runs —
+//!   fast for short tasks on small clusters, capped by per-worker
+//!   connection state;
 //! - [`FireworksExecutor`]: a central **LaunchPad database**; FireWorkers
 //!   *poll* the database on an interval to claim work and write results
 //!   back. Polling a central store is why FireWorks supports "concurrent
 //!   execution of few (<1000) long-running tasks (>100 s)" and tops out
 //!   at single-digit tasks per second.
+//!
+//! The hub and the scheduler are brokers like HTEX's interchange, so
+//! [`IppExecutor`] and [`DaskLikeExecutor`] are
+//! [`HtexExecutor`](parsl_executors::HtexExecutor) over the node shapes
+//! their configs build, as LLEX is: every node is one worker run inline by
+//! its manager, connected straight to the broker, one task to a frame,
+//! with no heartbeat expiry. The connection cap is the pool's size: no
+//! more than `max_connections` nodes are ever started, and the block
+//! ceiling stops scaling there. FireWorks has no broker and keeps its own
+//! loop.
 //!
 //! All three implement `parsl_core::Executor`, so any Parsl program can run
 //! unmodified against a baseline; `tests/executor_contract.rs` runs the
@@ -29,49 +41,35 @@ pub use dask::{DaskConfig, DaskLikeExecutor};
 pub use fireworks::{FireworksConfig, FireworksExecutor};
 pub use ipp::{IppConfig, IppExecutor};
 
-use nexus::{Addr, Fabric};
-use parsl_core::executor::ExecutorError;
-use parsl_core::registry::AppRegistry;
-use parsl_executors::client::Client;
-use parsl_executors::worker::{manager_loop, Fanout, ManagerCfg};
-use std::sync::Arc;
+use parsl_executors::worker::Fanout;
+use parsl_executors::{HtexConfig, NodeShape};
 use std::time::Duration;
 
-/// Start a worker (Dask) or engine (IPP) connected straight to its broker
-/// at `addr`: HTEX's manager loop with one slot, run inline. These brokers
-/// send no heartbeats, so it never gives up on a silent one; it stops on
-/// a shutdown frame, or when [`stop_direct_workers`] kills its endpoint.
-fn spawn_direct_worker(
-    client: &Client,
-    fabric: &Fabric,
-    registry: &Arc<AppRegistry>,
-    addr: Addr,
-) -> Result<(), ExecutorError> {
-    let ep = fabric
-        .bind(addr.clone())
-        .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-    let cfg = ManagerCfg {
-        workers: 1,
-        prefetch: 0,
-        batch_size: 1,
-        heartbeat_period: Duration::from_millis(100),
-        heartbeat_threshold: Duration::MAX,
-        reconnect: false,
-    };
-    let (broker, registry) = (client.ix_addr().clone(), Arc::clone(registry));
-    client.spawn(addr.to_string(), move || {
-        manager_loop(Box::new(ep), registry, broker, cfg, Fanout::Inline)
-    })
-}
-
-/// Stop the broker and its direct workers. A worker that registered after
-/// the broker exited would never hear a shutdown frame, so every endpoint
-/// is killed before the client joins the threads.
-fn stop_direct_workers(client: &Client, fabric: &Fabric, workers: impl Iterator<Item = Addr>) {
-    for addr in workers {
-        fabric.kill(&addr);
-    }
-    client.shutdown();
+/// The shape of a pool of `workers` directly connected workers, at most
+/// `max_connections` of them, each taking `prefetch` tasks beyond the one
+/// it runs.
+fn direct_workers(
+    label: String,
+    workers: usize,
+    max_connections: usize,
+    prefetch: usize,
+) -> NodeShape {
+    let nodes = workers.min(max_connections);
+    NodeShape::new(
+        HtexConfig {
+            label,
+            workers_per_node: 1,
+            prefetch,
+            batch_size: 1,
+            heartbeat_threshold: Duration::MAX,
+            nodes_per_block: 1,
+            min_blocks: nodes,
+            max_blocks: nodes,
+            init_blocks: nodes,
+            ..HtexConfig::default()
+        },
+        Fanout::Inline,
+    )
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! communicated back". The DataFlowKernel treats them uniformly through
 //! this trait; concrete implementations (thread pool, HTEX, EXEX, LLEX)
 //! live in the `parsl-executors` crate, and comparison systems in
-//! `baselines`.
+//! `baselines` (its Dask and IPP models are HTEX shapes too).
 
 use crate::error::TaskError;
 use crate::registry::{AppRegistry, RegisteredApp};
@@ -205,11 +205,11 @@ pub trait Executor: Send + Sync {
     /// stamping filters it). The provided implementation does nothing.
     ///
     /// Honoured by `parsl-executors`' `HtexExecutor` in every shape (HTEX,
-    /// LLEX, EXEX; in-proc or over TCP) and its `ThreadPoolExecutor`: an
-    /// attempt not yet running is skipped and answered with a
-    /// "cancelled" failure, one already running finishes. Ignored by
-    /// [`ImmediateExecutor`], which holds nothing in flight, and by the
-    /// `baselines` models.
+    /// LLEX, EXEX, and the `baselines` crate's Dask and IPP; in-proc or
+    /// over TCP) and its `ThreadPoolExecutor`: an attempt not yet running
+    /// is skipped and answered with a "cancelled" failure, one already
+    /// running finishes. Ignored by [`ImmediateExecutor`], which holds
+    /// nothing in flight, and by the `baselines` FireWorks model.
     fn cancel(&self, id: TaskId, attempt: u32) {
         let _ = (id, attempt);
     }

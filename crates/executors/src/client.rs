@@ -1,33 +1,32 @@
-//! The executor-client half shared by every wire executor (§4.3.1,
-//! Figure 2a: "the executor client submits tasks and receives results on
-//! behalf of the DataFlowKernel").
+//! The executor client of the one wire executor (§4.3.1, Figure 2a: "the
+//! executor client submits tasks and receives results on behalf of the
+//! DataFlowKernel").
 //!
-//! HTEX (in all three of its shapes, LLEX and EXEX among them) and the
-//! Dask/IPP baselines differ in what sits behind the broker address — an
-//! interchange with managers, a central scheduler, a hub — but the half
-//! that faces the DFK is the same: an outstanding-task gauge, one queue
-//! into the broker, and joined threads for teardown. Each of those
-//! executors owns one [`Client`].
+//! Every shape of [`crate::HtexExecutor`] — HTEX, LLEX, EXEX, and the
+//! `baselines` crate's Dask and IPP — owns one [`Client`]: an
+//! outstanding-task gauge, one queue into the interchange
+//! ([`crate::interchange`]), and joined threads for teardown.
 //!
 //! # One party, one queue
 //!
-//! The client and its broker share a process, so nothing between them is
-//! encoded. [`Client::submit`], [`Client::submit_batch`], [`Client::send`]
-//! and [`Client::command`] push [`Request`] values onto one FIFO channel,
-//! which the broker drains. A task carries the kernel's argument bytes
-//! ([`QueuedTask`]); the first and only copy of them in this process is
-//! the manager frame the broker writes. Because there is one queue, a
-//! `Cancel` or a command never overtakes the submit it follows. Batching
-//! lives in the broker, beside its backlog and the managers' free slots
-//! (§4.3.1 "configurable batching and prefetching of tasks to minimize
+//! The client and the interchange share a process, so nothing between
+//! them is encoded. [`Client::submit`], [`Client::submit_batch`] and
+//! [`Client::command`] (and, inside this crate, cancels and retirements)
+//! push `Request` values onto one FIFO channel, which the interchange
+//! drains. A task carries the kernel's argument bytes (`QueuedTask`); the
+//! first and only copy of them in this process is the manager frame the
+//! interchange writes. Because there is one queue, a `Cancel` or a command
+//! never overtakes the submit it follows. Batching lives in the
+//! interchange, beside its backlog and the managers' free slots (§4.3.1
+//! "configurable batching and prefetching of tasks to minimize
 //! communication overheads"); no task waits in the client, or on a timer.
 //!
-//! The broker settles tasks itself: it turns each results frame it
+//! The interchange settles tasks itself: it turns each results frame it
 //! accepts, each lost manager and each task cancelled before dispatch
-//! into one completion batch through its [`Outcomes`], which also takes
-//! them off the gauge. The plane carries only the broker's own peers, so
-//! a peer on it cannot submit, cancel, retire or stop anything: those are
-//! requests, and only the client makes requests.
+//! into one completion batch through its `Outcomes`, which also takes them
+//! off the gauge. The plane carries only the managers, so a peer on it
+//! cannot submit, cancel, retire or stop anything: those are requests,
+//! and only the client makes requests.
 
 use crate::proto::{
     outcomes_from_lost, outcomes_from_results, Command, CommandReply, QueuedTask, WireResult,
@@ -42,17 +41,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// What the client asks of its broker, in submit order on one queue.
+/// What the client asks of the interchange, in submit order on one queue.
 #[derive(Debug)]
-pub enum Request {
+pub(crate) enum Request {
     /// One task.
     Task(QueuedTask),
     /// The tasks of one `submit_batch` call, in order.
     Tasks(Vec<QueuedTask>),
     /// Abandon one attempt (the losing half of a straggler hedge).
-    /// Advisory: if the attempt is still queued the broker drops it and
-    /// settles it "cancelled before dispatch"; if it already reached a
-    /// manager the cancel is forwarded and the worker skips execution,
+    /// Advisory: if the attempt is still queued the interchange drops it
+    /// and settles it "cancelled before dispatch"; if it already reached
+    /// a manager the cancel is forwarded and the worker skips execution,
     /// but a result still flows back so held-task accounting stays
     /// intact.
     Cancel {
@@ -62,7 +61,7 @@ pub enum Request {
         attempt: u32,
     },
     /// Stop dispatching to one manager, then tell it to drain. Routing
-    /// retirement through the broker (instead of telling the manager
+    /// retirement through the interchange (instead of telling the manager
     /// directly) closes the race where a task batch and a shutdown cross
     /// on the wire.
     Retire {
@@ -72,14 +71,15 @@ pub enum Request {
     /// A synchronous administrative command (§4.3.1) and where its reply
     /// goes.
     Command(Command, Sender<CommandReply>),
-    /// Stop the broker.
+    /// Stop the interchange.
     Shutdown,
 }
 
-/// Where a broker settles tasks: the kernel's completion channel, and the
-/// client's outstanding gauge, which each delivery decrements first.
+/// Where the interchange settles tasks: the kernel's completion channel,
+/// and the client's outstanding gauge, which each delivery decrements
+/// first.
 #[derive(Clone)]
-pub struct Outcomes {
+pub(crate) struct Outcomes {
     completions: Sender<Vec<TaskOutcome>>,
     outstanding: Arc<AtomicUsize>,
 }
@@ -108,19 +108,19 @@ impl Outcomes {
     }
 }
 
-/// The broker's side of a live client, from [`Client::start_on`].
-pub struct Broker {
-    /// The broker's port on the plane, for its managers or workers.
+/// The interchange's side of a live client, from [`Client::start_on`].
+pub(crate) struct Broker {
+    /// The interchange's port on the plane, for its managers.
     pub port: Box<dyn Port>,
     /// The client's requests, in order.
     pub requests: Receiver<Request>,
     /// Rung after every request that is not a task, and closed with the
-    /// client: a broker that cannot use more tasks for now (every slot
-    /// taken) may wait on this instead of `requests`, so queued tasks cost
-    /// no wake-up, and still obey a cancel, a command or a shutdown at
-    /// once by draining `requests`.
+    /// client: an interchange that cannot use more tasks for now (every
+    /// slot taken) may wait on this instead of `requests`, so queued tasks
+    /// cost no wake-up, and still obey a cancel, a command or a shutdown
+    /// at once by draining `requests`.
     pub bell: Receiver<()>,
-    /// Where the broker settles tasks.
+    /// Where the interchange settles tasks.
     pub outcomes: Outcomes,
 }
 
@@ -138,7 +138,8 @@ impl Link {
             .send(request)
             .map_err(|_| ExecutorError::Comm("the broker has stopped".into()))?;
         if control {
-            // One ring pending is enough: the broker drains every request.
+            // One ring pending is enough: the interchange drains every
+            // request.
             let _ = self.bell.try_send(());
         }
         Ok(())
@@ -154,19 +155,19 @@ pub struct Client {
 }
 
 impl Client {
-    /// A stopped client for the executor `label`, whose broker
-    /// (interchange, scheduler, hub) answers at `{label}:{broker}`.
-    pub fn new(label: &str, broker: &str) -> Self {
+    /// A stopped client for the executor `label`, whose interchange
+    /// answers at `{label}:ix`.
+    pub fn new(label: &str) -> Self {
         Client {
-            ix_addr: Addr::new(format!("{label}:{broker}")),
+            ix_addr: Addr::new(format!("{label}:ix")),
             outstanding: Arc::new(AtomicUsize::new(0)),
             link: Mutex::new(None),
             threads: Mutex::new(Vec::new()),
         }
     }
 
-    /// The broker's address on its plane.
-    pub fn ix_addr(&self) -> &Addr {
+    /// The interchange's address on its plane.
+    pub(crate) fn ix_addr(&self) -> &Addr {
         &self.ix_addr
     }
 
@@ -180,10 +181,10 @@ impl Client {
         self.outstanding.load(Ordering::Relaxed)
     }
 
-    /// Go live: attach the broker's address to `plane` and hand back
-    /// everything the caller's broker loop needs — its port, the request
-    /// queue, and where to settle tasks (`ctx.completions`).
-    pub fn start_on(
+    /// Go live: attach the interchange's address to `plane` and hand back
+    /// everything the interchange needs — its port, the request queue, and
+    /// where to settle tasks (`ctx.completions`).
+    pub(crate) fn start_on(
         &self,
         plane: &dyn Transport,
         ctx: ExecutorContext,
@@ -213,9 +214,9 @@ impl Client {
         })
     }
 
-    /// Spawn a named thread that [`Client::shutdown`] joins (brokers and
-    /// the baselines' workers).
-    pub fn spawn(
+    /// Spawn a named thread that [`Client::shutdown`] joins (the
+    /// interchange).
+    pub(crate) fn spawn(
         &self,
         name: String,
         f: impl FnOnce() + Send + 'static,
@@ -229,7 +230,7 @@ impl Client {
     }
 
     /// Queue `request` behind everything before it, counting `tasks` more
-    /// outstanding until the broker settles them.
+    /// outstanding until the interchange settles them.
     fn push(&self, request: Request, tasks: usize) -> Result<(), ExecutorError> {
         let link = self.link.lock();
         let link = link.as_ref().ok_or(ExecutorError::NotRunning)?;
@@ -254,7 +255,7 @@ impl Client {
 
     /// Send a control request (cancel, retire) behind every task
     /// submitted so far.
-    pub fn send(&self, request: Request) -> Result<(), ExecutorError> {
+    pub(crate) fn send(&self, request: Request) -> Result<(), ExecutorError> {
         self.push(request, 0)
     }
 
@@ -268,7 +269,7 @@ impl Client {
             .map_err(|_| ExecutorError::Comm("command not answered".into()))
     }
 
-    /// Stop: tell the broker, close the queue, join every thread.
+    /// Stop: tell the interchange, close the queue, join every thread.
     /// Idempotent.
     pub fn shutdown(&self) {
         if let Some(link) = self.link.lock().take() {
@@ -337,10 +338,11 @@ mod tests {
     }
 
     /// An interchange sending at most `batch_size` tasks per frame, whose
-    /// managers count as lost after `threshold` of silence, and the port
-    /// of one manager that has not registered yet.
-    fn rig_with(plane: &dyn Transport, batch_size: usize, threshold: Duration) -> Rig {
-        let client = Client::new("t", "ix");
+    /// managers count as lost after `threshold` of silence, picking
+    /// managers with an RNG seeded by `seed`, and the port of one manager
+    /// that has not registered yet.
+    fn rig_with(plane: &dyn Transport, batch_size: usize, threshold: Duration, seed: u64) -> Rig {
+        let client = Client::new("t");
         let (ctx, outcomes, app) = context();
         let registry = Arc::clone(&ctx.registry);
         let broker = client.start_on(plane, ctx).unwrap();
@@ -350,7 +352,7 @@ mod tests {
             max_frame_bytes: plane.max_frame_bytes(),
             heartbeat_period: threshold / 4,
             heartbeat_threshold: threshold,
-            seed: 0,
+            seed,
             connected_workers: Arc::default(),
             draining_nodes: Arc::default(),
         };
@@ -369,7 +371,7 @@ mod tests {
     }
 
     fn rig(plane: &dyn Transport, batch_size: usize) -> Rig {
-        rig_with(plane, batch_size, Duration::from_secs(60))
+        rig_with(plane, batch_size, Duration::from_secs(60), 0)
     }
 
     /// Both planes, with a frame budget of `max_frame_bytes`.
@@ -691,7 +693,7 @@ mod tests {
     #[test]
     fn refused_tasks_frame_keeps_its_tasks_queued() {
         let fabric = Fabric::new();
-        let rig = rig_with(&fabric, 64, Duration::from_millis(200));
+        let rig = rig_with(&fabric, 64, Duration::from_millis(200), 0);
         rig.register(&*rig.manager, 1000);
         let deadline = std::time::Instant::now() + WAIT;
         while rig.client.command(Command::ConnectedWorkers, WAIT).unwrap()
@@ -727,5 +729,36 @@ mod tests {
         let done: Vec<u64> = rig.outcomes(5).iter().map(|o| o.id.0).collect();
         assert_eq!(done, seen);
         assert_eq!(rig.client.outstanding(), 0);
+    }
+
+    /// A manager whose port died refuses its share, and the live one
+    /// still gets every task in the same pass: long before the next
+    /// heartbeat tick, and whichever manager the random start names.
+    #[test]
+    fn a_refused_frame_does_not_stall_the_live_managers() {
+        for seed in 0..8 {
+            let fabric = Fabric::new();
+            let rig = rig_with(&fabric, 64, Duration::from_secs(5), seed);
+            let live = fabric.bind(Addr::new("t:mgr-2")).unwrap();
+            rig.register(&*rig.manager, 1000);
+            rig.register(&live, 1000);
+            let both = CommandReply::Workers(2000);
+            while rig.client.command(Command::ConnectedWorkers, WAIT).unwrap() != both {}
+            fabric.kill(rig.manager.addr());
+            rig.submit_batch(0..64, 8);
+            let deadline = std::time::Instant::now() + Duration::from_millis(100);
+            let mut seen = Vec::new();
+            while seen.len() < 64 {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                let Ok(env) = live.recv_timeout(left) else {
+                    panic!("seed {seed}: {} of 64 tasks in 100 ms", seen.len());
+                };
+                if let Ok(ToManager::Tasks(tasks)) = decode(&env.payload) {
+                    seen.extend(tasks.iter().map(|t| t.id));
+                }
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..64).collect::<Vec<u64>>(), "seed {seed}");
+        }
     }
 }

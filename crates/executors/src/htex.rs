@@ -1,11 +1,10 @@
 //! The High Throughput Executor (§4.3.1), and the one executor type
-//! behind LLEX and EXEX too.
+//! behind LLEX and EXEX too, and the `baselines` crate's Dask and IPP.
 //!
 //! Three components, mirroring Figure 2a:
 //!
-//! - the **executor client** ([`crate::client::Client`], shared with the
-//!   Dask/IPP baselines) queues tasks and control requests on behalf of
-//!   the DataFlowKernel;
+//! - the **executor client** ([`crate::client::Client`]) queues tasks and
+//!   control requests on behalf of the DataFlowKernel;
 //! - the **interchange** ([`crate::interchange`]) brokers between client
 //!   and managers: it drains the client's queue, matches tasks to
 //!   managers with advertised capacity using randomized selection for
@@ -21,7 +20,9 @@
 //! [`NodeShape`] says what a node is: built from an [`HtexConfig`] its
 //! manager feeds worker threads, while [`crate::LlexExecutor`] and
 //! [`crate::ExexExecutor`] are this type over the shapes their configs
-//! build (one inline worker per node; a pool of MPI ranks).
+//! build (one inline worker per node; a pool of MPI ranks), and so are
+//! the baselines' `DaskLikeExecutor` and `IppExecutor` (LLEX's shape
+//! with one task of prefetch or none, and a connection cap).
 //!
 //! Fault tolerance follows the paper: managers and the interchange
 //! exchange periodic heartbeats. A manager that loses the interchange
@@ -35,7 +36,7 @@
 //! `parsl-worker` *processes* spawned through the `providers` launcher
 //! path and connected back to the interchange's [`nexus::TcpHub`]. On
 //! both planes the client and the interchange share this process and
-//! talk over one typed queue ([`Client::start_on`]); only the
+//! talk over one typed queue (`Client::start_on`); only the
 //! interchange has a port on the plane.
 
 use crate::client::{Client, Request};
@@ -102,9 +103,9 @@ impl Default for HtexConfig {
 }
 
 /// What the nodes of an [`HtexExecutor`] are: HTEX's knobs plus how each
-/// manager runs its tasks. Built only from the executor configs:
-/// [`HtexConfig`] (worker threads), [`crate::LlexConfig`] and
-/// [`crate::ExexConfig`] (see their `From` impls).
+/// manager runs its tasks. Built from the executor configs: [`HtexConfig`]
+/// (worker threads), [`crate::LlexConfig`] and [`crate::ExexConfig`] (see
+/// their `From` impls), and the `baselines` crate's Dask and IPP configs.
 #[derive(Debug, Clone)]
 pub struct NodeShape {
     cfg: HtexConfig,
@@ -112,7 +113,8 @@ pub struct NodeShape {
 }
 
 impl NodeShape {
-    pub(crate) fn new(cfg: HtexConfig, fanout: Fanout) -> Self {
+    /// Nodes with `cfg`'s knobs whose managers run tasks by `fanout`.
+    pub fn new(cfg: HtexConfig, fanout: Fanout) -> Self {
         NodeShape { cfg, fanout }
     }
 }
@@ -255,7 +257,7 @@ impl HtexExecutor {
 
     fn with_topology(NodeShape { cfg, fanout }: NodeShape, topo: Topology) -> Self {
         HtexExecutor {
-            client: Client::new(&cfg.label, "ix"),
+            client: Client::new(&cfg.label),
             cfg,
             fanout,
             topo,

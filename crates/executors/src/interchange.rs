@@ -11,19 +11,21 @@
 //! longer accounts for are discarded.
 //!
 //! It waits on two sources at once: the client's request queue
-//! ([`crate::client::Request`], typed values, never encoded) and its port
+//! (`crate::client::Request`, typed values, never encoded) and its port
 //! on the plane, which carries only manager frames. On each wake it
 //! drains the queue in bulk, then dispatches per manager up to
 //! `batch_size`, each batch written as one `ToManager::Tasks` frame
-//! straight from the queued argument bytes ([`crate::proto::encode_tasks`]).
+//! straight from the queued argument bytes (`crate::proto::encode_tasks`).
 //! While tasks are left that no manager has a slot for, it waits on the
 //! client's bell instead of the queue, so more tasks do not wake it and
 //! a control request still does.
 //!
-//! Every executor shape runs it: HTEX's managers feed worker threads,
-//! EXEX's are MPI pool leaders ("identical broker role", §4.3.2) with
-//! `prefetch: 0`, and LLEX's run one task at a time inline with no
-//! heartbeat expiry.
+//! It is the only broker in the workspace, and every executor shape runs
+//! it: HTEX's managers feed worker threads, EXEX's are MPI pool leaders
+//! ("identical broker role", §4.3.2) with `prefetch: 0`, and LLEX's run
+//! one task at a time inline with no heartbeat expiry. The `baselines`
+//! crate's IPP hub and Dask scheduler are LLEX's shape again, the hub
+//! with no prefetch and the scheduler with one task of prefetch.
 
 use crate::client::{Broker, Outcomes, Request};
 use crate::proto::{
@@ -35,6 +37,7 @@ use parsl_core::error::AppError;
 use parsl_core::registry::{AppId, AppRegistry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -45,7 +48,7 @@ use std::time::{Duration, Instant};
 const DRAIN: usize = 1024;
 
 /// What the interchange reads from the executor that runs it.
-pub struct IxParams {
+pub(crate) struct IxParams {
     /// Slots a manager advertises beyond its workers; subtracted from a
     /// registering manager's capacity to count its workers.
     pub prefetch: usize,
@@ -100,8 +103,9 @@ struct Interchange {
     blacklist: HashSet<Addr>,
     draining: HashSet<Addr>,
     rng: SmallRng,
-    /// Managers with free slots, refilled for each dispatch.
-    candidates: Vec<Addr>,
+    /// Managers with free slots and how many, refilled for each dispatch
+    /// round.
+    candidates: Vec<(usize, Addr)>,
 }
 
 /// Run the interchange until a `Shutdown` request, a `ShutdownExecutor`
@@ -109,7 +113,11 @@ struct Interchange {
 /// to shut down on the way out. Returns the managers so told: the
 /// executor kills every other node it started. `registry` resolves app
 /// ids for advertisement.
-pub fn interchange_loop(broker: Broker, registry: Arc<AppRegistry>, p: IxParams) -> Vec<Addr> {
+pub(crate) fn interchange_loop(
+    broker: Broker,
+    registry: Arc<AppRegistry>,
+    p: IxParams,
+) -> Vec<Addr> {
     let Broker {
         port,
         requests,
@@ -415,32 +423,43 @@ impl Interchange {
     }
 
     /// Match queued tasks to managers with capacity. Each round gives
-    /// every manager with a free slot an even share of what is queued,
-    /// starting at a random one for fairness, so a burst spreads over all
-    /// of them; a share is cut to `batch_size`, the manager's free slots
-    /// and the frame budget. Tasks left queued wait for a frame that frees
-    /// a slot or registers a manager.
+    /// every manager with a free slot an even share of what is queued, so
+    /// a burst spreads over all of them: those with the most free slots
+    /// first (an idle worker before a prefetch slot), starting at a random
+    /// one among equals for fairness. A share is cut to `batch_size`, the
+    /// manager's free slots and the frame budget. A manager whose port
+    /// refuses a frame sits out the rest of the pass, and the sweep decides
+    /// whether it is lost. Tasks left queued wait for a frame that frees a
+    /// slot or registers a manager.
     fn dispatch(&mut self) {
+        let mut refused: Vec<Addr> = Vec::new();
         while !self.pending.is_empty() {
             self.candidates.clear();
             self.candidates.extend(
                 self.managers
                     .iter()
                     .filter(|(a, m)| {
-                        m.free > 0 && !self.blacklist.contains(*a) && !self.draining.contains(*a)
+                        m.free > 0
+                            && !self.blacklist.contains(*a)
+                            && !self.draining.contains(*a)
+                            && !refused.contains(*a)
                     })
-                    .map(|(a, _)| a.clone()),
+                    .map(|(a, m)| (m.free, a.clone())),
             );
             let k = self.candidates.len();
             if k == 0 {
                 return;
             }
             let share = self.pending.len().div_ceil(k);
-            let first = self.rng.random_range(0..k);
+            self.candidates.rotate_left(self.rng.random_range(0..k));
+            self.candidates.sort_by_key(|&(free, _)| Reverse(free));
             for i in 0..k {
-                let pick = self.candidates[(first + i) % k].clone();
-                if self.pending.is_empty() || !self.send_share(&pick, share) {
+                if self.pending.is_empty() {
                     return;
+                }
+                let pick = self.candidates[i].1.clone();
+                if !self.send_share(&pick, share) {
+                    refused.push(pick);
                 }
             }
         }

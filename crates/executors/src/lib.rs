@@ -14,10 +14,11 @@
 //!
 //! There is one wire executor, [`HtexExecutor`]; a [`NodeShape`] built
 //! from [`HtexConfig`], [`LlexConfig`] or [`ExexConfig`] picks how its
-//! managers run tasks ([`worker::Fanout`]). It shares its client half,
-//! [`client::Client`] — the outstanding gauge, one typed request queue
-//! into the broker, and teardown — with the `baselines` crate's Dask/IPP
-//! models.
+//! managers run tasks ([`worker::Fanout`]). The `baselines` crate's Dask
+//! and IPP models are two more shapes of it, so its client half
+//! ([`client::Client`]: the outstanding gauge, one typed request queue,
+//! teardown), its [`interchange`] and its manager loop ([`worker`]) are
+//! the only broker code in the workspace.
 //!
 //! Single [`Executor::submit`](parsl_core::executor::Executor::submit)
 //! calls batch too, on HTEX: the interchange drains whatever the client
@@ -41,7 +42,7 @@ pub use exex::{ExexConfig, ExexExecutor};
 pub use htex::{default_worker_cmd, HtexConfig, HtexExecutor, NodeShape, TcpHtexOptions};
 pub use llex::{LlexConfig, LlexExecutor};
 pub use threadpool::ThreadPoolExecutor;
-pub use worker::{run_worker, ManagerCfg, WorkerOptions};
+pub use worker::{run_worker, WorkerOptions};
 
 #[cfg(test)]
 mod tests {
@@ -83,6 +84,33 @@ mod tests {
             f(x)
         });
         (app, started, gate)
+    }
+
+    /// Managers wait for their next heartbeat with a deadline, not on a
+    /// timer thread: none is running beside a live in-proc HTEX.
+    #[test]
+    fn a_running_htex_has_no_tick_thread() {
+        let htex = std::sync::Arc::new(quick_htex(1, 2));
+        let dfk = DataFlowKernel::builder()
+            .executor_arc(htex.clone())
+            .build()
+            .unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while htex.connected_workers() < 2 {
+            assert!(std::time::Instant::now() < deadline, "never registered");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect();
+        assert!(
+            names.iter().any(|n| n.starts_with("htex-mgr-")),
+            "{names:?}"
+        );
+        assert!(!names.iter().any(|n| n == "crossbeam-tick"), "{names:?}");
+        dfk.shutdown();
     }
 
     #[test]

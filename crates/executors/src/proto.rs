@@ -47,7 +47,7 @@ impl WireTask {
 /// encodes them. [`encode_tasks`] writes them into the `ToManager::Tasks`
 /// frame, the one copy they get in this process.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueuedTask {
+pub(crate) struct QueuedTask {
     /// DFK task id.
     pub id: u64,
     /// Retry attempt, echoed in the result.
@@ -65,7 +65,7 @@ pub struct QueuedTask {
 impl QueuedTask {
     /// Take a DFK [`TaskSpec`](parsl_core::executor::TaskSpec)'s fields;
     /// the arguments move, they are not copied.
-    pub fn from_spec(task: parsl_core::executor::TaskSpec) -> Self {
+    pub(crate) fn from_spec(task: parsl_core::executor::TaskSpec) -> Self {
         QueuedTask {
             id: task.id.0,
             attempt: task.attempt,
@@ -105,7 +105,7 @@ fn varint_len(v: u64) -> usize {
 /// `encode(&ToManager::Tasks(..))` of these tasks, byte for byte, written
 /// straight from their argument bytes into one buffer of the exact size.
 /// A manager decodes it as the `Vec<WireTask>` it always received.
-pub fn encode_tasks<'a, I>(tasks: I) -> bytes::Bytes
+pub(crate) fn encode_tasks<'a, I>(tasks: I) -> bytes::Bytes
 where
     I: IntoIterator<Item = &'a QueuedTask>,
     I::IntoIter: ExactSizeIterator + Clone,
@@ -213,7 +213,7 @@ pub struct WireResult {
 ///
 /// `Submit`, `SubmitBatch`, `Retire`, `Cancel`, `Command` and `Shutdown`
 /// are the client's, which now reaches its interchange over a typed
-/// queue ([`crate::client::Request`]) and never sends them; an
+/// queue (`crate::client::Request`) and never sends them; an
 /// interchange ignores them from the plane. They stay so that the
 /// variant indices, and with them every manager-edge frame's bytes, do
 /// not change.
@@ -300,7 +300,7 @@ pub enum ToManager {
 
 /// Messages an interchange used to send its executor client. No runtime
 /// edge sends them any more: the interchange settles results into the
-/// kernel's completion channel itself ([`crate::client::Outcomes`]). The
+/// kernel's completion channel itself (`crate::client::Outcomes`). The
 /// codec stays for the benchmark's layer probes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ToClient {

@@ -26,17 +26,12 @@ use std::time::Instant;
 pub struct ThreadPoolExecutor {
     label: String,
     workers: usize,
-    state: Mutex<Option<Running>>,
+    state: Mutex<Option<Workers>>,
     outstanding: Arc<AtomicUsize>,
     /// Cancel marks. The pool clears them whenever it falls idle: nothing
     /// is left to skip then, so a mark for an attempt that had already
     /// finished does not outlive the busy spell it was set in.
     cancelled: Marks,
-}
-
-struct Running {
-    workers: Workers,
-    runner: Runner,
 }
 
 impl ThreadPoolExecutor {
@@ -58,12 +53,9 @@ impl ThreadPoolExecutor {
     }
 
     /// Hand one task to the running fan-out.
-    fn dispatch(&self, running: &mut Running, task: &TaskSpec) -> Result<(), ExecutorError> {
+    fn dispatch(&self, workers: &mut Workers, task: &TaskSpec) -> Result<(), ExecutorError> {
         self.outstanding.fetch_add(1, Ordering::Relaxed);
-        if running
-            .workers
-            .dispatch(WireTask::from_spec(task), &running.runner)
-        {
+        if workers.dispatch(WireTask::from_spec(task)) {
             Ok(())
         } else {
             self.outstanding.fetch_sub(1, Ordering::Relaxed);
@@ -116,25 +108,29 @@ impl Executor for ThreadPoolExecutor {
             funnel,
         };
         let node = Addr::new(self.label.as_str());
-        let workers = Workers::spawn(Fanout::Threads, self.workers, &runner, &node);
-        *state = Some(Running { workers, runner });
+        *state = Some(Workers::spawn(
+            Fanout::Threads,
+            self.workers,
+            &runner,
+            &node,
+        ));
         Ok(())
     }
 
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
         let mut state = self.state.lock();
-        let running = state.as_mut().ok_or(ExecutorError::NotRunning)?;
-        self.dispatch(running, &task)
+        let workers = state.as_mut().ok_or(ExecutorError::NotRunning)?;
+        self.dispatch(workers, &task)
     }
 
     /// Native batching: one state-lock acquisition for the whole batch;
     /// the tasks stream into the shared worker queue back to back.
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
         let mut state = self.state.lock();
-        let running = state.as_mut().ok_or(ExecutorError::NotRunning)?;
+        let workers = state.as_mut().ok_or(ExecutorError::NotRunning)?;
         tasks
             .iter()
-            .try_for_each(|task| self.dispatch(running, task))
+            .try_for_each(|task| self.dispatch(workers, task))
     }
 
     /// Best-effort, as on HTEX: a queued attempt is skipped at pick-up and
@@ -162,9 +158,9 @@ impl Executor for ThreadPoolExecutor {
 
     /// Workers finish the queue, then exit and are joined.
     fn shutdown(&self) {
-        let running = self.state.lock().take();
-        if let Some(running) = running {
-            running.workers.stop();
+        let workers = self.state.lock().take();
+        if let Some(workers) = workers {
+            workers.stop();
         }
     }
 }

@@ -7,7 +7,9 @@
 //!
 //! - **threads**: a pool of worker threads on a shared queue (HTEX);
 //! - **inline**: the manager thread runs each task itself, LLEX's missing
-//!   manager hop (§4.3.3);
+//!   manager hop (§4.3.3), once it has read everything already in its
+//!   inbox, so a cancel or a shutdown that arrived behind a prefetched
+//!   task is obeyed before that task runs (the Dask shape prefetches);
 //! - **ranks**: a `minimpi` world whose rank 0 is the manager and sends
 //!   each task to an idle worker rank (EXEX, §4.3.2). The world aborting
 //!   ends the manager, and a manager that ends without draining aborts the
@@ -45,14 +47,14 @@ use parking_lot::Mutex;
 use parsl_core::error::AppError;
 use parsl_core::registry::{AppId, AppOptions, AppRegistry};
 use parsl_core::types::AppKind;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Manager tuning, the per-node slice of `HtexConfig`.
 #[derive(Debug, Clone)]
-pub struct ManagerCfg {
+pub(crate) struct ManagerCfg {
     /// Workers behind this manager.
     pub workers: usize,
     /// Extra advertised slots beyond the workers (task prefetch).
@@ -125,6 +127,8 @@ pub(crate) enum Workers {
     },
     Inline {
         name: String,
+        /// Accepted tasks the manager has not run yet.
+        backlog: VecDeque<WireTask>,
     },
     Ranks(Ranks),
 }
@@ -154,17 +158,37 @@ impl Workers {
             }
             Fanout::Inline => Workers::Inline {
                 name: format!("{node}:w0"),
+                backlog: VecDeque::new(),
             },
             Fanout::Ranks => Workers::Ranks(Ranks::spawn(n, runner, node)),
         }
     }
 
     /// Hand over one accepted task. False once the fan-out is gone.
-    pub(crate) fn dispatch(&mut self, task: WireTask, runner: &Runner) -> bool {
+    pub(crate) fn dispatch(&mut self, task: WireTask) -> bool {
         match self {
             Workers::Threads { queue, .. } => queue.send(task).is_ok(),
-            Workers::Inline { name } => runner.run(&task, name),
+            Workers::Inline { backlog, .. } => {
+                backlog.push_back(task);
+                true
+            }
             Workers::Ranks(ranks) => ranks.dispatch(task).is_ok(),
+        }
+    }
+
+    /// Whether the manager holds a task it has yet to run itself.
+    fn backlogged(&self) -> bool {
+        matches!(self, Workers::Inline { backlog, .. } if !backlog.is_empty())
+    }
+
+    /// Run the oldest backlogged task, if any, on the manager's thread.
+    /// False once the manager's result funnel is gone.
+    fn run_next(&mut self, runner: &Runner) -> bool {
+        match self {
+            Workers::Inline { name, backlog } => backlog
+                .pop_front()
+                .is_none_or(|task| runner.run(&task, name)),
+            _ => true,
         }
     }
 
@@ -196,7 +220,11 @@ impl Workers {
 }
 
 /// Run one manager until shutdown or link death. Blocks the caller.
-pub fn manager_loop(
+///
+/// It waits on its inbox and its result funnel with a deadline, the next
+/// heartbeat, and checks that deadline after every wake, so a busy
+/// manager still heartbeats; no timer thread runs beside it.
+pub(crate) fn manager_loop(
     ep: Box<dyn Port>,
     registry: Arc<AppRegistry>,
     ix_addr: Addr,
@@ -231,12 +259,21 @@ pub fn manager_loop(
     send_register(ep.as_ref(), &held);
     let mut last_gen = ep.generation();
 
-    let ticker = crossbeam::channel::tick(cfg.heartbeat_period);
+    let heartbeat = encode(&ToInterchange::Heartbeat {
+        name: addr.to_string(),
+    });
     let mut result_buf: Vec<WireResult> = Vec::new();
     let mut last_ix_contact = Instant::now();
+    let mut next_beat = last_ix_contact + cfg.heartbeat_period;
     let mut draining = false;
 
     loop {
+        // A backlogged task runs once nothing else is ready to read.
+        let wait = if workers.backlogged() {
+            Duration::ZERO
+        } else {
+            next_beat.saturating_duration_since(Instant::now())
+        };
         crossbeam::channel::select! {
             recv(ep.receiver()) -> env => {
                 let Ok(env) = env else { return }; // endpoint killed / spoke gave up
@@ -245,7 +282,7 @@ pub fn manager_loop(
                     Ok(ToManager::Tasks(batch)) => {
                         for t in batch {
                             held.insert((t.id, t.attempt));
-                            if !workers.dispatch(t, &runner) {
+                            if !workers.dispatch(t) {
                                 return;
                             }
                         }
@@ -302,37 +339,41 @@ pub fn manager_loop(
                 }
                 flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
             }
-            recv(ticker) -> _ => {
-                if workers.aborted() {
+            default(wait) => {
+                if !workers.run_next(&runner) {
                     return;
                 }
-                // Prune cancel marks whose attempt raced its result out.
-                runner.cancelled.lock().retain(|k| held.contains(k));
-                flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
-                let _ = ep.send(
-                    &ix_addr,
-                    encode(&ToInterchange::Heartbeat { name: addr.to_string() }),
-                );
-                let gen = ep.generation();
-                if gen != last_gen {
-                    // The spoke re-established the link: re-register with
-                    // the held set so the interchange reconciles.
-                    last_gen = gen;
-                    last_ix_contact = Instant::now();
+            }
+        }
+        let now = Instant::now();
+        if now >= next_beat {
+            next_beat = now + cfg.heartbeat_period;
+            if workers.aborted() {
+                return;
+            }
+            // Prune cancel marks whose attempt raced its result out.
+            runner.cancelled.lock().retain(|k| held.contains(k));
+            flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
+            let _ = ep.send(&ix_addr, heartbeat.clone());
+            let gen = ep.generation();
+            if gen != last_gen {
+                // The spoke re-established the link: re-register with
+                // the held set so the interchange reconciles.
+                last_gen = gen;
+                last_ix_contact = now;
+                send_register(ep.as_ref(), &held);
+            } else if now.duration_since(last_ix_contact) > cfg.heartbeat_threshold {
+                if cfg.reconnect {
+                    // Registration may have raced the interchange
+                    // coming up, or the silence is transient; try
+                    // again instead of dying.
+                    last_ix_contact = now;
                     send_register(ep.as_ref(), &held);
-                } else if last_ix_contact.elapsed() > cfg.heartbeat_threshold {
-                    if cfg.reconnect {
-                        // Registration may have raced the interchange
-                        // coming up, or the silence is transient; try
-                        // again instead of dying.
-                        last_ix_contact = Instant::now();
-                        send_register(ep.as_ref(), &held);
-                    } else {
-                        // "Managers, upon losing contact with the
-                        // interchange, exit immediately to avoid resource
-                        // wastage."
-                        return;
-                    }
+                } else {
+                    // "Managers, upon losing contact with the
+                    // interchange, exit immediately to avoid resource
+                    // wastage."
+                    return;
                 }
             }
         }

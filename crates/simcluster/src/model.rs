@@ -1,9 +1,10 @@
 //! Discrete-event models of the executors and the baseline systems for
 //! the paper-scale experiments.
 //!
-//! The real thread-based executors (`parsl-executors`, and the `baselines`
-//! crate's IPP, Dask and FireWorks stand-ins) top out around the core
-//! count of one machine; Figure 4 and Table 2 need up to 262 144 workers.
+//! The real thread-based executors (`parsl-executors`, whose HTEX also
+//! runs the `baselines` crate's IPP and Dask stand-ins as node shapes,
+//! and that crate's FireWorks LaunchPad) top out around the core count
+//! of one machine; Figure 4 and Table 2 need up to 262 144 workers.
 //! This module models each framework's architecture as a deterministic
 //! queueing network over virtual time:
 //!

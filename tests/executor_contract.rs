@@ -99,8 +99,12 @@ struct Instance {
     name: &'static str,
     /// Worker slots once started: `connected_workers()` and `capacity()`.
     slots: usize,
-    /// A manager takes tasks beyond its running ones (HTEX's prefetch).
-    prefetch: bool,
+    /// Tasks the managers take beyond their running ones, all nodes
+    /// together (HTEX's and Dask's prefetch).
+    prefetch: u64,
+    /// A manager runs its tasks itself (LLEX, Dask, IPP), so a cancel
+    /// behind a task it holds is read before that task can run.
+    inline: bool,
     /// `None`: tasks run inside `submit`, so none can be held.
     hold: Option<Hold>,
     build: fn() -> Built,
@@ -130,10 +134,11 @@ const NODELESS: Gaps = (
     &[NodeLoss, Drain],
     "no nodes: a fixed pool of in-process threads (crates/executors/src/threadpool.rs docs)",
 );
-const LLEX: Gaps = (
+const NO_EXPIRY: Gaps = (
     &[NodeLoss],
     "§4.3.3: LLEX has no fault tolerance; a lost worker is never detected \
-     (crates/executors/src/llex.rs: heartbeat threshold `Duration::MAX`)",
+     (crates/executors/src/llex.rs, and crates/baselines/src/lib.rs for \
+     Dask and IPP: heartbeat threshold `Duration::MAX`)",
 );
 const TCP: Gaps = (
     &[Concurrency],
@@ -141,32 +146,33 @@ const TCP: Gaps = (
      (crates/executors/src/builtin.rs: the sleep_ms hold only sleeps), so \
      overlap could only be inferred from timing",
 );
-const MODEL: Gaps = (
+const POLLED: Gaps = (
     &[CancelQueued, NodeLoss, Drain],
-    "the baselines model each system's dispatch architecture only \
-     (crates/baselines/src/lib.rs docs): no cancel, fixed workers",
+    "FireWorkers poll a LaunchPad, modelling its dispatch architecture \
+     only (crates/baselines/src/fireworks.rs docs): no cancel, fixed workers",
 );
 
 fn instances() -> Vec<Instance> {
     let gate = Some(Hold::Gate);
-    let instance = |name, slots, prefetch, hold, build, gaps| Instance {
+    let instance = |name, slots, (prefetch, inline), hold, build, gaps| Instance {
         name,
         slots,
         prefetch,
+        inline,
         hold,
         build,
         gaps,
     };
     vec![
-        instance("immediate", 1, false, None, immediate, INLINE),
-        instance("threadpool", 2, false, gate, threadpool, NODELESS),
-        instance("htex", 2, true, gate, htex, NONE),
-        instance("llex", 2, false, gate, llex, LLEX),
-        instance("exex", 2, false, gate, exex, NONE),
-        instance("htex-tcp", 1, true, Some(Hold::Sleep), htex_tcp, TCP),
-        instance("dask", 2, false, gate, dask, MODEL),
-        instance("ipp", 2, false, gate, ipp, MODEL),
-        instance("fireworks", 2, false, gate, fireworks, MODEL),
+        instance("immediate", 1, (0, false), None, immediate, INLINE),
+        instance("threadpool", 2, (0, false), gate, threadpool, NODELESS),
+        instance("htex", 2, (1, false), gate, htex, NONE),
+        instance("llex", 2, (0, true), gate, llex, NO_EXPIRY),
+        instance("exex", 2, (0, false), gate, exex, NONE),
+        instance("htex-tcp", 1, (1, false), Some(Hold::Sleep), htex_tcp, TCP),
+        instance("dask", 2, (2, true), gate, dask, NO_EXPIRY),
+        instance("ipp", 2, (0, true), gate, ipp, NO_EXPIRY),
+        instance("fireworks", 2, (0, false), gate, fireworks, POLLED),
     ]
 }
 
@@ -217,14 +223,14 @@ fn htex_tcp() -> Built {
 }
 
 fn dask() -> Built {
-    plain(DaskLikeExecutor::new(DaskConfig {
+    nodes(DaskLikeExecutor::new(DaskConfig {
         workers: 2,
         ..Default::default()
     }))
 }
 
 fn ipp() -> Built {
-    plain(IppExecutor::new(IppConfig {
+    nodes(IppExecutor::new(IppConfig {
         engines: 2,
         ..Default::default()
     }))
@@ -520,9 +526,9 @@ fn cancel_queued() {
     check(CancelQueued, |inst| {
         let mut h = Harness::start(inst);
         let blockers = h.ex.capacity() as u64;
-        // Behind the blockers: with prefetch, one task the manager holds,
+        // Behind the blockers: with prefetch, the tasks the managers hold,
         // then one queued at the broker.
-        let cancelled: Vec<u64> = (blockers..=blockers + inst.prefetch as u64).collect();
+        let cancelled: Vec<u64> = (blockers..=blockers + inst.prefetch).collect();
         let queued = *cancelled.last().unwrap();
         h.ex.submit_batch((0..=queued).map(|id| h.task(HOLD, id)).collect())
             .unwrap();
@@ -533,13 +539,16 @@ fn cancel_queued() {
             h.ex.cancel(TaskId(id), 0);
         }
         let mut got = HashMap::new();
-        if inst.prefetch {
-            // The broker forwarded the held task's cancel before it
-            // settled the queued one; once the manager has read it, no
-            // blocker can end before the mark is set.
+        if inst.prefetch > 0 {
+            // The broker forwarded the held tasks' cancels before it
+            // settled the queued one; once a manager has read them, no
+            // blocker can end before the marks are set. An inline manager
+            // reads them itself before it runs its next task.
             got = h.collect(1);
             assert!(got.contains_key(&queued), "{got:?}");
-            h.await_managers_caught_up();
+            if !inst.inline {
+                h.await_managers_caught_up();
+            }
         }
         h.gate = None;
         for (id, o) in h.collect((queued + 1) as usize - got.len()) {
