@@ -236,7 +236,7 @@ mod tests {
             db_service: Duration::ZERO,
             ..Default::default()
         });
-        let (tx, _rx) = crossbeam::channel::unbounded();
+        let (tx, _rx) = std::sync::mpsc::channel();
         ex.start(ExecutorContext {
             completions: tx,
             registry: AppRegistry::new(),

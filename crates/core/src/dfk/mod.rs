@@ -118,7 +118,6 @@ use crate::strategy::StrategyConfig;
 use crate::types::{AppKind, TaskId, TaskState, TenantId};
 use bytes::Bytes;
 use commit::{Event, PassScratch};
-use crossbeam::channel::Sender;
 use launch::LaunchScratch;
 use parking_lot::{Condvar, Mutex, RwLock};
 use record::{TaskRecord, TaskTable};
@@ -127,6 +126,7 @@ use stats::ServiceStats;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 use tenancy::TenantState;

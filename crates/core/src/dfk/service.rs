@@ -14,11 +14,11 @@ use crate::monitor::MonitorEvent;
 use crate::registry::{AppOptions, AppRegistry};
 use crate::strategy::{LoadSignal, ScalingDecision, Strategy};
 use crate::types::{AppKind, TaskId, TaskState};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +44,7 @@ impl DataFlowKernel {
             .map(|(i, e)| (e.label().to_string(), i))
             .collect();
 
-        let (tx, rx) = unbounded::<Vec<TaskOutcome>>();
+        let (tx, rx) = channel::<Vec<TaskOutcome>>();
         let registry = AppRegistry::new();
         let invalid_app = registry.register(
             "__failed_submission__",

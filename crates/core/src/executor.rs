@@ -11,7 +11,7 @@ use crate::error::TaskError;
 use crate::registry::{AppRegistry, RegisteredApp};
 use crate::types::{ResourceSpec, TaskId, TenantId};
 use bytes::Bytes;
-use crossbeam::channel::Sender;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -357,7 +357,7 @@ mod tests {
             }),
             AppOptions::default(),
         );
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let ex = ImmediateExecutor::new();
         ex.start(ExecutorContext {
             completions: tx,

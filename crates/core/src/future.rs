@@ -11,6 +11,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use serde::de::DeserializeOwned;
 use std::marker::PhantomData;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,6 +52,11 @@ impl FutureState {
 
     /// Assign the result. Panics if assigned twice — futures are
     /// single-update variables by design (§3.1.2).
+    ///
+    /// Each callback runs under `catch_unwind`: one that panics loses
+    /// only itself. The value stays assigned, the callbacks after it
+    /// still run, and the thread that assigns (the kernel's collector)
+    /// lives on.
     pub fn set(&self, value: Result<Bytes, TaskError>) {
         let callbacks = {
             let mut inner = self.cell.lock();
@@ -64,7 +70,7 @@ impl FutureState {
         };
         self.cond.notify_all();
         for cb in callbacks {
-            cb(&value);
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| cb(&value)));
         }
     }
 
@@ -306,7 +312,7 @@ mod tests {
     #[test]
     fn callback_fires_on_set() {
         let st = FutureState::new(TaskId(6));
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         st.on_done(move |r| {
             tx.send(r.is_ok()).unwrap();
         });
@@ -314,11 +320,24 @@ mod tests {
         assert!(rx.recv_timeout(Duration::from_secs(1)).unwrap());
     }
 
+    /// A panicking callback loses only itself: the value stays, and the
+    /// callbacks after it still run.
+    #[test]
+    fn a_panicking_callback_spares_the_rest() {
+        let st = FutureState::new(TaskId(9));
+        st.on_done(|_| panic!("a user callback panics"));
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        st.on_done(move |r| tx.send(r.is_ok()).unwrap());
+        st.set(ok_bytes(&1u8));
+        assert!(rx.recv_timeout(Duration::from_secs(1)).unwrap());
+        assert!(st.done());
+    }
+
     #[test]
     fn callback_fires_immediately_if_already_done() {
         let st = FutureState::new(TaskId(7));
         st.set(ok_bytes(&1u8));
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         st.on_done(move |r| {
             tx.send(r.is_ok()).unwrap();
         });

@@ -149,7 +149,7 @@ impl Executor for FrameEcho {
 /// call it from the collector, the one thread that commits.
 #[derive(Default)]
 struct OneByOne {
-    queue: parking_lot::Mutex<Option<crossbeam::channel::Sender<TaskSpec>>>,
+    queue: parking_lot::Mutex<Option<std::sync::mpsc::Sender<TaskSpec>>>,
     commits: Arc<Commits>,
 }
 
@@ -173,7 +173,7 @@ impl Executor for OneByOne {
         "one-by-one"
     }
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        let (tx, rx) = crossbeam::channel::unbounded::<TaskSpec>();
+        let (tx, rx) = std::sync::mpsc::channel::<TaskSpec>();
         *self.queue.lock() = Some(tx);
         let commits = Arc::clone(&self.commits);
         std::thread::spawn(move || {
@@ -299,5 +299,28 @@ fn wide_fan_in_storm_accounts_exactly() {
         dfk.task_count(),
         "every task Done exactly once: {counts:?}"
     );
+    dfk.shutdown();
+}
+
+/// A panicking `on_done` callback costs only itself: the collector that
+/// runs it lives on, so a task submitted after it still settles.
+#[test]
+fn a_panicking_on_done_does_not_stop_the_collector() {
+    let dfk = DataFlowKernel::builder()
+        .executor(parsl_core::ImmediateExecutor::new())
+        .build()
+        .unwrap();
+    let id = dfk.python_app("id", |x: u64| x);
+    // Task A waits on a gate, so its callback is in place before it ends
+    // and runs on the collector, not here.
+    let gate = parsl_core::FutureState::new(parsl_core::TaskId(0));
+    let a = id.call((Dep::future(AppFuture::<u64>::from_shared_state(
+        Arc::clone(&gate),
+    )),));
+    a.on_done(|_| panic!("a user callback panics"));
+    gate.set(Ok(Bytes::from(wire::to_bytes(&1u64).unwrap())));
+    assert_eq!(a.result_timeout(Duration::from_secs(1)).unwrap(), 1);
+    let b = parsl_core::call!(id, 2u64);
+    assert_eq!(b.result_timeout(Duration::from_secs(1)).unwrap(), 2);
     dfk.shutdown();
 }

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 struct PoolExec {
     label: String,
     workers: usize,
-    tx: parking_lot::Mutex<Option<crossbeam::channel::Sender<TaskSpec>>>,
+    tx: parking_lot::Mutex<Option<std::sync::mpsc::Sender<TaskSpec>>>,
     threads: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -54,17 +54,19 @@ impl Executor for PoolExec {
     }
 
     fn start(&self, ctx: ExecutorContext) -> Result<(), ExecutorError> {
-        let (tx, rx) = crossbeam::channel::unbounded::<TaskSpec>();
+        let (tx, rx) = std::sync::mpsc::channel::<TaskSpec>();
+        let rx = Arc::new(parking_lot::Mutex::new(rx));
         let mut threads = self.threads.lock();
         for i in 0..self.workers {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let completions = ctx.completions.clone();
             let worker = format!("{}-w{i}", self.label);
             threads.push(
                 std::thread::Builder::new()
                     .name(worker.clone())
                     .spawn(move || {
-                        for task in rx.iter() {
+                        let next = || rx.lock().recv();
+                        while let Ok(task) = next() {
                             let started = Instant::now();
                             let result = (task.app.func)(&task.args)
                                 .map(bytes::Bytes::from)

@@ -13,9 +13,9 @@
 //! them is encoded. [`Client::submit`], [`Client::submit_batch`] and
 //! [`Client::command`] (and, inside this crate, cancels and retirements)
 //! push `Request` values onto one FIFO channel, which the interchange
-//! drains. A task carries the kernel's argument bytes (`QueuedTask`); the
-//! first and only copy of them in this process is the manager frame the
-//! interchange writes. Because there is one queue, a `Cancel` or a command
+//! drains, and ring its [`Doorbell`]. A task carries the kernel's
+//! argument bytes (`QueuedTask`); the first and only copy of them in this
+//! process is the manager frame the interchange writes. Because there is one queue, a `Cancel` or a command
 //! never overtakes the submit it follows. Batching lives in the
 //! interchange, beside its backlog and the managers' free slots (§4.3.1
 //! "configurable batching and prefetching of tasks to minimize
@@ -28,15 +28,16 @@
 //! cannot submit, cancel, retire or stop anything: those are requests,
 //! and only the client makes requests.
 
+use crate::doorbell::Doorbell;
 use crate::proto::{
     outcomes_from_lost, outcomes_from_results, Command, CommandReply, QueuedTask, WireResult,
 };
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use nexus::{Addr, Port, Transport};
 use parking_lot::Mutex;
 use parsl_core::executor::{ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
 use parsl_core::registry::AppRegistry;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -110,16 +111,15 @@ impl Outcomes {
 
 /// The interchange's side of a live client, from [`Client::start_on`].
 pub(crate) struct Broker {
-    /// The interchange's port on the plane, for its managers.
+    /// The interchange's port on the plane: its managers' frames, and the
+    /// one thing it waits on.
     pub port: Box<dyn Port>,
     /// The client's requests, in order.
     pub requests: Receiver<Request>,
-    /// Rung after every request that is not a task, and closed with the
-    /// client: an interchange that cannot use more tasks for now (every
-    /// slot taken) may wait on this instead of `requests`, so queued tasks
-    /// cost no wake-up, and still obey a cancel, a command or a shutdown
-    /// at once by draining `requests`.
-    pub bell: Receiver<()>,
+    /// Rung after each request. A task rings no saturated interchange
+    /// (every slot taken), so queued tasks cost it no wake-up, while a
+    /// cancel, a command or a shutdown is obeyed at once.
+    pub bell: Arc<Doorbell>,
     /// Where the interchange settles tasks.
     pub outcomes: Outcomes,
 }
@@ -127,7 +127,7 @@ pub(crate) struct Broker {
 /// A started client's half of the queue.
 struct Link {
     requests: Sender<Request>,
-    bell: Sender<()>,
+    bell: Arc<Doorbell>,
     registry: Arc<AppRegistry>,
 }
 
@@ -137,11 +137,7 @@ impl Link {
         self.requests
             .send(request)
             .map_err(|_| ExecutorError::Comm("the broker has stopped".into()))?;
-        if control {
-            // One ring pending is enough: the interchange drains every
-            // request.
-            let _ = self.bell.try_send(());
-        }
+        self.bell.ring(control);
         Ok(())
     }
 }
@@ -196,17 +192,17 @@ impl Client {
         let port = plane
             .attach(self.ix_addr.clone())
             .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        let (requests, inbox) = unbounded();
-        let (bell, rung) = bounded(1);
+        let bell = Arc::new(Doorbell::new(port.waker()));
+        let (requests, inbox) = channel();
         *link = Some(Link {
             requests,
-            bell,
+            bell: Arc::clone(&bell),
             registry: ctx.registry,
         });
         Ok(Broker {
             port,
             requests: inbox,
-            bell: rung,
+            bell,
             outcomes: Outcomes {
                 completions: ctx.completions,
                 outstanding: Arc::clone(&self.outstanding),
@@ -262,7 +258,7 @@ impl Client {
     /// Synchronous administrative command (§4.3.1), answered behind every
     /// task submitted before it; times out after `wait`.
     pub fn command(&self, cmd: Command, wait: Duration) -> Result<CommandReply, ExecutorError> {
-        let (reply, answer) = bounded(1);
+        let (reply, answer) = channel();
         self.send(Request::Command(cmd, reply))?;
         answer
             .recv_timeout(wait)
@@ -329,7 +325,7 @@ mod tests {
             Arc::new(|_| Ok(Vec::new())),
             AppOptions::default(),
         );
-        let (completions, outcomes) = unbounded();
+        let (completions, outcomes) = channel();
         let ctx = ExecutorContext {
             completions,
             registry,
@@ -685,6 +681,34 @@ mod tests {
         rig.client.shutdown();
         let after = rig.client.submit(spec(&rig.app, 3, 8));
         assert!(matches!(after, Err(ExecutorError::NotRunning)), "{after:?}");
+    }
+
+    /// 10^5 submits, each racing the interchange on its way to park: the
+    /// manager spins on its port and submits the next task the moment a
+    /// frame lands, so the push meets the interchange anywhere between
+    /// its last drain and its wait. A lost wake-up leaves the task queued
+    /// until the next heartbeat tick, many seconds away.
+    #[test]
+    fn no_submit_waits_on_an_idling_interchange() {
+        crate::doorbell::tests::within(Duration::from_secs(60), || {
+            let fabric = Fabric::new();
+            let rig = rig_with(&fabric, 64, Duration::from_secs(60), 0);
+            rig.register(&*rig.manager, 1 << 20);
+            for id in 0..100_000 {
+                rig.submit(id, 8);
+                let deadline = std::time::Instant::now() + Duration::from_secs(1);
+                loop {
+                    let Some(env) = rig.manager.try_recv() else {
+                        assert!(std::time::Instant::now() < deadline, "task {id} was left");
+                        continue;
+                    };
+                    if let Ok(ToManager::Tasks(tasks)) = decode(&env.payload) {
+                        assert_eq!(tasks[0].id, id);
+                        break;
+                    }
+                }
+            }
+        });
     }
 
     /// A manager whose port died takes nothing: its frames are refused,

@@ -3,7 +3,7 @@
 //!
 //! Three components, mirroring Figure 2a:
 //!
-//! - the **executor client** ([`crate::client::Client`]) queues tasks and
+//! - the **executor client** (`client::Client`) queues tasks and
 //!   control requests on behalf of the DataFlowKernel;
 //! - the **interchange** ([`crate::interchange`]) brokers between client
 //!   and managers: it drains the client's queue, matches tasks to
@@ -411,7 +411,7 @@ impl Executor for HtexExecutor {
     }
 
     /// Queues the task for the interchange, which batches whatever is
-    /// queued up to `batch_size` per manager frame ([`crate::client`]).
+    /// queued up to `batch_size` per manager frame (`client.rs`).
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
         self.client.submit(task)
     }
@@ -635,7 +635,7 @@ mod tests {
             }),
             AppOptions::default(),
         );
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let htex = HtexExecutor::new(HtexConfig {
             workers_per_node: 2,
             nodes_per_block: 2,
@@ -696,23 +696,24 @@ mod tests {
     /// manager has registered.
     fn gated_htex() -> (
         HtexExecutor,
-        crossbeam::channel::Receiver<Vec<parsl_core::executor::TaskOutcome>>,
+        std::sync::mpsc::Receiver<Vec<parsl_core::executor::TaskOutcome>>,
         Arc<parsl_core::registry::RegisteredApp>,
-        crossbeam::channel::Sender<()>,
+        std::sync::mpsc::SyncSender<()>,
     ) {
         let registry = AppRegistry::new();
-        let (gate_tx, gate_rx) = crossbeam::channel::bounded::<()>(0);
+        let (gate_tx, gate_rx) = std::sync::mpsc::sync_channel::<()>(0);
+        let gate_rx = Mutex::new(gate_rx);
         let app = registry.register(
             "gated",
             AppKind::Native,
             "(u64,u64)->u64",
             Arc::new(move |_| {
-                let _ = gate_rx.recv(); // returns once the gate sender drops
+                let _ = gate_rx.lock().recv(); // returns once the gate sender drops
                 Ok(Vec::new())
             }),
             AppOptions::default(),
         );
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let htex = HtexExecutor::new(HtexConfig {
             workers_per_node: 1,
             prefetch: 1,
@@ -732,10 +733,7 @@ mod tests {
     }
 
     /// Wait for `n` more outcomes, all `Ok`.
-    fn expect_ok(
-        rx: &crossbeam::channel::Receiver<Vec<parsl_core::executor::TaskOutcome>>,
-        n: usize,
-    ) {
+    fn expect_ok(rx: &std::sync::mpsc::Receiver<Vec<parsl_core::executor::TaskOutcome>>, n: usize) {
         let mut done = 0;
         while done < n {
             for o in rx.recv_timeout(Duration::from_secs(10)).expect("completes") {

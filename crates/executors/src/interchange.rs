@@ -10,15 +10,16 @@
 //! so the DFK can retry them. Results from a manager the interchange no
 //! longer accounts for are discarded.
 //!
-//! It waits on two sources at once: the client's request queue
-//! (`crate::client::Request`, typed values, never encoded) and its port
-//! on the plane, which carries only manager frames. On each wake it
-//! drains the queue in bulk, then dispatches per manager up to
-//! `batch_size`, each batch written as one `ToManager::Tasks` frame
-//! straight from the queued argument bytes (`crate::proto::encode_tasks`).
-//! While tasks are left that no manager has a slot for, it waits on the
-//! client's bell instead of the queue, so more tasks do not wake it and
-//! a control request still does.
+//! It waits in one place: its port on the plane, which carries manager
+//! frames, and the wakes the client's doorbell posts
+//! (`crate::doorbell`). Beside it, the client's requests
+//! (`crate::client::Request`, typed values, never encoded) sit on a std
+//! queue. On each wake it drains that queue in bulk before it handles the
+//! frame it read, then dispatches per manager up to `batch_size`, each
+//! batch written as one `ToManager::Tasks` frame straight from the queued
+//! argument bytes (`crate::proto::encode_tasks`). While tasks are left
+//! that no manager has a slot for, it parks saturated, so more tasks do
+//! not wake it and a control request still does.
 //!
 //! It is the only broker in the workspace, and every executor shape runs
 //! it: HTEX's managers feed worker threads, EXEX's are MPI pool leaders
@@ -32,7 +33,7 @@ use crate::proto::{
     decode, encode, encode_tasks, Command, CommandReply, QueuedTask, ToInterchange, ToManager,
     WireApp, WireResult,
 };
-use nexus::{Addr, Envelope, Port};
+use nexus::{Addr, Envelope, Port, RecvError};
 use parsl_core::error::AppError;
 use parsl_core::registry::{AppId, AppRegistry};
 use rand::rngs::SmallRng;
@@ -40,6 +41,7 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::TryRecvError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -139,58 +141,43 @@ pub(crate) fn interchange_loop(
     };
     let mut next_tick = Instant::now() + tick;
     let mut last_hb_out = Instant::now();
-    // Tasks are queued that no manager can take yet: until a frame frees
-    // a slot, more of them are no reason to wake, so wait on the bell
-    // instead of the queue (`Broker::bell`).
-    let mut saturated = false;
 
     'run: loop {
-        let wait = if saturated && !requests.is_empty() {
-            Duration::ZERO // the last drain stopped at its limit
-        } else {
-            next_tick.saturating_duration_since(Instant::now())
-        };
-        if saturated {
-            crossbeam::channel::select! {
-                recv(bell) -> rung => {
-                    if rung.is_err() && requests.is_empty() {
-                        break 'run; // the client is gone
-                    }
+        // Park, look at the queue once more, and only then block on the
+        // port: a request pushed before "parked" showed is taken here, and
+        // one pushed after rings.
+        bell.park(!ix.pending.is_empty());
+        let mut frame = None;
+        match requests.try_recv() {
+            Ok(request) => {
+                bell.unpark();
+                if !ix.request(request) {
+                    break 'run;
                 }
-                recv(ix.ep.receiver()) -> env => {
-                    match env {
-                        Ok(env) => ix.frame(env),
-                        Err(_) => break 'run, // the port was killed
-                    }
-                }
-                default(wait) => {}
             }
-        } else {
-            // Requests first: a request the client made before a worker
-            // finished (a cancel, then the gate that held the worker
-            // opening) is obeyed before that worker's results frame.
-            crossbeam::channel::select! {
-                recv(requests) -> request => {
-                    if !request.is_ok_and(|r| ix.request(r)) {
-                        break 'run;
-                    }
+            Err(TryRecvError::Disconnected) => break 'run, // the client is gone
+            Err(TryRecvError::Empty) => {
+                let got = ix
+                    .ep
+                    .recv_timeout(next_tick.saturating_duration_since(Instant::now()));
+                bell.unpark();
+                match got {
+                    Ok(env) => frame = Some(env).filter(|env| !env.is_wake()),
+                    Err(RecvError::Timeout) => {}
+                    Err(RecvError::Closed) => break 'run, // the port was killed
                 }
-                recv(ix.ep.receiver()) -> env => {
-                    match env {
-                        Ok(env) => ix.frame(env),
-                        Err(_) => break 'run, // the port was killed
-                    }
-                }
-                default(wait) => {}
             }
         }
-        for _ in 0..DRAIN {
-            let Ok(request) = requests.try_recv() else {
-                break;
-            };
+        // Requests before the frame: a request the client made before a
+        // worker finished (a cancel, then the gate that held the worker
+        // opening) is obeyed before that worker's results frame.
+        for request in requests.try_iter().take(DRAIN) {
             if !ix.request(request) {
                 break 'run;
             }
+        }
+        if let Some(env) = frame {
+            ix.frame(env);
         }
         let now = Instant::now();
         if now >= next_tick {
@@ -204,7 +191,6 @@ pub(crate) fn interchange_loop(
             ix.sweep(now);
         }
         ix.dispatch();
-        saturated = !ix.pending.is_empty();
     }
 
     let Interchange { ep, managers, .. } = ix;
@@ -529,13 +515,14 @@ impl Interchange {
 mod tests {
     use crate::{ExexConfig, ExexExecutor, HtexConfig, HtexExecutor};
     use bytes::Bytes;
-    use crossbeam::channel::{bounded, unbounded};
     use nexus::{Addr, Fabric};
+    use parking_lot::Mutex;
     use parsl_core::error::TaskError;
     use parsl_core::executor::{Executor, ExecutorContext, TaskSpec};
     use parsl_core::registry::{AppOptions, AppRegistry};
     use parsl_core::types::{AppKind, ResourceSpec, TaskId, TenantId};
     use std::collections::HashSet;
+    use std::sync::mpsc::{channel, sync_channel};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -555,20 +542,21 @@ mod tests {
         k: usize,
     ) {
         let registry = AppRegistry::new();
-        let (started_tx, started_rx) = unbounded::<()>();
-        let (gate_tx, gate_rx) = bounded::<()>(0);
+        let (started_tx, started_rx) = channel::<()>();
+        let (gate_tx, gate_rx) = sync_channel::<()>(0);
+        let gate_rx = Mutex::new(gate_rx);
         let app = registry.register(
             "gated",
             AppKind::Native,
             "()->()",
             Arc::new(move |_| {
                 let _ = started_tx.send(());
-                let _ = gate_rx.recv(); // returns once the gate sender drops
+                let _ = gate_rx.lock().recv(); // returns once the gate sender drops
                 Ok(Vec::new())
             }),
             AppOptions::default(),
         );
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let fabric = Fabric::new();
         let (ex, holder, ix) = start(
             &fabric,

@@ -16,7 +16,7 @@
 //! from [`HtexConfig`], [`LlexConfig`] or [`ExexConfig`] picks how its
 //! managers run tasks ([`worker::Fanout`]). The `baselines` crate's Dask
 //! and IPP models are two more shapes of it, so its client half
-//! ([`client::Client`]: the outstanding gauge, one typed request queue,
+//! (`client::Client`: the outstanding gauge, one typed request queue,
 //! teardown), its [`interchange`] and its manager loop ([`worker`]) are
 //! the only broker code in the workspace.
 //!
@@ -25,10 +25,11 @@
 //! queued since its last wake and sends each manager one `Tasks` frame of
 //! up to [`HtexConfig::batch_size`] tasks, written straight from the
 //! kernel's argument bytes. It settles results into the kernel's
-//! completion channel itself (see [`client`]).
+//! completion channel itself (see `client.rs`).
 
 pub mod builtin;
-pub mod client;
+pub(crate) mod client;
+mod doorbell;
 pub mod exex;
 pub mod htex;
 pub mod interchange;
@@ -69,21 +70,60 @@ mod tests {
         f: fn(u64) -> u64,
     ) -> (
         App<(u64,), u64>,
-        crossbeam::channel::Receiver<()>,
-        crossbeam::channel::Sender<()>,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::SyncSender<()>,
     ) {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let (started_tx, started) = crossbeam::channel::unbounded();
-        let (gate, gate_rx) = crossbeam::channel::bounded::<()>(0);
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (gate, gate_rx) = std::sync::mpsc::sync_channel::<()>(0);
+        let gate_rx = parking_lot::Mutex::new(gate_rx);
         let first = AtomicBool::new(true);
         let app = dfk.python_app("slow", move |x: u64| {
             if first.swap(false, Ordering::SeqCst) {
                 let _ = started_tx.send(());
-                let _ = gate_rx.recv(); // returns once the gate drops
+                let _ = gate_rx.lock().recv(); // returns once the gate drops
             }
             f(x)
         });
         (app, started, gate)
+    }
+
+    /// The names of this process's threads.
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect()
+    }
+
+    /// Killing an in-proc node ends its manager thread at once, long
+    /// before any heartbeat: nothing its workers hold (the doorbell's
+    /// waker) keeps the killed inbox open.
+    #[test]
+    fn a_killed_nodes_manager_thread_ends_within_a_second() {
+        let htex = std::sync::Arc::new(HtexExecutor::new(HtexConfig {
+            label: "kn".into(),
+            workers_per_node: 1,
+            heartbeat_period: Duration::from_secs(20),
+            heartbeat_threshold: Duration::from_secs(60),
+            ..Default::default()
+        }));
+        let dfk = DataFlowKernel::builder()
+            .executor_arc(htex.clone())
+            .build()
+            .unwrap();
+        let double = dfk.python_app("double", |x: u64| x * 2);
+        assert_eq!(parsl_core::call!(double, 1u64).result().unwrap(), 2);
+        let manager_alive = || thread_names().iter().any(|n| n == "kn-mgr-0");
+        assert!(manager_alive());
+        htex.kill_node(&htex.nodes()[0]);
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
+        while manager_alive() {
+            assert!(std::time::Instant::now() < deadline, "manager still runs");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        dfk.shutdown();
     }
 
     /// Managers wait for their next heartbeat with a deadline, not on a
@@ -100,16 +140,12 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "never registered");
             std::thread::sleep(Duration::from_millis(5));
         }
-        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
-            .unwrap()
-            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-            .map(|name| name.trim_end().to_string())
-            .collect();
+        let names = thread_names();
         assert!(
             names.iter().any(|n| n.starts_with("htex-mgr-")),
             "{names:?}"
         );
-        assert!(!names.iter().any(|n| n == "crossbeam-tick"), "{names:?}");
+        assert!(!names.iter().any(|n| n.contains("tick")), "{names:?}");
         dfk.shutdown();
     }
 
@@ -238,7 +274,8 @@ mod tests {
         use std::sync::atomic::{AtomicU32, Ordering};
         static CALLS: AtomicU32 = AtomicU32::new(0);
         CALLS.store(0, Ordering::SeqCst);
-        let (gate, gate_rx) = crossbeam::channel::bounded::<()>(0);
+        let (gate, gate_rx) = std::sync::mpsc::sync_channel::<()>(0);
+        let gate_rx = parking_lot::Mutex::new(gate_rx);
         let flaky_env = dfk.python_app_cfg(
             "task",
             AppOptions {
@@ -250,7 +287,7 @@ mod tests {
                 if n == 0 {
                     // First execution: hangs until the gate drops — it
                     // will be "lost".
-                    let _ = gate_rx.recv();
+                    let _ = gate_rx.lock().recv();
                 }
                 Ok(x)
             },

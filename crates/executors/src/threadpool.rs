@@ -52,13 +52,13 @@ impl ThreadPoolExecutor {
         }
     }
 
-    /// Hand one task to the running fan-out.
-    fn dispatch(&self, workers: &mut Workers, task: &TaskSpec) -> Result<(), ExecutorError> {
-        self.outstanding.fetch_add(1, Ordering::Relaxed);
-        if workers.dispatch(WireTask::from_spec(task)) {
+    /// Hand `tasks` to the running fan-out in one push.
+    fn dispatch(&self, workers: &mut Workers, tasks: &[TaskSpec]) -> Result<(), ExecutorError> {
+        self.outstanding.fetch_add(tasks.len(), Ordering::Relaxed);
+        if workers.dispatch(tasks.iter().map(WireTask::from_spec)) {
             Ok(())
         } else {
-            self.outstanding.fetch_sub(1, Ordering::Relaxed);
+            self.outstanding.fetch_sub(tasks.len(), Ordering::Relaxed);
             Err(ExecutorError::NotRunning)
         }
     }
@@ -120,17 +120,15 @@ impl Executor for ThreadPoolExecutor {
     fn submit(&self, task: TaskSpec) -> Result<(), ExecutorError> {
         let mut state = self.state.lock();
         let workers = state.as_mut().ok_or(ExecutorError::NotRunning)?;
-        self.dispatch(workers, &task)
+        self.dispatch(workers, std::slice::from_ref(&task))
     }
 
-    /// Native batching: one state-lock acquisition for the whole batch;
-    /// the tasks stream into the shared worker queue back to back.
+    /// Native batching: one state-lock acquisition and one push for the
+    /// whole batch.
     fn submit_batch(&self, tasks: Vec<TaskSpec>) -> Result<(), ExecutorError> {
         let mut state = self.state.lock();
         let workers = state.as_mut().ok_or(ExecutorError::NotRunning)?;
-        tasks
-            .iter()
-            .try_for_each(|task| self.dispatch(workers, task))
+        self.dispatch(workers, &tasks)
     }
 
     /// Best-effort, as on HTEX: a queued attempt is skipped at pick-up and
@@ -227,7 +225,8 @@ mod tests {
     #[test]
     fn cancel_marks_do_not_outlive_the_busy_spell() {
         let registry = AppRegistry::new();
-        let (gate, gate_rx) = crossbeam::channel::bounded::<()>(0);
+        let (gate, gate_rx) = std::sync::mpsc::sync_channel::<()>(0);
+        let gate_rx = Mutex::new(gate_rx);
         let app = registry.register(
             "gated",
             AppKind::Native,
@@ -235,7 +234,7 @@ mod tests {
             Arc::new(move |args| {
                 let (hold,): (bool,) = wire::from_bytes(args).unwrap();
                 if hold {
-                    let _ = gate_rx.recv(); // returns once the gate drops
+                    let _ = gate_rx.lock().recv(); // returns once the gate drops
                 }
                 Ok(Vec::new())
             }),
@@ -250,7 +249,7 @@ mod tests {
             attempt: 0,
             items: 1,
         };
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let pool = ThreadPoolExecutor::new(2);
         pool.start(ExecutorContext {
             completions: tx,

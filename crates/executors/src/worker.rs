@@ -38,12 +38,12 @@
 //! silence makes the manager exit, "to avoid resource wastage".
 
 use crate::builtin;
+use crate::doorbell::Doorbell;
 use crate::exex::Ranks;
 use crate::kernel;
 use crate::proto::{encode, ToInterchange, ToManager, WireResult, WireTask};
-use crossbeam::channel::{unbounded, Sender};
-use nexus::{Addr, Port, SpokeConfig, TcpSpoke};
-use parking_lot::Mutex;
+use nexus::{Addr, Envelope, Port, RecvError, SpokeConfig, TcpSpoke};
+use parking_lot::{Condvar, Mutex};
 use parsl_core::error::AppError;
 use parsl_core::registry::{AppId, AppOptions, AppRegistry};
 use parsl_core::types::AppKind;
@@ -89,7 +89,7 @@ pub(crate) type Marks = Arc<Mutex<HashSet<(u64, u32)>>>;
 pub(crate) type Funnel = Arc<dyn Fn(WireResult, Instant) -> bool + Send + Sync>;
 
 /// What every fan-out runs a task with: the cancel check at pick-up, the
-/// kernel, and its owner's result funnel — a manager's result channel, or
+/// kernel, and its owner's result funnel — a manager's result list, or
 /// the thread pool's completion channel. A cancelled attempt (a hedge
 /// loser, an expired walltime) is skipped but still answered, so `held`
 /// and the owner's accounting settle the same either way.
@@ -119,10 +119,70 @@ impl Runner {
     }
 }
 
+/// The threads fan-out's tasks: one queue, many readers. A push of one
+/// task wakes one parked reader, a push of more wakes them all, and none
+/// is woken if none is parked (the wake rule of `parking_lot::Condvar`).
+/// Closed, it still hands out what it holds.
+#[derive(Default)]
+struct TaskQueue {
+    /// The tasks, and whether the queue is closed.
+    state: Mutex<(VecDeque<WireTask>, bool)>,
+    ready: Condvar,
+}
+
+impl TaskQueue {
+    /// Queue `tasks` under one lock. False once the queue is closed.
+    fn push(&self, tasks: impl IntoIterator<Item = WireTask>) -> bool {
+        let mut state = self.state.lock();
+        if state.1 {
+            return false;
+        }
+        let before = state.0.len();
+        state.0.extend(tasks);
+        let pushed = state.0.len() - before;
+        drop(state);
+        if pushed > 1 {
+            self.ready.notify_all();
+        } else {
+            self.ready.notify_one();
+        }
+        true
+    }
+
+    /// The next task; `None` once the queue is closed and empty.
+    fn pop(&self) -> Option<WireTask> {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(task) = state.0.pop_front() {
+                return Some(task);
+            }
+            if state.1 {
+                return None;
+            }
+            self.ready.wait(&mut state);
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().1 = true;
+        self.ready.notify_all();
+    }
+}
+
+/// The fan-out's end of its [`TaskQueue`]: dropping it closes the queue,
+/// so the workers run what is queued and exit.
+pub(crate) struct Queue(Arc<TaskQueue>);
+
+impl Drop for Queue {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// A running fan-out: a manager's, or the thread pool's.
 pub(crate) enum Workers {
     Threads {
-        queue: Sender<WireTask>,
+        queue: Queue,
         handles: Vec<JoinHandle<()>>,
     },
     Inline {
@@ -137,16 +197,19 @@ impl Workers {
     pub(crate) fn spawn(fanout: Fanout, n: usize, runner: &Runner, node: &Addr) -> Self {
         match fanout {
             Fanout::Threads => {
-                let (queue, tasks) = unbounded::<WireTask>();
+                let tasks = Arc::new(TaskQueue::default());
                 let handles = (0..n)
                     .map(|w| {
-                        let (tasks, runner) = (tasks.clone(), runner.clone());
+                        let (tasks, runner) = (Arc::clone(&tasks), runner.clone());
                         let name = format!("{node}:w{w}");
                         std::thread::Builder::new()
                             .name(name.clone())
                             .spawn(move || {
-                                while let Ok(task) = tasks.recv() {
+                                while let Some(task) = tasks.pop() {
                                     if !runner.run(&task, &name) {
+                                        // The owner is gone: refuse what
+                                        // it would dispatch next.
+                                        tasks.close();
                                         return;
                                     }
                                 }
@@ -154,7 +217,10 @@ impl Workers {
                             .expect("spawn worker")
                     })
                     .collect();
-                Workers::Threads { queue, handles }
+                Workers::Threads {
+                    queue: Queue(tasks),
+                    handles,
+                }
             }
             Fanout::Inline => Workers::Inline {
                 name: format!("{node}:w0"),
@@ -164,15 +230,15 @@ impl Workers {
         }
     }
 
-    /// Hand over one accepted task. False once the fan-out is gone.
-    pub(crate) fn dispatch(&mut self, task: WireTask) -> bool {
+    /// Hand over accepted tasks, in order. False once the fan-out is gone.
+    pub(crate) fn dispatch(&mut self, tasks: impl IntoIterator<Item = WireTask>) -> bool {
         match self {
-            Workers::Threads { queue, .. } => queue.send(task).is_ok(),
+            Workers::Threads { queue, .. } => queue.0.push(tasks),
             Workers::Inline { backlog, .. } => {
-                backlog.push_back(task);
+                backlog.extend(tasks);
                 true
             }
-            Workers::Ranks(ranks) => ranks.dispatch(task).is_ok(),
+            Workers::Ranks(ranks) => tasks.into_iter().all(|t| ranks.dispatch(t).is_ok()),
         }
     }
 
@@ -221,9 +287,12 @@ impl Workers {
 
 /// Run one manager until shutdown or link death. Blocks the caller.
 ///
-/// It waits on its inbox and its result funnel with a deadline, the next
-/// heartbeat, and checks that deadline after every wake, so a busy
-/// manager still heartbeats; no timer thread runs beside it.
+/// It waits in one place, its port, with a deadline, the next heartbeat,
+/// and checks that deadline after every wake, so a busy manager still
+/// heartbeats; no timer thread runs beside it. Worker results go on a
+/// list under a mutex, and the funnel rings the manager's doorbell
+/// (`crate::doorbell`), which wakes the port only if the manager is
+/// parked.
 pub(crate) fn manager_loop(
     ep: Box<dyn Port>,
     registry: Arc<AppRegistry>,
@@ -232,11 +301,22 @@ pub(crate) fn manager_loop(
     fanout: Fanout,
 ) {
     let addr = ep.addr().clone();
-    let (result_tx, result_rx) = unbounded::<WireResult>();
+    // Worker results, swapped out whole on each wake; the funnel holds
+    // them weakly, so a worker stops once the manager is gone.
+    let results: Arc<Mutex<Vec<WireResult>>> = Arc::default();
+    let bell = Arc::new(Doorbell::new(ep.waker()));
+    let (funnel_results, ring) = (Arc::downgrade(&results), Arc::clone(&bell));
     let runner = Runner {
         registry: Arc::clone(&registry),
         cancelled: Arc::default(),
-        funnel: Arc::new(move |result, _| result_tx.send(result).is_ok()),
+        funnel: Arc::new(move |result, _| {
+            let Some(results) = funnel_results.upgrade() else {
+                return false;
+            };
+            results.lock().push(result);
+            ring.ring(true);
+            true
+        }),
     };
     let mut workers = Workers::spawn(fanout, cfg.workers, &runner, &addr);
 
@@ -263,28 +343,41 @@ pub(crate) fn manager_loop(
         name: addr.to_string(),
     });
     let mut result_buf: Vec<WireResult> = Vec::new();
+    let mut taken: Vec<WireResult> = Vec::new();
     let mut last_ix_contact = Instant::now();
     let mut next_beat = last_ix_contact + cfg.heartbeat_period;
     let mut draining = false;
+    // A message the drain check read before deciding not to stop yet.
+    let mut unread: Option<Envelope> = None;
 
     loop {
-        // A backlogged task runs once nothing else is ready to read.
+        // A backlogged task runs once nothing else is ready to read, so
+        // its wait is zero. Park, look at the results once more, and only
+        // then wait on the port: a result sent before "parked" showed is
+        // seen here, and one sent after rings.
         let wait = if workers.backlogged() {
             Duration::ZERO
         } else {
             next_beat.saturating_duration_since(Instant::now())
         };
-        crossbeam::channel::select! {
-            recv(ep.receiver()) -> env => {
-                let Ok(env) = env else { return }; // endpoint killed / spoke gave up
+        let got = match unread.take() {
+            Some(env) => Some(Ok(env)),
+            None => {
+                bell.park(false);
+                let ready = !results.lock().is_empty();
+                let got = (!ready).then(|| ep.recv_timeout(wait));
+                bell.unpark();
+                got
+            }
+        };
+        match got {
+            Some(Ok(env)) if !env.is_wake() => {
                 last_ix_contact = Instant::now();
                 match crate::proto::decode::<ToManager>(&env.payload) {
                     Ok(ToManager::Tasks(batch)) => {
-                        for t in batch {
-                            held.insert((t.id, t.attempt));
-                            if !workers.dispatch(t) {
-                                return;
-                            }
+                        held.extend(batch.iter().map(|t| (t.id, t.attempt)));
+                        if !workers.dispatch(batch) {
+                            return;
                         }
                     }
                     Ok(ToManager::Apps(apps)) => {
@@ -321,30 +414,24 @@ pub(crate) fn manager_loop(
                     Err(_) => {}
                 }
             }
-            recv(result_rx) -> res => {
-                // Batch aggressively under load (drain whatever has
-                // already accumulated), but never sit on results when the
-                // funnel is empty — idle latency must not pay the batching
-                // timer.
-                let mut next = res.ok();
-                while let Some(res) = next {
-                    held.remove(&(res.id, res.attempt));
-                    workers.finished(&res);
-                    result_buf.push(res);
-                    next = if result_buf.len() < cfg.batch_size {
-                        result_rx.try_recv().ok()
-                    } else {
-                        None
-                    };
-                }
+            Some(Err(RecvError::Closed)) => return, // endpoint killed / spoke gave up
+            // Nothing to read: a backlogged task runs.
+            Some(Err(RecvError::Timeout)) if !workers.run_next(&runner) => return,
+            _ => {}
+        }
+        // Batch aggressively under load (drain whatever has already
+        // accumulated), but never sit on results when the funnel is
+        // empty: idle latency must not pay the batching timer.
+        std::mem::swap(&mut *results.lock(), &mut taken);
+        for res in taken.drain(..) {
+            held.remove(&(res.id, res.attempt));
+            workers.finished(&res);
+            result_buf.push(res);
+            if result_buf.len() >= cfg.batch_size {
                 flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
             }
-            default(wait) => {
-                if !workers.run_next(&runner) {
-                    return;
-                }
-            }
         }
+        flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
         let now = Instant::now();
         if now >= next_beat {
             next_beat = now + cfg.heartbeat_period;
@@ -353,7 +440,6 @@ pub(crate) fn manager_loop(
             }
             // Prune cancel marks whose attempt raced its result out.
             runner.cancelled.lock().retain(|k| held.contains(k));
-            flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
             let _ = ep.send(&ix_addr, heartbeat.clone());
             let gen = ep.generation();
             if gen != last_gen {
@@ -379,16 +465,18 @@ pub(crate) fn manager_loop(
         }
         // Deregister only after every accepted task has returned its
         // result and the inbox holds nothing new.
-        if draining && held.is_empty() && ep.queued() == 0 {
-            flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
-            let _ = ep.send(
-                &ix_addr,
-                encode(&ToInterchange::Deregister {
-                    name: addr.to_string(),
-                }),
-            );
-            workers.stop();
-            return;
+        if draining && held.is_empty() {
+            unread = ep.try_recv();
+            if unread.is_none() {
+                let _ = ep.send(
+                    &ix_addr,
+                    encode(&ToInterchange::Deregister {
+                        name: addr.to_string(),
+                    }),
+                );
+                workers.stop();
+                return;
+            }
         }
     }
 }
@@ -454,4 +542,75 @@ pub fn run_worker(opts: WorkerOptions) -> Result<(), String> {
         Fanout::Threads,
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::decode;
+    use nexus::Fabric;
+
+    /// 10^5 results racing a one-worker manager on its way to park. The
+    /// interchange, played here, sends two tasks at a time and the next
+    /// two the moment both results are back. The worker's first result
+    /// wakes the manager; the second task spins 0–31 µs first, so its
+    /// result lands anywhere between the manager's look at the funnel and
+    /// its next wait. A lost wake-up leaves that result in the funnel
+    /// until the next heartbeat, many seconds away.
+    #[test]
+    fn no_result_waits_on_an_idling_manager() {
+        crate::doorbell::tests::within(Duration::from_secs(60), || {
+            let fabric = Fabric::new();
+            let ix = fabric.bind(Addr::new("t:ix")).unwrap();
+            let ep = fabric.bind(Addr::new("t:mgr")).unwrap();
+            let registry = AppRegistry::new();
+            let spin: parsl_core::registry::ErasedAppFn = Arc::new(|args| {
+                let until = Instant::now() + Duration::from_micros(args.len() as u64);
+                while Instant::now() < until {}
+                Ok(Vec::new())
+            });
+            let app = registry.register("spin", AppKind::Native, "", spin, Default::default());
+            let cfg = ManagerCfg {
+                workers: 1,
+                prefetch: 1,
+                batch_size: 64,
+                heartbeat_period: Duration::from_secs(20),
+                heartbeat_threshold: Duration::from_secs(60),
+                reconnect: false,
+            };
+            let ix_addr = ix.addr().clone();
+            std::thread::spawn(move || {
+                manager_loop(Box::new(ep), registry, ix_addr, cfg, Fanout::Threads)
+            });
+            let mgr = Addr::new("t:mgr");
+            let task = |id, spin_us| WireTask {
+                id,
+                attempt: 0,
+                app_id: app.id.0,
+                tenant: 0,
+                items: 1,
+                args: vec![0; spin_us],
+            };
+            for pair in 0..50_000u64 {
+                let tasks = vec![task(2 * pair, 0), task(2 * pair + 1, pair as usize % 32)];
+                ix.send(&mgr, encode(&ToManager::Tasks(tasks))).unwrap();
+                let deadline = Instant::now() + Duration::from_secs(1);
+                let mut back = 0;
+                while back < 2 {
+                    let Some(env) = ix.try_recv() else {
+                        assert!(
+                            Instant::now() < deadline,
+                            "a result of pair {pair} was left"
+                        );
+                        continue;
+                    };
+                    if let Ok(ToInterchange::Results(results)) = decode(&env.payload) {
+                        assert!(results.iter().all(|r| r.id / 2 == pair));
+                        back += results.len();
+                    }
+                }
+            }
+            let _ = ix.send(&mgr, encode(&ToManager::Shutdown));
+        });
+    }
 }

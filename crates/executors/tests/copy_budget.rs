@@ -13,8 +13,7 @@
 //! run beside it.
 
 use bytes::Bytes;
-use crossbeam::channel::unbounded;
-use nexus::{Addr, Fabric};
+use nexus::{Addr, Fabric, Port};
 use parsl_core::executor::{Executor, ExecutorContext, TaskSpec};
 use parsl_core::registry::{AppOptions, AppRegistry};
 use parsl_core::types::{AppKind, ResourceSpec, TaskId, TenantId};
@@ -22,6 +21,7 @@ use parsl_executors::proto::{decode, encode, ToInterchange, ToManager};
 use parsl_executors::{HtexConfig, HtexExecutor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,7 +74,7 @@ fn a_tasks_arguments_are_copied_once_on_their_way_to_its_manager() {
         Arc::new(|_| Ok(Vec::new())),
         AppOptions::default(),
     );
-    let (completions, _outcomes) = unbounded();
+    let (completions, _outcomes) = channel();
     htex.start(ExecutorContext {
         completions,
         registry,

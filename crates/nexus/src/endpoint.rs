@@ -1,12 +1,14 @@
-//! Endpoints: the mailbox handles held by executor components.
+//! Endpoints: the mailbox handles held by executor components, and the
+//! inbox every port reads from.
 
 use crate::addr::Addr;
 use crate::error::{RecvError, SendError};
 use crate::fabric::FabricInner;
+use crate::transport::Port;
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// A message as received: sender identity plus opaque payload.
@@ -18,13 +20,94 @@ pub struct Envelope {
     pub payload: Bytes,
 }
 
+impl Envelope {
+    /// Whether this is a [`Waker`]'s wake: an empty payload, which no
+    /// protocol frame is. It carries nothing; it only ends a wait.
+    pub fn is_wake(&self) -> bool {
+        self.payload.is_empty()
+    }
+}
+
+/// The sending end of an inbox, held by whatever delivers into it (a
+/// fabric binding, the hub's table of local ports, a spoke's reader).
+/// Dropping the last one closes the inbox once it is read dry.
+pub(crate) type InboxSender = Arc<Sender<Envelope>>;
+
+/// A port's inbox: the receiving end of a `std::sync::mpsc` channel, and
+/// a weak hold on the sending end for the port's wakers. Only this crate
+/// makes one; every [`Port`] reads its own.
+pub struct Inbox {
+    rx: Receiver<Envelope>,
+    tx: Weak<Sender<Envelope>>,
+}
+
+impl Inbox {
+    /// A new inbox and its one strong sending end.
+    pub(crate) fn new() -> (InboxSender, Inbox) {
+        let (tx, rx) = channel();
+        let tx = Arc::new(tx);
+        let inbox = Inbox {
+            rx,
+            tx: Arc::downgrade(&tx),
+        };
+        (tx, inbox)
+    }
+
+    pub(crate) fn recv(&self) -> Result<Envelope, RecvError> {
+        self.rx.recv().map_err(|_| RecvError::Closed)
+    }
+
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => RecvError::Timeout,
+            RecvTimeoutError::Disconnected => RecvError::Closed,
+        })
+    }
+
+    pub(crate) fn try_recv(&self) -> Option<Envelope> {
+        self.rx.try_recv().ok()
+    }
+
+    /// A waker for the port at `addr` that reads this inbox.
+    pub(crate) fn waker(&self, addr: &Addr) -> Waker {
+        Waker {
+            inbox: Weak::clone(&self.tx),
+            wake: Envelope {
+                from: addr.clone(),
+                payload: Bytes::new(),
+            },
+        }
+    }
+}
+
+/// Ends a wait in a port's `recv`: it puts a wake ([`Envelope::is_wake`])
+/// into the port's own inbox, in this process, without touching the wire.
+/// It holds the inbox weakly, so it never keeps a killed or closed port's
+/// inbox open: once the port's plane lets go of it, a wake is refused and
+/// the port's reader sees the inbox close.
+#[derive(Clone)]
+pub struct Waker {
+    inbox: Weak<Sender<Envelope>>,
+    /// The wake it posts, made once: an empty envelope from the port.
+    wake: Envelope,
+}
+
+impl Waker {
+    /// Post one wake. False once the inbox is closed.
+    pub fn wake(&self) -> bool {
+        self.inbox
+            .upgrade()
+            .is_some_and(|tx| tx.send(self.wake.clone()).is_ok())
+    }
+}
+
 /// A bound mailbox on a [`crate::Fabric`].
 ///
 /// Dropping an endpoint unbinds its address; subsequent sends to it fail
 /// with [`SendError::PeerGone`], exactly like connecting to a closed socket.
 pub struct Endpoint {
     addr: Addr,
-    rx: Receiver<Envelope>,
+    inbox: Inbox,
     generation: u64,
     closed: Arc<AtomicBool>,
     fabric: Arc<FabricInner>,
@@ -33,71 +116,42 @@ pub struct Endpoint {
 impl Endpoint {
     pub(crate) fn new(
         addr: Addr,
-        rx: Receiver<Envelope>,
+        inbox: Inbox,
         generation: u64,
         closed: Arc<AtomicBool>,
         fabric: Arc<FabricInner>,
     ) -> Self {
         Endpoint {
             addr,
-            rx,
+            inbox,
             generation,
             closed,
             fabric,
         }
     }
 
-    /// This endpoint's own address.
-    pub fn addr(&self) -> &Addr {
+    /// True once the endpoint has been killed via fault injection.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+}
+
+impl Port for Endpoint {
+    fn addr(&self) -> &Addr {
         &self.addr
     }
 
-    /// Send `payload` to the endpoint bound at `to`.
-    ///
     /// Returns as soon as the fabric accepts the message; delivery may be
     /// delayed by the fabric's configured latency.
-    pub fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError> {
+    fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(SendError::SelfClosed);
         }
         self.fabric.route(&self.addr, to, payload)
     }
 
-    /// Block until a message arrives.
-    pub fn recv(&self) -> Result<Envelope, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Closed)
-    }
-
-    /// Block up to `timeout` for a message.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Closed,
-        })
-    }
-
-    /// Take a message if one is already queued.
-    pub fn try_recv(&self) -> Option<Envelope> {
-        match self.rx.try_recv() {
-            Ok(env) => Some(env),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
-    }
-
-    /// Number of messages waiting in the inbox.
-    pub fn queued(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// The raw inbox receiver, so callers can `select!` across an endpoint
-    /// and other channels (used by executor manager loops).
-    pub fn receiver(&self) -> &Receiver<Envelope> {
-        &self.rx
-    }
-
-    /// True once the endpoint has been killed via fault injection.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
+    fn inbox(&self) -> &Inbox {
+        &self.inbox
     }
 }
 
@@ -111,7 +165,6 @@ impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Endpoint")
             .field("addr", &self.addr)
-            .field("queued", &self.rx.len())
             .field("closed", &self.is_closed())
             .finish()
     }

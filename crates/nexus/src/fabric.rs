@@ -1,12 +1,11 @@
 //! The fabric: endpoint registry, routing, latency and fault injection.
 
 use crate::addr::Addr;
-use crate::endpoint::{Endpoint, Envelope};
+use crate::endpoint::{Endpoint, Envelope, Inbox, InboxSender};
 use crate::error::SendError;
 use crate::latency::{DelayLine, Delivery};
 use crate::stats::FabricStats;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -49,7 +48,7 @@ impl Default for FabricConfig {
 }
 
 struct Binding {
-    inbox: Sender<Envelope>,
+    inbox: InboxSender,
     generation: u64,
     closed: Arc<AtomicBool>,
 }
@@ -83,7 +82,7 @@ impl FabricInner {
         let inbox = {
             let eps = self.endpoints.read();
             match eps.get(to) {
-                Some(b) => b.inbox.clone(),
+                Some(b) => Arc::clone(&b.inbox),
                 None => return Err(SendError::PeerGone(to.clone())),
             }
         };
@@ -159,7 +158,7 @@ impl Fabric {
     ///
     /// Fails if the address is already bound by a live endpoint.
     pub fn bind(&self, addr: Addr) -> Result<Endpoint, AddrInUse> {
-        let (tx, rx) = unbounded();
+        let (tx, inbox) = Inbox::new();
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed);
         let closed = Arc::new(AtomicBool::new(false));
         {
@@ -178,7 +177,7 @@ impl Fabric {
         }
         Ok(Endpoint::new(
             addr,
-            rx,
+            inbox,
             generation,
             closed,
             Arc::clone(&self.inner),

@@ -1,16 +1,16 @@
 //! Delay line: a background thread that holds messages for the configured
 //! network latency before delivering them.
 
-use crate::endpoint::Envelope;
+use crate::endpoint::{Envelope, InboxSender};
 use crate::stats::FabricStats;
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::Instant;
 
 pub(crate) struct Delivery {
     pub env: Envelope,
-    pub inbox: Sender<Envelope>,
+    pub inbox: InboxSender,
     pub stats: FabricStats,
 }
 
@@ -49,7 +49,7 @@ pub(crate) struct DelayLine {
 
 impl DelayLine {
     pub fn spawn() -> Self {
-        let (tx, rx) = unbounded::<(Instant, Delivery)>();
+        let (tx, rx) = channel::<(Instant, Delivery)>();
         std::thread::Builder::new()
             .name("nexus-delay".into())
             .spawn(move || {
@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn pending_orders_by_deadline_then_seq() {
         let now = Instant::now();
-        let (tx, _rx) = unbounded();
+        let (tx, _inbox) = crate::endpoint::Inbox::new();
         let mk = |offset_ms: u64, seq: u64| Pending {
             deadline: now + std::time::Duration::from_millis(offset_ms),
             seq,
@@ -127,7 +127,7 @@ mod tests {
                     from: crate::Addr::new("t"),
                     payload: bytes::Bytes::new(),
                 },
-                inbox: tx.clone(),
+                inbox: std::sync::Arc::clone(&tx),
                 stats: FabricStats::default(),
             },
         };

@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use nexus::{Fabric, Addr};
+//! use nexus::{Addr, Fabric, Port};
 //! use bytes::Bytes;
 //!
 //! let fabric = Fabric::new();
@@ -42,7 +42,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use addr::Addr;
-pub use endpoint::{Endpoint, Envelope};
+pub use endpoint::{Endpoint, Envelope, Inbox, Waker};
 pub use error::{RecvError, SendError};
 pub use fabric::{AddrInUse, Fabric, FabricConfig, DEFAULT_MAX_FRAME_BYTES};
 pub use stats::FabricStats;
@@ -201,9 +201,9 @@ mod tests {
         let senders: Vec<_> = (0..8)
             .map(|i| fabric.bind(Addr::new(format!("w{i}"))).unwrap())
             .collect();
-        crossbeam::thread::scope(|s| {
-            for (i, ep) in senders.iter().enumerate() {
-                s.spawn(move |_| {
+        std::thread::scope(|s| {
+            for (i, ep) in senders.into_iter().enumerate() {
+                s.spawn(move || {
                     for j in 0..50u8 {
                         ep.send(&Addr::new("hub"), Bytes::copy_from_slice(&[i as u8, j]))
                             .unwrap();
@@ -215,8 +215,7 @@ mod tests {
                 hub.recv().unwrap();
                 seen += 1;
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]

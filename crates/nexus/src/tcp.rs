@@ -25,11 +25,10 @@
 //!   when the in-proc fabric kills an endpoint.
 
 use crate::addr::Addr;
-use crate::endpoint::Envelope;
-use crate::error::{RecvError, SendError};
+use crate::endpoint::{Envelope, Inbox, InboxSender};
+use crate::error::SendError;
 use crate::transport::{Port, Transport, TransportError};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -149,7 +148,7 @@ struct HubInner {
     /// Frames forwarded spoke→spoke verbatim (no decode, no re-encode).
     relayed: AtomicU64,
     /// Ports attached in this process.
-    local: Mutex<HashMap<Addr, Sender<Envelope>>>,
+    local: Mutex<HashMap<Addr, InboxSender>>,
     /// Spokes registered via `Hello`, by claimed name.
     conns: Mutex<HashMap<Addr, Arc<Conn>>>,
 }
@@ -449,7 +448,7 @@ impl Transport for TcpHub {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(TransportError("hub is shut down".into()));
         }
-        let (tx, rx) = unbounded();
+        let (tx, inbox) = Inbox::new();
         let mut local = self.inner.local.lock();
         if local.contains_key(&addr) {
             return Err(TransportError(format!("address {addr} already attached")));
@@ -458,7 +457,7 @@ impl Transport for TcpHub {
         drop(local);
         Ok(Box::new(HubPort {
             addr,
-            rx,
+            inbox,
             inner: Arc::clone(&self.inner),
         }))
     }
@@ -471,7 +470,7 @@ impl Transport for TcpHub {
 /// A port attached directly to the hub (interchange side).
 struct HubPort {
     addr: Addr,
-    rx: Receiver<Envelope>,
+    inbox: Inbox,
     inner: Arc<HubInner>,
 }
 
@@ -484,30 +483,8 @@ impl Port for HubPort {
         self.inner.route(&self.addr, to, payload)
     }
 
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Closed)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Closed,
-        })
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        match self.rx.try_recv() {
-            Ok(env) => Some(env),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
-    }
-
-    fn queued(&self) -> usize {
-        self.rx.len()
-    }
-
-    fn receiver(&self) -> &Receiver<Envelope> {
-        &self.rx
+    fn inbox(&self) -> &Inbox {
+        &self.inbox
     }
 }
 
@@ -557,7 +534,7 @@ struct SpokeInner {
 /// The connecting side of the TCP plane: one process's addressed port.
 pub struct TcpSpoke {
     inner: Arc<SpokeInner>,
-    rx: Receiver<Envelope>,
+    inbox: Inbox,
 }
 
 impl TcpSpoke {
@@ -589,13 +566,13 @@ impl TcpSpoke {
                 pending: VecDeque::new(),
             }),
         });
-        let (tx, rx) = unbounded();
+        let (tx, inbox) = Inbox::new();
         let reader_inner = Arc::clone(&inner);
         std::thread::Builder::new()
             .name("nexus-tcp-spoke".into())
             .spawn(move || spoke_reader(reader_inner, stream, tx))
             .expect("spawn tcp spoke reader");
-        Ok(TcpSpoke { inner, rx })
+        Ok(TcpSpoke { inner, inbox })
     }
 
     /// True once the spoke has given up (window expired or closed).
@@ -620,7 +597,7 @@ impl Drop for TcpSpoke {
 
 /// Reader thread: decode inbound frames; on link loss, reconnect within
 /// the window, replay the pending queue, and bump the generation.
-fn spoke_reader(inner: Arc<SpokeInner>, mut stream: TcpStream, tx: Sender<Envelope>) {
+fn spoke_reader(inner: Arc<SpokeInner>, mut stream: TcpStream, tx: InboxSender) {
     let mut buf = vec![0u8; IO_CHUNK];
     'link: loop {
         let mut decoder = wire::StreamDecoder::new();
@@ -745,30 +722,8 @@ impl Port for TcpSpoke {
         }
     }
 
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Closed)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Closed,
-        })
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        match self.rx.try_recv() {
-            Ok(env) => Some(env),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
-    }
-
-    fn queued(&self) -> usize {
-        self.rx.len()
-    }
-
-    fn receiver(&self) -> &Receiver<Envelope> {
-        &self.rx
+    fn inbox(&self) -> &Inbox {
+        &self.inbox
     }
 
     fn generation(&self) -> u64 {
@@ -779,6 +734,7 @@ impl Port for TcpSpoke {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RecvError;
 
     fn hub() -> TcpHub {
         TcpHub::bind("127.0.0.1:0").unwrap()
@@ -892,9 +848,12 @@ mod tests {
             },
         )
         .unwrap();
+        // A waker holds the inbox weakly: it must not keep it open.
+        let waker = spoke.waker();
         hub.shutdown();
         // Reconnects are refused (listener gone); the window expires.
         assert!(matches!(spoke.recv(), Err(RecvError::Closed)));
+        assert!(!waker.wake());
         wait_for(|| spoke.is_closed(), "spoke closed");
         assert!(matches!(
             spoke.send(&Addr::new("ix"), Bytes::from_static(b"x")),

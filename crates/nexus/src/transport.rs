@@ -13,76 +13,55 @@
 //! Every protocol loop runs unchanged over either plane.
 
 use crate::addr::Addr;
-use crate::endpoint::{Endpoint, Envelope};
+use crate::endpoint::{Envelope, Inbox, Waker};
 use crate::error::{RecvError, SendError};
 use crate::fabric::Fabric;
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use std::time::Duration;
 
 /// An addressed mailbox on some message plane.
 ///
-/// Mirrors [`Endpoint`]'s API so in-proc code ports over mechanically.
-/// Delivery guarantees are those of the underlying plane: FIFO between a
+/// The fabric's [`crate::Endpoint`] is one, and so are the TCP plane's
+/// ports ([`crate::tcp`]). Delivery guarantees are those of the underlying plane: FIFO between a
 /// given sender/receiver pair, no delivery guarantee across a link drop.
-pub trait Port: Send + Sync {
+/// A port has one reader: a protocol loop waits on nothing but its port,
+/// and whatever else must wake it holds the port's [`Port::waker`].
+pub trait Port: Send {
     /// This port's own address.
     fn addr(&self) -> &Addr;
 
     /// Send `payload` to the peer named `to`.
     fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError>;
 
+    /// The inbox this port reads.
+    fn inbox(&self) -> &Inbox;
+
     /// Block until a message arrives.
-    fn recv(&self) -> Result<Envelope, RecvError>;
+    fn recv(&self) -> Result<Envelope, RecvError> {
+        self.inbox().recv()
+    }
 
     /// Block up to `timeout` for a message.
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError>;
+    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+        self.inbox().recv_timeout(timeout)
+    }
 
     /// Take a message if one is already queued.
-    fn try_recv(&self) -> Option<Envelope>;
+    fn try_recv(&self) -> Option<Envelope> {
+        self.inbox().try_recv()
+    }
 
-    /// Number of messages waiting in the inbox.
-    fn queued(&self) -> usize;
-
-    /// The raw inbox receiver, so protocol loops can `select!` across the
-    /// port and other channels.
-    fn receiver(&self) -> &Receiver<Envelope>;
+    /// A handle that ends a wait in this port's `recv` from another
+    /// thread of this process, without touching the wire.
+    fn waker(&self) -> Waker {
+        self.inbox().waker(self.addr())
+    }
 
     /// Link incarnation counter: bumped each time the underlying link is
     /// re-established. In-proc endpoints never reconnect, so the default
     /// is a constant. Managers watch this to re-register after a drop.
     fn generation(&self) -> u64 {
         0
-    }
-}
-
-impl Port for Endpoint {
-    fn addr(&self) -> &Addr {
-        Endpoint::addr(self)
-    }
-
-    fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError> {
-        Endpoint::send(self, to, payload)
-    }
-
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        Endpoint::recv(self)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        Endpoint::recv_timeout(self, timeout)
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        Endpoint::try_recv(self)
-    }
-
-    fn queued(&self) -> usize {
-        Endpoint::queued(self)
-    }
-
-    fn receiver(&self) -> &Receiver<Envelope> {
-        Endpoint::receiver(self)
     }
 }
 
@@ -135,5 +114,20 @@ mod tests {
         assert_eq!(env.from.as_str(), "a");
         assert_eq!(&env.payload[..], b"ping");
         assert!(fabric.attach(Addr::new("a")).is_err());
+    }
+
+    /// A waker ends a wait with a wake and never keeps a killed port's
+    /// inbox open: the wake is refused and the reader sees the close.
+    #[test]
+    fn a_waker_keeps_no_killed_inbox_open() {
+        let fabric = Fabric::new();
+        let a = fabric.attach(Addr::new("a")).unwrap();
+        let waker = a.waker();
+        assert!(waker.wake());
+        assert!(a.recv().unwrap().is_wake());
+        fabric.kill(&Addr::new("a"));
+        assert!(!waker.wake());
+        let closed = a.recv_timeout(Duration::from_secs(5));
+        assert!(matches!(closed, Err(RecvError::Closed)), "{closed:?}");
     }
 }

@@ -3,7 +3,7 @@
 //! random loss.
 
 use bytes::Bytes;
-use nexus::{Addr, Fabric, FabricConfig};
+use nexus::{Addr, Fabric, FabricConfig, Port};
 use proptest::collection::vec;
 use proptest::prelude::*;
 

@@ -18,16 +18,16 @@
 //! the clause × instance table.
 
 use baselines::*;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parsl::core::executor::{ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
 use parsl::core::registry::{AppId, AppRegistry, ErasedAppFn, RegisteredApp};
 use parsl::core::types::AppKind;
 use parsl::executors::proto::{encode, Command, CommandReply, ToManager, WireApp};
 use parsl::executors::*;
-use parsl::nexus::Addr;
+use parsl::nexus::{Addr, Port};
 use parsl::prelude::*;
 use parsl::wire;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use Clause::*;
@@ -288,9 +288,10 @@ fn await_until(what: &str, mut cond: impl FnMut() -> bool) {
 /// The in-proc hold: `(ms, x) -> x` that sends `x` on `started`, then
 /// waits until every gate sender is dropped.
 fn gated(started: Sender<u64>, gate: Receiver<()>) -> impl Fn(u64, u64) -> u64 + Send + Sync {
+    let gate = std::sync::Mutex::new(gate);
     move |_ms, x| {
         let _ = started.send(x);
-        let _ = gate.recv();
+        let _ = gate.lock().unwrap().recv();
         x
     }
 }
@@ -329,7 +330,7 @@ struct Harness {
     apps: [Arc<RegisteredApp>; 3],
     started: Receiver<u64>,
     /// Dropping it opens the gate for every held task, now and later.
-    gate: Option<Sender<()>>,
+    gate: Option<SyncSender<()>>,
 }
 
 impl Harness {
@@ -337,8 +338,8 @@ impl Harness {
     fn start(inst: &Instance) -> Harness {
         let (ex, nodes) = (inst.build)();
         let registry = AppRegistry::new();
-        let (started_tx, started) = unbounded();
-        let (gate, gate_rx) = bounded(0);
+        let (started_tx, started) = channel();
+        let (gate, gate_rx) = sync_channel(0);
         let hold = gated(started_tx, gate_rx);
         let hold: ErasedAppFn = Arc::new(move |args| {
             let (ms, x): (u64, u64) = wire::from_bytes(args).unwrap();
@@ -349,7 +350,7 @@ impl Harness {
             register(&registry, "fail", None),
             register(&registry, "sleep_ms", Some(hold)),
         ];
-        let (completions, outcomes) = unbounded();
+        let (completions, outcomes) = channel();
         let ctx = ExecutorContext {
             completions,
             registry: Arc::clone(&registry),

@@ -75,6 +75,7 @@ fn reexport_surface_is_complete() {
     let bytes = parsl::wire::to_bytes(&42u64).unwrap();
     assert_eq!(parsl::wire::from_bytes::<u64>(&bytes).unwrap(), 42);
     // nexus: message fabric.
+    use parsl::nexus::Port;
     let fabric = Arc::new(parsl::nexus::Fabric::new());
     let ep = fabric.bind(parsl::nexus::Addr::new("smoke")).unwrap();
     ep.send(

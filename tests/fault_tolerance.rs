@@ -228,11 +228,12 @@ fn exex_pool_fate_sharing_is_recovered_by_retries() {
         .build()
         .unwrap();
     // Every body reports that it started, then holds until the gate drops.
-    let (started_tx, started) = crossbeam::channel::unbounded();
-    let (gate, gate_rx) = crossbeam::channel::bounded::<()>(0);
+    let (started_tx, started) = std::sync::mpsc::channel();
+    let (gate, gate_rx) = std::sync::mpsc::sync_channel::<()>(0);
+    let gate_rx = std::sync::Mutex::new(gate_rx);
     let slow = dfk.python_app("slow", move |x: u64| {
         let _ = started_tx.send(());
-        let _ = gate_rx.recv();
+        let _ = gate_rx.lock().unwrap().recv();
         x * 2
     });
     let futs: Vec<_> = (0..8u64).map(|i| parsl::core::call!(slow, i)).collect();
