@@ -27,17 +27,16 @@ use crate::error::AppError;
 use crate::future::AppFuture;
 use crate::registry::RegisteredApp;
 use bytes::Bytes;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::marker::PhantomData;
 use std::sync::Arc;
+use wire::{Decode, Encode};
 
-/// Values that can cross the task boundary: serializable, deserializable,
+/// Values that can cross the task boundary: wire-encodable, decodable,
 /// sendable, owned. The Rust analogue of "any Python object that can be
 /// pickled" (§3.2); immutability is automatic because arguments are passed
-/// by value through serialization.
-pub trait TaskValue: Serialize + DeserializeOwned + Send + 'static {}
-impl<T: Serialize + DeserializeOwned + Send + 'static> TaskValue for T {}
+/// by value through serialization. Declare your own with [`wire::codec!`].
+pub trait TaskValue: Encode + Decode + Send + 'static {}
+impl<T: Encode + Decode + Send + 'static> TaskValue for T {}
 
 /// One argument position: a concrete value or a future from another app.
 pub enum Dep<T> {
@@ -106,7 +105,7 @@ impl std::fmt::Debug for ArgSlot {
     }
 }
 
-fn encode_arg<T: Serialize>(v: &T) -> Result<Bytes, AppError> {
+fn encode_arg<T: Encode>(v: &T) -> Result<Bytes, AppError> {
     wire::to_bytes(v)
         .map(Bytes::from)
         .map_err(|e| AppError::Serialization(e.to_string()))

@@ -33,14 +33,11 @@ pub(crate) enum CombinatorKey {
 /// Decode a task argument buffer holding exactly `n` concatenated
 /// T-encodings — the arguments of a task whose `n` slots all hold a `T`.
 pub(crate) fn decode_concat<T: TaskValue>(bytes: &[u8], n: usize) -> Result<Vec<T>, AppError> {
-    let mut de = wire::Deserializer::new(bytes);
+    let mut r = wire::Reader::new(bytes);
     (0..n)
-        .map(|_| serde::Deserialize::deserialize(&mut de))
+        .map(|_| T::decode(&mut r))
         .collect::<Result<Vec<T>, wire::Error>>()
-        .and_then(|out| match de.remaining() {
-            0 => Ok(out),
-            _ => Err(wire::Error::TrailingBytes),
-        })
+        .and_then(|out| r.end().map(|()| out))
         .map_err(|e| AppError::Serialization(e.to_string()))
 }
 

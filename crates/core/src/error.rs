@@ -4,28 +4,30 @@ use crate::types::TaskId;
 use std::fmt;
 use std::sync::Arc;
 
-/// A failure raised *by the app body itself* — the Rust analogue of a
-/// Python exception inside a `@python_app` / `@bash_app` function.
-///
-/// Serializable so executors can ship it back over the wire.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum AppError {
-    /// The app returned an application-defined error.
-    Failure(String),
-    /// The app body panicked; the panic was caught by the execution kernel.
-    Panic(String),
-    /// A bash app's command exited nonzero (Parsl treats nonzero return
-    /// codes as task failure).
-    BashExit {
-        /// The command's exit code, or -1 if killed by a signal.
-        code: i32,
-        /// The rendered command line.
-        command: String,
-    },
-    /// The bash command could not be spawned at all.
-    BashSpawn(String),
-    /// Arguments or results failed to (de)serialize.
-    Serialization(String),
+wire::codec! {
+    /// A failure raised *by the app body itself* — the Rust analogue of a
+    /// Python exception inside a `@python_app` / `@bash_app` function.
+    ///
+    /// Wire-encodable so executors can ship it back over the wire.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum AppError {
+        /// The app returned an application-defined error.
+        Failure(String),
+        /// The app body panicked; the panic was caught by the execution kernel.
+        Panic(String),
+        /// A bash app's command exited nonzero (Parsl treats nonzero return
+        /// codes as task failure).
+        BashExit {
+            /// The command's exit code, or -1 if killed by a signal.
+            code: i32,
+            /// The rendered command line.
+            command: String,
+        },
+        /// The bash command could not be spawned at all.
+        BashSpawn(String),
+        /// Arguments or results failed to (de)serialize.
+        Serialization(String),
+    }
 }
 
 impl AppError {

@@ -65,6 +65,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Duration;
 use wire::items::{self, Items};
+use wire::Encode;
 
 /// Most items the auto-sizer puts in one chunk. It bounds how much work
 /// one failed chunk can strand, not a chunk's bytes: 4,096 elements of
@@ -89,22 +90,24 @@ const FALLBACK_CHUNKS: usize = 1024;
 /// instead of a 1k-wide DFK join.
 pub const REDUCE_FAN_IN: usize = 32;
 
-/// Wire result of one fused map chunk: per-item encoded results up to the
-/// first failure, plus that failure if any.
-///
-/// The fused task itself *succeeds* at the DFK level even when an element
-/// fails — item-level failure is data, not task failure, so the kernel's
-/// chunk-level retry/hedge machinery stays reserved for real task loss.
-/// The element that failed is the one at index `ok.len()`; elements after
-/// it were never attempted (the client resubmits them as a smaller fused
-/// chunk).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct FusedOutput {
-    /// Wire-encoded per-item results, in input order, up to (excluding)
-    /// the first failing element.
-    pub ok: Vec<Vec<u8>>,
-    /// The failure of element `ok.len()`, if any element failed.
-    pub err: Option<AppError>,
+wire::codec! {
+    /// Wire result of one fused map chunk: per-item encoded results up to the
+    /// first failure, plus that failure if any.
+    ///
+    /// The fused task itself *succeeds* at the DFK level even when an element
+    /// fails — item-level failure is data, not task failure, so the kernel's
+    /// chunk-level retry/hedge machinery stays reserved for real task loss.
+    /// The element that failed is the one at index `ok.len()`; elements after
+    /// it were never attempted (the client resubmits them as a smaller fused
+    /// chunk).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FusedOutput {
+        /// Wire-encoded per-item results, in input order, up to (excluding)
+        /// the first failing element.
+        pub ok: Vec<Vec<u8>>,
+        /// The failure of element `ok.len()`, if any element failed.
+        pub err: Option<AppError>,
+    }
 }
 
 /// Wrap an erased app body into its fused-chunk form: take an encoded
@@ -142,7 +145,7 @@ pub fn fused_map_body(inner: ErasedAppFn) -> ErasedAppFn {
         if ran < n {
             out.splice(..head, items::frame(ran, &[]));
         }
-        wire::to_writer(&err, &mut out).map_err(serialization)?;
+        err.encode(&mut out).map_err(serialization)?;
         Ok(out)
     })
 }
@@ -372,7 +375,7 @@ fn encode<T: TaskValue>(
     for (i, v) in inputs.into_iter().enumerate() {
         item.clear();
         // (T,) encodes as the concatenation of its fields, i.e. as T.
-        match wire::to_writer(&v, &mut item) {
+        match v.encode(&mut item) {
             Ok(()) => {
                 items::push(&item, &mut body);
                 count += 1;

@@ -9,7 +9,6 @@ use crate::error::{ParslError, TaskError};
 use crate::types::TaskId;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
-use serde::de::DeserializeOwned;
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -200,7 +199,7 @@ impl<T> AppFuture<T> {
     }
 }
 
-impl<T: serde::Serialize> AppFuture<T> {
+impl<T: wire::Encode> AppFuture<T> {
     /// An already-resolved future holding `value` — for paths that
     /// satisfy a request without running a task (e.g. a staging-cache
     /// hit). A wire-encoding failure becomes the future's exception, so
@@ -219,7 +218,7 @@ impl<T: serde::Serialize> AppFuture<T> {
     }
 }
 
-impl<T: DeserializeOwned> AppFuture<T> {
+impl<T: wire::Decode> AppFuture<T> {
     /// Block until the task completes and decode its result, like Python's
     /// `future.result()`.
     pub fn result(&self) -> Result<T, ParslError> {
@@ -251,7 +250,7 @@ impl<T> std::fmt::Debug for AppFuture<T> {
 mod tests {
     use super::*;
 
-    fn ok_bytes<T: serde::Serialize>(v: &T) -> Result<Bytes, TaskError> {
+    fn ok_bytes<T: wire::Encode>(v: &T) -> Result<Bytes, TaskError> {
         Ok(Bytes::from(wire::to_bytes(v).unwrap()))
     }
 

@@ -1,7 +1,7 @@
 //! Edge cases of the fused `app.map` plane: degenerate iterators, chunk
 //! geometry, per-item failure attribution with split-retry, how often
 //! the fused twin (and its sibling combinator apps) get registered, the
-//! chunk frames' bytes against serde's, and hostile frames.
+//! chunk frames' bytes against the codec's, and hostile frames.
 
 use bytes::Bytes;
 use parsl_core::executor::{Executor, ExecutorContext, ExecutorError, TaskOutcome, TaskSpec};
@@ -264,8 +264,9 @@ fn poisoned(v: &[u8]) -> bool {
     v.len() == 41
 }
 
-/// serde's encoding of a chunk whose elements are the encodings of `values`.
-fn serde_frame<T: serde::Serialize>(values: &[T]) -> Vec<u8> {
+/// The codec's encoding of a chunk whose elements are the encodings of
+/// `values`.
+fn codec_frame<T: wire::Encode>(values: &[T]) -> Vec<u8> {
     let elements: Vec<Vec<u8>> = values.iter().map(|v| wire::to_bytes(v).unwrap()).collect();
     wire::to_bytes(&elements).unwrap()
 }
@@ -296,13 +297,13 @@ fn submitted_frames(values: &[Vec<u8>], chunk: usize) -> Vec<Vec<u8>> {
     frames
 }
 
-/// What `submitted_frames` must see: serde's encoding of each chunk, and
+/// What `submitted_frames` must see: the codec's encoding of each chunk, and
 /// of each remainder left after a poisoned element.
 fn expected_frames(values: &[Vec<u8>], chunk: usize) -> Vec<Vec<u8>> {
     let mut frames = Vec::new();
     for mut c in values.chunks(chunk) {
         loop {
-            frames.push(serde_frame(c));
+            frames.push(codec_frame(c));
             match c.iter().position(|v| poisoned(v)) {
                 Some(at) if at + 1 < c.len() => c = &c[at + 1..],
                 _ => break,
@@ -326,9 +327,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Chunk frames and split remainders carry memo and checkpoint keys:
-    /// they are serde's bytes for the same elements, byte for byte.
+    /// they are the codec's bytes for the same elements, byte for byte.
     #[test]
-    fn submitted_frames_are_serdes_bytes(
+    fn submitted_frames_are_the_codecs_bytes(
         values in vec(vec(any::<u8>(), 0..40), 0..30),
         poison in vec(0usize..30, 0..4),
         chunk in 1usize..8,
@@ -338,12 +339,12 @@ proptest! {
     }
 
     #[test]
-    fn fused_output_is_serdes_bytes(
+    fn fused_output_is_the_codecs_bytes(
         items in vec(vec(any::<u8>(), 0..40), 0..30),
         poison in proptest::option::of(0usize..30),
     ) {
         let items = with_poison(items, poison.into_iter().collect());
-        prop_assert_eq!(run_fused(&items), serde_output(&items));
+        prop_assert_eq!(run_fused(&items), codec_output(&items));
     }
 }
 
@@ -361,7 +362,7 @@ fn run_fused(items: &[Vec<u8>]) -> Vec<u8> {
     fused_map_body(echo_body())(&wire::to_bytes(&items.to_vec()).unwrap()).unwrap()
 }
 
-fn serde_output(items: &[Vec<u8>]) -> Vec<u8> {
+fn codec_output(items: &[Vec<u8>]) -> Vec<u8> {
     let ran = items.iter().position(|v| poisoned(v));
     let out = FusedOutput {
         ok: items[..ran.unwrap_or(items.len())].to_vec(),
@@ -371,14 +372,14 @@ fn serde_output(items: &[Vec<u8>]) -> Vec<u8> {
 }
 
 #[test]
-fn frames_of_none_of_empty_and_of_4096_elements_are_serdes_bytes() {
+fn frames_of_none_of_empty_and_of_4096_elements_are_the_codecs_bytes() {
     // Bytes at and above 0x80 take two bytes in the format.
     let wide: Vec<Vec<u8>> = (0..4096u32).map(|i| i.to_le_bytes().to_vec()).collect();
-    assert_eq!(submitted_frames(&wide, 4096), vec![serde_frame(&wide)]);
+    assert_eq!(submitted_frames(&wide, 4096), vec![codec_frame(&wide)]);
     assert_eq!(submitted_frames(&wide, 1000), expected_frames(&wide, 1000));
     assert!(submitted_frames(&[], 3).is_empty());
     for items in [Vec::new(), wide, vec![Vec::new(); 5]] {
-        assert_eq!(run_fused(&items), serde_output(&items));
+        assert_eq!(run_fused(&items), codec_output(&items));
     }
 
     // `()` encodes as nothing: elements of length zero.
@@ -389,9 +390,9 @@ fn frames_of_none_of_empty_and_of_4096_elements_are_serdes_bytes() {
     let mut frames = executor.frames.lock().unwrap().clone();
     frames.sort();
     let mut want = vec![
-        serde_frame(&[(), ()]),
-        serde_frame(&[(), ()]),
-        serde_frame(&[()]),
+        codec_frame(&[(), ()]),
+        codec_frame(&[(), ()]),
+        codec_frame(&[()]),
     ];
     want.sort();
     assert_eq!(frames, want);
@@ -465,18 +466,20 @@ fn a_malformed_argument_frame_fails_before_any_element_runs() {
 #[derive(Debug, Clone, Copy)]
 struct Picky(u64);
 
-impl serde::Serialize for Picky {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+impl wire::Encode for Picky {
+    fn encode(&self, out: &mut Vec<u8>) -> wire::Result<()> {
         if self.0 % 5 == 0 {
-            return Err(serde::ser::Error::custom("multiples of five do not encode"));
+            return Err(wire::Error::Custom(
+                "multiples of five do not encode".into(),
+            ));
         }
-        s.serialize_u64(self.0)
+        self.0.encode(out)
     }
 }
 
-impl<'de> serde::Deserialize<'de> for Picky {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        u64::deserialize(d).map(Picky)
+impl wire::Decode for Picky {
+    fn decode(r: &mut wire::Reader<'_>) -> wire::Result<Self> {
+        u64::decode(r).map(Picky)
     }
 }
 

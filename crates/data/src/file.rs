@@ -1,20 +1,20 @@
 //! The Parsl `File` object: a location-independent file reference.
 
-use serde::{Deserialize, Serialize};
-
-/// Access protocol for a [`File`] (§4.5: "Parsl files can be defined
-/// either locally or using one of three data access protocols: HTTP, FTP,
-/// and Globus").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Scheme {
-    /// A path on the submitting machine / shared filesystem.
-    Local,
-    /// HTTP(S) download, executed as a regular task.
-    Http,
-    /// FTP download, executed as a regular task.
-    Ftp,
-    /// Globus third-party transfer, executed by the data manager.
-    Globus,
+wire::codec! {
+    /// Access protocol for a [`File`] (§4.5: "Parsl files can be defined
+    /// either locally or using one of three data access protocols: HTTP, FTP,
+    /// and Globus").
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Scheme {
+        /// A path on the submitting machine / shared filesystem.
+        Local,
+        /// HTTP(S) download, executed as a regular task.
+        Http,
+        /// FTP download, executed as a regular task.
+        Ftp,
+        /// Globus third-party transfer, executed by the data manager.
+        Globus,
+    }
 }
 
 impl std::fmt::Display for Scheme {
@@ -29,16 +29,18 @@ impl std::fmt::Display for Scheme {
     }
 }
 
-/// A file reference that apps exchange instead of raw paths, keeping
-/// programs location-independent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct File {
-    /// How to reach the file.
-    pub scheme: Scheme,
-    /// Host/endpoint part (empty for local files).
-    pub host: String,
-    /// Path (or URL path) of the file.
-    pub path: String,
+wire::codec! {
+    /// A file reference that apps exchange instead of raw paths, keeping
+    /// programs location-independent.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct File {
+        /// How to reach the file.
+        pub scheme: Scheme,
+        /// Host/endpoint part (empty for local files).
+        pub host: String,
+        /// Path (or URL path) of the file.
+        pub path: String,
+    }
 }
 
 impl File {

@@ -8,21 +8,22 @@ use parsl_core::error::AppError;
 use parsl_core::future::AppFuture;
 use parsl_core::registry::AppOptions;
 use parsl_core::DataFlowKernel;
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A file made available on the execution side: the result type of staging
-/// tasks and the argument type apps should accept ("Parsl translates the
-/// file reference to a local path via which the App can access the file").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StagedFile {
-    /// Path where the file's content is readable locally.
-    pub local_path: String,
-    /// Size in bytes.
-    pub bytes: u64,
+wire::codec! {
+    /// A file made available on the execution side: the result type of staging
+    /// tasks and the argument type apps should accept ("Parsl translates the
+    /// file reference to a local path via which the App can access the file").
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StagedFile {
+        /// Path where the file's content is readable locally.
+        pub local_path: String,
+        /// Size in bytes.
+        pub bytes: u64,
+    }
 }
 
 /// Data manager configuration, including the simulated WAN model.

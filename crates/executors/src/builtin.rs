@@ -48,17 +48,14 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 /// closure `parsl_core::combinators::join_all` registers.
 fn join_body<E: TaskValue>(n: usize) -> ErasedAppFn {
     Arc::new(move |bytes: &[u8]| {
-        let mut de = wire::Deserializer::new(bytes);
+        let serialization = |e: wire::Error| AppError::Serialization(e.to_string());
+        let mut r = wire::Reader::new(bytes);
         let mut out: Vec<E> = Vec::with_capacity(n);
         for _ in 0..n {
-            let v = serde::Deserialize::deserialize(&mut de)
-                .map_err(|e: wire::Error| AppError::Serialization(e.to_string()))?;
-            out.push(v);
+            out.push(E::decode(&mut r).map_err(serialization)?);
         }
-        if de.remaining() != 0 {
-            return Err(AppError::Serialization("trailing bytes in join".into()));
-        }
-        wire::to_bytes(&out).map_err(|e| AppError::Serialization(e.to_string()))
+        r.end().map_err(serialization)?;
+        wire::to_bytes(&out).map_err(serialization)
     })
 }
 

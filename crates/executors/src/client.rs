@@ -470,7 +470,7 @@ mod tests {
     }
 
     /// With a manager idle, each submit leaves at once as a `Tasks` frame
-    /// of that one task, byte for byte serde's encoding of it; its result
+    /// of that one task, byte for byte the codec's encoding of it; its result
     /// settles it and takes it off the gauge.
     #[test]
     fn idle_submit_leaves_in_one_tasks_frame() {

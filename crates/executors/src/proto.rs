@@ -7,25 +7,27 @@
 //! reference.
 
 use parsl_core::error::AppError;
-use serde::{Deserialize, Serialize};
+use wire::varint_len;
 
-/// A task as shipped to workers.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct WireTask {
-    /// DFK task id.
-    pub id: u64,
-    /// Retry attempt, echoed in the result.
-    pub attempt: u32,
-    /// App registry id.
-    pub app_id: u64,
-    /// Tenant (logical workflow) the task was submitted under, carried
-    /// across the fabric so remote accounting can stay per-tenant.
-    pub tenant: u32,
-    /// Logical items fused into this task (1 normally; the chunk length
-    /// for fused `app.map` chunks).
-    pub items: u32,
-    /// Wire-encoded argument tuple.
-    pub args: Vec<u8>,
+wire::codec! {
+    /// A task as shipped to workers.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireTask {
+        /// DFK task id.
+        pub id: u64,
+        /// Retry attempt, echoed in the result.
+        pub attempt: u32,
+        /// App registry id.
+        pub app_id: u64,
+        /// Tenant (logical workflow) the task was submitted under, carried
+        /// across the fabric so remote accounting can stay per-tenant.
+        pub tenant: u32,
+        /// Logical items fused into this task (1 normally; the chunk length
+        /// for fused `app.map` chunks).
+        pub items: u32,
+        /// Wire-encoded argument tuple.
+        pub args: Vec<u8>,
+    }
 }
 
 impl WireTask {
@@ -77,29 +79,22 @@ impl QueuedTask {
     }
 
     /// Bytes this task takes in a `Tasks` frame: five varint header
-    /// fields, the argument count, and one varint per argument byte (two
-    /// for a byte ≥ 0x80, as serde writes a `Vec<u8>`).
+    /// fields and the arguments as a `Vec<u8>`.
     pub(crate) fn encoded_len(&self) -> usize {
-        let args = &self.args[..];
-        let high = if args.is_ascii() {
-            0
-        } else {
-            args.iter().filter(|&&b| b >= 0x80).count()
-        };
-        varint_len(self.id)
-            + varint_len(self.attempt.into())
-            + varint_len(self.app_id)
-            + varint_len(self.tenant.into())
-            + varint_len(self.items.into())
-            + varint_len(args.len() as u64)
-            + args.len()
-            + high
+        self.header().into_iter().map(varint_len).sum::<usize>()
+            + wire::encoded_bytes_len(&self.args)
     }
-}
 
-/// Length of `v` as a LEB128 varint.
-fn varint_len(v: u64) -> usize {
-    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+    /// The header fields, in `WireTask`'s order.
+    fn header(&self) -> [u64; 5] {
+        [
+            self.id,
+            self.attempt.into(),
+            self.app_id,
+            self.tenant.into(),
+            self.items.into(),
+        ]
+    }
 }
 
 /// `encode(&ToManager::Tasks(..))` of these tasks, byte for byte, written
@@ -117,23 +112,10 @@ where
     out.push(0); // `ToManager::Tasks`'s variant index
     wire::encode_varint(count, &mut out);
     for t in tasks {
-        for field in [
-            t.id,
-            t.attempt.into(),
-            t.app_id,
-            t.tenant.into(),
-            t.items.into(),
-            t.args.len() as u64,
-        ] {
+        for field in t.header() {
             wire::encode_varint(field, &mut out);
         }
-        if t.args.is_ascii() {
-            out.extend_from_slice(&t.args);
-        } else {
-            for &b in t.args.iter() {
-                wire::encode_varint(b.into(), &mut out);
-            }
-        }
+        wire::encode_bytes(&t.args, &mut out);
     }
     debug_assert_eq!(out.len(), len);
     bytes::Bytes::from(out)
@@ -182,175 +164,189 @@ pub fn outcomes_from_lost(
         .collect()
 }
 
-/// An app advertisement: enough identity for a remote worker process to
-/// bind its compiled-in body for `name` under the interchange's `id`.
-/// The reproduction's analogue of Parsl serializing functions by
-/// reference — the body never crosses the wire, only the reference.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct WireApp {
-    /// Registry id tasks will arrive with.
-    pub id: u64,
-    /// App name, resolved against the worker's builtin table.
-    pub name: String,
-    /// Advisory type signature (kept for memo-hash parity and debugging).
-    pub signature: String,
+wire::codec! {
+    /// An app advertisement: enough identity for a remote worker process to
+    /// bind its compiled-in body for `name` under the interchange's `id`.
+    /// The reproduction's analogue of Parsl serializing functions by
+    /// reference — the body never crosses the wire, only the reference.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireApp {
+        /// Registry id tasks will arrive with.
+        pub id: u64,
+        /// App name, resolved against the worker's builtin table.
+        pub name: String,
+        /// Advisory type signature (kept for memo-hash parity and debugging).
+        pub signature: String,
+    }
 }
 
-/// A result as shipped back from workers.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct WireResult {
-    /// DFK task id.
-    pub id: u64,
-    /// Attempt this result belongs to.
-    pub attempt: u32,
-    /// The app's output bytes or its failure.
-    pub outcome: Result<Vec<u8>, AppError>,
-    /// Worker identity, for monitoring.
-    pub worker: String,
-}
-
-/// Messages arriving at an interchange from managers/workers.
-///
-/// `Submit`, `SubmitBatch`, `Retire`, `Cancel`, `Command` and `Shutdown`
-/// are the client's, which now reaches its interchange over a typed
-/// queue (`crate::client::Request`) and never sends them; an
-/// interchange ignores them from the plane. They stay so that the
-/// variant indices, and with them every manager-edge frame's bytes, do
-/// not change.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum ToInterchange {
-    /// One task (client-only, see above).
-    Submit(WireTask),
-    /// A batch of tasks in one frame (client-only, see above).
-    SubmitBatch(Vec<WireTask>),
-    /// A manager (HTEX/EXEX) or worker (LLEX) announces itself with its
-    /// task capacity.
-    Register {
-        /// Sender's fabric address.
-        name: String,
-        /// Concurrent task slots (workers + prefetch for managers; 1 for
-        /// LLEX workers).
-        capacity: usize,
-        /// `(task id, attempt)` pairs the sender is still holding. Empty
-        /// on first registration; on a reconnect re-register the
-        /// interchange reconciles its accounting against this set and
-        /// reports anything that vanished in the gap as lost (so the DFK
-        /// retries it) instead of leaving it outstanding forever.
-        held: Vec<(u64, u32)>,
-    },
-    /// Manager reports `free` open slots after dispatching work.
-    Capacity {
-        /// Manager address.
-        name: String,
-        /// Open slots.
-        free: usize,
-    },
-    /// Batch of finished tasks.
-    Results(Vec<WireResult>),
-    /// Periodic liveness signal (§4.3.1).
-    Heartbeat {
-        /// Sender address.
-        name: String,
-    },
-    /// Graceful departure; outstanding tasks have already been returned.
-    Deregister {
-        /// Sender address.
-        name: String,
-    },
-    /// Retire one manager (client-only, see above).
-    Retire {
-        /// Manager address to retire.
-        name: String,
-    },
-    /// Abandon one attempt (client-only, see above).
-    Cancel {
+wire::codec! {
+    /// A result as shipped back from workers.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireResult {
         /// DFK task id.
-        id: u64,
-        /// Attempt to abandon.
-        attempt: u32,
-    },
-    /// An administrative command (client-only, see above).
-    Command(Command),
-    /// Stop the interchange (client-only, see above).
-    Shutdown,
+        pub id: u64,
+        /// Attempt this result belongs to.
+        pub attempt: u32,
+        /// The app's output bytes or its failure.
+        pub outcome: Result<Vec<u8>, AppError>,
+        /// Worker identity, for monitoring.
+        pub worker: String,
+    }
 }
 
-/// Messages from an interchange to a manager (HTEX) or pool leader (EXEX).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum ToManager {
-    /// A batch of tasks to run.
-    Tasks(Vec<WireTask>),
-    /// App advertisements, sent before the first task batch referencing
-    /// them. In-proc managers share the client's registry and ignore
-    /// these; remote worker processes bind builtins by name.
-    Apps(Vec<WireApp>),
-    /// Liveness signal from the interchange.
-    Heartbeat,
-    /// Skip executing this attempt if it hasn't started; a "cancelled"
-    /// failure result is still returned so accounting stays intact.
-    Cancel {
-        /// DFK task id.
-        id: u64,
-        /// Attempt to abandon.
-        attempt: u32,
-    },
-    /// Drain and exit.
-    Shutdown,
+wire::codec! {
+    /// Messages arriving at an interchange from managers/workers.
+    ///
+    /// `Submit`, `SubmitBatch`, `Retire`, `Cancel`, `Command` and `Shutdown`
+    /// are the client's, which now reaches its interchange over a typed
+    /// queue (`crate::client::Request`) and never sends them; an
+    /// interchange ignores them from the plane. They stay so that the
+    /// variant indices, and with them every manager-edge frame's bytes, do
+    /// not change.
+    #[derive(Debug, Clone)]
+    pub enum ToInterchange {
+        /// One task (client-only, see above).
+        Submit(WireTask),
+        /// A batch of tasks in one frame (client-only, see above).
+        SubmitBatch(Vec<WireTask>),
+        /// A manager (HTEX/EXEX) or worker (LLEX) announces itself with its
+        /// task capacity.
+        Register {
+            /// Sender's fabric address.
+            name: String,
+            /// Concurrent task slots (workers + prefetch for managers; 1 for
+            /// LLEX workers).
+            capacity: usize,
+            /// `(task id, attempt)` pairs the sender is still holding. Empty
+            /// on first registration; on a reconnect re-register the
+            /// interchange reconciles its accounting against this set and
+            /// reports anything that vanished in the gap as lost (so the DFK
+            /// retries it) instead of leaving it outstanding forever.
+            held: Vec<(u64, u32)>,
+        },
+        /// Manager reports `free` open slots after dispatching work.
+        Capacity {
+            /// Manager address.
+            name: String,
+            /// Open slots.
+            free: usize,
+        },
+        /// Batch of finished tasks.
+        Results(Vec<WireResult>),
+        /// Periodic liveness signal (§4.3.1).
+        Heartbeat {
+            /// Sender address.
+            name: String,
+        },
+        /// Graceful departure; outstanding tasks have already been returned.
+        Deregister {
+            /// Sender address.
+            name: String,
+        },
+        /// Retire one manager (client-only, see above).
+        Retire {
+            /// Manager address to retire.
+            name: String,
+        },
+        /// Abandon one attempt (client-only, see above).
+        Cancel {
+            /// DFK task id.
+            id: u64,
+            /// Attempt to abandon.
+            attempt: u32,
+        },
+        /// An administrative command (client-only, see above).
+        Command(Command),
+        /// Stop the interchange (client-only, see above).
+        Shutdown,
+    }
 }
 
-/// Messages an interchange used to send its executor client. No runtime
-/// edge sends them any more: the interchange settles results into the
-/// kernel's completion channel itself (`crate::client::Outcomes`). The
-/// codec stays for the benchmark's layer probes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum ToClient {
-    /// Finished tasks.
-    Results(Vec<WireResult>),
-    /// A manager stopped heartbeating while holding tasks; the DFK decides
-    /// whether to retry them (§4.3.1).
-    ManagerLost {
-        /// The manager that disappeared.
-        name: String,
-        /// `(task id, attempt)` pairs that were outstanding on it.
-        tasks: Vec<(u64, u32)>,
-    },
-    /// Reply on the command channel.
-    CommandReply(CommandReply),
+wire::codec! {
+    /// Messages from an interchange to a manager (HTEX) or pool leader (EXEX).
+    #[derive(Debug, Clone)]
+    pub enum ToManager {
+        /// A batch of tasks to run.
+        Tasks(Vec<WireTask>),
+        /// App advertisements, sent before the first task batch referencing
+        /// them. In-proc managers share the client's registry and ignore
+        /// these; remote worker processes bind builtins by name.
+        Apps(Vec<WireApp>),
+        /// Liveness signal from the interchange.
+        Heartbeat,
+        /// Skip executing this attempt if it hasn't started; a "cancelled"
+        /// failure result is still returned so accounting stays intact.
+        Cancel {
+            /// DFK task id.
+            id: u64,
+            /// Attempt to abandon.
+            attempt: u32,
+        },
+        /// Drain and exit.
+        Shutdown,
+    }
 }
 
-/// Synchronous administrative actions on the interchange (§4.3.1: "the
-/// interchange can be asked for outstanding task information, to blacklist
-/// managers, or to shutdown the executor").
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
-pub enum Command {
-    /// How many tasks are queued or running.
-    OutstandingInfo,
-    /// How many workers are connected.
-    ConnectedWorkers,
-    /// Stop sending tasks to this manager.
-    Blacklist(String),
-    /// Shut the executor down.
-    ShutdownExecutor,
+wire::codec! {
+    /// Messages an interchange used to send its executor client. No runtime
+    /// edge sends them any more: the interchange settles results into the
+    /// kernel's completion channel itself (`crate::client::Outcomes`). The
+    /// codec stays for the benchmark's layer probes.
+    #[derive(Debug, Clone)]
+    pub enum ToClient {
+        /// Finished tasks.
+        Results(Vec<WireResult>),
+        /// A manager stopped heartbeating while holding tasks; the DFK decides
+        /// whether to retry them (§4.3.1).
+        ManagerLost {
+            /// The manager that disappeared.
+            name: String,
+            /// `(task id, attempt)` pairs that were outstanding on it.
+            tasks: Vec<(u64, u32)>,
+        },
+        /// Reply on the command channel.
+        CommandReply(CommandReply),
+    }
 }
 
-/// Replies to [`Command`]s.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
-pub enum CommandReply {
-    /// Outstanding task count.
-    Outstanding(usize),
-    /// Connected worker count.
-    Workers(usize),
-    /// Generic acknowledgement.
-    Ack,
+wire::codec! {
+    /// Synchronous administrative actions on the interchange (§4.3.1: "the
+    /// interchange can be asked for outstanding task information, to blacklist
+    /// managers, or to shutdown the executor").
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Command {
+        /// How many tasks are queued or running.
+        OutstandingInfo,
+        /// How many workers are connected.
+        ConnectedWorkers,
+        /// Stop sending tasks to this manager.
+        Blacklist(String),
+        /// Shut the executor down.
+        ShutdownExecutor,
+    }
+}
+
+wire::codec! {
+    /// Replies to [`Command`]s.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum CommandReply {
+        /// Outstanding task count.
+        Outstanding(usize),
+        /// Connected worker count.
+        Workers(usize),
+        /// Generic acknowledgement.
+        Ack,
+    }
 }
 
 /// Encode any protocol message as fabric payload.
-pub fn encode<T: Serialize>(msg: &T) -> bytes::Bytes {
+pub fn encode<T: wire::Encode>(msg: &T) -> bytes::Bytes {
     bytes::Bytes::from(wire::to_bytes(msg).expect("protocol messages always encode"))
 }
 
 /// Decode a fabric payload.
-pub fn decode<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> Result<T, wire::Error> {
+pub fn decode<T: wire::Decode>(payload: &[u8]) -> Result<T, wire::Error> {
     wire::from_bytes(payload)
 }
 
@@ -531,29 +527,29 @@ mod tests {
         }
     }
 
-    fn serde_tasks(tasks: &[QueuedTask]) -> bytes::Bytes {
+    fn codec_tasks(tasks: &[QueuedTask]) -> bytes::Bytes {
         encode(&ToManager::Tasks(tasks.iter().map(wire_of).collect()))
     }
 
     /// The edge cases by name: no task, one, 64; empty arguments; every
     /// byte value, the ones ≥ 0x80 among them.
     #[test]
-    fn direct_tasks_frame_matches_serde_at_the_edges() {
-        assert_eq!(encode_tasks(&[]), serde_tasks(&[]));
+    fn direct_tasks_frame_matches_the_codec_at_the_edges() {
+        assert_eq!(encode_tasks(&[]), codec_tasks(&[]));
         let all_bytes: Vec<u8> = (0..=255).collect();
         for args in [Vec::new(), vec![0x7f], vec![0x80], all_bytes] {
             let one = [queued(u64::MAX - 1, args)];
-            assert_eq!(encode_tasks(&one), serde_tasks(&one));
+            assert_eq!(encode_tasks(&one), codec_tasks(&one));
         }
         let many: Vec<QueuedTask> = (0..64)
             .map(|i| queued(i << 20, vec![i as u8 * 4; i as usize]))
             .collect();
-        assert_eq!(encode_tasks(&many), serde_tasks(&many));
+        assert_eq!(encode_tasks(&many), codec_tasks(&many));
     }
 
     proptest::proptest! {
         #[test]
-        fn direct_tasks_frame_is_serdes_encoding(
+        fn direct_tasks_frame_is_the_codecs_encoding(
             ids in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..65),
             args in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
         ) {
@@ -565,7 +561,7 @@ mod tests {
                 .map(|(i, &id)| queued(id, args.get(i..).unwrap_or_default().to_vec()))
                 .collect();
             let direct = encode_tasks(&tasks);
-            proptest::prop_assert_eq!(&direct[..], &serde_tasks(&tasks)[..]);
+            proptest::prop_assert_eq!(&direct[..], &codec_tasks(&tasks)[..]);
             let back = match decode::<ToManager>(&direct) {
                 Ok(ToManager::Tasks(back)) => back,
                 other => panic!("not a Tasks frame: {other:?}"),

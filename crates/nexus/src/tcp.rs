@@ -30,7 +30,6 @@ use crate::error::SendError;
 use crate::transport::{Port, Transport, TransportError};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -41,52 +40,41 @@ use std::time::{Duration, Instant};
 /// Read buffer size for socket reader threads.
 const IO_CHUNK: usize = 64 * 1024;
 
-/// Everything on the wire is one of these, `wire`-encoded inside a
-/// length-prefixed frame.
-#[derive(Serialize, Deserialize)]
-enum TcpFrame {
-    /// First frame on every connection: the spoke's claimed address.
-    Hello { name: String },
-    /// An addressed message. The payload encodes as raw bytes (varint
-    /// length + body, via [`RawBytes`]), NOT as a `Vec<u8>` element
-    /// sequence — [`peek_data_header`] and the hub's verbatim relay
-    /// depend on the payload being a contiguous byte run in the frame.
-    Data {
-        from: String,
-        to: String,
-        payload: RawBytes,
-    },
-}
-
-/// Payload wrapper that serializes through serde's bytes calls, so the
-/// wire format is a varint length followed by the raw body as one
-/// contiguous run — the derive on `Vec<u8>` would emit a per-element
-/// varint sequence, where bytes ≥ 0x80 grow to two bytes and the payload
-/// could not be sliced (or relayed) straight out of the frame.
-struct RawBytes(Vec<u8>);
-
-impl Serialize for RawBytes {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_bytes(&self.0)
+wire::codec! {
+    /// Everything on the wire is one of these, `wire`-encoded inside a
+    /// length-prefixed frame.
+    enum TcpFrame {
+        /// First frame on every connection: the spoke's claimed address.
+        Hello { name: String },
+        /// An addressed message. The payload encodes as raw bytes (varint
+        /// length + body, via [`RawBytes`]), NOT as a `Vec<u8>` element
+        /// sequence — [`peek_data_header`] and the hub's verbatim relay
+        /// depend on the payload being a contiguous byte run in the frame.
+        Data {
+            from: String,
+            to: String,
+            payload: RawBytes,
+        },
     }
 }
 
-impl<'de> Deserialize<'de> for RawBytes {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        struct BytesVisitor;
-        impl<'de> serde::de::Visitor<'de> for BytesVisitor {
-            type Value = RawBytes;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(f, "raw bytes")
-            }
-            fn visit_bytes<E: serde::de::Error>(self, b: &[u8]) -> Result<RawBytes, E> {
-                Ok(RawBytes(b.to_vec()))
-            }
-            fn visit_byte_buf<E: serde::de::Error>(self, b: Vec<u8>) -> Result<RawBytes, E> {
-                Ok(RawBytes(b))
-            }
-        }
-        d.deserialize_byte_buf(BytesVisitor)
+/// Payload laid out as a string's body is — a varint length followed by
+/// the raw body as one contiguous run — where a `Vec<u8>` would be a
+/// per-element varint sequence, in which bytes ≥ 0x80 grow to two bytes
+/// and the payload could not be sliced (or relayed) straight out of the
+/// frame.
+struct RawBytes(Vec<u8>);
+
+impl wire::Encode for RawBytes {
+    fn encode(&self, out: &mut Vec<u8>) -> wire::Result<()> {
+        wire::encode_raw(&self.0, out);
+        Ok(())
+    }
+}
+
+impl wire::Decode for RawBytes {
+    fn decode(r: &mut wire::Reader<'_>) -> wire::Result<Self> {
+        Ok(RawBytes(r.raw()?.to_vec()))
     }
 }
 
@@ -106,7 +94,7 @@ fn encode_frame(body_hint: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 
 fn encode_tcp_frame(f: &TcpFrame) -> Vec<u8> {
     encode_frame(64, |out| {
-        wire::to_writer(f, out).expect("tcp control frames always encode")
+        wire::Encode::encode(f, out).expect("tcp control frames always encode")
     })
 }
 
@@ -120,8 +108,7 @@ fn encode_data_frame(from: &Addr, to: &Addr, payload: &[u8]) -> Vec<u8> {
     encode_frame(hint, |out| {
         wire::encode_varint(DATA_VARIANT, out);
         for field in fields {
-            wire::encode_varint(field.len() as u64, out);
-            out.extend_from_slice(field);
+            wire::encode_raw(field, out);
         }
     })
 }
@@ -868,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_serde_layout() {
+    fn peek_matches_the_codecs_layout() {
         let frame = wire::to_bytes(&TcpFrame::Data {
             from: "mgr-0".into(),
             to: "ix".into(),
@@ -891,11 +878,66 @@ mod tests {
         assert!(peek_data_header(&padded).is_none());
     }
 
+    /// Both frames, byte for byte as a `parsl-worker` of another build
+    /// writes and reads them.
+    #[test]
+    fn tcp_frames_keep_their_bytes() {
+        let hello = wire::to_bytes(&TcpFrame::Hello {
+            name: "mgr-0".into(),
+        })
+        .unwrap();
+        assert_eq!(hello, [0, 5, 109, 103, 114, 45, 48]);
+        let data = wire::to_bytes(&TcpFrame::Data {
+            from: "a".into(),
+            to: "ix".into(),
+            payload: RawBytes(vec![0, 0x7f, 0x80, 0xff]),
+        })
+        .unwrap();
+        assert_eq!(data, [1, 1, 97, 2, 105, 120, 4, 0, 127, 128, 255]);
+        match wire::from_bytes::<TcpFrame>(&hello) {
+            Ok(TcpFrame::Hello { name }) => assert_eq!(name, "mgr-0"),
+            _ => panic!("not the Hello that went in"),
+        }
+        match wire::from_bytes::<TcpFrame>(&data) {
+            Ok(TcpFrame::Data { from, to, payload }) => {
+                assert_eq!((&from[..], &to[..]), ("a", "ix"));
+                assert_eq!(payload.0, [0, 0x7f, 0x80, 0xff]);
+            }
+            _ => panic!("not the Data that went in"),
+        }
+    }
+
+    proptest::proptest! {
+        /// Bytes off a socket never panic the hub: arbitrary ones, and every
+        /// prefix and one-byte corruption of a real `Data` frame, decode or
+        /// peek to a value or an error.
+        #[test]
+        fn hostile_frames_never_panic(
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            at in proptest::prelude::any::<usize>(),
+            byte in proptest::prelude::any::<u8>(),
+        ) {
+            let frame = &encode_data_frame(&Addr::new("mgr-1"), &Addr::new("ix"), &payload)[4..];
+            let mut corrupt = frame.to_vec();
+            corrupt[at % frame.len()] = byte;
+            let prefixes = (0..frame.len()).map(|cut| &frame[..cut]);
+            for bytes in prefixes.chain([&junk[..], &corrupt[..]]) {
+                let _ = wire::from_bytes::<TcpFrame>(bytes);
+                let _ = peek_data_header(bytes);
+            }
+            for cut in 0..frame.len() {
+                proptest::prop_assert!(wire::from_bytes::<TcpFrame>(&frame[..cut]).is_err());
+                proptest::prop_assert!(peek_data_header(&frame[..cut]).is_none());
+            }
+        }
+    }
+
     /// The hand-written `Data` encoder puts the same bytes on the wire as
-    /// the serde derive, at every varint width of the payload length, and
+    /// the codec, at every varint width of the payload length, and
     /// what it writes peeks back as what went in.
     #[test]
-    fn data_frame_matches_serde_encoding() {
+    fn data_frame_matches_the_codecs_encoding() {
         let (from, to) = (Addr::new("htex:client"), Addr::new("htex:ix"));
         for len in [0usize, 1, 127, 128, 300, 20_000, 300_000] {
             let payload: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();

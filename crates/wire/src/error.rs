@@ -1,4 +1,4 @@
-//! Error type shared by the serializer, deserializer, and frame codec.
+//! Error type shared by the codec and the frame protocol.
 
 use std::fmt;
 
@@ -24,11 +24,9 @@ pub enum Error {
     InvalidUtf8,
     /// An enum variant index was out of range for the target type.
     InvalidVariant(u32),
-    /// The format cannot represent this request (e.g. `deserialize_any`).
-    Unsupported(&'static str),
     /// Underlying I/O failure (frame reader/writer only).
     Io(std::io::Error),
-    /// Error raised by a `Serialize`/`Deserialize` implementation.
+    /// Error raised by an `Encode`/`Decode` implementation.
     Custom(String),
 }
 
@@ -43,7 +41,6 @@ impl fmt::Display for Error {
             Error::InvalidChar(c) => write!(f, "invalid char scalar {c:#x}"),
             Error::InvalidUtf8 => write!(f, "string data is not valid UTF-8"),
             Error::InvalidVariant(v) => write!(f, "enum variant index {v} out of range"),
-            Error::Unsupported(what) => write!(f, "unsupported by wire format: {what}"),
             Error::Io(e) => write!(f, "frame I/O error: {e}"),
             Error::Custom(msg) => write!(f, "{msg}"),
         }
@@ -62,18 +59,6 @@ impl std::error::Error for Error {
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e)
-    }
-}
-
-impl serde::ser::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::Custom(msg.to_string())
-    }
-}
-
-impl serde::de::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::Custom(msg.to_string())
     }
 }
 

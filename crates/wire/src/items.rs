@@ -1,27 +1,19 @@
 //! The encoding of a `Vec<Vec<u8>>`, written and walked in place.
 //!
-//! A list of byte strings encodes as a varint count, then per element a
-//! varint length and one varint per byte (serde sees a `Vec<u8>` as a
-//! sequence of `u8`). Fused map chunks carry their elements in this form;
-//! these helpers write it element by element into one buffer and walk it
-//! into one reused scratch buffer, so a million elements cost no million
-//! heap objects. The bytes are exactly what [`crate::to_bytes`] makes of
-//! the same `Vec<Vec<u8>>`.
+//! A list of byte strings encodes as a varint count, then each element
+//! as a `Vec<u8>` ([`crate::encode_bytes`]). Fused map chunks carry their
+//! elements in this form; these helpers write it element by element into
+//! one buffer and walk it into one reused scratch buffer, so a million
+//! elements cost no million heap objects. The bytes are exactly what
+//! [`crate::to_bytes`] makes of the same `Vec<Vec<u8>>`.
 
+use crate::codec::{encode_bytes, Reader};
 use crate::error::{Error, Result};
-use crate::varint::{decode_varint, encode_varint};
+use crate::varint::encode_varint;
 
 /// Append one element: its length, then each byte as a varint.
 pub fn push(item: &[u8], out: &mut Vec<u8>) {
-    encode_varint(item.len() as u64, out);
-    out.reserve(item.len());
-    for &b in item {
-        if b < 0x80 {
-            out.push(b);
-        } else {
-            out.extend_from_slice(&[b | 0x80, 1]);
-        }
-    }
+    encode_bytes(item, out);
 }
 
 /// A list of `count` elements whose encodings are `body`: the count
@@ -46,7 +38,7 @@ pub fn check(input: &[u8]) -> Result<(usize, &[u8])> {
 /// A cursor over the elements of a list.
 #[derive(Debug)]
 pub struct Items<'a> {
-    rest: &'a [u8],
+    r: Reader<'a>,
     left: usize,
 }
 
@@ -55,19 +47,17 @@ impl<'a> Items<'a> {
     /// [`Items::rest`]). Only the count is read here; each element is
     /// checked as it is walked.
     pub fn new(input: &'a [u8]) -> Result<Self> {
-        let (count, used) = decode_varint(input)?;
+        let mut r = Reader::new(input);
         // Every element takes at least one byte.
-        if count > (input.len() - used) as u64 {
-            return Err(Error::LengthOverflow(count));
-        }
-        Ok(Items::bare(&input[used..], count as usize))
+        let count = r.length()?;
+        Ok(Items::bare(r.rest(), count))
     }
 
     /// `count` elements laid back to back with no count before them, as
     /// [`push`] appends them.
     pub fn bare(body: &'a [u8], count: usize) -> Self {
         Items {
-            rest: body,
+            r: Reader::new(body),
             left: count,
         }
     }
@@ -79,7 +69,7 @@ impl<'a> Items<'a> {
 
     /// The bytes not walked yet: the elements left, then whatever follows.
     pub fn rest(&self) -> &'a [u8] {
-        self.rest
+        self.r.rest()
     }
 
     /// Decode the next element into `buf` (cleared first); false once
@@ -89,43 +79,27 @@ impl<'a> Items<'a> {
             return Ok(false);
         }
         buf.clear();
-        self.step(|b| buf.push(b))?;
+        self.step(|run| buf.extend_from_slice(run))?;
         Ok(true)
     }
 
     /// Step over the next `n` elements, checking them; returns their
     /// encodings as they stand in the list.
     pub fn skip(&mut self, n: usize) -> Result<&'a [u8]> {
-        let from = self.rest;
+        let from = self.r.rest();
         for _ in 0..n {
             if self.left == 0 {
                 return Err(Error::Eof);
             }
             self.step(|_| ())?;
         }
-        Ok(&from[..from.len() - self.rest.len()])
+        Ok(&from[..from.len() - self.r.remaining()])
     }
 
-    fn step(&mut self, mut byte: impl FnMut(u8)) -> Result<()> {
-        let (len, mut pos) = decode_varint(self.rest)?;
+    fn step(&mut self, each: impl FnMut(&[u8])) -> Result<()> {
         // Every byte takes at least one byte of input.
-        if len > (self.rest.len() - pos) as u64 {
-            return Err(Error::LengthOverflow(len));
-        }
-        for _ in 0..len {
-            match self.rest.get(pos) {
-                Some(&b) if b < 0x80 => {
-                    byte(b);
-                    pos += 1;
-                }
-                _ => {
-                    let (v, used) = decode_varint(&self.rest[pos..])?;
-                    byte(u8::try_from(v).map_err(|_| Error::LengthOverflow(v))?);
-                    pos += used;
-                }
-            }
-        }
-        self.rest = &self.rest[pos..];
+        let len = self.r.length()?;
+        self.r.bytes(len, each)?;
         self.left -= 1;
         Ok(())
     }

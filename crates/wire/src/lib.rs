@@ -2,30 +2,33 @@
 //!
 //! Parsl moves tasks between processes by pickling the function and its
 //! arguments. This crate plays that role for the Rust reproduction: a
-//! compact, non-self-describing binary format implemented directly against
-//! the [`serde`] data model, plus a length-prefixed frame protocol used at
+//! compact, non-self-describing binary format behind one trait pair,
+//! [`Encode`] and [`Decode`], plus a length-prefixed frame protocol used at
 //! every "network" boundary (the `nexus` fabric, checkpoint files, and the
 //! executors' task/result payloads).
 //!
 //! # Format
 //!
+//! Every layout below is written once, in `codec.rs`:
+//!
 //! - unsigned integers: LEB128 varint
 //! - signed integers: zigzag + varint
 //! - `f32`/`f64`: IEEE-754 little-endian bits
 //! - `bool`: one byte, `0`/`1`
-//! - strings/bytes: varint length followed by raw bytes
+//! - strings: varint length followed by raw bytes
 //! - options: `0`/`1` tag followed by the value
-//! - sequences/maps: varint length followed by elements
+//! - sequences/maps: varint length followed by elements (so a `Vec<u8>`
+//!   is one varint per byte)
 //! - structs/tuples: fields in declaration order, no names
 //! - enums: varint variant index followed by the payload
 //!
 //! # Example
 //!
 //! ```
-//! use serde::{Serialize, Deserialize};
-//!
-//! #[derive(Serialize, Deserialize, PartialEq, Debug)]
-//! struct Task { id: u64, payload: Vec<f64>, tag: Option<String> }
+//! wire::codec! {
+//!     #[derive(PartialEq, Debug)]
+//!     struct Task { id: u64, payload: Vec<f64>, tag: Option<String> }
+//! }
 //!
 //! let t = Task { id: 7, payload: vec![1.5, -2.0], tag: Some("align".into()) };
 //! let bytes = wire::to_bytes(&t).unwrap();
@@ -33,26 +36,33 @@
 //! assert_eq!(t, back);
 //! ```
 
-mod de;
+mod codec;
 mod error;
 mod frame;
 mod hash;
 pub mod items;
-mod ser;
 mod varint;
 
-pub use de::{from_bytes, Deserializer};
+pub use codec::{encode_bytes, encode_raw, encoded_bytes_len, Decode, Encode, Reader};
 pub use error::{Error, Result};
 pub use frame::{read_frame, write_frame, FrameReader, FrameWriter, StreamDecoder, MAX_FRAME_LEN};
 pub use hash::{fnv1a, fnv1a_str, Fnv1aHasher};
-pub use ser::{to_bytes, to_writer, Serializer};
-pub use varint::{decode_varint, encode_varint, zigzag_decode, zigzag_encode};
+pub use varint::{decode_varint, encode_varint, varint_len, zigzag_decode, zigzag_encode};
 
-/// Serialize a value and report the encoded size in bytes.
-///
-/// Used by the executors to account for payload sizes when batching.
-pub fn encoded_len<T: serde::Serialize>(value: &T) -> Result<usize> {
-    Ok(to_bytes(value)?.len())
+/// Encode `value` into a fresh byte vector.
+pub fn to_bytes<T: Encode>(value: &T) -> Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(64);
+    value.encode(&mut out)?;
+    Ok(out)
+}
+
+/// Decode a value of type `T` from `input`, requiring the whole slice to
+/// be consumed.
+pub fn from_bytes<T: Decode>(input: &[u8]) -> Result<T> {
+    let mut r = Reader::new(input);
+    let value = T::decode(&mut r)?;
+    r.end()?;
+    Ok(value)
 }
 
 /// Decode one varint-length-prefixed string from the front of `input`
@@ -79,15 +89,11 @@ pub fn decode_str_prefix(input: &[u8]) -> Result<(&str, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
     use std::collections::BTreeMap;
 
-    fn roundtrip<T>(v: &T) -> T
-    where
-        T: Serialize + for<'de> Deserialize<'de>,
-    {
-        let bytes = to_bytes(v).expect("serialize");
-        from_bytes(&bytes).expect("deserialize")
+    fn roundtrip<T: Encode + Decode>(v: &T) -> T {
+        let bytes = to_bytes(v).expect("encode");
+        from_bytes(&bytes).expect("decode")
     }
 
     #[test]
@@ -130,12 +136,14 @@ mod tests {
         );
     }
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
-    enum Shape {
-        Unit,
-        NewType(u32),
-        Tuple(u8, u8),
-        Struct { x: i64, label: String },
+    crate::codec! {
+        #[derive(PartialEq, Debug, Clone)]
+        enum Shape {
+            Unit,
+            NewType(u32),
+            Tuple(u8, u8),
+            Struct { x: i64, label: String },
+        }
     }
 
     #[test]
@@ -153,11 +161,13 @@ mod tests {
         }
     }
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
-    struct Nested {
-        inner: Vec<Shape>,
-        grid: Vec<Vec<f32>>,
-        opt: Option<Box<Nested>>,
+    crate::codec! {
+        #[derive(PartialEq, Debug)]
+        struct Nested {
+            inner: Vec<Shape>,
+            grid: Vec<Vec<f32>>,
+            opt: Option<Box<Nested>>,
+        }
     }
 
     #[test]
@@ -194,12 +204,6 @@ mod tests {
         let bytes = to_bytes(&(1u64 << 40)).unwrap();
         let err = from_bytes::<u64>(&bytes[..2]).unwrap_err();
         assert!(matches!(err, Error::Eof));
-    }
-
-    #[test]
-    fn encoded_len_matches() {
-        let v = vec![1u64, 2, 3];
-        assert_eq!(encoded_len(&v).unwrap(), to_bytes(&v).unwrap().len());
     }
 
     #[test]

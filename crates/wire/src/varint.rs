@@ -16,6 +16,12 @@ pub fn encode_varint(mut value: u64, out: &mut Vec<u8>) {
     }
 }
 
+/// Length of `value` as a LEB128 varint.
+#[inline]
+pub fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Decode a LEB128 varint from the front of `input`.
 ///
 /// Returns the value and the number of bytes consumed.
@@ -63,6 +69,7 @@ mod tests {
         let (back, used) = decode_varint(&buf).unwrap();
         assert_eq!(back, v);
         assert_eq!(used, buf.len());
+        assert_eq!(varint_len(v), buf.len());
     }
 
     #[test]

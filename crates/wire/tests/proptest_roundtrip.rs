@@ -1,20 +1,21 @@
 //! Property tests: every value the task layer can produce must survive a
 //! wire roundtrip, decoding must never panic on arbitrary bytes, and the
-//! in-place list codec (`wire::items`) writes serde's bytes.
+//! in-place list codec (`wire::items`) writes the codec's bytes.
 
 use proptest::collection::{btree_map, vec};
 use proptest::option;
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 use wire::items::{check, frame, push, Items};
-use wire::{encode_varint, Error};
+use wire::{encode_varint, Decode, Encode, Error};
 
-#[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
-enum Payload {
-    Empty,
-    Scalar(f64),
-    Pair(i64, u64),
-    Labelled { name: String, values: Vec<u32> },
+wire::codec! {
+    #[derive(PartialEq, Debug, Clone)]
+    enum Payload {
+        Empty,
+        Scalar(f64),
+        Pair(i64, u64),
+        Labelled { name: String, values: Vec<u32> },
+    }
 }
 
 fn payload_strategy() -> impl Strategy<Value = Payload> {
@@ -27,13 +28,15 @@ fn payload_strategy() -> impl Strategy<Value = Payload> {
     ]
 }
 
-#[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
-struct TaskRecord {
-    id: u64,
-    retries: u8,
-    duration: Option<f64>,
-    args: Vec<Payload>,
-    env: std::collections::BTreeMap<String, String>,
+wire::codec! {
+    #[derive(PartialEq, Debug, Clone)]
+    struct TaskRecord {
+        id: u64,
+        retries: u8,
+        duration: Option<f64>,
+        args: Vec<Payload>,
+        env: std::collections::BTreeMap<String, String>,
+    }
 }
 
 fn record_strategy() -> impl Strategy<Value = TaskRecord> {
@@ -55,7 +58,7 @@ fn record_strategy() -> impl Strategy<Value = TaskRecord> {
 
 fn assert_roundtrip<T>(v: &T)
 where
-    T: Serialize + for<'de> Deserialize<'de> + PartialEq + std::fmt::Debug,
+    T: Encode + Decode + PartialEq + std::fmt::Debug,
 {
     let bytes = wire::to_bytes(v).unwrap();
     let back: T = wire::from_bytes(&bytes).unwrap();
@@ -155,9 +158,10 @@ fn walk(input: &[u8]) -> wire::Result<Vec<Vec<u8>>> {
 
 proptest! {
     // The encoding of a `Vec<Vec<u8>>`, written and walked in place by
-    // `wire::items`, is serde's byte for byte, and fails where serde fails.
+    // `wire::items`, is the codec's byte for byte, and fails where the
+    // codec fails.
     #[test]
-    fn frames_are_serdes_bytes(items in byte_lists()) {
+    fn frames_are_the_codecs_bytes(items in byte_lists()) {
         let bytes = encode_items(&items);
         prop_assert_eq!(&bytes, &wire::to_bytes(&items).unwrap());
         prop_assert_eq!(check(&bytes).unwrap(), (items.len(), &[] as &[u8]));
@@ -165,7 +169,7 @@ proptest! {
     }
 
     #[test]
-    fn a_skipped_tail_is_serdes_tail(items in byte_lists(), at in 0usize..20) {
+    fn a_skipped_tail_is_the_codecs_tail(items in byte_lists(), at in 0usize..20) {
         let at = at.min(items.len());
         let bytes = wire::to_bytes(&items).unwrap();
         let mut walked = Items::new(&bytes).unwrap();
@@ -175,12 +179,12 @@ proptest! {
     }
 
     #[test]
-    fn hostile_input_fails_where_serde_fails(bytes in vec(any::<u8>(), 0..64)) {
-        let serde = wire::from_bytes::<Vec<Vec<u8>>>(&bytes);
+    fn hostile_input_fails_where_the_codec_fails(bytes in vec(any::<u8>(), 0..64)) {
+        let codec = wire::from_bytes::<Vec<Vec<u8>>>(&bytes);
         let ours = check(&bytes).and_then(|(_, tail)| {
             if tail.is_empty() { walk(&bytes) } else { Err(Error::TrailingBytes) }
         });
-        prop_assert_eq!(serde.ok(), ours.ok());
+        prop_assert_eq!(codec.ok(), ours.ok());
     }
 }
 
