@@ -209,6 +209,10 @@ pub struct DataFlowKernel {
     /// (or at shutdown); with nothing pending the watcher sleeps
     /// indefinitely instead of polling.
     deadline_cv: Arc<Condvar>,
+    /// Raised by `stop_services` under its mutex. The strategy and hedge
+    /// timers wait out their interval on its `Condvar`, so shutdown wakes
+    /// them at once instead of joining a sleep.
+    timers_stopped: Arc<(Mutex<bool>, Condvar)>,
     /// Times the walltime watcher woke up (deadline expiry or re-arm).
     /// Introspection for tests: an idle kernel with no walltimes must not
     /// tick.

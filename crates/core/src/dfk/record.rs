@@ -34,8 +34,9 @@ pub(super) struct TaskRecord {
     pub(super) app: Arc<RegisteredApp>,
     /// Argument slots; `Pending` entries flip to `Ready` as parents finish.
     pub(super) slots: Vec<ArgSlot>,
-    /// Count of still-pending argument slots.
-    pub(super) unresolved: usize,
+    /// Count of still-pending argument slots; a `u32` for the record's
+    /// size (`a_record_stays_small`).
+    pub(super) unresolved: u32,
     /// Terminal values are assigned only by `commit::transition`.
     pub(super) state: TaskState,
     /// Concatenated argument buffer, built at first launch.
@@ -105,7 +106,9 @@ impl TaskRecord {
             unresolved: slots
                 .iter()
                 .filter(|s| matches!(s, ArgSlot::Pending(_)))
-                .count(),
+                .count()
+                .try_into()
+                .expect("a task has fewer than 2^32 arguments"),
             slots,
             state: TaskState::Pending,
             args_bytes: None,

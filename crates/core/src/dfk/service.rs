@@ -91,6 +91,7 @@ impl DataFlowKernel {
             completions: Mutex::new(Some(tx.clone())),
             deadlines: Arc::new(Mutex::new(BinaryHeap::new())),
             deadline_cv: Arc::new(Condvar::new()),
+            timers_stopped: Arc::default(),
             walltime_wakeups: AtomicU64::new(0),
             combinator_apps: Mutex::default(),
             strategy_cfg: config.strategy,
@@ -145,7 +146,8 @@ impl DataFlowKernel {
     }
 
     /// A service thread that runs `tick` every `interval` until the
-    /// kernel stops or is dropped.
+    /// kernel stops or is dropped. It waits out the interval on
+    /// `timers_stopped`, which `stop_services` raises and notifies.
     fn spawn_timer(
         self: &Arc<Self>,
         name: &str,
@@ -153,8 +155,21 @@ impl DataFlowKernel {
         tick: impl Fn(&Arc<Self>) + Send + 'static,
     ) {
         let weak = Arc::downgrade(self);
+        let timers_stopped = Arc::clone(&self.timers_stopped);
         self.spawn(name, move || loop {
-            std::thread::sleep(interval);
+            let deadline = Instant::now() + interval;
+            {
+                let (stopped, cv) = &*timers_stopped;
+                let mut stopped = stopped.lock();
+                while !*stopped {
+                    if cv.wait_until(&mut stopped, deadline).timed_out() {
+                        break;
+                    }
+                }
+                if *stopped {
+                    return;
+                }
+            }
             let Some(dfk) = weak.upgrade() else { return };
             if dfk.stop.load(Ordering::Acquire) {
                 return;
@@ -359,19 +374,26 @@ impl DataFlowKernel {
         self.memo.flush()
     }
 
-    /// With `stop` raised: wake the walltime watcher, stop the executors,
-    /// and drop our completion sender so the collector can disconnect
-    /// once the executors have dropped theirs.
+    /// With `stop` raised: wake the walltime watcher and the timers, stop
+    /// the executors, and drop our completion sender so the collector can
+    /// disconnect once the executors have dropped theirs.
     ///
     /// The watcher may be parked with no deadline, so it must be woken to
     /// observe `stop` — and the notify must happen *under* the deadlines
     /// lock: the watcher checks `stop` while holding it, so an unlocked
     /// notify could land in the window between its check and its wait
-    /// and be lost, parking it (and `shutdown`'s join) forever.
+    /// and be lost, parking it (and `shutdown`'s join) forever. The
+    /// timers follow the same rule with their own flag, raised under its
+    /// mutex before the notify.
     fn stop_services(&self) {
         {
             let _heap = self.deadlines.lock();
             self.deadline_cv.notify_all();
+        }
+        {
+            let (stopped, cv) = &*self.timers_stopped;
+            *stopped.lock() = true;
+            cv.notify_all();
         }
         for e in &self.executors {
             e.shutdown();

@@ -82,8 +82,9 @@ impl Memoizer {
         let file = File::open(path).map_err(ParslError::Checkpoint)?;
         let mut reader = wire::FrameReader::new(BufReader::new(file));
         let mut loaded = 0;
-        while let Some(frame) = reader
-            .read()
+        let mut frame = Vec::new();
+        while reader
+            .read_into(&mut frame)
             .map_err(|e| ParslError::Config(format!("corrupt checkpoint {path:?}: {e}")))?
         {
             if frame.len() < 8 {
@@ -127,12 +128,9 @@ impl Memoizer {
     pub fn record(&self, key: u64, result: &Bytes) {
         self.shard(key).lock().insert(key, result.clone());
         if let Some(w) = self.writer.lock().as_mut() {
-            let mut frame = Vec::with_capacity(8 + result.len());
-            frame.extend_from_slice(&key.to_le_bytes());
-            frame.extend_from_slice(result);
             // Checkpoint write failures must not fail the task; they are
             // reported on flush()/checkpoint() instead.
-            let _ = w.write(&frame);
+            let _ = w.write_parts(&[&key.to_le_bytes(), result]);
         }
     }
 
@@ -152,14 +150,9 @@ impl Memoizer {
         }
         let mut writer = self.writer.lock();
         if let Some(w) = writer.as_mut() {
-            let mut frame = Vec::new();
             for (key, result) in entries {
-                frame.clear();
-                frame.reserve(8 + result.len());
-                frame.extend_from_slice(&key.to_le_bytes());
-                frame.extend_from_slice(result);
                 // As in record(): failures surface on flush(), not here.
-                let _ = w.write(&frame);
+                let _ = w.write_parts(&[&key.to_le_bytes(), result]);
             }
         }
     }

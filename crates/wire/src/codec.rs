@@ -183,7 +183,7 @@ impl<'a> Reader<'a> {
                 }
                 _ => {
                     let v = self.varint()?;
-                    each(&[u8::try_from(v).map_err(|_| Error::LengthOverflow(v))?]);
+                    each(&[u8::try_from(v).map_err(|_| Error::IntegerOverflow(v))?]);
                     left -= 1;
                 }
             }
@@ -207,7 +207,7 @@ impl Encode for u8 {
 impl Decode for u8 {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let v = r.varint()?;
-        u8::try_from(v).map_err(|_| Error::LengthOverflow(v))
+        u8::try_from(v).map_err(|_| Error::IntegerOverflow(v))
     }
 
     fn decode_vec(r: &mut Reader<'_>) -> Result<Vec<u8>> {
@@ -230,7 +230,7 @@ macro_rules! unsigned {
         impl Decode for $t {
             fn decode(r: &mut Reader<'_>) -> Result<Self> {
                 let v = r.varint()?;
-                <$t>::try_from(v).map_err(|_| Error::LengthOverflow(v))
+                <$t>::try_from(v).map_err(|_| Error::IntegerOverflow(v))
             }
         }
     )*};
@@ -250,7 +250,7 @@ macro_rules! signed {
         impl Decode for $t {
             fn decode(r: &mut Reader<'_>) -> Result<Self> {
                 let v = zigzag_decode(r.varint()?);
-                <$t>::try_from(v).map_err(|_| Error::LengthOverflow(v.unsigned_abs()))
+                <$t>::try_from(v).map_err(|_| Error::IntegerOverflow(v.unsigned_abs()))
             }
         }
     )*};
@@ -631,9 +631,20 @@ mod tests {
     #[test]
     fn narrowing_overflow_is_detected() {
         let bytes = to_bytes(&300u64).unwrap();
-        assert!(from_bytes::<u8>(&bytes).is_err());
+        assert!(matches!(
+            from_bytes::<u8>(&bytes),
+            Err(Error::IntegerOverflow(300))
+        ));
+        let bytes = to_bytes(&(1u64 << 40)).unwrap();
+        assert!(matches!(
+            from_bytes::<u32>(&bytes),
+            Err(Error::IntegerOverflow(n)) if n == 1 << 40
+        ));
         let bytes = to_bytes(&-200i64).unwrap();
-        assert!(from_bytes::<i8>(&bytes).is_err());
+        assert!(matches!(
+            from_bytes::<i8>(&bytes),
+            Err(Error::IntegerOverflow(200))
+        ));
     }
 
     #[test]

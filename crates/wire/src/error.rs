@@ -16,6 +16,9 @@ pub enum Error {
     VarintOverflow,
     /// A declared length did not fit in `usize` or exceeded a frame cap.
     LengthOverflow(u64),
+    /// An integer did not fit the type it was read as, e.g. a varint of
+    /// 300 read as a `u8`; a negative value is reported by its magnitude.
+    IntegerOverflow(u64),
     /// A boolean byte was neither 0 nor 1.
     InvalidBool(u8),
     /// A `char` scalar value was out of range.
@@ -37,6 +40,7 @@ impl fmt::Display for Error {
             Error::TrailingBytes => write!(f, "trailing bytes after value"),
             Error::VarintOverflow => write!(f, "varint longer than 10 bytes"),
             Error::LengthOverflow(n) => write!(f, "declared length {n} too large"),
+            Error::IntegerOverflow(n) => write!(f, "integer {n} does not fit its type"),
             Error::InvalidBool(b) => write!(f, "invalid bool byte {b:#x}"),
             Error::InvalidChar(c) => write!(f, "invalid char scalar {c:#x}"),
             Error::InvalidUtf8 => write!(f, "string data is not valid UTF-8"),
@@ -73,6 +77,9 @@ mod tests {
         assert!(Error::LengthOverflow(u64::MAX)
             .to_string()
             .contains("too large"));
+        assert!(Error::IntegerOverflow(300)
+            .to_string()
+            .contains("integer 300 does not fit"));
     }
 
     #[test]

@@ -38,7 +38,9 @@ pub fn read_frame(buf: &mut BytesMut) -> Result<Option<Bytes>> {
         return Ok(None);
     }
     buf.advance(4);
-    Ok(Some(buf.split_to(len).freeze()))
+    let frame = Bytes::copy_from_slice(&buf[..len]);
+    buf.advance(len);
+    Ok(Some(frame))
 }
 
 /// Incremental decoder for a frame stream arriving in arbitrary chunks
@@ -89,12 +91,20 @@ impl<W: Write> FrameWriter<W> {
 
     /// Write one frame.
     pub fn write(&mut self, payload: &[u8]) -> Result<()> {
-        if payload.len() > MAX_FRAME_LEN {
-            return Err(Error::LengthOverflow(payload.len() as u64));
+        self.write_parts(&[payload])
+    }
+
+    /// Write one frame whose payload is `parts` back to back, without
+    /// joining them first.
+    pub fn write_parts(&mut self, parts: &[&[u8]]) -> Result<()> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > MAX_FRAME_LEN {
+            return Err(Error::LengthOverflow(len as u64));
         }
-        self.inner
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.inner.write_all(payload)?;
+        self.inner.write_all(&(len as u32).to_le_bytes())?;
+        for part in parts {
+            self.inner.write_all(part)?;
+        }
         Ok(())
     }
 
@@ -125,25 +135,33 @@ impl<R: Read> FrameReader<R> {
     ///
     /// A stream ending mid-frame is reported as [`Error::Eof`].
     pub fn read(&mut self) -> Result<Option<Vec<u8>>> {
+        let mut payload = Vec::new();
+        Ok(self.read_into(&mut payload)?.then_some(payload))
+    }
+
+    /// Read the next frame into `payload`, replacing its contents and
+    /// reusing its capacity; `Ok(false)` at clean end-of-stream.
+    pub fn read_into(&mut self, payload: &mut Vec<u8>) -> Result<bool> {
         let mut len_bytes = [0u8; 4];
         match self.inner.read_exact(&mut len_bytes) {
             Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(false),
             Err(e) => return Err(e.into()),
         }
         let len = u32::from_le_bytes(len_bytes) as usize;
         if len > MAX_FRAME_LEN {
             return Err(Error::LengthOverflow(len as u64));
         }
-        let mut payload = vec![0u8; len];
-        self.inner.read_exact(&mut payload).map_err(|e| {
+        payload.clear();
+        payload.resize(len, 0);
+        self.inner.read_exact(payload).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 Error::Eof
             } else {
                 e.into()
             }
         })?;
-        Ok(Some(payload))
+        Ok(true)
     }
 }
 
@@ -194,13 +212,21 @@ mod tests {
         {
             let mut w = FrameWriter::new(&mut sink);
             w.write(b"one").unwrap();
-            w.write(b"two").unwrap();
+            w.write_parts(&[b"t", b"", b"wo"]).unwrap();
             w.flush().unwrap();
         }
         let mut r = FrameReader::new(sink.as_slice());
         assert_eq!(r.read().unwrap().unwrap(), b"one");
         assert_eq!(r.read().unwrap().unwrap(), b"two");
         assert!(r.read().unwrap().is_none());
+
+        let mut r = FrameReader::new(sink.as_slice());
+        let mut payload = b"stale".to_vec();
+        assert!(r.read_into(&mut payload).unwrap());
+        assert_eq!(payload, b"one");
+        assert!(r.read_into(&mut payload).unwrap());
+        assert_eq!(payload, b"two");
+        assert!(!r.read_into(&mut payload).unwrap());
     }
 
     #[test]

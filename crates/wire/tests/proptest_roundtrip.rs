@@ -200,7 +200,7 @@ fn every_malformation_is_an_error() {
     encode_varint(1, &mut big);
     encode_varint(1, &mut big);
     encode_varint(300, &mut big);
-    assert!(matches!(check(&big), Err(Error::LengthOverflow(300))));
+    assert!(matches!(check(&big), Err(Error::IntegerOverflow(300))));
     // A count larger than the bytes can hold.
     assert!(matches!(check(&[9, 0]), Err(Error::LengthOverflow(9))));
     // An element length larger than the bytes left.

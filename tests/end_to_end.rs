@@ -6,6 +6,7 @@ use parsl::data::{DataManager, DataManagerConfig, File, StagedFile};
 use parsl::monitor::MemoryStore;
 use parsl::prelude::*;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn htex() -> parsl::executors::HtexExecutor {
     parsl::executors::HtexExecutor::new(parsl::executors::HtexConfig {
@@ -151,4 +152,21 @@ fn executor_pinning_routes_staging_and_compute_separately() {
         .iter()
         .all(|(_, t)| t.executor.as_deref() == Some("transfer")));
     dfk.shutdown();
+}
+
+#[test]
+fn shutdown_does_not_wait_out_a_strategy_interval() {
+    use parsl::core::strategy::{HedgeConfig, StrategyConfig};
+    // The strategy's default interval is 5 s and the hedge watcher's 25 ms.
+    let dfk = DataFlowKernel::builder()
+        .executor(parsl::executors::ThreadPoolExecutor::new(2))
+        .strategy(StrategyConfig::simple(1.0).hedge(HedgeConfig::default()))
+        .build()
+        .unwrap();
+    let inc = dfk.python_app("inc", |x: u64| x + 1);
+    assert_eq!(inc.call((Dep::value(1),)).result().unwrap(), 2);
+    let started = Instant::now();
+    dfk.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
 }
