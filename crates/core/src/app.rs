@@ -105,10 +105,24 @@ impl std::fmt::Debug for ArgSlot {
     }
 }
 
+/// Encode an argument value. It encodes into this thread's reused
+/// scratch buffer: a short value is copied inline into the `Bytes`, and a
+/// long one takes the buffer itself, moved in without a copy. So a short
+/// argument costs no heap allocation.
 fn encode_arg<T: Encode>(v: &T) -> Result<Bytes, AppError> {
-    wire::to_bytes(v)
-        .map(Bytes::from)
-        .map_err(|e| AppError::Serialization(e.to_string()))
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    SCRATCH.with_borrow_mut(|scratch| {
+        scratch.clear();
+        v.encode(scratch)
+            .map_err(|e| AppError::Serialization(e.to_string()))?;
+        Ok(if scratch.len() <= bytes::INLINE_CAP {
+            Bytes::copy_from_slice(scratch)
+        } else {
+            Bytes::from(std::mem::take(scratch))
+        })
+    })
 }
 
 /// Argument tuples accepted by apps: conversion from `Dep` tuples to arg

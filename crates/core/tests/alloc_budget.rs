@@ -209,7 +209,7 @@ fn per_task_allocations_stay_within_budget() {
         "allocations: {per_call:.2} per root call, {per_completion:.3} per completion, \
          {per_chain_call:.2} + {per_hop:.2} per chain task (call + hop)"
     );
-    assert!(per_call <= 3.5, "{per_call} allocations per root call()");
+    assert!(per_call <= 2.5, "{per_call} allocations per root call()");
     assert!(
         per_completion <= 0.1,
         "{per_completion} allocations per completed root task"

@@ -192,7 +192,10 @@ impl Client {
         let port = plane
             .attach(self.ix_addr.clone())
             .map_err(|e| ExecutorError::Comm(e.to_string()))?;
-        let bell = Arc::new(Doorbell::new(port.waker()));
+        let waker = port.waker().ok_or_else(|| {
+            ExecutorError::Comm("the interchange's port cannot be woken in-process".into())
+        })?;
+        let bell = Arc::new(Doorbell::new(waker));
         let (requests, inbox) = channel();
         *link = Some(Link {
             requests,

@@ -1,13 +1,13 @@
-//! The doorbell: how a producer wakes a broker loop that waits on its
-//! port alone (§4.3.1: the interchange and each manager are one event
-//! loop over their sockets).
+//! The doorbell: how the client wakes the interchange, a broker loop that
+//! waits on its port alone (§4.3.1: the interchange is one event loop
+//! over its sockets).
 //!
-//! The interchange blocks only in its port's `recv_timeout`, and so does a
-//! manager. The client's request queue and a manager's result channel are
-//! std queues beside the port. After a push, the producer rings: it posts
-//! one wake into the port's inbox ([`nexus::Waker`]) if the loop is
-//! parked, wants this push, and has no wake pending. One atomic word
-//! holds that state, so a push into a busy loop costs no syscall.
+//! The interchange blocks only in its port's `recv_timeout`. The client's
+//! request queue is a std queue beside the port. After a push, the client
+//! rings: it posts one wake into the port's inbox ([`nexus::Waker`]) if
+//! the loop is parked, wants this push, and has no wake pending. One
+//! atomic word holds that state, so a push into a busy loop costs no
+//! syscall.
 //!
 //! No wake-up is lost: the loop publishes "parked" and then looks at its
 //! queue once more before it blocks, and the producer pushes and then

@@ -23,7 +23,8 @@ use crate::proto::WireTask;
 use crate::worker::{Fanout, Runner};
 use minimpi::{MpiError, Rank, Tag, World};
 use nexus::Addr;
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -104,13 +105,12 @@ impl From<ExexConfig> for NodeShape {
 /// [`Ranks::stop`] aborts the world.
 ///
 /// A pool has no prefetch, and a rank is idle again before its result
-/// leaves the manager, so the interchange never sends a task the pool has
-/// no idle rank for.
+/// leaves the pool (its funnel marks it idle, then reports), so the
+/// interchange never sends a task the pool has no idle rank for.
 pub(crate) struct Ranks {
     rank0: Rank,
-    idle: Vec<usize>,
-    /// The rank running each dispatched attempt.
-    running: HashMap<(u64, u32), usize>,
+    /// Worker ranks with no task.
+    idle: Arc<Mutex<Vec<usize>>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -120,10 +120,19 @@ impl Ranks {
     pub(crate) fn spawn(workers: usize, runner: &Runner, node: &Addr) -> Self {
         let mut world = World::create(workers + 1).into_iter();
         let rank0 = world.next().expect("a world has rank 0");
+        let idle = Arc::new(Mutex::new((1..=workers).collect::<Vec<_>>()));
         let handles = world
             .map(|rank| {
-                let runner = runner.clone();
-                let name = format!("{node}:rank{}", rank.rank());
+                let (id, idle) = (rank.rank(), Arc::clone(&idle));
+                let report = Arc::clone(&runner.funnel);
+                let runner = Runner {
+                    funnel: Arc::new(move |result, started, more| {
+                        idle.lock().push(id);
+                        report(result, started, more)
+                    }),
+                    ..runner.clone()
+                };
+                let name = format!("{node}:rank{id}");
                 std::thread::Builder::new()
                     .name(name.clone())
                     .spawn(move || worker_rank_loop(rank, runner, name))
@@ -132,8 +141,7 @@ impl Ranks {
             .collect();
         Ranks {
             rank0,
-            idle: (1..=workers).collect(),
-            running: HashMap::new(),
+            idle,
             handles,
         }
     }
@@ -142,18 +150,11 @@ impl Ranks {
     pub(crate) fn dispatch(&mut self, task: WireTask) -> Result<(), MpiError> {
         let rank = self
             .idle
+            .lock()
             .pop()
             .expect("the interchange sends a pool no more tasks than it has ranks");
-        self.running.insert((task.id, task.attempt), rank);
         let payload = wire::to_bytes(&task).expect("tasks always encode");
         self.rank0.send(rank, TAG_TASK, payload)
-    }
-
-    /// The attempt's result reached the manager: its rank is idle again.
-    pub(crate) fn finished(&mut self, id: u64, attempt: u32) {
-        if let Some(rank) = self.running.remove(&(id, attempt)) {
-            self.idle.push(rank);
-        }
     }
 
     /// Whether a rank's death aborted the world.
@@ -181,7 +182,7 @@ fn worker_rank_loop(rank: Rank, runner: Runner, name: String) {
             TAG_TASK => {
                 let task: WireTask =
                     wire::from_bytes(&msg.payload).expect("rank 0 sends encoded tasks");
-                if !runner.run(&task, &name) {
+                if !runner.run(&task, &name, || false) {
                     return;
                 }
             }

@@ -98,8 +98,8 @@ mod tests {
     }
 
     /// Killing an in-proc node ends its manager thread at once, long
-    /// before any heartbeat: nothing its workers hold (the doorbell's
-    /// waker) keeps the killed inbox open.
+    /// before any heartbeat: nothing its workers hold (the port's send
+    /// half) keeps the killed inbox open.
     #[test]
     fn a_killed_nodes_manager_thread_ends_within_a_second() {
         let htex = std::sync::Arc::new(HtexExecutor::new(HtexConfig {

@@ -76,7 +76,7 @@ impl Executor for ThreadPoolExecutor {
         }
         let (completions, outstanding) = (ctx.completions, Arc::clone(&self.outstanding));
         let cancelled = Arc::clone(&self.cancelled);
-        let funnel: Funnel = Arc::new(move |result: WireResult, started: Instant| {
+        let funnel: Funnel = Arc::new(move |result: WireResult, started: Instant, _| {
             let outcome = TaskOutcome {
                 id: TaskId(result.id),
                 attempt: result.attempt,

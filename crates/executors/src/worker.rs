@@ -22,6 +22,11 @@
 //! fan-out with no manager at all: its `Runner`'s funnel is the
 //! kernel's completion channel.
 //!
+//! A manager's funnel is its `Outbox`: whichever thread finishes a
+//! result writes it to the interchange itself, by flat combining, so no
+//! result wakes the manager. The manager's only wake sources are its port
+//! and its heartbeat deadline.
+//!
 //! A manager runs in one of two deployments:
 //!
 //! - **in-proc** (`HtexExecutor::add_node`): a thread holding a fabric
@@ -29,7 +34,9 @@
 //! - **spawned process** (`parsl-worker` bin via [`run_worker`], threads
 //!   fan-out): a [`nexus::TcpSpoke`] back to the interchange's hub,
 //!   resolving apps from the compiled-in builtin table as the interchange
-//!   advertises them.
+//!   advertises them. The process runs the manager and its worker threads
+//!   and nothing else: the manager reads its socket itself, and a spoke
+//!   reconnects while its owner reads it.
 //!
 //! With `reconnect` enabled the manager re-registers — carrying its held
 //! `(task, attempt)` set so the interchange can reconcile accounting —
@@ -38,12 +45,11 @@
 //! silence makes the manager exit, "to avoid resource wastage".
 
 use crate::builtin;
-use crate::doorbell::Doorbell;
 use crate::exex::Ranks;
 use crate::kernel;
 use crate::proto::{encode, ToInterchange, ToManager, WireResult, WireTask};
-use nexus::{Addr, Envelope, Port, RecvError, SpokeConfig, TcpSpoke};
-use parking_lot::{Condvar, Mutex};
+use nexus::{Addr, Port, RecvError, SendHalf, SpokeConfig, TcpSpoke};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use parsl_core::error::AppError;
 use parsl_core::registry::{AppId, AppOptions, AppRegistry};
 use parsl_core::types::AppKind;
@@ -84,12 +90,13 @@ pub enum Fanout {
 /// Cancel marks: the `(task, attempt)` pairs to skip at pick-up.
 pub(crate) type Marks = Arc<Mutex<HashSet<(u64, u32)>>>;
 
-/// Where a [`Runner`] reports each attempt, given when it was picked up.
-/// False once the receiving side is gone.
-pub(crate) type Funnel = Arc<dyn Fn(WireResult, Instant) -> bool + Send + Sync>;
+/// Where a [`Runner`] reports each attempt: its result, when it was
+/// picked up, and whether the reporting thread has another task ready to
+/// run. False once the receiving side is gone.
+pub(crate) type Funnel = Arc<dyn Fn(WireResult, Instant, bool) -> bool + Send + Sync>;
 
 /// What every fan-out runs a task with: the cancel check at pick-up, the
-/// kernel, and its owner's result funnel — a manager's result list, or
+/// kernel, and its owner's result funnel — a manager's [`Outbox`], or
 /// the thread pool's completion channel. A cancelled attempt (a hedge
 /// loser, an expired walltime) is skipped but still answered, so `held`
 /// and the owner's accounting settle the same either way.
@@ -101,9 +108,10 @@ pub(crate) struct Runner {
 }
 
 impl Runner {
-    /// Run `task` as `worker` and report it. False once the owner is
-    /// gone.
-    pub(crate) fn run(&self, task: &WireTask, worker: &str) -> bool {
+    /// Run `task` as `worker` and report it; `more` tells, once it has
+    /// run, whether another task is ready for this thread. False once the
+    /// owner is gone.
+    pub(crate) fn run(&self, task: &WireTask, worker: &str, more: impl FnOnce() -> bool) -> bool {
         let started = Instant::now();
         let result = if self.cancelled.lock().remove(&(task.id, task.attempt)) {
             WireResult {
@@ -115,7 +123,7 @@ impl Runner {
         } else {
             kernel::execute(&self.registry, task, worker)
         };
-        (self.funnel)(result, started)
+        (self.funnel)(result, started, more())
     }
 }
 
@@ -167,6 +175,11 @@ impl TaskQueue {
         self.state.lock().1 = true;
         self.ready.notify_all();
     }
+
+    /// Whether a task is queued.
+    fn has_ready(&self) -> bool {
+        !self.state.lock().0.is_empty()
+    }
 }
 
 /// The fan-out's end of its [`TaskQueue`]: dropping it closes the queue,
@@ -206,7 +219,7 @@ impl Workers {
                             .name(name.clone())
                             .spawn(move || {
                                 while let Some(task) = tasks.pop() {
-                                    if !runner.run(&task, &name) {
+                                    if !runner.run(&task, &name, || tasks.has_ready()) {
                                         // The owner is gone: refuse what
                                         // it would dispatch next.
                                         tasks.close();
@@ -242,6 +255,11 @@ impl Workers {
         }
     }
 
+    /// Whether a worker thread has a task queued.
+    fn ready(&self) -> bool {
+        matches!(self, Workers::Threads { queue, .. } if queue.0.has_ready())
+    }
+
     /// Whether the manager holds a task it has yet to run itself.
     fn backlogged(&self) -> bool {
         matches!(self, Workers::Inline { backlog, .. } if !backlog.is_empty())
@@ -253,15 +271,8 @@ impl Workers {
         match self {
             Workers::Inline { name, backlog } => backlog
                 .pop_front()
-                .is_none_or(|task| runner.run(&task, name)),
+                .is_none_or(|task| runner.run(&task, name, || false)),
             _ => true,
-        }
-    }
-
-    /// `result` left the funnel: the rank that ran it is idle again.
-    fn finished(&mut self, result: &WireResult) {
-        if let Workers::Ranks(ranks) = self {
-            ranks.finished(result.id, result.attempt);
         }
     }
 
@@ -285,14 +296,230 @@ impl Workers {
     }
 }
 
+/// A manager's results on their way to the interchange, and the tasks it
+/// holds. Whoever finishes a result flushes it, by flat combining
+/// (Hendler et al., SPAA 2010): a thread appends its result and, if no
+/// flush is in progress, becomes the flusher. The flusher takes the
+/// results out, up to `batch_size` at a time, removes their tasks from
+/// `held`, and writes one `Results` frame outside the lock; then it looks
+/// at the list again before it lets go. Results appended while a frame is
+/// written wait for that look, so under load they still batch.
+///
+/// A frame per result would still be too many under a load of short
+/// tasks: with nothing to slow the flush down, the interchange would get
+/// one result at a time and answer each with one task. So while short
+/// tasks are queued and what waits is small (under [`LINGER_BYTES`]; a
+/// large result pays for its own frame), a result may wait for more to
+/// join it, but never past [`LINGER`]: the manager, seeing short tasks
+/// queued, watches the
+/// outbox. It then reads its port with a deadline no later than a
+/// `LINGER` after the oldest waiting result, and flushes what is due each
+/// time it wakes. A worker that finds nothing queued, or no one watching,
+/// flushes at once, and the manager flushes what waits before it stops
+/// watching. So a result waits at most one `LINGER` (and the socket's
+/// timer tick), whatever runs next.
+///
+/// One lock orders `held` against the wire: a `Register` takes its `held`
+/// snapshot and writes its frame under it, and never while a flush is
+/// writing results whose tasks have already left `held` (the flusher
+/// writes such a `Register` once its frame is out). So the interchange
+/// never sees a result for a task a later `Register` still lists, nor a
+/// `Register` that omits a task whose result has not yet been written.
+pub(crate) struct Outbox {
+    state: Mutex<Unsent>,
+    /// Notified when a flush leaves nothing held: a drain waits on it.
+    drained: Condvar,
+    port: Arc<dyn SendHalf>,
+    ix: Addr,
+    name: String,
+    capacity: usize,
+    batch_size: usize,
+}
+
+#[derive(Default)]
+struct Unsent {
+    /// Results not yet taken by a flusher.
+    results: Vec<WireResult>,
+    /// Tasks accepted whose results have not been written back: the
+    /// in-flight gauge for draining and the set a `Register` reports for
+    /// accounting reconciliation.
+    held: HashSet<(u64, u32)>,
+    /// A thread is flushing; whoever appends meanwhile leaves it to it.
+    flushing: bool,
+    /// A `Register` asked for during a flush, written by the flusher.
+    register: bool,
+    /// The manager watches: it looks at the outbox within [`LINGER`] of
+    /// the oldest waiting result.
+    watched: bool,
+    /// When the oldest result now waiting was appended.
+    since: Option<Instant>,
+    /// The payload bytes of the results now waiting.
+    bytes: usize,
+    /// The last task reported ran for less than [`LINGER`].
+    short: bool,
+}
+
+/// How long a result may wait for the manager's next look instead of
+/// being written at once, and the longest task that counts as short.
+const LINGER: Duration = Duration::from_millis(1);
+
+/// Results wait for others only while their payloads add up to less.
+const LINGER_BYTES: usize = 64 * 1024;
+
+impl Unsent {
+    /// Every held task's result has been written.
+    fn drained(&self) -> bool {
+        self.held.is_empty() && !self.flushing
+    }
+}
+
+impl Outbox {
+    /// Take one result, picked up at `started`; `more` if the reporting
+    /// thread has another task ready. Flush unless another thread is
+    /// flushing, or the result can wait for the manager's look.
+    fn report(&self, result: WireResult, started: Instant, more: bool) {
+        let now = Instant::now();
+        let short = now.duration_since(started) < LINGER;
+        let mut st = self.state.lock();
+        st.bytes += result.outcome.as_ref().map_or(0, Vec::len);
+        st.results.push(result);
+        st.short = short;
+        if st.flushing {
+            return;
+        }
+        let small = st.bytes < LINGER_BYTES && st.results.len() < self.batch_size;
+        if more && short && small && st.watched {
+            st.since.get_or_insert(now);
+        } else {
+            self.flush(st);
+        }
+    }
+
+    /// Mark `tasks` held before they are queued. While tasks run short,
+    /// the manager watches from now on: it is awake, and its next read's
+    /// deadline comes from the outbox.
+    fn hold(&self, tasks: &[WireTask]) {
+        let mut st = self.state.lock();
+        st.held.extend(tasks.iter().map(|t| (t.id, t.attempt)));
+        st.watched |= st.short;
+    }
+
+    /// Before the manager reads its port, with `ready` telling whether a
+    /// worker has a task queued: watch while short tasks are queued, and
+    /// return when the manager must look next; otherwise flush what
+    /// waits and stop watching.
+    fn watch(&self, ready: bool) -> Option<Instant> {
+        let mut st = self.state.lock();
+        st.watched = ready && st.short;
+        if st.watched {
+            return Some(st.since.unwrap_or_else(Instant::now) + LINGER);
+        }
+        if !st.flushing && !st.results.is_empty() {
+            self.flush(st);
+        }
+        None
+    }
+
+    /// After the manager's read: flush what has waited a `LINGER`.
+    fn look(&self) {
+        let st = self.state.lock();
+        if !st.flushing && st.since.is_some_and(|t| t.elapsed() >= LINGER) {
+            self.flush(st);
+        }
+    }
+
+    /// Flush as the flusher until nothing is left, then let go.
+    fn flush<'a>(&'a self, mut st: MutexGuard<'a, Unsent>) {
+        // What waits is taken now: no deadline runs while this flushes.
+        (st.flushing, st.since) = (true, None);
+        loop {
+            if std::mem::take(&mut st.register) {
+                self.write_register(&st.held);
+            }
+            if st.results.is_empty() {
+                break;
+            }
+            let batch: Vec<WireResult> = if st.results.len() <= self.batch_size {
+                std::mem::take(&mut st.results)
+            } else {
+                st.results.drain(..self.batch_size).collect()
+            };
+            for r in &batch {
+                st.held.remove(&(r.id, r.attempt));
+            }
+            drop(st);
+            let _ = self
+                .port
+                .send(&self.ix, encode(&ToInterchange::Results(batch)));
+            st = self.state.lock();
+        }
+        (st.flushing, st.bytes) = (false, 0);
+        let drained = st.held.is_empty();
+        drop(st);
+        if drained {
+            self.drained.notify_all();
+        }
+    }
+
+    /// Register, reporting the tasks held at this instant: at once, or by
+    /// the flusher once the frame it is writing is out.
+    fn register(&self) {
+        let mut st = self.state.lock();
+        if st.flushing {
+            st.register = true;
+        } else {
+            self.write_register(&st.held);
+        }
+    }
+
+    /// Write a `Register`; the caller holds the lock `held` came from.
+    fn write_register(&self, held: &HashSet<(u64, u32)>) {
+        let _ = self.port.send(
+            &self.ix,
+            encode(&ToInterchange::Register {
+                name: self.name.clone(),
+                capacity: self.capacity,
+                held: held.iter().copied().collect(),
+            }),
+        );
+    }
+
+    /// Wait until every held task's result has been written, or until
+    /// `deadline`.
+    fn wait_drained(&self, deadline: Instant) {
+        let mut st = self.state.lock();
+        while !st.drained() {
+            if self.drained.wait_until(&mut st, deadline).timed_out() {
+                return;
+            }
+        }
+    }
+
+    /// Deregister if every held task's result has been written.
+    fn deregister_if_drained(&self) -> bool {
+        let st = self.state.lock();
+        let drained = st.drained();
+        if drained {
+            let _ = self.port.send(
+                &self.ix,
+                encode(&ToInterchange::Deregister {
+                    name: self.name.clone(),
+                }),
+            );
+        }
+        drained
+    }
+}
+
 /// Run one manager until shutdown or link death. Blocks the caller.
 ///
-/// It waits in one place, its port, with a deadline, the next heartbeat,
-/// and checks that deadline after every wake, so a busy manager still
-/// heartbeats; no timer thread runs beside it. Worker results go on a
-/// list under a mutex, and the funnel rings the manager's doorbell
-/// (`crate::doorbell`), which wakes the port only if the manager is
-/// parked.
+/// It waits in one place, its port, with a deadline, the next heartbeat
+/// (sooner while results wait for its look, see [`Outbox`]), and checks
+/// that deadline after every wake, so a busy manager still heartbeats; no
+/// timer thread runs beside it. Results never wake it: the thread that
+/// finishes one writes it. A draining manager waits on its `Outbox`
+/// instead, until nothing is held, and then looks at its port without
+/// blocking.
 pub(crate) fn manager_loop(
     ep: Box<dyn Port>,
     registry: Arc<AppRegistry>,
@@ -301,81 +528,66 @@ pub(crate) fn manager_loop(
     fanout: Fanout,
 ) {
     let addr = ep.addr().clone();
-    // Worker results, swapped out whole on each wake; the funnel holds
-    // them weakly, so a worker stops once the manager is gone.
-    let results: Arc<Mutex<Vec<WireResult>>> = Arc::default();
-    let bell = Arc::new(Doorbell::new(ep.waker()));
-    let (funnel_results, ring) = (Arc::downgrade(&results), Arc::clone(&bell));
+    let outbox = Arc::new(Outbox {
+        state: Mutex::default(),
+        drained: Condvar::new(),
+        port: ep.send_half(),
+        ix: ix_addr.clone(),
+        name: addr.to_string(),
+        capacity: cfg.workers + cfg.prefetch,
+        batch_size: cfg.batch_size.max(1),
+    });
+    // The funnel holds the outbox weakly, so a worker stops once the
+    // manager is gone.
+    let reports = Arc::downgrade(&outbox);
     let runner = Runner {
         registry: Arc::clone(&registry),
         cancelled: Arc::default(),
-        funnel: Arc::new(move |result, _| {
-            let Some(results) = funnel_results.upgrade() else {
+        funnel: Arc::new(move |result, started, more| {
+            let Some(outbox) = reports.upgrade() else {
                 return false;
             };
-            results.lock().push(result);
-            ring.ring(true);
+            outbox.report(result, started, more);
             true
         }),
     };
     let mut workers = Workers::spawn(fanout, cfg.workers, &runner, &addr);
 
-    let capacity = cfg.workers + cfg.prefetch;
-    // Tasks accepted but not yet returned as results. Doubles as the
-    // in-flight gauge for draining and as the `held` set a re-register
-    // reports for accounting reconciliation.
-    let mut held: HashSet<(u64, u32)> = HashSet::new();
-
-    let send_register = |ep: &dyn Port, held: &HashSet<(u64, u32)>| {
-        let _ = ep.send(
-            &ix_addr,
-            encode(&ToInterchange::Register {
-                name: addr.to_string(),
-                capacity,
-                held: held.iter().copied().collect(),
-            }),
-        );
-    };
-    send_register(ep.as_ref(), &held);
+    outbox.register();
     let mut last_gen = ep.generation();
 
     let heartbeat = encode(&ToInterchange::Heartbeat {
         name: addr.to_string(),
     });
-    let mut result_buf: Vec<WireResult> = Vec::new();
-    let mut taken: Vec<WireResult> = Vec::new();
     let mut last_ix_contact = Instant::now();
     let mut next_beat = last_ix_contact + cfg.heartbeat_period;
     let mut draining = false;
-    // A message the drain check read before deciding not to stop yet.
-    let mut unread: Option<Envelope> = None;
 
     loop {
         // A backlogged task runs once nothing else is ready to read, so
-        // its wait is zero. Park, look at the results once more, and only
-        // then wait on the port: a result sent before "parked" showed is
-        // seen here, and one sent after rings.
-        let wait = if workers.backlogged() {
-            Duration::ZERO
+        // its wait is zero.
+        let got = if workers.backlogged() {
+            ep.recv_timeout(Duration::ZERO)
+        } else if draining {
+            outbox.watch(false);
+            outbox.wait_drained(next_beat);
+            ep.recv_timeout(Duration::ZERO)
         } else {
-            next_beat.saturating_duration_since(Instant::now())
+            // While short tasks are queued, results may wait for this
+            // manager's next look (see `Outbox`).
+            let deadline = outbox
+                .watch(workers.ready())
+                .map_or(next_beat, |by| by.min(next_beat));
+            let got = ep.recv_timeout(deadline.saturating_duration_since(Instant::now()));
+            outbox.look();
+            got
         };
-        let got = match unread.take() {
-            Some(env) => Some(Ok(env)),
-            None => {
-                bell.park(false);
-                let ready = !results.lock().is_empty();
-                let got = (!ready).then(|| ep.recv_timeout(wait));
-                bell.unpark();
-                got
-            }
-        };
-        match got {
-            Some(Ok(env)) if !env.is_wake() => {
+        let idle = match got {
+            Ok(env) => {
                 last_ix_contact = Instant::now();
                 match crate::proto::decode::<ToManager>(&env.payload) {
                     Ok(ToManager::Tasks(batch)) => {
-                        held.extend(batch.iter().map(|t| (t.id, t.attempt)));
+                        outbox.hold(&batch);
                         if !workers.dispatch(batch) {
                             return;
                         }
@@ -404,7 +616,7 @@ pub(crate) fn manager_loop(
                         // Only attempts still held can be skipped; anything
                         // else already returned (or never arrived) and the
                         // entry would leak.
-                        if held.contains(&(id, attempt)) {
+                        if outbox.state.lock().held.contains(&(id, attempt)) {
                             runner.cancelled.lock().insert((id, attempt));
                         }
                     }
@@ -413,25 +625,17 @@ pub(crate) fn manager_loop(
                     }
                     Err(_) => {}
                 }
+                false
             }
-            Some(Err(RecvError::Closed)) => return, // endpoint killed / spoke gave up
+            Err(RecvError::Closed) => return, // endpoint killed / spoke gave up
             // Nothing to read: a backlogged task runs.
-            Some(Err(RecvError::Timeout)) if !workers.run_next(&runner) => return,
-            _ => {}
-        }
-        // Batch aggressively under load (drain whatever has already
-        // accumulated), but never sit on results when the funnel is
-        // empty: idle latency must not pay the batching timer.
-        std::mem::swap(&mut *results.lock(), &mut taken);
-        for res in taken.drain(..) {
-            held.remove(&(res.id, res.attempt));
-            workers.finished(&res);
-            result_buf.push(res);
-            if result_buf.len() >= cfg.batch_size {
-                flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
+            Err(RecvError::Timeout) => {
+                if !workers.run_next(&runner) {
+                    return;
+                }
+                true
             }
-        }
-        flush_results(ep.as_ref(), &ix_addr, &mut result_buf);
+        };
         let now = Instant::now();
         if now >= next_beat {
             next_beat = now + cfg.heartbeat_period;
@@ -439,7 +643,10 @@ pub(crate) fn manager_loop(
                 return;
             }
             // Prune cancel marks whose attempt raced its result out.
-            runner.cancelled.lock().retain(|k| held.contains(k));
+            {
+                let st = outbox.state.lock();
+                runner.cancelled.lock().retain(|k| st.held.contains(k));
+            }
             let _ = ep.send(&ix_addr, heartbeat.clone());
             let gen = ep.generation();
             if gen != last_gen {
@@ -447,14 +654,14 @@ pub(crate) fn manager_loop(
                 // the held set so the interchange reconciles.
                 last_gen = gen;
                 last_ix_contact = now;
-                send_register(ep.as_ref(), &held);
+                outbox.register();
             } else if now.duration_since(last_ix_contact) > cfg.heartbeat_threshold {
                 if cfg.reconnect {
                     // Registration may have raced the interchange
                     // coming up, or the silence is transient; try
                     // again instead of dying.
                     last_ix_contact = now;
-                    send_register(ep.as_ref(), &held);
+                    outbox.register();
                 } else {
                     // "Managers, upon losing contact with the
                     // interchange, exit immediately to avoid resource
@@ -463,30 +670,13 @@ pub(crate) fn manager_loop(
                 }
             }
         }
-        // Deregister only after every accepted task has returned its
-        // result and the inbox holds nothing new.
-        if draining && held.is_empty() {
-            unread = ep.try_recv();
-            if unread.is_none() {
-                let _ = ep.send(
-                    &ix_addr,
-                    encode(&ToInterchange::Deregister {
-                        name: addr.to_string(),
-                    }),
-                );
-                workers.stop();
-                return;
-            }
+        // Deregister only after every accepted task's result is written
+        // and the port held nothing new.
+        if draining && idle && outbox.deregister_if_drained() {
+            workers.stop();
+            return;
         }
     }
-}
-
-fn flush_results(ep: &dyn Port, ix: &Addr, buf: &mut Vec<WireResult>) {
-    if buf.is_empty() {
-        return;
-    }
-    let batch = std::mem::take(buf);
-    let _ = ep.send(ix, encode(&ToInterchange::Results(batch)));
 }
 
 /// Options for a spawned `parsl-worker` process.
@@ -547,32 +737,108 @@ pub fn run_worker(opts: WorkerOptions) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doorbell::tests::within;
     use crate::proto::decode;
     use nexus::Fabric;
+    use std::sync::Barrier;
 
-    /// 10^5 results racing a one-worker manager on its way to park. The
-    /// interchange, played here, sends two tasks at a time and the next
-    /// two the moment both results are back. The worker's first result
-    /// wakes the manager; the second task spins 0–31 µs first, so its
-    /// result lands anywhere between the manager's look at the funnel and
-    /// its next wait. A lost wake-up leaves that result in the funnel
-    /// until the next heartbeat, many seconds away.
+    fn result(id: u64) -> WireResult {
+        WireResult {
+            id,
+            attempt: 0,
+            outcome: Ok(Vec::new()),
+            worker: String::new(),
+        }
+    }
+
+    /// The ids in a `Results` frame; `None` for any other frame.
+    fn result_ids(env: &nexus::Envelope) -> Option<Vec<u64>> {
+        match decode(&env.payload) {
+            Ok(ToInterchange::Results(results)) => Some(results.iter().map(|r| r.id).collect()),
+            _ => None,
+        }
+    }
+
+    /// 10^5 races of two results into one outbox. A result appended
+    /// while another thread flushes must be flushed by someone: the
+    /// flusher looks at the list again before it lets go. One racer
+    /// reports at once and the other after a 0–1.9 µs spin, so the second
+    /// append lands anywhere around the first one's write. Nothing else
+    /// reports, so a result the flusher left behind would never arrive.
     #[test]
-    fn no_result_waits_on_an_idling_manager() {
-        crate::doorbell::tests::within(Duration::from_secs(60), || {
+    fn a_result_appended_during_a_flush_is_flushed() {
+        const ROUNDS: u64 = 100_000;
+        within(Duration::from_secs(60), || {
+            let fabric = Fabric::new();
+            let ix = fabric.bind(Addr::new("t:ix")).unwrap();
+            let mgr = fabric.bind(Addr::new("t:mgr")).unwrap();
+            let outbox = Arc::new(Outbox {
+                state: Mutex::default(),
+                drained: Condvar::new(),
+                port: mgr.send_half(),
+                ix: ix.addr().clone(),
+                name: "t:mgr".into(),
+                capacity: 2,
+                batch_size: 64,
+            });
+            let go = Arc::new(Barrier::new(3));
+            for side in 0..2u64 {
+                let (outbox, go) = (Arc::clone(&outbox), Arc::clone(&go));
+                std::thread::spawn(move || {
+                    for round in 0..ROUNDS {
+                        go.wait();
+                        if side == 1 {
+                            let spin = Duration::from_nanos(round % 64 * 30);
+                            let until = Instant::now() + spin;
+                            while Instant::now() < until {}
+                        }
+                        outbox.report(result(2 * round + side), Instant::now(), false);
+                    }
+                });
+            }
+            for round in 0..ROUNDS {
+                outbox
+                    .state
+                    .lock()
+                    .held
+                    .extend([(2 * round, 0), (2 * round + 1, 0)]);
+                go.wait();
+                let deadline = Instant::now() + Duration::from_secs(1);
+                let mut back = 0;
+                while back < 2 {
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    let Ok(env) = ix.recv_timeout(wait) else {
+                        panic!("a result of round {round} was left unflushed");
+                    };
+                    let ids = result_ids(&env).expect("only results are written");
+                    assert!(ids.iter().all(|id| id / 2 == round), "{ids:?}");
+                    back += ids.len();
+                }
+                assert!(outbox.state.lock().held.is_empty());
+            }
+        });
+    }
+
+    /// A result may wait for others to join it while short tasks are
+    /// queued, but only for the manager's next look: here the worker that
+    /// held it back goes on to a task that naps for half a second, and the
+    /// result still arrives within a few LINGERs (the fabric times its
+    /// reads exactly; a socket's read timer ticks in jiffies).
+    #[test]
+    fn a_result_held_back_waits_only_for_the_managers_look() {
+        within(Duration::from_secs(30), || {
             let fabric = Fabric::new();
             let ix = fabric.bind(Addr::new("t:ix")).unwrap();
             let ep = fabric.bind(Addr::new("t:mgr")).unwrap();
             let registry = AppRegistry::new();
-            let spin: parsl_core::registry::ErasedAppFn = Arc::new(|args| {
-                let until = Instant::now() + Duration::from_micros(args.len() as u64);
-                while Instant::now() < until {}
+            let nap: parsl_core::registry::ErasedAppFn = Arc::new(|args| {
+                std::thread::sleep(Duration::from_millis(args.len() as u64));
                 Ok(Vec::new())
             });
-            let app = registry.register("spin", AppKind::Native, "", spin, Default::default());
+            let app = registry.register("nap", AppKind::Native, "", nap, Default::default());
             let cfg = ManagerCfg {
                 workers: 1,
-                prefetch: 1,
+                prefetch: 4,
                 batch_size: 64,
                 heartbeat_period: Duration::from_secs(20),
                 heartbeat_threshold: Duration::from_secs(60),
@@ -582,35 +848,111 @@ mod tests {
             std::thread::spawn(move || {
                 manager_loop(Box::new(ep), registry, ix_addr, cfg, Fanout::Threads)
             });
-            let mgr = Addr::new("t:mgr");
-            let task = |id, spin_us| WireTask {
+            let _register = ix.recv_timeout(Duration::from_secs(5)).unwrap();
+            let task = |id, nap_ms| WireTask {
                 id,
                 attempt: 0,
                 app_id: app.id.0,
                 tenant: 0,
                 items: 1,
-                args: vec![0; spin_us],
+                args: vec![0; nap_ms],
             };
-            for pair in 0..50_000u64 {
-                let tasks = vec![task(2 * pair, 0), task(2 * pair + 1, pair as usize % 32)];
+            let mgr = Addr::new("t:mgr");
+            for round in 0..3u64 {
+                let (warm, short, long) = (3 * round, 3 * round + 1, 3 * round + 2);
+                // A short task first, so the next one counts as short.
+                ix.send(&mgr, encode(&ToManager::Tasks(vec![task(warm, 0)])))
+                    .unwrap();
+                let first = ix.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_eq!(result_ids(&first), Some(vec![warm]));
+                let sent = Instant::now();
+                let tasks = vec![task(short, 0), task(long, 500)];
                 ix.send(&mgr, encode(&ToManager::Tasks(tasks))).unwrap();
-                let deadline = Instant::now() + Duration::from_secs(1);
-                let mut back = 0;
-                while back < 2 {
-                    let Some(env) = ix.try_recv() else {
-                        assert!(
-                            Instant::now() < deadline,
-                            "a result of pair {pair} was left"
-                        );
-                        continue;
-                    };
-                    if let Ok(ToInterchange::Results(results)) = decode(&env.payload) {
-                        assert!(results.iter().all(|r| r.id / 2 == pair));
-                        back += results.len();
-                    }
-                }
+                let env = ix.recv_timeout(Duration::from_secs(5)).unwrap();
+                let took = sent.elapsed();
+                assert_eq!(result_ids(&env), Some(vec![short]));
+                assert!(
+                    took < Duration::from_millis(100),
+                    "the short result of round {round} waited {took:?}"
+                );
+                let env = ix.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_eq!(result_ids(&env), Some(vec![long]));
             }
             let _ = ix.send(&mgr, encode(&ToManager::Shutdown));
+        });
+    }
+
+    /// A manager told `Shutdown` with results in flight deregisters once
+    /// its last result is written, and only then. The heartbeat is 20 s
+    /// away, so it cannot be what ends the drain.
+    #[test]
+    fn a_drain_deregisters_right_after_its_last_result() {
+        within(Duration::from_secs(30), || {
+            let fabric = Fabric::new();
+            let ix = fabric.bind(Addr::new("t:ix")).unwrap();
+            let ep = fabric.bind(Addr::new("t:mgr")).unwrap();
+            let registry = AppRegistry::new();
+            let nap: parsl_core::registry::ErasedAppFn = Arc::new(|args| {
+                std::thread::sleep(Duration::from_millis(args.len() as u64));
+                Ok(Vec::new())
+            });
+            let app = registry.register("nap", AppKind::Native, "", nap, Default::default());
+            let cfg = ManagerCfg {
+                workers: 2,
+                prefetch: 0,
+                batch_size: 64,
+                heartbeat_period: Duration::from_secs(20),
+                heartbeat_threshold: Duration::from_secs(60),
+                reconnect: false,
+            };
+            let ix_addr = ix.addr().clone();
+            let manager = std::thread::spawn(move || {
+                manager_loop(Box::new(ep), registry, ix_addr, cfg, Fanout::Threads)
+            });
+            let registered = ix.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(matches!(
+                decode(&registered.payload),
+                Ok(ToInterchange::Register { .. })
+            ));
+            let task = |id, nap_ms| WireTask {
+                id,
+                attempt: 0,
+                app_id: app.id.0,
+                tenant: 0,
+                items: 1,
+                args: vec![0; nap_ms],
+            };
+            let mgr = Addr::new("t:mgr");
+            let tasks = vec![task(0, 40), task(1, 80)];
+            ix.send(&mgr, encode(&ToManager::Tasks(tasks))).unwrap();
+            ix.send(&mgr, encode(&ToManager::Shutdown)).unwrap();
+
+            let mut answered = Vec::new();
+            let mut last_result = Instant::now();
+            loop {
+                let env = ix.recv_timeout(Duration::from_secs(5)).unwrap();
+                let at = Instant::now();
+                if let Some(ids) = result_ids(&env) {
+                    answered.extend(ids);
+                    last_result = at;
+                    continue;
+                }
+                match decode(&env.payload) {
+                    Ok(ToInterchange::Deregister { .. }) => {
+                        answered.sort_unstable();
+                        assert_eq!(answered, [0, 1], "deregistered before every result");
+                        let gap = at - last_result;
+                        assert!(
+                            gap < Duration::from_millis(50),
+                            "deregistered {gap:?} after the last result"
+                        );
+                        break;
+                    }
+                    Ok(ToInterchange::Heartbeat { .. }) => {}
+                    other => panic!("unexpected frame: {other:?}"),
+                }
+            }
+            manager.join().unwrap();
         });
     }
 }

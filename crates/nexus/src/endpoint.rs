@@ -4,7 +4,7 @@
 use crate::addr::Addr;
 use crate::error::{RecvError, SendError};
 use crate::fabric::FabricInner;
-use crate::transport::Port;
+use crate::transport::{Port, SendHalf};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -34,9 +34,9 @@ impl Envelope {
 pub(crate) type InboxSender = Arc<Sender<Envelope>>;
 
 /// A port's inbox: the receiving end of a `std::sync::mpsc` channel, and
-/// a weak hold on the sending end for the port's wakers. Only this crate
-/// makes one; every [`Port`] reads its own.
-pub struct Inbox {
+/// a weak hold on the sending end for the port's wakers. The fabric's
+/// endpoints and the hub's local ports each read their own.
+pub(crate) struct Inbox {
     rx: Receiver<Envelope>,
     tx: Weak<Sender<Envelope>>,
 }
@@ -106,11 +106,28 @@ impl Waker {
 /// Dropping an endpoint unbinds its address; subsequent sends to it fail
 /// with [`SendError::PeerGone`], exactly like connecting to a closed socket.
 pub struct Endpoint {
-    addr: Addr,
+    tx: EndpointTx,
     inbox: Inbox,
     generation: u64,
+}
+
+/// An endpoint's send half.
+#[derive(Clone)]
+struct EndpointTx {
+    addr: Addr,
     closed: Arc<AtomicBool>,
     fabric: Arc<FabricInner>,
+}
+
+impl SendHalf for EndpointTx {
+    /// Returns as soon as the fabric accepts the message; delivery may be
+    /// delayed by the fabric's configured latency.
+    fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(SendError::SelfClosed);
+        }
+        self.fabric.route(&self.addr, to, payload)
+    }
 }
 
 impl Endpoint {
@@ -122,49 +139,62 @@ impl Endpoint {
         fabric: Arc<FabricInner>,
     ) -> Self {
         Endpoint {
-            addr,
+            tx: EndpointTx {
+                addr,
+                closed,
+                fabric,
+            },
             inbox,
             generation,
-            closed,
-            fabric,
         }
     }
 
     /// True once the endpoint has been killed via fault injection.
     pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
+        self.tx.closed.load(Ordering::Acquire)
     }
 }
 
 impl Port for Endpoint {
     fn addr(&self) -> &Addr {
-        &self.addr
+        &self.tx.addr
     }
 
-    /// Returns as soon as the fabric accepts the message; delivery may be
-    /// delayed by the fabric's configured latency.
     fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(SendError::SelfClosed);
-        }
-        self.fabric.route(&self.addr, to, payload)
+        self.tx.send(to, payload)
     }
 
-    fn inbox(&self) -> &Inbox {
-        &self.inbox
+    fn send_half(&self) -> Arc<dyn SendHalf> {
+        Arc::new(self.tx.clone())
+    }
+
+    fn recv(&self) -> Result<Envelope, RecvError> {
+        self.inbox.recv()
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+        self.inbox.recv_timeout(timeout)
+    }
+
+    fn try_recv(&self) -> Option<Envelope> {
+        self.inbox.try_recv()
+    }
+
+    fn waker(&self) -> Option<Waker> {
+        Some(self.inbox.waker(&self.tx.addr))
     }
 }
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        self.fabric.unbind(&self.addr, self.generation);
+        self.tx.fabric.unbind(&self.tx.addr, self.generation);
     }
 }
 
 impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Endpoint")
-            .field("addr", &self.addr)
+            .field("addr", &self.tx.addr)
             .field("closed", &self.is_closed())
             .finish()
     }

@@ -42,12 +42,12 @@ pub mod tcp;
 pub mod transport;
 
 pub use addr::Addr;
-pub use endpoint::{Endpoint, Envelope, Inbox, Waker};
+pub use endpoint::{Endpoint, Envelope, Waker};
 pub use error::{RecvError, SendError};
 pub use fabric::{AddrInUse, Fabric, FabricConfig, DEFAULT_MAX_FRAME_BYTES};
 pub use stats::FabricStats;
 pub use tcp::{SpokeConfig, TcpHub, TcpSpoke};
-pub use transport::{Port, Transport, TransportError};
+pub use transport::{Port, SendHalf, Transport, TransportError};
 
 #[cfg(test)]
 mod tests {

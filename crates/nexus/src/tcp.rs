@@ -15,29 +15,35 @@
 //! - A dropped connection ([`TcpHub::drop_conn`], a died process, a
 //!   half-written frame) discards the torn frame with the socket; both
 //!   sides reset their stream decoders on the next connection.
-//! - A [`TcpSpoke`] reconnects automatically within a configured window,
-//!   buffering outbound frames in FIFO order while the link is down and
-//!   flushing them — after a fresh `Hello` — before anything newer, so
-//!   peer-observed ordering survives the gap. Each reconnect bumps the
-//!   spoke's [`Port::generation`], which managers watch to re-register.
-//! - When the window expires the spoke closes; pending sends fail and the
-//!   inbox channel disconnects, so protocol loops exit exactly as they do
+//! - A [`TcpSpoke`] has no thread of its own: its owner's `recv` reads the
+//!   socket on the owner's thread, and the spoke reconnects while its
+//!   owner reads it. On link loss the read path retries within a
+//!   configured window, never past the caller's deadline, and picks up at
+//!   the next call. Outbound frames, sent from any thread through the
+//!   spoke's [`Port::send_half`], queue in FIFO order while the link is
+//!   down and are flushed — after a fresh `Hello` — before anything
+//!   newer, so peer-observed ordering survives the gap. Each reconnect
+//!   bumps the spoke's [`Port::generation`], which managers watch to
+//!   re-register.
+//! - When the window expires the spoke closes; pending sends fail and
+//!   `recv` reports `Closed`, so protocol loops exit exactly as they do
 //!   when the in-proc fabric kills an endpoint.
 
 use crate::addr::Addr;
-use crate::endpoint::{Envelope, Inbox, InboxSender};
-use crate::error::SendError;
-use crate::transport::{Port, Transport, TransportError};
+use crate::endpoint::{Envelope, Inbox, InboxSender, Waker};
+use crate::error::{RecvError, SendError};
+use crate::transport::{Port, SendHalf, Transport, TransportError};
 use bytes::Bytes;
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Read buffer size for socket reader threads.
+/// Read buffer size of a socket's reader.
 const IO_CHUNK: usize = 64 * 1024;
 
 wire::codec! {
@@ -443,9 +449,11 @@ impl Transport for TcpHub {
         local.insert(addr.clone(), tx);
         drop(local);
         Ok(Box::new(HubPort {
-            addr,
+            tx: HubTx {
+                addr,
+                inner: Arc::clone(&self.inner),
+            },
             inbox,
-            inner: Arc::clone(&self.inner),
         }))
     }
 
@@ -456,28 +464,56 @@ impl Transport for TcpHub {
 
 /// A port attached directly to the hub (interchange side).
 struct HubPort {
-    addr: Addr,
+    tx: HubTx,
     inbox: Inbox,
+}
+
+/// A hub port's send half.
+#[derive(Clone)]
+struct HubTx {
+    addr: Addr,
     inner: Arc<HubInner>,
+}
+
+impl SendHalf for HubTx {
+    fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError> {
+        self.inner.route(&self.addr, to, payload)
+    }
 }
 
 impl Port for HubPort {
     fn addr(&self) -> &Addr {
-        &self.addr
+        &self.tx.addr
     }
 
     fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError> {
-        self.inner.route(&self.addr, to, payload)
+        self.tx.send(to, payload)
     }
 
-    fn inbox(&self) -> &Inbox {
-        &self.inbox
+    fn send_half(&self) -> Arc<dyn SendHalf> {
+        Arc::new(self.tx.clone())
+    }
+
+    fn recv(&self) -> Result<Envelope, RecvError> {
+        self.inbox.recv()
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+        self.inbox.recv_timeout(timeout)
+    }
+
+    fn try_recv(&self) -> Option<Envelope> {
+        self.inbox.try_recv()
+    }
+
+    fn waker(&self) -> Option<Waker> {
+        Some(self.inbox.waker(&self.tx.addr))
     }
 }
 
 impl Drop for HubPort {
     fn drop(&mut self) {
-        self.inner.local.lock().remove(&self.addr);
+        self.tx.inner.local.lock().remove(&self.tx.addr);
     }
 }
 
@@ -509,6 +545,7 @@ struct SpokeState {
     pending: VecDeque<Vec<u8>>,
 }
 
+/// What a spoke's senders share: it is the spoke's send half.
 struct SpokeInner {
     name: Addr,
     server: SocketAddr,
@@ -518,15 +555,118 @@ struct SpokeInner {
     state: Mutex<SpokeState>,
 }
 
+impl SpokeInner {
+    /// Give up for good: sends fail and the reader sees `Closed`.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.drop_writer();
+    }
+
+    /// Shut the live connection, if any: sends queue in `pending` until a
+    /// reconnect, and a read blocked on the socket returns.
+    fn drop_writer(&self) {
+        if let Some(w) = self.state.lock().writer.take() {
+            let _ = w.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// One attempt at a new link: connect, send `Hello`, and replay
+    /// `pending` in FIFO order under the state lock, so a send from
+    /// another thread lands behind the replay. Bumps the generation on
+    /// success and returns the new connection's read half.
+    fn reconnect(&self) -> Option<TcpStream> {
+        let timeout = self.cfg.retry_interval.max(Duration::from_millis(1));
+        let stream = TcpStream::connect_timeout(&self.server, timeout).ok()?;
+        let _ = stream.set_nodelay(true);
+        let hello = encode_tcp_frame(&TcpFrame::Hello {
+            name: self.name.to_string(),
+        });
+        let mut st = self.state.lock();
+        if self.closed.load(Ordering::Acquire) {
+            return None;
+        }
+        (&stream).write_all(&hello).ok()?;
+        while let Some(frame) = st.pending.front() {
+            (&stream).write_all(frame).ok()?;
+            st.pending.pop_front();
+        }
+        st.writer = Some(stream.try_clone().ok()?);
+        drop(st);
+        self.generation.fetch_add(1, Ordering::Release);
+        Some(stream)
+    }
+
+    /// Read what is already on `stream` without blocking. The write half
+    /// shares the socket's non-blocking flag, so no write may run
+    /// meanwhile: the state lock is held throughout.
+    fn read_now(&self, stream: &TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
+        let _writes = self.state.lock();
+        stream.set_nonblocking(true)?;
+        let read = (&*stream).read(buf);
+        stream.set_nonblocking(false)?;
+        read
+    }
+}
+
+impl SendHalf for SpokeInner {
+    fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(SendError::SelfClosed);
+        }
+        let frame = encode_data_frame(&self.name, to, &payload);
+        let mut st = self.state.lock();
+        if let Some(mut w) = st.writer.as_ref() {
+            if w.write_all(&frame).is_ok() {
+                return Ok(());
+            }
+            // Broken mid-write: the torn frame dies with the socket, and
+            // the shutdown ends the reader's read, which reconnects.
+            if let Some(w) = st.writer.take() {
+                let _ = w.shutdown(Shutdown::Both);
+            }
+        }
+        // A clean copy waits for the next link.
+        st.pending.push_back(frame);
+        Ok(())
+    }
+}
+
+/// A spoke's read half, which only the port's one reader touches.
+struct SpokeReader {
+    /// The live connection; `None` while the link is down.
+    stream: Option<TcpStream>,
+    decoder: wire::StreamDecoder,
+    buf: Vec<u8>,
+    /// The read timeout last set on `stream`.
+    timeout: Option<Duration>,
+    /// While the link is down: when the reconnect window closes.
+    gives_up: Instant,
+    /// While the link is down: when the next connection attempt is due.
+    next_try: Instant,
+}
+
+impl SpokeReader {
+    /// The link is lost: drop the connection and its torn frame, and open
+    /// the reconnect window.
+    fn lose_link(&mut self, inner: &SpokeInner) {
+        self.stream = None;
+        self.decoder = wire::StreamDecoder::new();
+        inner.drop_writer();
+        let now = Instant::now();
+        self.gives_up = now + inner.cfg.reconnect_window;
+        self.next_try = now;
+    }
+}
+
 /// The connecting side of the TCP plane: one process's addressed port.
 pub struct TcpSpoke {
     inner: Arc<SpokeInner>,
-    inbox: Inbox,
+    reader: RefCell<SpokeReader>,
 }
 
 impl TcpSpoke {
-    /// Connect to a hub at `server`, announce `name`, and start the
-    /// reader thread. Fails fast if the initial connection is refused.
+    /// Connect to a hub at `server` and announce `name`. Fails fast if the
+    /// initial connection is refused.
     pub fn connect<A: ToSocketAddrs>(
         server: A,
         name: Addr,
@@ -553,13 +693,16 @@ impl TcpSpoke {
                 pending: VecDeque::new(),
             }),
         });
-        let (tx, inbox) = Inbox::new();
-        let reader_inner = Arc::clone(&inner);
-        std::thread::Builder::new()
-            .name("nexus-tcp-spoke".into())
-            .spawn(move || spoke_reader(reader_inner, stream, tx))
-            .expect("spawn tcp spoke reader");
-        Ok(TcpSpoke { inner, inbox })
+        let now = Instant::now();
+        let reader = RefCell::new(SpokeReader {
+            stream: Some(stream),
+            decoder: wire::StreamDecoder::new(),
+            buf: vec![0u8; IO_CHUNK],
+            timeout: None,
+            gives_up: now,
+            next_try: now,
+        });
+        Ok(TcpSpoke { inner, reader })
     }
 
     /// True once the spoke has given up (window expired or closed).
@@ -567,11 +710,92 @@ impl TcpSpoke {
         self.inner.closed.load(Ordering::Acquire)
     }
 
-    /// Close the spoke; the reader thread exits and pending sends fail.
+    /// Close the spoke: pending sends fail and `recv` reports `Closed`.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::Release);
-        if let Some(w) = self.inner.state.lock().writer.take() {
-            let _ = w.shutdown(Shutdown::Both);
+        self.inner.close();
+    }
+
+    /// The next message, waiting until `deadline` (`None`: as long as it
+    /// takes). The socket is read here, on the caller's thread, and so a
+    /// lost link is noticed, retried and replayed here too.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<Envelope, RecvError> {
+        let inner = &*self.inner;
+        let mut rd = self.reader.borrow_mut();
+        let rd = &mut *rd;
+        loop {
+            match rd.decoder.next_frame() {
+                Ok(Some(frame)) => {
+                    // Same header peek as the hub: the payload is sliced
+                    // out of the frame buffer, never decoded or copied.
+                    // Non-Data frames are ignored.
+                    if let Some((from, _, range)) = peek_data_header(&frame) {
+                        let from = Addr::new(from);
+                        return Ok(Envelope {
+                            from,
+                            payload: frame.slice(range),
+                        });
+                    }
+                    continue;
+                }
+                Ok(None) => {}
+                // A corrupt stream is a lost link.
+                Err(_) => rd.lose_link(inner),
+            }
+            if inner.closed.load(Ordering::Acquire) {
+                return Err(RecvError::Closed);
+            }
+            let now = Instant::now();
+            let Some(stream) = rd.stream.as_ref() else {
+                if now >= rd.gives_up {
+                    inner.close();
+                    return Err(RecvError::Closed);
+                }
+                if now >= rd.next_try {
+                    rd.next_try = now + inner.cfg.retry_interval;
+                    if let Some(stream) = inner.reconnect() {
+                        rd.stream = Some(stream);
+                        rd.timeout = None;
+                        continue;
+                    }
+                }
+                // Wait for the next attempt, but not past the deadline.
+                let wake = rd.next_try.min(rd.gives_up);
+                match deadline {
+                    Some(d) if d < wake => {
+                        std::thread::sleep(d.saturating_duration_since(now));
+                        return Err(RecvError::Timeout);
+                    }
+                    _ => std::thread::sleep(wake.saturating_duration_since(now)),
+                }
+                continue;
+            };
+            let left = deadline.map(|d| d.saturating_duration_since(now));
+            let read = if left == Some(Duration::ZERO) {
+                inner.read_now(stream, &mut rd.buf)
+            } else {
+                // The socket's read timer ticks in jiffies, so rounding up
+                // to whole milliseconds loses nothing, and consecutive
+                // reads mostly keep the timeout already set.
+                let timeout =
+                    left.map(|d| Duration::from_millis(d.as_nanos().div_ceil(1_000_000) as u64));
+                if rd.timeout != timeout {
+                    if stream.set_read_timeout(timeout).is_err() {
+                        rd.lose_link(inner);
+                        continue;
+                    }
+                    rd.timeout = timeout;
+                }
+                (&*stream).read(&mut rd.buf)
+            };
+            match read {
+                Ok(0) => rd.lose_link(inner),
+                Ok(n) => rd.decoder.feed(&rd.buf[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Err(RecvError::Timeout)
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => rd.lose_link(inner),
+            }
         }
     }
 }
@@ -582,135 +806,29 @@ impl Drop for TcpSpoke {
     }
 }
 
-/// Reader thread: decode inbound frames; on link loss, reconnect within
-/// the window, replay the pending queue, and bump the generation.
-fn spoke_reader(inner: Arc<SpokeInner>, mut stream: TcpStream, tx: InboxSender) {
-    let mut buf = vec![0u8; IO_CHUNK];
-    'link: loop {
-        let mut decoder = wire::StreamDecoder::new();
-        loop {
-            let n = match stream.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => n,
-            };
-            decoder.feed(&buf[..n]);
-            loop {
-                match decoder.next_frame() {
-                    Ok(Some(frame)) => {
-                        // Same header peek as the hub: the payload is
-                        // sliced out of the frame buffer, never decoded
-                        // or copied. Non-Data frames are ignored.
-                        let hdr =
-                            peek_data_header(&frame).map(|(f, _, range)| (Addr::new(f), range));
-                        if let Some((from, range)) = hdr {
-                            if tx
-                                .send(Envelope {
-                                    from,
-                                    payload: frame.slice(range),
-                                })
-                                .is_err()
-                            {
-                                break 'link; // port dropped
-                            }
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => break, // corrupt stream: treat as link loss
-                }
-            }
-        }
-        // Link lost: invalidate the writer so sends start buffering.
-        {
-            let mut st = inner.state.lock();
-            if let Some(w) = st.writer.take() {
-                let _ = w.shutdown(Shutdown::Both);
-            }
-        }
-        if inner.closed.load(Ordering::Acquire) {
-            break 'link;
-        }
-        let deadline = Instant::now() + inner.cfg.reconnect_window;
-        stream = loop {
-            if inner.closed.load(Ordering::Acquire) || Instant::now() >= deadline {
-                break 'link;
-            }
-            let Ok(s) = TcpStream::connect(inner.server) else {
-                std::thread::sleep(inner.cfg.retry_interval);
-                continue;
-            };
-            let _ = s.set_nodelay(true);
-            // Re-handshake and replay the pending queue under the state
-            // lock so concurrent send() calls keep FIFO order.
-            let mut st = inner.state.lock();
-            let hello = encode_tcp_frame(&TcpFrame::Hello {
-                name: inner.name.to_string(),
-            });
-            let mut ok = (&s).write_all(&hello).is_ok();
-            while ok {
-                let Some(frame) = st.pending.front() else {
-                    break;
-                };
-                if (&s).write_all(frame).is_ok() {
-                    st.pending.pop_front();
-                } else {
-                    ok = false;
-                }
-            }
-            let writer = if ok { s.try_clone().ok() } else { None };
-            let Some(writer) = writer else {
-                drop(st);
-                std::thread::sleep(inner.cfg.retry_interval);
-                continue;
-            };
-            st.writer = Some(writer);
-            drop(st);
-            inner.generation.fetch_add(1, Ordering::Release);
-            break s;
-        };
-    }
-    inner.closed.store(true, Ordering::Release);
-    if let Some(w) = inner.state.lock().writer.take() {
-        let _ = w.shutdown(Shutdown::Both);
-    }
-    // Dropping `tx` here disconnects the inbox: recv() reports Closed.
-}
-
 impl Port for TcpSpoke {
     fn addr(&self) -> &Addr {
         &self.inner.name
     }
 
     fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError> {
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(SendError::SelfClosed);
-        }
-        let frame = encode_data_frame(&self.inner.name, to, &payload);
-        let mut st = self.inner.state.lock();
-        match st.writer.as_ref() {
-            Some(w) => {
-                let mut wref = w;
-                if wref.write_all(&frame).is_ok() {
-                    Ok(())
-                } else {
-                    // Broken mid-write: the torn frame dies with the
-                    // socket. Queue a clean copy for the next link and
-                    // wake the reader into its reconnect loop.
-                    if let Some(w) = st.writer.take() {
-                        let _ = w.shutdown(Shutdown::Both);
-                    }
-                    st.pending.push_back(frame);
-                    Ok(())
-                }
-            }
-            None => {
-                st.pending.push_back(frame);
-                Ok(())
-            }
-        }
+        self.inner.send(to, payload)
     }
 
-    fn inbox(&self) -> &Inbox {
-        &self.inbox
+    fn send_half(&self) -> Arc<dyn SendHalf> {
+        Arc::clone(&self.inner) as Arc<dyn SendHalf>
+    }
+
+    fn recv(&self) -> Result<Envelope, RecvError> {
+        self.recv_until(None)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+        self.recv_until(Instant::now().checked_add(timeout))
+    }
+
+    fn try_recv(&self) -> Option<Envelope> {
+        self.recv_until(Some(Instant::now())).ok()
     }
 
     fn generation(&self) -> u64 {
@@ -721,7 +839,6 @@ impl Port for TcpSpoke {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::RecvError;
 
     fn hub() -> TcpHub {
         TcpHub::bind("127.0.0.1:0").unwrap()
@@ -806,14 +923,21 @@ mod tests {
         }
         assert_eq!(spoke.inner.state.lock().pending.len(), 5);
 
-        // Now actually sever the link: the reader sees EOF, reconnects,
-        // re-Hellos, and replays the queue in order.
+        // Now actually sever the link. The spoke's reader sees EOF,
+        // reconnects, re-Hellos, and replays the queue in order; nothing
+        // reconnects while nobody reads, so the test drives the read path.
         assert!(hub.drop_conn(&Addr::new("mgr")));
+        wait_for(
+            || {
+                let _ = spoke.recv_timeout(Duration::from_millis(20));
+                spoke.generation() > gen0
+            },
+            "generation bump",
+        );
         for i in 0..5u8 {
             let env = ix.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(env.payload[0], i);
         }
-        wait_for(|| spoke.generation() > gen0, "generation bump");
         assert!(!spoke.is_closed());
         // The replayed link is live: a direct send arrives too.
         spoke
@@ -835,16 +959,167 @@ mod tests {
             },
         )
         .unwrap();
-        // A waker holds the inbox weakly: it must not keep it open.
-        let waker = spoke.waker();
         hub.shutdown();
         // Reconnects are refused (listener gone); the window expires.
         assert!(matches!(spoke.recv(), Err(RecvError::Closed)));
-        assert!(!waker.wake());
         wait_for(|| spoke.is_closed(), "spoke closed");
         assert!(matches!(
             spoke.send(&Addr::new("ix"), Bytes::from_static(b"x")),
             Err(SendError::SelfClosed)
+        ));
+    }
+
+    /// A spoke whose hub has gone: it connected to a listener of the
+    /// test's own, which then closed both the connection and itself, so
+    /// every reconnect is refused until something listens at the returned
+    /// address again.
+    fn orphaned_spoke(cfg: SpokeConfig) -> (TcpSpoke, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let at = listener.local_addr().unwrap();
+        let spoke = TcpSpoke::connect(at, Addr::new("mgr"), cfg).unwrap();
+        drop(listener.accept().unwrap());
+        (spoke, at)
+    }
+
+    /// Accept one connection on `listener` and read `n` frames off it.
+    fn read_frames(listener: &TcpListener, n: usize) -> (TcpStream, Vec<Bytes>) {
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut decoder = wire::StreamDecoder::new();
+        let mut frames = Vec::new();
+        let mut buf = [0u8; 4096];
+        while frames.len() < n {
+            let got = conn.read(&mut buf).unwrap();
+            assert!(got > 0, "the spoke hung up after {} frames", frames.len());
+            decoder.feed(&buf[..got]);
+            while let Some(frame) = decoder.next_frame().unwrap() {
+                frames.push(frame);
+            }
+        }
+        (conn, frames)
+    }
+
+    /// Frames sent from another thread while the link is down wait in
+    /// `pending`; the reconnect writes `Hello` and then replays them in
+    /// the order they were sent, and the generation bumps once, however
+    /// many attempts were refused first.
+    #[test]
+    fn frames_sent_while_down_replay_after_hello_in_order() {
+        let (spoke, at) = orphaned_spoke(SpokeConfig {
+            retry_interval: Duration::from_millis(5),
+            reconnect_window: Duration::from_secs(10),
+        });
+        let gen0 = spoke.generation();
+        // The reader notices the loss; every attempt is refused.
+        assert!(matches!(
+            spoke.recv_timeout(Duration::from_millis(30)),
+            Err(RecvError::Timeout)
+        ));
+        assert!(spoke.inner.state.lock().writer.is_none());
+        let half = spoke.send_half();
+        std::thread::spawn(move || {
+            for i in 0..5u8 {
+                half.send(&Addr::new("ix"), Bytes::copy_from_slice(&[i]))
+                    .unwrap();
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(spoke.inner.state.lock().pending.len(), 5);
+        assert_eq!(spoke.generation(), gen0, "no attempt has succeeded");
+
+        let listener = TcpListener::bind(at).unwrap();
+        wait_for(
+            || {
+                let _ = spoke.recv_timeout(Duration::from_millis(10));
+                spoke.generation() != gen0
+            },
+            "reconnect",
+        );
+        let (_conn, frames) = read_frames(&listener, 6);
+        match wire::from_bytes::<TcpFrame>(&frames[0]) {
+            Ok(TcpFrame::Hello { name }) => assert_eq!(name, "mgr"),
+            _ => panic!("the first frame on the new link is not Hello"),
+        }
+        for (i, frame) in frames[1..].iter().enumerate() {
+            let (from, to, payload) = peek_data_header(frame).expect("a Data frame");
+            assert_eq!((from, to), ("mgr", "ix"));
+            assert_eq!(&frame[payload], &[i as u8]);
+        }
+        let _ = spoke.recv_timeout(Duration::from_millis(30));
+        assert_eq!(spoke.generation(), gen0 + 1);
+        assert!(spoke.inner.state.lock().pending.is_empty());
+    }
+
+    /// A deadline shorter than the wait for the next attempt ends the
+    /// call on time with `Timeout`; the next call resumes the reconnect
+    /// where it stood and reads from the new link.
+    #[test]
+    fn a_short_deadline_times_out_and_the_next_call_reconnects() {
+        let (spoke, at) = orphaned_spoke(SpokeConfig {
+            retry_interval: Duration::from_millis(300),
+            reconnect_window: Duration::from_secs(10),
+        });
+        let gen0 = spoke.generation();
+        let t0 = Instant::now();
+        let got = spoke.recv_timeout(Duration::from_millis(30));
+        let took = t0.elapsed();
+        assert!(matches!(got, Err(RecvError::Timeout)), "{got:?}");
+        assert!(
+            took >= Duration::from_millis(30) && took < Duration::from_millis(200),
+            "a 30 ms deadline returned after {took:?}"
+        );
+
+        let listener = TcpListener::bind(at).unwrap();
+        let hub_side = std::thread::spawn(move || {
+            let (mut conn, frames) = read_frames(&listener, 1);
+            assert!(matches!(
+                wire::from_bytes::<TcpFrame>(&frames[0]),
+                Ok(TcpFrame::Hello { .. })
+            ));
+            conn.write_all(&encode_data_frame(
+                &Addr::new("ix"),
+                &Addr::new("mgr"),
+                b"back",
+            ))
+            .unwrap();
+            conn
+        });
+        let env = spoke.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((env.from.as_str(), &env.payload[..]), ("ix", &b"back"[..]));
+        assert_eq!(spoke.generation(), gen0 + 1);
+        drop(hub_side.join().unwrap());
+    }
+
+    /// Calls inside the reconnect window time out; the first once it has
+    /// expired returns `Closed`, and so does every later one.
+    #[test]
+    fn a_spoke_returns_closed_once_the_window_expires() {
+        let window = Duration::from_millis(150);
+        let (spoke, _) = orphaned_spoke(SpokeConfig {
+            retry_interval: Duration::from_millis(10),
+            reconnect_window: window,
+        });
+        let t0 = Instant::now();
+        assert!(matches!(
+            spoke.recv_timeout(Duration::from_millis(20)),
+            Err(RecvError::Timeout)
+        ));
+        assert!(!spoke.is_closed());
+        assert!(matches!(
+            spoke.recv_timeout(Duration::from_secs(10)),
+            Err(RecvError::Closed)
+        ));
+        let took = t0.elapsed();
+        assert!(
+            took >= window && took < Duration::from_secs(5),
+            "closed after {took:?}"
+        );
+        assert!(spoke.is_closed());
+        assert!(spoke.try_recv().is_none());
+        assert!(matches!(
+            spoke.recv_timeout(Duration::from_secs(1)),
+            Err(RecvError::Closed)
         ));
     }
 

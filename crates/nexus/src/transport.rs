@@ -13,19 +13,29 @@
 //! Every protocol loop runs unchanged over either plane.
 
 use crate::addr::Addr;
-use crate::endpoint::{Envelope, Inbox, Waker};
+use crate::endpoint::{Envelope, Waker};
 use crate::error::{RecvError, SendError};
 use crate::fabric::Fabric;
 use bytes::Bytes;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The send half of a [`Port`]: any thread of the port's owner may hold
+/// one and send through it while the port's one reader waits on the port.
+pub trait SendHalf: Send + Sync {
+    /// Send `payload` to the peer named `to`, from the port's address.
+    fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError>;
+}
 
 /// An addressed mailbox on some message plane.
 ///
 /// The fabric's [`crate::Endpoint`] is one, and so are the TCP plane's
-/// ports ([`crate::tcp`]). Delivery guarantees are those of the underlying plane: FIFO between a
-/// given sender/receiver pair, no delivery guarantee across a link drop.
-/// A port has one reader: a protocol loop waits on nothing but its port,
-/// and whatever else must wake it holds the port's [`Port::waker`].
+/// ports ([`crate::tcp`]). Delivery guarantees are those of the underlying
+/// plane: FIFO between a given sender/receiver pair, no delivery guarantee
+/// across a link drop. A port has one reader: a protocol loop waits on
+/// nothing but its port. Other threads send through its
+/// [`Port::send_half`], and a port whose reader waits on an inbox in this
+/// process can also be woken through its [`Port::waker`].
 pub trait Port: Send {
     /// This port's own address.
     fn addr(&self) -> &Addr;
@@ -33,28 +43,24 @@ pub trait Port: Send {
     /// Send `payload` to the peer named `to`.
     fn send(&self, to: &Addr, payload: Bytes) -> Result<(), SendError>;
 
-    /// The inbox this port reads.
-    fn inbox(&self) -> &Inbox;
+    /// A send half of this port, for threads other than its reader.
+    fn send_half(&self) -> Arc<dyn SendHalf>;
 
     /// Block until a message arrives.
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        self.inbox().recv()
-    }
+    fn recv(&self) -> Result<Envelope, RecvError>;
 
     /// Block up to `timeout` for a message.
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.inbox().recv_timeout(timeout)
-    }
+    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError>;
 
-    /// Take a message if one is already queued.
-    fn try_recv(&self) -> Option<Envelope> {
-        self.inbox().try_recv()
-    }
+    /// Take a message if one is already here, without blocking.
+    fn try_recv(&self) -> Option<Envelope>;
 
     /// A handle that ends a wait in this port's `recv` from another
-    /// thread of this process, without touching the wire.
-    fn waker(&self) -> Waker {
-        self.inbox().waker(self.addr())
+    /// thread of this process, without touching the wire. `None` where no
+    /// such handle can exist: a TCP spoke's reader blocks in its socket's
+    /// `read`, which no other thread can end.
+    fn waker(&self) -> Option<Waker> {
+        None
     }
 
     /// Link incarnation counter: bumped each time the underlying link is
@@ -122,7 +128,7 @@ mod tests {
     fn a_waker_keeps_no_killed_inbox_open() {
         let fabric = Fabric::new();
         let a = fabric.attach(Addr::new("a")).unwrap();
-        let waker = a.waker();
+        let waker = a.waker().expect("a fabric endpoint can be woken");
         assert!(waker.wake());
         assert!(a.recv().unwrap().is_wake());
         fabric.kill(&Addr::new("a"));

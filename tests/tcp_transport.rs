@@ -176,6 +176,44 @@ fn client_reaches_the_interchange_without_a_socket() {
     dfk.shutdown();
 }
 
+/// A spawned `parsl-worker` runs its manager and its worker threads and
+/// nothing else: the manager reads its own socket (no `nexus-tcp-spoke`
+/// thread) and each worker thread flushes its own results.
+#[test]
+fn a_worker_process_runs_its_manager_and_workers_only() {
+    let htex = tcp_htex(HtexConfig {
+        label: "lean".into(),
+        workers_per_node: 2,
+        init_blocks: 1,
+        heartbeat_period: Duration::from_millis(50),
+        heartbeat_threshold: Duration::from_secs(5),
+        ..Default::default()
+    });
+    let dfk = DataFlowKernel::builder()
+        .executor_arc(htex.clone())
+        .build()
+        .unwrap();
+    await_workers(&htex, 2);
+    let noop = dfk.python_app("noop", |x: u64| x);
+    let futs: Vec<_> = (0..100u64).map(|i| parsl::core::call!(noop, i)).collect();
+    for (i, f) in futs.iter().enumerate() {
+        assert_eq!(f.result_timeout(Duration::from_secs(30)).unwrap(), i as u64);
+    }
+    let pid = children_naming("lean:mgr-0")[0];
+    let threads: Vec<String> = std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("procfs")
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect();
+    assert_eq!(threads.len(), 1 + 2, "threads of the worker: {threads:?}");
+    assert!(
+        !threads.iter().any(|t| t == "nexus-tcp-spoke"),
+        "a spoke reader runs in the worker: {threads:?}"
+    );
+    dfk.shutdown();
+}
+
 /// The hub address this process's `parsl-worker` child named `node`
 /// was told to connect to.
 fn hub_of(node: &str) -> String {
